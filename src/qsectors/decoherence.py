@@ -17,8 +17,10 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidAmplitude, PreconditionViolated
 from .overlaps import truncated_overlap
-from .sectors import ALIGN_GRAY, classify_sequence, same_sector
+from .sectors import classify_sequence, same_sector
 from .states import (
+    ALIGN_EXACT,
+    ALIGN_GRAY,
     CompositeState,
     ConstantTail,
     ProductState,
@@ -39,7 +41,6 @@ __all__ = [
     "collapse",
 ]
 
-_UNIT_SNAP = 1e-12
 _HORIZON_CHECK_EVERY = 4096
 
 
@@ -66,7 +67,7 @@ class MeasurementModel:
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise InvalidAmplitude(f"non-finite pointer amplitude {c!r}")
         total = sum(abs(c) ** 2 for c in coeffs)
-        if abs(total - 1.0) > _UNIT_SNAP:
+        if abs(total - 1.0) > ALIGN_EXACT:
             raise InvalidAmplitude(
                 f"pointer amplitudes must be normalized, got sum {total!r}"
             )
@@ -125,12 +126,12 @@ class TruncatedDensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise PreconditionViolated(f"density matrix must be square, got {m.shape}")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > 1e-12:
+        if herm_dev > ALIGN_EXACT:
             raise PreconditionViolated(
                 f"density matrix deviates from Hermiticity by {herm_dev:.3e}"
             )
         trace_dev = abs(complex(np.trace(m)) - 1.0)
-        if trace_dev > 1e-12:
+        if trace_dev > ALIGN_EXACT:
             raise PreconditionViolated(
                 f"density matrix trace off by {trace_dev:.3e}"
             )
@@ -193,42 +194,30 @@ def _pair_horizon(
     cur = base_log
     site = 0
     span = max(bra.prefix_len, ket.prefix_len)
-    while site < span:
-        g = factor_overlap(bra.factor_at(site), ket.factor_at(site))
-        mod = abs(g)
-        if mod == 0.0:
-            return site + 1
-        cur += math.log(mod)
-        site += 1
-        if cur < log_eps:
-            return site
-    if isinstance(bra.tail, ConstantTail) and isinstance(ket.tail, ConstantTail):
-        mod = abs(factor_overlap(bra.tail.vector, ket.tail.vector))
-        if mod == 0.0:
-            return site + 1
-        if mod >= 1.0 - _UNIT_SNAP:
-            return math.inf
-        # closed form: first N with cur + (N - site) * log(mod) < log_eps
-        step = math.log(mod)
-        return site + math.floor((log_eps - cur) / step) + 1
-    u_limit, u_decay = _tail_descriptor(bra.tail)
-    w_limit, w_decay = _tail_descriptor(ket.tail)
-    limit_mod = abs(factor_overlap(u_limit, w_limit))
-    while site < budget:
-        g = factor_overlap(bra.factor_at(site), ket.factor_at(site))
-        mod = abs(g)
-        if mod == 0.0:
-            return site + 1
-        cur += math.log(mod)
-        site += 1
-        if cur < log_eps:
-            return site
-        if (
-            site % _HORIZON_CHECK_EVERY == 0
-            and abs(limit_mod - 1.0) <= _UNIT_SNAP
+    constant = isinstance(bra.tail, ConstantTail) and isinstance(ket.tail, ConstantTail)
+    if constant:
+        # past the prefix every site repeats; the walk stops there
+        stop = span
+        certified = False
+    else:
+        u_limit, u_decay = _tail_descriptor(bra.tail)
+        w_limit, w_decay = _tail_descriptor(ket.tail)
+        stop = max(span, budget)
+        certified = (
+            abs(abs(factor_overlap(u_limit, w_limit)) - 1.0) <= ALIGN_EXACT
             and u_decay.summable
             and w_decay.summable
-        ):
+        )
+    while site < stop:
+        g = factor_overlap(bra.factor_at(site), ket.factor_at(site))
+        mod = abs(g)
+        if mod == 0.0:
+            return site + 1
+        cur += math.log(mod)
+        site += 1
+        if cur < log_eps:
+            return site
+        if site % _HORIZON_CHECK_EVERY == 0 and certified and site > span:
             # remaining per-site log losses are dominated by the decay
             # series; |log x| <= 2|x - 1| once the terms sit above 1/2
             remaining = (w_limit.norm + w_decay.scale) * u_decay.series_bound(
@@ -236,6 +225,15 @@ def _pair_horizon(
             ) + u_limit.norm * w_decay.series_bound(site)
             if remaining <= 0.25 and cur - 2.0 * remaining >= log_eps:
                 return math.inf
+    if constant:
+        mod = abs(factor_overlap(bra.tail.vector, ket.tail.vector))
+        if mod == 0.0:
+            return site + 1
+        if mod >= 1.0 - ALIGN_EXACT:
+            return math.inf
+        # closed form: first N with cur + (N - site) * log(mod) < log_eps
+        step = math.log(mod)
+        return site + math.floor((log_eps - cur) / step) + 1
     raise PreconditionViolated(
         "decoherence horizon undecided within budget",
         budget=budget,

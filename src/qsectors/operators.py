@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DimensionBudgetExceeded,
@@ -24,9 +23,11 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .overlaps import OverlapSweep, _combine, _PairAccumulator, composite_overlap
-from .sectors import ALIGN_EXACT, ALIGN_GRAY, classify_sequence
+from .overlaps import OverlapSweep, _check_cuts, _sweep, composite_overlap
+from .sectors import classify_sequence
 from .states import (
+    ALIGN_EXACT,
+    ALIGN_GRAY,
     CompositeState,
     ConstantTail,
     DecaySpec,
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 EVOLVE_DIM_LIMIT = 16
-_HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +79,13 @@ class FactorOperator:
     @property
     def is_identity(self) -> bool:
         return bool(
-            np.max(np.abs(self.matrix - np.eye(self.dim))) <= _HERMITIAN_TOL
+            np.max(np.abs(self.matrix - np.eye(self.dim))) <= ALIGN_EXACT
         )
 
     @property
     def is_hermitian(self) -> bool:
         return bool(
-            np.max(np.abs(self.matrix - self.matrix.conj().T)) <= _HERMITIAN_TOL
+            np.max(np.abs(self.matrix - self.matrix.conj().T)) <= ALIGN_EXACT
         )
 
     def apply_to(self, vec: FactorVector) -> FactorVector:
@@ -359,34 +359,28 @@ def expectation_sweep(
     state: ProductState,
     truncations: Sequence[int],
 ) -> OverlapSweep:
-    """<state|op|state> restricted to the first N factors, per cutoff."""
-    cuts = list(truncations)
-    if not cuts:
-        raise PreconditionViolated("at least one truncation is required")
-    if any(n < 1 for n in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise PreconditionViolated("truncations must be strictly increasing and >= 1")
+    """<state|op|state> restricted to the first N factors, per cutoff.
+
+    Each term is bracketed site by site against its image U_t f, so no
+    image is built past the last cut and each factor f is fetched once.
+    """
+    cuts = _check_cuts(truncations)
     _check_op_state_dims(op, state)
-    pairs = [(t.coefficient, t, _PairAccumulator()) for t in op.terms]
-    values: list[complex] = []
-    logs: list[float] = []
-    cut_iter = iter(cuts)
-    next_cut = next(cut_iter)
-    for site in range(cuts[-1]):
-        f = state.factor_at(site)
-        for _, t, acc in pairs:
-            u = t.op_at(site)
-            image = f if u is None else u.apply_to(f)
-            acc.push(factor_overlap(f, image))
-        if site + 1 == next_cut:
-            value, log_mod = _combine(
-                [(coeff, acc) for coeff, _, acc in pairs], site + 1
-            )
-            values.append(value)
-            logs.append(log_mod)
-            next_cut = next(cut_iter, None)
-            if next_cut is None:
-                break
-    return OverlapSweep(tuple(cuts), tuple(values), tuple(logs))
+    fetched: list = [-1, None]  # (site, factor) shared by every term
+
+    def factor(site: int) -> FactorVector:
+        if fetched[0] != site:
+            fetched[:] = site, state.factor_at(site)
+        return fetched[1]
+
+    def image(term: OperatorTerm):
+        def image_at(site: int) -> FactorVector:
+            u = term.op_at(site)
+            return factor(site) if u is None else u.apply_to(factor(site))
+
+        return image_at
+
+    return _sweep([(t.coefficient, factor, image(t)) for t in op.terms], cuts)
 
 
 @dataclass(frozen=True)
@@ -398,7 +392,7 @@ class EvolutionResult:
 
 def _require_hermitian(op: FactorOperator, where: str) -> None:
     dev = float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
-    if dev > _HERMITIAN_TOL:
+    if dev > ALIGN_EXACT:
         raise NonHermitianGenerator(
             f"{where} deviates from Hermiticity by {dev:.3e}"
         )
@@ -406,6 +400,12 @@ def _require_hermitian(op: FactorOperator, where: str) -> None:
         raise DimensionBudgetExceeded(
             f"evolve handles factor dims up to {EVOLVE_DIM_LIMIT}, got {op.dim}"
         )
+
+
+def _propagator(h: FactorOperator, angle: float) -> FactorOperator:
+    """exp(i * angle * h) for Hermitian h, as V diag(e^{i angle lambda}) V^dagger."""
+    lam, v = np.linalg.eigh(h.matrix)
+    return FactorOperator((v * np.exp(1j * angle * lam)) @ v.conj().T)
 
 
 def evolve(
@@ -427,20 +427,18 @@ def evolve(
         )
     term = generator.terms[0]
     coeff = term.coefficient
-    if abs(coeff.imag) > _HERMITIAN_TOL:
+    if abs(coeff.imag) > ALIGN_EXACT:
         raise NonHermitianGenerator(
             f"generator coefficient {coeff!r} must be real"
         )
     scale = coeff.real
     for site, h in enumerate(term.prefix_ops):
         _require_hermitian(h, f"prefix generator at site {site}")
-    exp_prefix = tuple(
-        FactorOperator(expm(1j * t * scale * h.matrix)) for h in term.prefix_ops
-    )
+    exp_prefix = tuple(_propagator(h, t * scale) for h in term.prefix_ops)
     if isinstance(term.tail, ConstantOperatorTail):
         _require_hermitian(term.tail.operator, "tail generator")
         tail: OperatorTail = ConstantOperatorTail(
-            FactorOperator(expm(1j * t * scale * term.tail.operator.matrix))
+            _propagator(term.tail.operator, t * scale)
         )
     else:
         tail = term.tail

@@ -1,10 +1,10 @@
 """Truncated and asymptotic overlaps.
 
-Truncated overlaps multiply per-factor brackets up to a cutoff.  Short
-products are multiplied directly; past ``DIRECT_LIMIT`` factors the running
-product is kept as log-modulus plus unwrapped phase so sweeps survive far
-past double-precision underflow.  A factor overlap of exactly zero
-short-circuits the whole product.
+Truncated overlaps multiply per-factor brackets up to a cutoff, all through
+one walk.  Short products are read out directly; past ``DIRECT_LIMIT``
+factors the running product is read from its log-modulus plus unwrapped
+phase so sweeps survive far past double-precision underflow.  A factor
+overlap of exactly zero short-circuits the whole product.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import products
 from .errors import InconclusiveSector, PreconditionViolated
@@ -20,6 +20,7 @@ from .sectors import same_sector
 from .states import (
     CompositeState,
     ConstantTail,
+    FactorVector,
     ProductState,
     _tail_descriptor,
     ensure_same_shape,
@@ -36,36 +37,8 @@ __all__ = [
 
 DIRECT_LIMIT = 64
 
-
-class _PairAccumulator:
-    """Running product of per-site overlaps for one (bra term, ket term)."""
-
-    __slots__ = ("direct", "log_mod", "arg", "zero", "count")
-
-    def __init__(self) -> None:
-        self.direct = 1.0 + 0j
-        self.log_mod = 0.0
-        self.arg = 0.0
-        self.zero = False
-        self.count = 0
-
-    def push(self, overlap: complex) -> None:
-        self.count += 1
-        if self.zero:
-            return
-        if overlap == 0:
-            self.zero = True
-            return
-        self.direct *= overlap
-        self.log_mod += math.log(abs(overlap))
-        self.arg += math.atan2(overlap.imag, overlap.real)
-
-    def value(self) -> complex:
-        if self.zero:
-            return 0j
-        if self.count <= DIRECT_LIMIT:
-            return self.direct
-        return cmath.exp(complex(min(self.log_mod, 700.0), self.arg))
+# Maps an absolute site to the factor a walk brackets there.
+FactorSource = Callable[[int], FactorVector]
 
 
 def _as_terms(state: ProductState | CompositeState) -> tuple[tuple[complex, ProductState], ...]:
@@ -74,21 +47,29 @@ def _as_terms(state: ProductState | CompositeState) -> tuple[tuple[complex, Prod
     return state.terms
 
 
-def truncated_overlap(
-    bra: ProductState, ket: ProductState, truncation: int
-) -> complex:
-    """Product of the first ``truncation`` per-factor overlaps <bra_k|ket_k>."""
-    if truncation < 0:
-        raise PreconditionViolated(f"truncation {truncation} must be >= 0")
+def _state_pairs(
+    bra: ProductState | CompositeState, ket: ProductState | CompositeState
+) -> list[tuple[complex, FactorSource, FactorSource]]:
+    """Walk input for <bra|ket>: one entry per (bra term, ket term) pair."""
     ensure_same_shape(bra, ket)
-    acc = _PairAccumulator()
-    for site in range(truncation):
-        acc.push(factor_overlap(bra.factor_at(site), ket.factor_at(site)))
-    return acc.value()
+    return [
+        (cm.conjugate() * cn, sm.factor_at, sn.factor_at)
+        for cm, sm in _as_terms(bra)
+        for cn, sn in _as_terms(ket)
+    ]
+
+
+def _check_cuts(truncations: Sequence[int]) -> list[int]:
+    cuts = list(truncations)
+    if not cuts:
+        raise PreconditionViolated("at least one truncation is required")
+    if any(n < 1 for n in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise PreconditionViolated("truncations must be strictly increasing and >= 1")
+    return cuts
 
 
 def _combine(
-    pairs: Sequence[tuple[complex, _PairAccumulator]], truncation: int
+    pairs: Sequence[tuple[complex, products._Accumulator]], truncation: int
 ) -> tuple[complex, float]:
     """(value, log-modulus) of a coefficient-weighted sum of pair products."""
     if truncation <= DIRECT_LIMIT:
@@ -111,6 +92,39 @@ def _combine(
     return value, log_mod
 
 
+def _walk(
+    pairs: Sequence[tuple[complex, FactorSource, FactorSource]], cuts: Sequence[int]
+) -> list[tuple[complex, float]]:
+    """(value, log-modulus) of sum_k c_k prod_{site<n} <bra_k(site)|ket_k(site)>
+    at every cut n, in one pass over the sites.
+
+    ``pairs`` holds (c_k, bra_k, ket_k), the factor sources mapping a site to
+    its FactorVector; ``cuts`` increase.  Every pair advances one site before
+    any pair takes the next, so sources may share per-site work.
+    """
+    accs = [(coeff, products._Accumulator()) for coeff, _, _ in pairs]
+    steps = [(bra_at, ket_at, acc.push) for (_, bra_at, ket_at), (_, acc) in zip(pairs, accs)]
+    out = []
+    start = 0
+    for cut in cuts:
+        for site in range(start, cut):
+            for bra_at, ket_at, push in steps:
+                push(factor_overlap(bra_at(site), ket_at(site)))
+        start = cut
+        out.append(_combine(accs, cut))
+    return out
+
+
+def truncated_overlap(
+    bra: ProductState, ket: ProductState, truncation: int
+) -> complex:
+    """Product of the first ``truncation`` per-factor overlaps <bra_k|ket_k>."""
+    if truncation < 0:
+        raise PreconditionViolated(f"truncation {truncation} must be >= 0")
+    ((value, _),) = _walk(_state_pairs(bra, ket), [truncation])
+    return value
+
+
 def composite_overlap(
     bra: ProductState | CompositeState,
     ket: ProductState | CompositeState,
@@ -119,17 +133,7 @@ def composite_overlap(
     """<bra|ket> at the cutoff, expanded over all term pairs."""
     if truncation < 0:
         raise PreconditionViolated(f"truncation {truncation} must be >= 0")
-    ensure_same_shape(bra, ket)
-    bra_terms = _as_terms(bra)
-    ket_terms = _as_terms(ket)
-    pairs = []
-    for cm, sm in bra_terms:
-        for cn, sn in ket_terms:
-            acc = _PairAccumulator()
-            for site in range(truncation):
-                acc.push(factor_overlap(sm.factor_at(site), sn.factor_at(site)))
-            pairs.append((cm.conjugate() * cn, acc))
-    value, _ = _combine(pairs, truncation)
+    ((value, _),) = _walk(_state_pairs(bra, ket), [truncation])
     return value
 
 
@@ -166,36 +170,15 @@ def overlap_sweep(
     truncations: Sequence[int],
 ) -> OverlapSweep:
     """One pass over the factor stream, recording at each requested cutoff."""
-    cuts = list(truncations)
-    if not cuts:
-        raise PreconditionViolated("at least one truncation is required")
-    if any(n < 1 for n in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise PreconditionViolated("truncations must be strictly increasing and >= 1")
-    ensure_same_shape(bra, ket)
-    bra_terms = _as_terms(bra)
-    ket_terms = _as_terms(ket)
-    pairs = [
-        (cm.conjugate() * cn, sm, sn, _PairAccumulator())
-        for cm, sm in bra_terms
-        for cn, sn in ket_terms
-    ]
-    values: list[complex] = []
-    logs: list[float] = []
-    cut_iter = iter(cuts)
-    next_cut = next(cut_iter)
-    for site in range(cuts[-1]):
-        for _, sm, sn, acc in pairs:
-            acc.push(factor_overlap(sm.factor_at(site), sn.factor_at(site)))
-        if site + 1 == next_cut:
-            value, log_mod = _combine(
-                [(coeff, acc) for coeff, _, _, acc in pairs], site + 1
-            )
-            values.append(value)
-            logs.append(log_mod)
-            next_cut = next(cut_iter, None)
-            if next_cut is None:
-                break
-    return OverlapSweep(tuple(cuts), tuple(values), tuple(logs))
+    cuts = _check_cuts(truncations)
+    return _sweep(_state_pairs(bra, ket), cuts)
+
+
+def _sweep(
+    pairs: Sequence[tuple[complex, FactorSource, FactorSource]], cuts: list[int]
+) -> OverlapSweep:
+    values, logs = zip(*_walk(pairs, cuts))
+    return OverlapSweep(tuple(cuts), values, logs)
 
 
 def _combined_tail_class(a: ProductState, b: ProductState) -> dict:

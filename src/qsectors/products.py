@@ -24,6 +24,7 @@ from .errors import (
     PreconditionViolated,
     UndeclaredTailClass,
 )
+from .states import ALIGN_EXACT
 
 __all__ = [
     "ConstantValue",
@@ -35,8 +36,6 @@ __all__ = [
     "quasi_convergence_value",
 ]
 
-# |z - 1| below this is treated as exactly 1; matches the sector tolerance.
-UNIT_SNAP = 1e-12
 # Argument drift over the last half of the budget must exceed this before a
 # numeric run is called quasi-convergent rather than inconclusive.
 QUASI_DRIFT = 4.0 * math.pi
@@ -176,39 +175,58 @@ def _converges(value: complex, diag: ProductDiagnostics) -> ConvergenceVerdict:
 
 
 class _Accumulator:
-    """Running complex product tracked in log-modulus + unwrapped argument."""
+    """Running complex product, kept both directly and as log-modulus plus
+    unwrapped argument.
+
+    Overlap readouts use the direct product up to ``overlaps.DIRECT_LIMIT``
+    terms and the log form past it, where the direct product may underflow;
+    the classifiers read the log form.  A zero term pins the product at 0.
+    """
+
+    __slots__ = ("direct", "log_mod", "arg", "zero")
 
     def __init__(self) -> None:
+        self.direct = 1.0 + 0j
         self.log_mod = 0.0
         self.arg = 0.0
         self.zero = False
-        self.count = 0
 
     def push(self, z: complex) -> None:
-        self.count += 1
         if self.zero:
             return
-        m = abs(z)
-        if m == 0.0:
+        if z == 0:
             self.zero = True
             return
-        self.log_mod += math.log(m)
+        self.direct *= z
+        self.log_mod += math.log(abs(z))
         self.arg += math.atan2(z.imag, z.real)
 
     def value(self) -> complex:
+        """exp of the log form."""
         if self.zero:
             return 0j
         # clamp so diagnostic samples of divergent runs cannot overflow exp
         return cmath.exp(complex(min(self.log_mod, 700.0), self.arg))
 
 
-def _prefix_scan(seq: ComplexSequenceSpec) -> tuple[complex, _Accumulator]:
-    prod = 1.0 + 0j
+def _zero_product(n: int, where: str = "tail") -> ConvergenceVerdict:
+    """Verdict for a product cut to 0 by a zero term among the first ``n``."""
+    return _converges(
+        0j,
+        ProductDiagnostics(
+            samples=((n, 0j),),
+            log_modulus_sum=-math.inf,
+            terms_examined=n,
+            notes=(f"zero {where} term short-circuits the product",),
+        ),
+    )
+
+
+def _prefix_accumulator(seq: ComplexSequenceSpec) -> _Accumulator:
     acc = _Accumulator()
     for z in seq.prefix:
-        prod *= z
         acc.push(z)
-    return prod, acc
+    return acc
 
 
 def classify_product(
@@ -230,18 +248,11 @@ def classify_product(
     if not (tol > 0.0 and math.isfinite(tol)):
         raise PreconditionViolated("tol must be a positive finite number")
 
-    prefix_prod, acc = _prefix_scan(seq)
+    acc = _prefix_accumulator(seq)
+    prefix_prod = acc.direct
     notes: list[str] = []
     if acc.zero or prefix_prod == 0:
-        return _converges(
-            0j,
-            ProductDiagnostics(
-                samples=((len(seq.prefix), 0j),),
-                log_modulus_sum=-math.inf,
-                terms_examined=len(seq.prefix),
-                notes=("zero prefix term short-circuits the product",),
-            ),
-        )
+        return _zero_product(len(seq.prefix), "prefix")
 
     tail = seq.tail
     if isinstance(tail, ConstantValue):
@@ -273,15 +284,7 @@ def _classify_constant_tail(
     z = seq.tail.value
     n0 = len(seq.prefix)
     if z == 0:
-        return _converges(
-            0j,
-            ProductDiagnostics(
-                samples=((n0 + 1, 0j),),
-                log_modulus_sum=-math.inf,
-                terms_examined=n0 + 1,
-                notes=("zero tail term short-circuits the product",),
-            ),
-        )
+        return _zero_product(n0 + 1)
     mod_dev = abs(z) - 1.0
     arg = math.atan2(z.imag, z.real)
     diag = ProductDiagnostics(
@@ -291,8 +294,8 @@ def _classify_constant_tail(
         terms_examined=n0 + 1,
         notes=tuple(notes),
     )
-    if abs(mod_dev) <= UNIT_SNAP:
-        if abs(arg) <= UNIT_SNAP:
+    if abs(mod_dev) <= ALIGN_EXACT:
+        if abs(arg) <= ALIGN_EXACT:
             return _converges(prefix_prod, diag)
         return ConvergenceVerdict("QuasiConvergesToZero", 0j, diag)
     if mod_dev < 0.0:
@@ -327,15 +330,7 @@ def _classify_eventually_one(
             continue
         run = 0
         if z == 0:
-            return _converges(
-                0j,
-                ProductDiagnostics(
-                    samples=((n, 0j),),
-                    log_modulus_sum=-math.inf,
-                    terms_examined=n,
-                    notes=("zero tail term short-circuits the product",),
-                ),
-            )
+            return _zero_product(n)
         prod *= z
     samples.append((last_n, prod))
     diag = ProductDiagnostics(
@@ -374,15 +369,7 @@ def _classify_geometric(
     for n, z in _iter_tail(seq, start, budget):
         last_n = n
         if z == 0:
-            return _converges(
-                0j,
-                ProductDiagnostics(
-                    samples=((n, 0j),),
-                    log_modulus_sum=-math.inf,
-                    terms_examined=n,
-                    notes=("zero tail term short-circuits the product",),
-                ),
-            )
+            return _zero_product(n)
         acc.push(z)
         ell = cmath.log(z)
         log_sum += ell
@@ -421,15 +408,7 @@ def _classify_p_series(
     for n, z in _iter_tail(seq, start, budget):
         last_n = n
         if z == 0:
-            return _converges(
-                0j,
-                ProductDiagnostics(
-                    samples=((n, 0j),),
-                    log_modulus_sum=-math.inf,
-                    terms_examined=n,
-                    notes=("zero tail term short-circuits the product",),
-                ),
-            )
+            return _zero_product(n)
         acc.push(z)
         ell = cmath.log(z)
         log_sum += ell
@@ -472,14 +451,7 @@ def _classify_p_series(
         return _converges(0j, diag)
     if abs(c_est.imag) > tiny:
         return ConvergenceVerdict("QuasiConvergesToZero", 0j, diag)
-    return _classify_numeric(seq, prefix_prod, _reset_like(acc, seq), start, budget, tol)
-
-
-def _reset_like(acc: _Accumulator, seq: ComplexSequenceSpec) -> _Accumulator:
-    fresh = _Accumulator()
-    for z in seq.prefix:
-        fresh.push(z)
-    return fresh
+    return _classify_numeric(seq, prefix_prod, _prefix_accumulator(seq), start, budget, tol)
 
 
 def _classify_declared_quasi(
@@ -488,15 +460,7 @@ def _classify_declared_quasi(
     probe = min(budget, start + 9_999)
     for n, z in _iter_tail(seq, start, probe):
         if z == 0:
-            return _converges(
-                0j,
-                ProductDiagnostics(
-                    samples=((n, 0j),),
-                    log_modulus_sum=-math.inf,
-                    terms_examined=n,
-                    notes=("zero tail term short-circuits the product",),
-                ),
-            )
+            return _zero_product(n)
         acc.push(z)
     return ConvergenceVerdict(
         "QuasiConvergesToZero",
@@ -531,15 +495,7 @@ def _classify_numeric(
     for n, z in _iter_tail(seq, start, budget):
         last_n = n
         if z == 0:
-            return _converges(
-                0j,
-                ProductDiagnostics(
-                    samples=((n, 0j),),
-                    log_modulus_sum=-math.inf,
-                    terms_examined=n,
-                    notes=("zero tail term short-circuits the product",),
-                ),
-            )
+            return _zero_product(n)
         acc.push(z)
         if n == half_mark:
             half_log = acc.log_mod

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .overlaps import OverlapSweep, overlap_sweep
 from .sectors import SectorVerdict, same_sector
-from .states import ConstantTail, FactorVector, ProductState, basis_vector
+from .states import ALIGN_EXACT, ConstantTail, FactorVector, ProductState, basis_vector
 
 __all__ = [
     "SpinChainScenario",
@@ -193,7 +193,7 @@ class CascadeSpec:
         if len(amps) != 2:
             raise PreconditionViolated("cascade tracks exactly two outcomes")
         total = sum(abs(c) ** 2 for c in amps)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > ALIGN_EXACT:
             raise InvalidAmplitude(
                 f"pointer amplitudes must be normalized, got sum {total!r}"
             )

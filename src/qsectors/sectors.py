@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated, ShapeMismatch, ZeroNormFactor
 from .states import (
+    ALIGN_EXACT,
+    ALIGN_GRAY,
     ConstantTail,
     DecaySpec,
     FactorVector,
@@ -35,12 +37,6 @@ __all__ = [
     "normed_representative",
     "apply_finite_change",
 ]
-
-# Deviations below ALIGN_EXACT are treated as exactly zero; deviations above
-# ALIGN_GRAY are decisive.  The band between the two is reported Inconclusive
-# rather than silently rounded either way.
-ALIGN_EXACT = 1e-12
-ALIGN_GRAY = 1e-9
 
 _SEQ_KINDS = (
     "NotConvergentSequence",

@@ -40,9 +40,18 @@ __all__ = [
     "distance",
 ]
 
-# Per-factor overlaps closer to 1 than this are treated as exactly 1 when
-# series verdicts are at stake; keep in sync with the sector tolerances.
-ALIGNMENT_SNAP = 1e-12
+# The package's tolerances, defined here once and imported everywhere else.
+#
+# ALIGN_EXACT  deviations at or below it count as exactly zero: per-factor
+#              overlaps and constant tail terms this close to 1 are 1,
+#              matrices this close to Hermitian or to the identity are so,
+#              and pointer amplitudes, density-matrix traces and Hermiticity
+#              are checked against it.
+# ALIGN_GRAY   deviations above it are decisive.  Sector verdicts falling in
+#              the band between the two report Inconclusive rather than
+#              rounding either way; unit-norm checks on factors use it.
+ALIGN_EXACT = 1e-12
+ALIGN_GRAY = 1e-9
 
 
 def _as_complex_tuple(values: Iterable[complex]) -> tuple[complex, ...]:

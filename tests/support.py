@@ -1,6 +1,9 @@
-"""Shared builders for randomized tests."""
+"""Shared builders for randomized tests, and the environment for CLI children."""
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -72,3 +75,13 @@ def random_operator(
             OperatorTerm(complex(rng.normal(), rng.normal()), prefix, tail)
         )
     return FactoredOperator(tuple(terms))
+
+
+def child_env() -> dict[str, str]:
+    """The environment for CLI children: this process's source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    source_root = str(Path(q.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (source_root, env.get("PYTHONPATH")) if part
+    )
+    return env

@@ -24,6 +24,8 @@ from qsectors.oracle import (
     densify_operator,
 )
 
+from support import child_env
+
 # chi-square cutoff for 1 degree of freedom at significance 1e-3
 CHI2_CUTOFF_1DF_1E3 = 10.827566170662733
 
@@ -43,6 +45,7 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +10,8 @@ import pytest
 import qsectors as q
 from qsectors.cli import main
 from qsectors.serialize import dumps, encode_model, encode_operator, encode_state
+
+from support import child_env
 
 QUIET = q.make_product_state((), q.ConstantTail(q.FactorVector((1.0, 0.0))))
 KICKED = q.make_product_state((), q.ConstantTail(q.FactorVector((0.8, 0.6))))
@@ -365,16 +366,6 @@ def declared_script(name="qsectors"):
         scripts = tomllib.load(fh).get("project", {}).get("scripts", {})
     assert name in scripts, f"pyproject.toml declares no [project.scripts] {name}"
     return scripts[name]
-
-
-def child_env():
-    """The environment for CLI children: this process's source tree first on PYTHONPATH."""
-    env = dict(os.environ)
-    source_root = str(Path(q.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (source_root, env.get("PYTHONPATH")) if part
-    )
-    return env
 
 
 def run_child(*cmd):

@@ -139,6 +139,20 @@ class TestDecoherenceHorizon:
         assert rho.coherence(0, 1) < 1e-6
         assert q.truncated_density(m, 124).coherence(0, 1) >= 1e-6
 
+    def test_constant_tails_past_a_prefix_longer_than_budget(self):
+        # the budget bounds the walk past the prefix only; constant tails
+        # are closed in form at the prefix's end however long it is
+        tilted = q.FactorVector((0.99, math.sqrt(1.0 - 0.99**2)))
+        quiet = q.make_product_state((E0,) * 40, q.ConstantTail(E0))
+        kicked = q.make_product_state((tilted,) * 40, pointer_branch(0.9).tail)
+        m = q.MeasurementModel((2**-0.5, 2**-0.5), (quiet, kicked))
+        cur = math.log(0.5) + 40 * math.log(abs(q.factor_overlap(tilted, E0)))
+        want = 40 + math.floor((math.log(1e-6) - cur) / math.log(0.9)) + 1
+        assert q.decoherence_horizon(m, 1e-6, budget=10) == want
+        assert q.decoherence_horizon(m, 1e-6) == want
+        assert q.truncated_density(m, want).coherence(0, 1) < 1e-6
+        assert q.truncated_density(m, want - 1).coherence(0, 1) >= 1e-6
+
     def test_pair_selection(self):
         m = q.MeasurementModel(
             (0.6, 0.6, math.sqrt(1.0 - 0.72)),

@@ -206,6 +206,20 @@ class TestExpectationSweep:
                 want = dense_expectation(densify_operator(op, n), densify(s, n))
                 assert abs(v - want) < 1e-10 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("parametric", [False, True])
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_bit_identical_to_overlap_sweep_of_image(self, seed, parametric):
+        # both walk the same pairs; only where the images come from differs
+        rng = np.random.default_rng(seed)
+        op = random_operator(rng, dim=3, n_terms=4, max_prefix=3)
+        s = random_product_state(rng, dim=3, max_prefix=5, parametric=parametric)
+        cuts = [1, 2, 7, 64, 65, 150]
+        got = q.expectation_sweep(op, s, cuts)
+        want = q.overlap_sweep(s, q.apply_operator(op, s), cuts)
+        assert got.truncations == want.truncations
+        assert repr(got.values) == repr(want.values)
+        assert repr(got.log_modulus) == repr(want.log_modulus)
+
     def test_requires_cuts(self):
         with pytest.raises(q.PreconditionViolated):
             q.expectation_sweep(single_site(PAULI_Z), constant_state(), [])

@@ -108,6 +108,15 @@ class TestCompositeOverlap:
             want = dense_overlap(densify(a, 5), densify(b, 5))
             assert abs(got - want) < 1e-11
 
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+    def test_product_states_match_truncated_overlap(self, n):
+        # same walk on both sides of the direct/log-space switch at DIRECT_LIMIT
+        rng = np.random.default_rng(100 + n)
+        for parametric in (False, True):
+            a = random_product_state(rng, dim=2, max_prefix=4, parametric=parametric)
+            b = random_product_state(rng, dim=2, max_prefix=4, parametric=True)
+            assert repr(q.truncated_overlap(a, b, n)) == repr(q.composite_overlap(a, b, n))
+
     def test_accepts_plain_product_states(self):
         v = q.composite_overlap(constant_state(), constant_state(), 3)
         assert v == pytest.approx(1.0)
