@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidAmplitude, PreconditionViolated
-from .overlaps import truncated_overlap
+from .overlaps import _Terms, _walk
 from .sectors import classify_sequence, same_sector
 from .states import (
     ALIGN_EXACT,
@@ -163,7 +163,8 @@ def truncated_density(model: MeasurementModel, truncation: int) -> TruncatedDens
 
     Diagonals are set to the exact outcome probabilities; off-diagonals are
     overlap products mirrored conjugate-symmetrically, so the result is
-    Hermitian by construction rather than by rounding luck.
+    Hermitian by construction rather than by rounding luck.  One walk
+    brackets all branches, reading out the m(m-1)/2 pairs above the diagonal.
     """
     if truncation < 0:
         raise PreconditionViolated("truncation must be >= 0")
@@ -171,13 +172,14 @@ def truncated_density(model: MeasurementModel, truncation: int) -> TruncatedDens
     rho = np.zeros((m, m), dtype=complex)
     for i in range(m):
         rho[i, i] = abs(model.coefficients[i]) ** 2
-    for i in range(m):
-        for j in range(i + 1, m):
-            # bra branch j, ket branch i: entry (i, j) of the reduced matrix
-            g = truncated_overlap(model.branches[j], model.branches[i], truncation)
-            val = model.coefficients[i] * model.coefficients[j].conjugate() * g
-            rho[i, j] = val
-            rho[j, i] = val.conjugate()
+    # bra branch j, ket branch i: entry (i, j) of the reduced matrix
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    branches = _Terms(model.branches)
+    walked = _walk(branches, branches, [[(1.0 + 0j, j, i)] for i, j in pairs], [truncation])
+    for (i, j), ((g, _),) in zip(pairs, walked):
+        val = model.coefficients[i] * model.coefficients[j].conjugate() * g
+        rho[i, j] = val
+        rho[j, i] = val.conjugate()
     return TruncatedDensityMatrix(rho, truncation)
 
 

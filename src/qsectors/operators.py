@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .overlaps import OverlapSweep, _check_cuts, _sweep, composite_overlap
+from .overlaps import OverlapSweep, _check_cuts, _sweep, _Terms, composite_overlap
 from .sectors import classify_sequence
 from .states import (
     ALIGN_EXACT,
@@ -361,8 +361,9 @@ def expectation_sweep(
 ) -> OverlapSweep:
     """<state|op|state> restricted to the first N factors, per cutoff.
 
-    Each term is bracketed site by site against its image U_t f, so no
-    image is built past the last cut and each factor f is fetched once.
+    Each term is bracketed against its image U_t f, so no image is built
+    past the last cut: site by site, each factor f fetched once, or over
+    the state's stacked prefix rows in the block stretch.
     """
     cuts = _check_cuts(truncations)
     _check_op_state_dims(op, state)
@@ -373,14 +374,41 @@ def expectation_sweep(
             fetched[:] = site, state.factor_at(site)
         return fetched[1]
 
-    def image(term: OperatorTerm):
+    side = _Terms([state], sources=[factor])
+    readout = [(t.coefficient, 0, k) for k, t in enumerate(op.terms)]
+    return _sweep(side, _Images(op.terms, side), [readout], cuts)
+
+
+class _Images:
+    """Walk side of the images U_t f of a one-term side's factors f, one
+    term per operator term."""
+
+    def __init__(self, terms: Sequence[OperatorTerm], state: _Terms) -> None:
+        self.terms = terms
+        self.state = state
+        self.explicit = state.explicit
+        self.sources = [self._image(t, state.sources[0]) for t in terms]
+
+    @staticmethod
+    def _image(term: OperatorTerm, factor):
         def image_at(site: int) -> FactorVector:
             u = term.op_at(site)
             return factor(site) if u is None else u.apply_to(factor(site))
 
         return image_at
 
-    return _sweep([(t.coefficient, factor, image(t)) for t in op.terms], cuts)
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """(terms, sites, dim) image rows of the explicit sites [lo, hi)."""
+        f = self.state.rows(lo, hi)[0]
+        out = np.empty((len(self.terms),) + f.shape, dtype=complex)
+        for img, t in zip(out, self.terms):
+            if isinstance(t.tail, ConstantOperatorTail):
+                np.matmul(f, t.tail.operator.matrix.T, out=img)
+            else:
+                img[:] = f
+            for site in range(lo, min(hi, len(t.prefix_ops))):
+                img[site - lo] = t.prefix_ops[site].matrix @ f[site - lo]
+        return out
 
 
 @dataclass(frozen=True)

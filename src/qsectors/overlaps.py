@@ -5,6 +5,9 @@ one walk.  Short products are read out directly; past ``DIRECT_LIMIT``
 factors the running product is read from its log-modulus plus unwrapped
 phase so sweeps survive far past double-precision underflow.  A factor
 overlap of exactly zero short-circuits the whole product.
+
+Long explicit prefixes are bracketed in stacked numpy blocks, every term
+pair of a block at once; everything else goes one site at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import products
 from .errors import InconclusiveSector, PreconditionViolated
@@ -36,6 +42,8 @@ __all__ = [
 ]
 
 DIRECT_LIMIT = 64
+# Amplitudes one block of the stacked walk holds, per side and in its brackets.
+BLOCK_AMPLITUDES = 2**16
 
 # Maps an absolute site to the factor a walk brackets there.
 FactorSource = Callable[[int], FactorVector]
@@ -47,16 +55,63 @@ def _as_terms(state: ProductState | CompositeState) -> tuple[tuple[complex, Prod
     return state.terms
 
 
-def _state_pairs(
+class _Terms:
+    """One side of a walk: a list of product-state terms.
+
+    The site-by-site loop fetches their factors through ``sources``; the
+    block stretch reads their explicit prefixes, stacked by ``rows``.
+    """
+
+    def __init__(
+        self, states: Sequence[ProductState], sources: Sequence[FactorSource] = ()
+    ) -> None:
+        self.states = tuple(states)
+        self.sources = list(sources) or [s.factor_at for s in self.states]
+        self.explicit = min(s.prefix_len for s in self.states)
+        self._rows: tuple = (None, None)
+
+    def dim_at(self, site: int) -> int:
+        return self.states[0].prefix[site].dim
+
+    def run_end(self, start: int, stop: int) -> int:
+        """First prefix site in (start, stop) whose dim differs from the dim
+        at ``start``, or ``stop``."""
+        prefix = self.states[0].prefix
+        d = prefix[start].dim
+        return next((s for s in range(start + 1, stop) if prefix[s].dim != d), stop)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """(terms, sites, dim) amplitudes of the prefix sites [lo, hi), which
+        share one dim.  The last block is kept, so a side that serves as
+        both bra and ket is stacked once."""
+        if self._rows[0] != (lo, hi):
+            shape = (len(self.states), hi - lo, self.dim_at(lo))
+            flat = chain.from_iterable(
+                f.amplitudes for s in self.states for f in s.prefix[lo:hi]
+            )
+            block = np.fromiter(flat, complex, math.prod(shape)).reshape(shape)
+            self._rows = ((lo, hi), block)
+        return self._rows[1]
+
+
+# One readout of a walk: (c_k, bra term index, ket term index) per product.
+Readout = Sequence[tuple[complex, int, int]]
+
+
+def _sides(
     bra: ProductState | CompositeState, ket: ProductState | CompositeState
-) -> list[tuple[complex, FactorSource, FactorSource]]:
-    """Walk input for <bra|ket>: one entry per (bra term, ket term) pair."""
+) -> tuple[_Terms, _Terms, list[Readout]]:
+    """Walk input for <bra|ket>: both sides and one readout over all term pairs."""
     ensure_same_shape(bra, ket)
-    return [
-        (cm.conjugate() * cn, sm.factor_at, sn.factor_at)
-        for cm, sm in _as_terms(bra)
-        for cn, sn in _as_terms(ket)
+    bra_terms, ket_terms = _as_terms(bra), _as_terms(ket)
+    bra_side = _Terms([s for _, s in bra_terms])
+    ket_side = bra_side if ket is bra else _Terms([s for _, s in ket_terms])
+    readout = [
+        (cm.conjugate() * cn, a, b)
+        for a, (cm, _) in enumerate(bra_terms)
+        for b, (cn, _) in enumerate(ket_terms)
     ]
+    return bra_side, ket_side, [readout]
 
 
 def _check_cuts(truncations: Sequence[int]) -> list[int]:
@@ -92,26 +147,89 @@ def _combine(
     return value, log_mod
 
 
-def _walk(
-    pairs: Sequence[tuple[complex, FactorSource, FactorSource]], cuts: Sequence[int]
-) -> list[tuple[complex, float]]:
-    """(value, log-modulus) of sum_k c_k prod_{site<n} <bra_k(site)|ket_k(site)>
-    at every cut n, in one pass over the sites.
+def _bracket_blocks(
+    bra: _Terms, ket: _Terms, keys: Sequence[tuple[int, int]], lo: int, hi: int
+):
+    """Yield (start, stop, log|g|, angle g, g == 0) for consecutive blocks of
+    sites covering [lo, hi), each array (pairs, sites) over the (bra term,
+    ket term) pairs in ``keys``.  One einsum brackets every term pair of a
+    block; a block keeps one dim, read from the bra side, and about
+    BLOCK_AMPLITUDES amplitudes per side and in its brackets."""
+    n_bra, n_ket = len(bra.sources), len(ket.sources)
+    bra_idx, ket_idx = (np.array(ix) for ix in zip(*keys))
+    start = lo
+    while start < hi:
+        d = bra.dim_at(start)
+        width = max(n_bra * d, n_ket * d, n_bra * n_ket)
+        stop = bra.run_end(start, min(hi, start + max(1, BLOCK_AMPLITUDES // width)))
+        g = np.einsum(
+            "asi,bsi->abs", bra.rows(start, stop).conj(), ket.rows(start, stop)
+        )[bra_idx, ket_idx]
+        mod = np.abs(g)
+        zeros = mod == 0
+        yield start, stop, np.log(mod, out=np.zeros_like(mod), where=~zeros), np.angle(g), zeros
+        start = stop
 
-    ``pairs`` holds (c_k, bra_k, ket_k), the factor sources mapping a site to
-    its FactorVector; ``cuts`` increase.  Every pair advances one site before
-    any pair takes the next, so sources may share per-site work.
+
+def _push_sites(steps, start: int, stop: int) -> None:
+    """Bracket sites [start, stop) one at a time, every pair advancing one
+    site before any pair takes the next."""
+    for site in range(start, stop):
+        for bra_at, ket_at, push in steps:
+            push(factor_overlap(bra_at(site), ket_at(site)))
+
+
+def _walk(
+    bra: _Terms, ket: _Terms, readouts: Sequence[Readout], cuts: Sequence[int]
+) -> list[list[tuple[complex, float]]]:
+    """(value, log-modulus) of each readout sum_k c_k prod_{site<n}
+    <bra_a(site)|ket_b(site)> at every cut n, in one pass over the sites.
+
+    Returns one list per readout with one entry per cut; ``cuts`` increase.
+    Sites up to the last cut <= DIRECT_LIMIT, sites past an explicit prefix
+    and explicit stretches of DIRECT_LIMIT sites or fewer are bracketed one
+    site at a time, every pair advancing one site before any pair takes the
+    next so sources may share per-site work; readouts there keep the direct
+    product's bits.  The remaining stretch, held explicitly by every term,
+    is bracketed in stacked blocks and folded into the log form only.
     """
-    accs = [(coeff, products._Accumulator()) for coeff, _, _ in pairs]
-    steps = [(bra_at, ket_at, acc.push) for (_, bra_at, ket_at), (_, acc) in zip(pairs, accs)]
-    out = []
+    keys = sorted({(a, b) for readout in readouts for _, a, b in readout})
+    accs = {key: products._Accumulator() for key in keys}
+    groups = [[(c, accs[a, b]) for c, a, b in readout] for readout in readouts]
+    steps = [(bra.sources[a], ket.sources[b], accs[a, b].push) for a, b in keys]
+    lo = max((cut for cut in cuts if cut <= DIRECT_LIMIT), default=0)
+    hi = min(bra.explicit, ket.explicit, cuts[-1])
+    if hi - lo <= DIRECT_LIMIT:
+        lo = hi = 0  # no block stretch
+    blocks = _bracket_blocks(bra, ket, keys, lo, hi)
+    block = (lo, lo, None, None, None)
+
+    def stacked(start: int, stop: int) -> None:
+        nonlocal block
+        while start < stop:
+            if start >= block[1]:
+                block = next(blocks)
+            b0, b1, logs, args, zeros = block
+            end = min(stop, b1)
+            part = slice(start - b0, end - b0)
+            for acc, log_mod, arg, zero in zip(
+                accs.values(),  # in the order of keys, like the block rows
+                logs[:, part].sum(axis=1).tolist(),
+                args[:, part].sum(axis=1).tolist(),
+                zeros[:, part].any(axis=1).tolist(),
+            ):
+                acc.push_logs(log_mod, arg, zero)
+            start = end
+
+    out: list[list[tuple[complex, float]]] = [[] for _ in groups]
     start = 0
     for cut in cuts:
-        for site in range(start, cut):
-            for bra_at, ket_at, push in steps:
-                push(factor_overlap(bra_at(site), ket_at(site)))
+        _push_sites(steps, start, min(cut, lo))
+        stacked(max(start, lo), min(cut, hi))
+        _push_sites(steps, max(start, hi), cut)
         start = cut
-        out.append(_combine(accs, cut))
+        for values, group in zip(out, groups):
+            values.append(_combine(group, cut))
     return out
 
 
@@ -121,7 +239,7 @@ def truncated_overlap(
     """Product of the first ``truncation`` per-factor overlaps <bra_k|ket_k>."""
     if truncation < 0:
         raise PreconditionViolated(f"truncation {truncation} must be >= 0")
-    ((value, _),) = _walk(_state_pairs(bra, ket), [truncation])
+    (((value, _),),) = _walk(*_sides(bra, ket), [truncation])
     return value
 
 
@@ -133,7 +251,7 @@ def composite_overlap(
     """<bra|ket> at the cutoff, expanded over all term pairs."""
     if truncation < 0:
         raise PreconditionViolated(f"truncation {truncation} must be >= 0")
-    ((value, _),) = _walk(_state_pairs(bra, ket), [truncation])
+    (((value, _),),) = _walk(*_sides(bra, ket), [truncation])
     return value
 
 
@@ -171,13 +289,14 @@ def overlap_sweep(
 ) -> OverlapSweep:
     """One pass over the factor stream, recording at each requested cutoff."""
     cuts = _check_cuts(truncations)
-    return _sweep(_state_pairs(bra, ket), cuts)
+    return _sweep(*_sides(bra, ket), cuts)
 
 
 def _sweep(
-    pairs: Sequence[tuple[complex, FactorSource, FactorSource]], cuts: list[int]
+    bra: _Terms, ket: _Terms, readouts: Sequence[Readout], cuts: list[int]
 ) -> OverlapSweep:
-    values, logs = zip(*_walk(pairs, cuts))
+    (walked,) = _walk(bra, ket, readouts, cuts)
+    values, logs = zip(*walked)
     return OverlapSweep(tuple(cuts), values, logs)
 
 

@@ -201,6 +201,14 @@ class _Accumulator:
         self.log_mod += math.log(abs(z))
         self.arg += math.atan2(z.imag, z.real)
 
+    def push_logs(self, log_mod: float, arg: float, zero: bool) -> None:
+        """Fold in a run of terms by their summed log-moduli and arguments
+        and whether any was exactly 0.  ``direct`` is left behind, so only
+        the log form reads the product afterwards."""
+        self.zero = self.zero or zero
+        self.log_mod += log_mod
+        self.arg += arg
+
     def value(self) -> complex:
         """exp of the log form."""
         if self.zero:
@@ -249,10 +257,13 @@ def classify_product(
         raise PreconditionViolated("tol must be a positive finite number")
 
     acc = _prefix_accumulator(seq)
-    prefix_prod = acc.direct
     notes: list[str] = []
-    if acc.zero or prefix_prod == 0:
+    if acc.zero:
         return _zero_product(len(seq.prefix), "prefix")
+    prefix_prod = acc.direct
+    if prefix_prod == 0 or not cmath.isfinite(prefix_prod):
+        # the direct product under- or overflowed; the log form did not
+        prefix_prod = acc.value()
 
     tail = seq.tail
     if isinstance(tail, ConstantValue):

@@ -136,7 +136,7 @@ def _encode_tail(tail) -> dict:
         raise UndeclaredTailClass(
             "custom-certified tails have no canonical closed form to serialize"
         )
-    dev = tuple(
+    dev = getattr(tail.factor_fn, "deviation", None) or tuple(
         a - b for a, b in zip(tail.factor_fn(0).amplitudes, tail.limit.amplitudes)
     )
     out = {
@@ -194,12 +194,11 @@ def _decode_tail(obj: Any, where: str):
         rank=obj.get("rank", 0 if "class" not in obj else None),
         scale=_float_in(obj["scale"]) if "scale" in obj else max(dev_norm, 0.0),
     )
-    return ParametricTail(
-        dim=limit.dim,
-        factor_fn=_canonical_factor_fn(limit, dev, decay),
-        limit=limit,
-        decay=decay,
-    )
+    factor_fn = _canonical_factor_fn(limit, dev, decay)
+    # encoding writes back the decoded deviation: (limit + dev) - limit
+    # need not equal dev in floating point
+    factor_fn.deviation = dev
+    return ParametricTail(dim=limit.dim, factor_fn=factor_fn, limit=limit, decay=decay)
 
 
 def encode_state(state: Union[ProductState, CompositeState]) -> dict:

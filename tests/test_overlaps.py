@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
+from qsectors import overlaps
 from qsectors.oracle import dense_overlap, densify
 
-from support import random_factor, random_product_state
+from support import random_factor, random_operator, random_product_state
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -197,3 +198,232 @@ class TestAsymptoticOverlap:
         tilted = constant_state(prefix=(q.FactorVector((0.6, 0.8)),))
         value = q.asymptotic_overlap(tilted, constant_state())
         assert value == pytest.approx(0.6)
+
+
+# -- block stretch ----------------------------------------------------------
+#
+# Past the last cut <= DIRECT_LIMIT, sites every term holds explicitly are
+# bracketed in stacked numpy blocks.  These tests compare that path with the
+# site-by-site walk over the same sides (``explicit = 0`` turns the block
+# stretch off).  Sums of n logs or angles round at about 1e-16 of their
+# summed magnitudes, so the block path must agree to 1e-12 of those.
+
+
+def _unit_rows(rng, dims):
+    rows = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+    return [v / np.linalg.norm(v) for v in rows]
+
+
+def _block_term(rng, base, length, tail_dim, parametric):
+    sigma = rng.uniform(0.02, 0.2)
+    prefix = []
+    for site in range(length):
+        row = base[site] + sigma * (
+            rng.normal(size=len(base[site])) + 1j * rng.normal(size=len(base[site]))
+        )
+        prefix.append(q.FactorVector(tuple((row / np.linalg.norm(row)).tolist())))
+    (limit,) = _unit_rows(rng, [tail_dim])
+    limit_vec = q.FactorVector(tuple(limit.tolist()))
+    if not parametric:
+        return q.ProductState(tuple(prefix), q.ConstantTail(limit_vec))
+    (step,) = _unit_rows(rng, [tail_dim])
+    ratio = float(rng.uniform(0.3, 0.9))
+
+    def fn(n):
+        v = limit + 0.2 * ratio**n * step
+        return q.FactorVector(tuple((v / np.linalg.norm(v)).tolist()))
+
+    decay = q.DecaySpec("geometric", ratio=ratio, scale=1.0)
+    return q.ProductState(tuple(prefix), q.ParametricTail(tail_dim, fn, limit_vec, decay))
+
+
+def _with_zero(state, site, vector):
+    prefix = list(state.prefix)
+    prefix[site] = vector
+    return q.ProductState(tuple(prefix), state.tail)
+
+
+def _block_case(seed):
+    """Two composites of 1-16 terms with unequal prefixes of up to 400 sites,
+    a shared explicit stretch, some exactly-zero brackets, and cuts on both
+    sides of DIRECT_LIMIT and at block edges."""
+    rng = np.random.default_rng(seed)
+    n_bra, n_ket = (int(x) for x in rng.integers(1, 17, size=2))
+    tail_dim = int(rng.integers(1, 17))
+    floor = int(rng.integers(120, 360))
+    max_len = floor + int(rng.integers(1, 40))
+    dims = [tail_dim] * max_len
+    if seed % 2:
+        # runs of other dims inside the stretch every term holds
+        for _ in range(3):
+            start, run = int(rng.integers(0, floor - 20)), int(rng.integers(1, 20))
+            dims[start : start + run] = [int(rng.integers(1, 17))] * run
+    base = _unit_rows(rng, dims)
+    parametric = bool(rng.random() < 0.5)
+
+    def side(n_terms):
+        lengths = [floor] + [int(rng.integers(floor, max_len + 1)) for _ in range(n_terms - 1)]
+        return [_block_term(rng, base, n, tail_dim, parametric) for n in lengths]
+
+    bra, ket = side(n_bra), side(n_ket)
+    # a zero factor zeroes every pair of its term; orthogonal basis vectors
+    # zero a single pair
+    site = int(rng.integers(70, floor))
+    bra[0] = _with_zero(bra[0], site, q.FactorVector((0j,) * dims[site]))
+    site = int(rng.integers(0, floor))
+    if dims[site] > 1:
+        bra[-1] = _with_zero(bra[-1], site, q.basis_vector(dims[site], 0))
+        ket[-1] = _with_zero(ket[-1], site, q.basis_vector(dims[site], 1))
+    def composite(terms):
+        n = len(terms)
+        return q.CompositeState(tuple(zip(rng.normal(size=n) + 1j * rng.normal(size=n), terms)))
+
+    bra_c, ket_c = composite(bra), composite(ket)
+
+    lo = 64 if seed % 3 else 0
+    width = max(n_bra * tail_dim, n_ket * tail_dim, n_bra * n_ket)
+    edge = lo + max(1, overlaps.BLOCK_AMPLITUDES // width)
+    cuts = {1, 30, lo, lo + 1, lo + 65, edge - 1, edge, edge + 1, floor - 1, floor,
+            floor + 1, max_len + 5}
+    if lo == 0:
+        cuts -= {1, 30, 0}
+    cuts = sorted(c for c in cuts if 1 <= c <= max_len + 5)
+    return bra_c, ket_c, cuts
+
+
+def _site_brackets(bra, ket, n):
+    """(bra terms, ket terms, sites) brackets of the first n sites."""
+    out = []
+    for site in range(n):
+        rows_b = np.array([s.factor_at(site).amplitudes for _, s in bra.terms])
+        rows_k = np.array([s.factor_at(site).amplitudes for _, s in ket.terms])
+        out.append(np.conj(rows_b) @ rows_k.T)
+    return np.stack(out, axis=-1)
+
+
+def _log_mass(g):
+    """Running sum over sites of |log|g|| + |angle g|, up to the first zero."""
+    mod = np.abs(g)
+    live = np.cumprod(mod > 0, axis=-1).astype(bool)
+    logs = np.abs(np.log(np.where(live, mod, 1.0)))
+    return np.cumsum(logs + np.where(live, np.abs(np.angle(g)), 0.0), axis=-1)
+
+
+def _pair_walk(bra, ket, cuts, block):
+    """(value, log-modulus) per cut of every term pair and of the composite."""
+    bra_side, ket_side, (readout,) = overlaps._sides(bra, ket)
+    if not block:
+        bra_side.explicit = ket_side.explicit = 0
+    pairs = [[(1.0 + 0j, a, b)] for _, a, b in readout]
+    return overlaps._walk(bra_side, ket_side, [readout] + pairs, cuts)
+
+
+def _uses_blocks(monkeypatch):
+    used = []
+    real = overlaps._bracket_blocks
+
+    def spy(*args):
+        used.append(args[3:])
+        return real(*args)
+
+    monkeypatch.setattr(overlaps, "_bracket_blocks", spy)
+    return used
+
+
+class TestBlockStretch:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_the_site_by_site_walk(self, seed, small_blocks, monkeypatch):
+        if small_blocks:
+            monkeypatch.setattr(overlaps, "BLOCK_AMPLITUDES", 2**9)
+        bra, ket, cuts = _block_case(seed)
+        used = _uses_blocks(monkeypatch)
+        got = _pair_walk(bra, ket, cuts, block=True)
+        assert used
+        want = _pair_walk(bra, ket, cuts, block=False)
+        mass = _log_mass(_site_brackets(bra, ket, cuts[-1]))
+        for k, n in enumerate(cuts):
+            if n <= overlaps.DIRECT_LIMIT:
+                assert repr([r[k] for r in got]) == repr([r[k] for r in want])
+                continue
+            scale = 0.0
+            for (c, a, b), got_p, want_p in zip(
+                [(cm.conjugate() * cn, a, b) for a, (cm, _) in enumerate(bra.terms)
+                 for b, (cn, _) in enumerate(ket.terms)], got[1:], want[1:]
+            ):
+                (v1, l1), (v2, l2) = got_p[k], want_p[k]
+                tol = 1e-12 * max(1.0, mass[a, b, n - 1])
+                if l2 == -math.inf:
+                    assert (v1, l1) == (0j, -math.inf)
+                    continue
+                assert abs(l1 - l2) <= tol
+                if abs(v2) > 1e-300:  # the phase survives the readout
+                    assert abs(cmath.phase(v1 / v2)) <= tol
+                scale += abs(c) * math.exp(l2) * max(1.0, mass[a, b, n - 1])
+            v1, v2 = got[0][k][0], want[0][k][0]
+            assert abs(v1 - v2) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_distance_stays_symmetric(self, seed, monkeypatch):
+        bra, ket, cuts = _block_case(seed)
+        used = _uses_blocks(monkeypatch)
+        for n in cuts:
+            assert q.distance(bra, ket, n) == q.distance(ket, bra, n)
+            assert q.distance(bra, bra, n) == 0.0
+        assert used
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_truncated_density_matches_pairwise_overlaps(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        m, d, length = int(rng.integers(2, 9)), int(rng.integers(2, 6)), 300
+        branches = []
+        for _ in range(m):
+            rows = _unit_rows(rng, [d] * length)
+            (limit,) = _unit_rows(rng, [d])
+            branches.append(q.make_product_state(
+                [tuple(r.tolist()) for r in rows], q.ConstantTail(q.FactorVector(tuple(limit.tolist())))
+            ))
+        amps = rng.normal(size=m) + 1j * rng.normal(size=m)
+        coeffs = tuple(complex(c) for c in amps / np.linalg.norm(amps))
+        model = q.MeasurementModel(coeffs, tuple(branches))
+        used = _uses_blocks(monkeypatch)
+        for n in (64, 65, 200, 300, 310):
+            rho = q.truncated_density(model, n).matrix
+            for i in range(m):
+                for j in range(i + 1, m):
+                    want = coeffs[i] * coeffs[j].conjugate() * q.truncated_overlap(
+                        branches[j], branches[i], n
+                    )
+                    assert abs(rho[i, j] - want) <= 1e-12 * abs(want)
+                    assert rho[j, i] == rho[i, j].conjugate()
+        assert used
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_expectation_sweep_matches_the_image_sweep(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        d, length = int(rng.integers(1, 6)), int(rng.integers(200, 400))
+        s = q.make_product_state(
+            [tuple(r.tolist()) for r in _unit_rows(rng, [d] * length)],
+            q.ConstantTail(q.FactorVector(tuple(_unit_rows(rng, [d])[0].tolist()))),
+        )
+        op = random_operator(rng, dim=d, n_terms=int(rng.integers(1, 6)), max_prefix=100)
+        cuts = [1, 64, 65, 150, length - 1, length, length + 20]
+        used = _uses_blocks(monkeypatch)
+        got = q.expectation_sweep(op, s, cuts)
+        assert used
+        image = q.apply_operator(op, s)
+        want = q.overlap_sweep(s, image, cuts)
+        mass = _log_mass(_site_brackets(s.as_composite(), image, cuts[-1]))[0]
+        per_term = [
+            (abs(c), q.overlap_sweep(s, t, cuts).log_modulus) for c, t in image.terms
+        ]
+        for k, n in enumerate(cuts):
+            if n <= overlaps.DIRECT_LIMIT:
+                assert repr(got.values[k]) == repr(want.values[k])
+                continue
+            scale = sum(
+                c * math.exp(logs[k]) * max(1.0, mass[t, n - 1])
+                for t, (c, logs) in enumerate(per_term)
+            )
+            assert abs(got.values[k] - want.values[k]) <= 1e-12 * scale

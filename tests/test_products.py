@@ -52,6 +52,17 @@ class TestConstantTails:
         assert v.value == 0j
         assert v.diagnostics.log_modulus_sum == -math.inf
 
+    @pytest.mark.parametrize(
+        "prefix", [(1e-200, 1e-200, 1e200, 1e200), (1e200, 1e200, 1e-200, 1e-200)]
+    )
+    def test_extreme_prefix_terms_read_the_log_form(self, prefix):
+        # the direct prefix product underflows to 0 or overflows to nan; the
+        # product is exactly 1
+        s = q.ComplexSequenceSpec(prefix=prefix, tail=q.ConstantValue(1))
+        v = q.classify_product(s)
+        assert v.kind == "ConvergesTo"
+        assert abs(v.value - 1.0) <= 1e-12
+
     def test_modulus_below_one(self):
         v = q.classify_product(q.ComplexSequenceSpec(tail=q.ConstantValue(0.9)))
         assert v.kind == "ConvergesTo" and v.value == 0j
