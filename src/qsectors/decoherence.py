@@ -10,7 +10,7 @@ threshold, entirely in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .states import (
     CompositeState,
     ConstantTail,
     ProductState,
-    _tail_descriptor,
+    _bracket_series_bound,
     basis_vector,
     ensure_same_shape,
     factor_overlap,
@@ -74,9 +74,8 @@ class MeasurementModel:
         for b in branches[1:]:
             ensure_same_shape(branches[0], b)
         for idx, b in enumerate(branches):
-            limit, _ = _tail_descriptor(b.tail)
             bad = [f.norm for f in b.prefix if abs(f.norm - 1.0) > ALIGN_GRAY]
-            if bad or abs(limit.norm - 1.0) > ALIGN_GRAY:
+            if bad or abs(b.tail.limit.norm - 1.0) > ALIGN_GRAY:
                 raise PreconditionViolated(
                     f"branch {idx} has non-unit factors", norms=bad
                 )
@@ -202,13 +201,11 @@ def _pair_horizon(
         stop = span
         certified = False
     else:
-        u_limit, u_decay = _tail_descriptor(bra.tail)
-        w_limit, w_decay = _tail_descriptor(ket.tail)
         stop = max(span, budget)
         certified = (
-            abs(abs(factor_overlap(u_limit, w_limit)) - 1.0) <= ALIGN_EXACT
-            and u_decay.summable
-            and w_decay.summable
+            abs(abs(factor_overlap(bra.tail.limit, ket.tail.limit)) - 1.0) <= ALIGN_EXACT
+            and bra.tail.decay.summable
+            and ket.tail.decay.summable
         )
     while site < stop:
         g = factor_overlap(bra.factor_at(site), ket.factor_at(site))
@@ -222,9 +219,7 @@ def _pair_horizon(
         if site % _HORIZON_CHECK_EVERY == 0 and certified and site > span:
             # remaining per-site log losses are dominated by the decay
             # series; |log x| <= 2|x - 1| once the terms sit above 1/2
-            remaining = (w_limit.norm + w_decay.scale) * u_decay.series_bound(
-                site
-            ) + u_limit.norm * w_decay.series_bound(site)
+            remaining = _bracket_series_bound(bra.tail, ket.tail, site)
             if remaining <= 0.25 and cur - 2.0 * remaining >= log_eps:
                 return math.inf
     if constant:

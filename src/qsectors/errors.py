@@ -35,9 +35,6 @@ class QsectorsError(Exception):
         self.message = message
         self.context = dict(context)
 
-    def payload(self) -> dict:
-        return {"code": self.code, "message": self.message, "context": self.context}
-
 
 class ShapeMismatch(QsectorsError, ValueError):
     code = "shape-mismatch"

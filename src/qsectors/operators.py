@@ -10,7 +10,7 @@ states and truncated expectations reduce to per-factor brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -30,11 +30,9 @@ from .states import (
     ALIGN_GRAY,
     CompositeState,
     ConstantTail,
-    DecaySpec,
     FactorVector,
     ParametricTail,
     ProductState,
-    _tail_descriptor,
     factor_overlap,
 )
 
@@ -42,6 +40,7 @@ __all__ = [
     "FactorOperator",
     "IdentityTail",
     "ConstantOperatorTail",
+    "OperatorTerm",
     "FactoredOperator",
     "SectorActionVerdict",
     "EvolutionResult",
@@ -228,19 +227,12 @@ def _transform_tail(tail, op_tail: OperatorTail):
     if isinstance(tail, ConstantTail):
         return ConstantTail(u.apply_to(tail.vector))
     inner = tail.factor_fn
-    decay = tail.decay
     return ParametricTail(
         dim=u.dim,
         factor_fn=lambda n: u.apply_to(inner(n)),
         limit=u.apply_to(tail.limit),
-        decay=DecaySpec(
-            kind=decay.kind,
-            ratio=decay.ratio,
-            p=decay.p,
-            rank=decay.rank,
-            # a bounded map stretches distances by at most its norm bound
-            scale=decay.scale * u.norm_bound,
-        ),
+        # a bounded map stretches distances by at most its norm bound
+        decay=replace(tail.decay, scale=tail.decay.scale * u.norm_bound),
     )
 
 
@@ -283,7 +275,7 @@ def sector_action(op: FactoredOperator, state: ProductState) -> SectorActionVerd
         raise PreconditionViolated(
             f"state is {cls.kind}; sector action needs NonTrivialConvergentSequence"
         )
-    limit, _ = _tail_descriptor(state.tail)
+    limit = state.tail.limit
     off_unit = [f.norm for f in state.prefix if abs(f.norm - 1.0) > ALIGN_GRAY]
     if off_unit or abs(limit.norm - 1.0) > ALIGN_GRAY:
         raise PreconditionViolated(

@@ -28,7 +28,6 @@ from .states import (
     ConstantTail,
     FactorVector,
     ProductState,
-    _tail_descriptor,
     ensure_same_shape,
     factor_overlap,
 )
@@ -302,8 +301,7 @@ def _sweep(
 
 def _combined_tail_class(a: ProductState, b: ProductState) -> dict:
     """Product-series class tag implied by the two tail declarations."""
-    _, da = _tail_descriptor(a.tail)
-    _, db = _tail_descriptor(b.tail)
+    da, db = a.tail.decay, b.tail.decay
     kinds = {da.kind, db.kind}
     if "custom-certified" in kinds:
         return {"klass": "custom"}

@@ -125,23 +125,6 @@ class ComplexSequenceSpec:
             return self.tail.value
         return _coerce_term(self.tail.term_fn(n), f"at term {n}")
 
-    def modulus_spec(self) -> "ComplexSequenceSpec":
-        """The sequence of term moduli, with the declared class carried over
-        where the modulus inherits it (otherwise downgraded to custom)."""
-        prefix = tuple(abs(z) + 0j for z in self.prefix)
-        t = self.tail
-        if isinstance(t, ConstantValue):
-            return ComplexSequenceSpec(prefix, ConstantValue(abs(t.value) + 0j))
-        keep = {"eventually-one", "geometric-modulus", "p-series-log-modulus"}
-        klass = t.klass if t.klass in keep else "custom"
-        fn = t.term_fn
-        return ComplexSequenceSpec(
-            prefix,
-            ClosedFormTail(
-                term_fn=lambda n: abs(fn(n)) + 0j, klass=klass, ratio=t.ratio, p=t.p
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class ProductDiagnostics:
@@ -257,7 +240,6 @@ def classify_product(
         raise PreconditionViolated("tol must be a positive finite number")
 
     acc = _prefix_accumulator(seq)
-    notes: list[str] = []
     if acc.zero:
         return _zero_product(len(seq.prefix), "prefix")
     prefix_prod = acc.direct
@@ -267,7 +249,7 @@ def classify_product(
 
     tail = seq.tail
     if isinstance(tail, ConstantValue):
-        return _classify_constant_tail(seq, prefix_prod, acc, notes)
+        return _classify_constant_tail(seq, prefix_prod, acc)
 
     if tail.klass == "custom" and require_exact:
         raise UndeclaredTailClass(
@@ -290,7 +272,6 @@ def _classify_constant_tail(
     seq: ComplexSequenceSpec,
     prefix_prod: complex,
     acc: _Accumulator,
-    notes: list[str],
 ) -> ConvergenceVerdict:
     z = seq.tail.value
     n0 = len(seq.prefix)
@@ -303,7 +284,6 @@ def _classify_constant_tail(
         log_modulus_sum=acc.log_mod,
         argument_drift=abs(arg),
         terms_examined=n0 + 1,
-        notes=tuple(notes),
     )
     if abs(mod_dev) <= ALIGN_EXACT:
         if abs(arg) <= ALIGN_EXACT:
@@ -415,12 +395,15 @@ def _classify_p_series(
     p = seq.tail.p
     log_sum = 0j
     window: list[complex] = []
+    # a vanishing coefficient falls back on the numeric verdict, read here
+    readings = _NumericReadings(acc, prefix_prod, start, budget)
     last_n = start - 1
     for n, z in _iter_tail(seq, start, budget):
         last_n = n
         if z == 0:
             return _zero_product(n)
         acc.push(z)
+        readings.record(n, acc)
         ell = cmath.log(z)
         log_sum += ell
         window.append(ell * (n**p))
@@ -462,7 +445,7 @@ def _classify_p_series(
         return _converges(0j, diag)
     if abs(c_est.imag) > tiny:
         return ConvergenceVerdict("QuasiConvergesToZero", 0j, diag)
-    return _classify_numeric(seq, prefix_prod, _prefix_accumulator(seq), start, budget, tol)
+    return _numeric_verdict(acc, readings, last_n, tol)
 
 
 def _classify_declared_quasi(
@@ -489,6 +472,31 @@ def _classify_declared_quasi(
     )
 
 
+class _NumericReadings:
+    """What a numeric verdict reads off one walk over terms start..budget:
+    the log form at the half mark and samples at doubling term counts."""
+
+    __slots__ = ("half_mark", "half_log", "half_arg", "samples", "next_sample")
+
+    def __init__(
+        self, acc: _Accumulator, prefix_prod: complex, start: int, budget: int
+    ) -> None:
+        self.half_mark = start + (budget - start) // 2
+        self.half_log = acc.log_mod
+        self.half_arg = acc.arg
+        self.samples: list[tuple[int, complex]] = [(start - 1, prefix_prod)]
+        self.next_sample = max(start, 1)
+
+    def record(self, n: int, acc: _Accumulator) -> None:
+        """Read ``acc`` after term ``n`` was pushed."""
+        if n == self.half_mark:
+            self.half_log = acc.log_mod
+            self.half_arg = acc.arg
+        if n >= self.next_sample:
+            self.samples.append((n, acc.value()))
+            self.next_sample *= 2
+
+
 def _classify_numeric(
     seq: ComplexSequenceSpec,
     prefix_prod: complex,
@@ -497,26 +505,24 @@ def _classify_numeric(
     budget: int,
     tol: float,
 ) -> ConvergenceVerdict:
-    half_mark = start + (budget - start) // 2
-    half_log = acc.log_mod
-    half_arg = acc.arg
-    samples: list[tuple[int, complex]] = [(start - 1, prefix_prod)]
-    next_sample = max(start, 1)
+    readings = _NumericReadings(acc, prefix_prod, start, budget)
     last_n = start - 1
     for n, z in _iter_tail(seq, start, budget):
         last_n = n
         if z == 0:
             return _zero_product(n)
         acc.push(z)
-        if n == half_mark:
-            half_log = acc.log_mod
-            half_arg = acc.arg
-        if n >= next_sample:
-            samples.append((n, acc.value()))
-            next_sample *= 2
+        readings.record(n, acc)
+    return _numeric_verdict(acc, readings, last_n, tol)
 
-    samples.append((last_n, acc.value()))
-    drift = abs(acc.arg - half_arg)
+
+def _numeric_verdict(
+    acc: _Accumulator, readings: _NumericReadings, last_n: int, tol: float
+) -> ConvergenceVerdict:
+    """Verdict from partial products walked up to term ``last_n``."""
+    half_log = readings.half_log
+    samples = readings.samples + [(last_n, acc.value())]
+    drift = abs(acc.arg - readings.half_arg)
     diag = ProductDiagnostics(
         samples=tuple(samples),
         log_modulus_sum=acc.log_mod,

@@ -12,19 +12,19 @@ lower bounds) so that every claim can be re-verified independently.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import PreconditionViolated, ShapeMismatch, ZeroNormFactor
 from .states import (
     ALIGN_EXACT,
     ALIGN_GRAY,
     ConstantTail,
-    DecaySpec,
     FactorVector,
     ParametricTail,
     ProductState,
-    _tail_descriptor,
+    TailRule,
+    _bracket_bound,
+    _bracket_series_bound,
     ensure_same_shape,
     factor_overlap,
 )
@@ -69,7 +69,7 @@ class SectorVerdict:
 def classify_sequence(state: ProductState) -> SequenceClass:
     """Norm-product behavior of a single product state."""
     prefix_norms = [f.norm for f in state.prefix]
-    limit, decay = _tail_descriptor(state.tail)
+    limit, decay = state.tail.limit, state.tail.decay
     evidence: dict = {
         "limit_norm": limit.norm,
         "decay_kind": decay.kind,
@@ -80,7 +80,7 @@ def classify_sequence(state: ProductState) -> SequenceClass:
 
     zero_at = next((i for i, n in enumerate(prefix_norms) if n == 0.0), None)
     if zero_at is None:
-        zero_at = _zero_tail_site(state, decay)
+        zero_at = _zero_tail_site(state)
     if zero_at is not None:
         evidence["zero_factor_at"] = zero_at
         evidence["note"] = "a zero factor makes the norm product converge to 0"
@@ -101,11 +101,9 @@ def classify_sequence(state: ProductState) -> SequenceClass:
     return SequenceClass("NotConvergentSequence", evidence)
 
 
-def _zero_tail_site(state: ProductState, decay: DecaySpec) -> int | None:
+def _zero_tail_site(state: ProductState) -> int | None:
     """Scan the early tail while the declared bound still allows zero norms."""
-    limit, _ = _tail_descriptor(state.tail)
-    if isinstance(state.tail, ConstantTail):
-        return state.prefix_len if state.tail.vector.norm == 0.0 else None
+    limit, decay = state.tail.limit, state.tail.decay
     site = state.prefix_len
     checked = 0
     while checked < 1_000:
@@ -158,9 +156,7 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
         k for k, d in enumerate(prefix_deficits) if d > ALIGN_EXACT
     )
 
-    (u, decay_a) = _tail_descriptor(a.tail)
-    (w, decay_b) = _tail_descriptor(b.tail)
-    deficit_inf = abs(factor_overlap(u, w) - 1.0)
+    deficit_inf = abs(factor_overlap(a.tail.limit, b.tail.limit) - 1.0)
 
     certificate: dict = {
         "differing_prefix_indices": differing,
@@ -168,7 +164,7 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
         "limit_overlap_deficit": deficit_inf,
     }
 
-    both_summable = decay_a.summable and decay_b.summable
+    both_summable = a.tail.decay.summable and b.tail.decay.summable
     if deficit_inf <= ALIGN_EXACT:
         if not both_summable:
             certificate["reason"] = (
@@ -176,11 +172,8 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
                 "summable approach"
             )
             return SectorVerdict("Inconclusive", certificate)
-        tail_bound = (w.norm + decay_b.scale) * decay_a.series_bound(span) + (
-            u.norm * decay_b.series_bound(span)
-        )
-        certificate["deficit_series_bound"] = (
-            certificate["prefix_deficit_sum"] + tail_bound
+        certificate["deficit_series_bound"] = certificate["prefix_deficit_sum"] + (
+            _bracket_series_bound(a.tail, b.tail, span)
         )
         certificate["method"] = (
             "constant-tails"
@@ -190,7 +183,7 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
         return SectorVerdict("SameSector", certificate)
 
     if deficit_inf > ALIGN_GRAY:
-        witness_site = _witness_site(decay_a, decay_b, w.norm, u.norm, deficit_inf, span)
+        witness_site = _witness_site(a.tail, b.tail, deficit_inf, span)
         if witness_site is not None:
             certificate["per_term_lower_bound"] = deficit_inf / 2.0
             certificate["from_site"] = witness_site
@@ -207,20 +200,12 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
 
 
 def _witness_site(
-    decay_a: DecaySpec,
-    decay_b: DecaySpec,
-    w_norm: float,
-    u_norm: float,
-    deficit_inf: float,
-    start: int,
+    bra: TailRule, ket: TailRule, deficit_inf: float, start: int
 ) -> int | None:
     """First site from which per-term deficits provably stay >= deficit/2."""
     site = max(start, 1)
     for _ in range(64):
-        slack = decay_a.bound(site) * (w_norm + decay_b.bound(site)) + (
-            u_norm * decay_b.bound(site)
-        )
-        if slack <= deficit_inf / 2.0:
+        if _bracket_bound(bra, ket, site) <= deficit_inf / 2.0:
             return site
         site *= 2
         if site > 10**7:
@@ -239,19 +224,12 @@ def normed_representative(state: ProductState) -> ProductState:
             raise ZeroNormFactor("parametric tail limit has zero norm")
         inner = tail.factor_fn
         limit = tail.limit.normalized()
-        decay = DecaySpec(
-            kind=tail.decay.kind,
-            ratio=tail.decay.ratio,
-            p=tail.decay.p,
-            rank=tail.decay.rank,
-            # normalizing both sides at worst doubles the distance bound
-            scale=2.0 * tail.decay.scale / tail.limit.norm,
-        )
         new_tail = ParametricTail(
             dim=tail.dim,
             factor_fn=lambda n: inner(n).normalized(),
             limit=limit,
-            decay=decay,
+            # normalizing both sides at worst doubles the distance bound
+            decay=replace(tail.decay, scale=2.0 * tail.decay.scale / tail.limit.norm),
         )
     return ProductState(prefix=prefix, tail=new_tail, label=state.label)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 from .errors import (
     IndexOutOfRange,
@@ -168,7 +168,7 @@ class DecaySpec:
 
     def bound(self, n: int) -> float:
         if self.kind == "eventually-constant":
-            return 0.0 if n >= (self.rank or 0) else self.scale
+            return 0.0 if n >= self.rank else self.scale
         if self.kind == "geometric":
             return self.scale * self.ratio**n
         if self.kind == "p-series":
@@ -178,7 +178,7 @@ class DecaySpec:
     def series_bound(self, start: int) -> float:
         """Upper bound on the summed distances over sites n >= start."""
         if self.kind == "eventually-constant":
-            return self.scale * max((self.rank or 0) - start, 0)
+            return self.scale * max(self.rank - start, 0)
         if self.kind == "geometric":
             return self.scale * self.ratio**start / (1.0 - self.ratio)
         if self.kind == "p-series":
@@ -191,9 +191,19 @@ class DecaySpec:
 
 @dataclass(frozen=True)
 class ConstantTail:
-    """Every factor beyond the prefix is this vector."""
+    """Every factor beyond the prefix is this vector.
+
+    ``limit`` and ``decay`` give the same declaration view as
+    ``ParametricTail``: the limit is the vector and the factors equal it from
+    the first tail site on.
+    """
 
     vector: FactorVector
+    decay: ClassVar[DecaySpec] = DecaySpec("eventually-constant", rank=0, scale=0.0)
+
+    @property
+    def limit(self) -> FactorVector:
+        return self.vector
 
     @property
     def dim(self) -> int:
@@ -222,7 +232,7 @@ class ParametricTail:
     decay: DecaySpec
 
     def __post_init__(self) -> None:
-        if self.decay is None or not isinstance(self.decay, DecaySpec):
+        if not isinstance(self.decay, DecaySpec):
             raise UndeclaredTailClass("parametric tail needs a declared DecaySpec")
         if self.limit.dim != self.dim:
             raise ShapeMismatch(
@@ -244,11 +254,21 @@ class ParametricTail:
 TailRule = Union[ConstantTail, ParametricTail]
 
 
-def _tail_descriptor(tail: TailRule) -> tuple[FactorVector, DecaySpec]:
-    """(limit vector, decay) view that unifies both tail kinds."""
-    if isinstance(tail, ConstantTail):
-        return tail.vector, DecaySpec(kind="eventually-constant", rank=0, scale=0.0)
-    return tail.limit, tail.decay
+# With u, w the bra and ket limits and d_a, d_b their declared distance
+# bounds, |<bra_n|ket_n> - <u|w>| <= d_a(n) * (|w| + d_b(n)) + |u| * d_b(n).
+def _bracket_bound(bra: TailRule, ket: TailRule, site: int) -> float:
+    """Declared bound on how far the tail bracket at ``site`` is from its limit."""
+    return bra.decay.bound(site) * (ket.limit.norm + ket.decay.bound(site)) + (
+        bra.limit.norm * ket.decay.bound(site)
+    )
+
+
+def _bracket_series_bound(bra: TailRule, ket: TailRule, start: int) -> float:
+    """Bound on the per-site bracket bounds summed over sites >= ``start``;
+    each declared d_b(n) is at most its scale."""
+    return (ket.limit.norm + ket.decay.scale) * bra.decay.series_bound(start) + (
+        bra.limit.norm * ket.decay.series_bound(start)
+    )
 
 
 @dataclass(frozen=True)
@@ -332,10 +352,6 @@ class CompositeState:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
-
-    @property
-    def max_prefix_len(self) -> int:
-        return max(s.prefix_len for _, s in self.terms)
 
     def scaled(self, factor: complex) -> "CompositeState":
         return CompositeState(tuple((factor * c, s) for c, s in self.terms))

@@ -140,6 +140,50 @@ class TestApplyOperator:
         )
 
 
+DECLARATIONS = [
+    q.DecaySpec("geometric", ratio=0.6, scale=0.3),
+    q.DecaySpec("p-series", p=1.5, scale=0.3),
+    q.DecaySpec("eventually-constant", rank=4, scale=0.3),
+    q.DecaySpec("custom-certified", scale=0.3),
+]
+
+
+def declared_state(decay, limit_norm=1.0):
+    limit = PLUS.scaled(limit_norm)
+
+    def fn(n):
+        return q.FactorVector((limit.amplitudes[0] + 0.1 * 0.5**n, limit.amplitudes[1]))
+
+    return q.make_product_state((E0,), q.ParametricTail(2, fn, limit, decay))
+
+
+class TestDeclarationsSurviveFactorwiseMaps:
+    """Factor-wise maps rescale a declared decay and keep everything else."""
+
+    @staticmethod
+    def assert_rescaled(new, old, scale):
+        assert (new.kind, new.ratio, new.p, new.rank) == (
+            old.kind,
+            old.ratio,
+            old.p,
+            old.rank,
+        )
+        assert new.scale == scale
+
+    @pytest.mark.parametrize("decay", DECLARATIONS, ids=lambda d: d.kind)
+    def test_normed_representative(self, decay):
+        s = declared_state(decay, limit_norm=0.8)
+        new = q.normed_representative(s).tail.decay
+        self.assert_rescaled(new, decay, 2.0 * decay.scale / s.tail.limit.norm)
+
+    @pytest.mark.parametrize("decay", DECLARATIONS, ids=lambda d: d.kind)
+    def test_apply_operator_with_constant_tail(self, decay):
+        op = global_op(((0.0, 2.0), (1.0, 0.0)))
+        out = q.apply_operator(op, declared_state(decay))
+        new = out.terms[0][1].tail.decay
+        self.assert_rescaled(new, decay, decay.scale * op.terms[0].tail.operator.norm_bound)
+
+
 class TestSectorAction:
     def test_requires_non_trivial_state(self):
         shrink = constant_state(tail_vec=q.FactorVector((0.9, 0.0)))

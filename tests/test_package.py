@@ -1,0 +1,37 @@
+"""The public surface: every exported name resolves to one object.
+
+Tools that instrument the package (the benchmark's tracer among them) walk
+each module's ``__all__``, so a stale entry would silently drop a layer.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import qsectors
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(qsectors.__path__))
+EXPORTED = [name for name in qsectors.__all__ if name != "__version__"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_exports_resolve(module):
+    mod = importlib.import_module(f"qsectors.{module}")
+    assert mod.__all__, f"qsectors.{module} declares no __all__"
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_package_export_is_its_home_module_object(name):
+    obj = getattr(qsectors, name)
+    home = importlib.import_module(obj.__module__)
+    assert home.__name__.startswith("qsectors.")
+    assert getattr(home, name) is obj
+    assert name in home.__all__
+
+
+def test_package_exports_are_unique():
+    assert len(set(qsectors.__all__)) == len(qsectors.__all__)

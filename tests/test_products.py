@@ -4,6 +4,7 @@ import math
 import pytest
 
 import qsectors as q
+from qsectors import serialize
 
 # High-precision partial-product references (50-digit run, 400 terms).
 PROD_ONE_PLUS_HALF_POW = 2.384231029031371724149899
@@ -171,6 +172,30 @@ class TestPSeriesTails:
         v = q.classify_product(q.ComplexSequenceSpec(tail=tail))
         assert v.kind == "ConvergesTo"
         assert v.value == 0j
+
+    def test_vanishing_coefficient_falls_back_within_budget(self):
+        # p <= 1 with a vanishing coefficient estimate reads the numeric
+        # verdict off the same walk: the budget caps the terms evaluated
+        calls = []
+
+        def term(n):
+            calls.append(n)
+            return 1.0 + (1e-14 if n % 2 else -1e-14)
+
+        budget = 4000
+
+        def verdict_bytes(klass, **declared):
+            calls.clear()
+            tail = q.ClosedFormTail(term_fn=term, klass=klass, **declared)
+            seq = q.ComplexSequenceSpec(prefix=(0.5, 2.0), tail=tail)
+            v = q.classify_product(seq, budget=budget)
+            return serialize.dumps(serialize.encode_verdict(v)), len(calls)
+
+        declared, declared_calls = verdict_bytes("p-series-log-modulus", p=0.8)
+        custom, custom_calls = verdict_bytes("custom")
+        assert declared_calls <= budget
+        assert declared_calls == custom_calls
+        assert declared == custom
 
 
 class TestDeclaredQuasi:

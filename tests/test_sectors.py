@@ -325,3 +325,112 @@ class TestApplyFiniteChange:
         s = geometric_state(E0)
         t = q.apply_finite_change(s, {0: E1, 3: rotated(1.2), 9: E1})
         assert q.same_sector(s, t).kind == "SameSector"
+
+
+def _declared_pair_state(kind, limit, prefix, phase=0.0):
+    """Unit-factor state of one tail kind sliding toward ``limit``.
+
+    The raw shift is 0.2 * w(n) along the direction orthogonal to the limit,
+    where w(n) follows the declared class; normalizing at most doubles it.
+    ``phase`` rotates every tail factor and the limit by the same phase.
+    """
+    turn = complex(math.cos(phase), math.sin(phase))
+    if kind == "constant":
+        tail = q.ConstantTail(limit.scaled(turn))
+        return q.ProductState(prefix, tail)
+    u0, u1 = limit.amplitudes
+    decay, weight = {
+        "geometric": (q.DecaySpec("geometric", ratio=0.5, scale=0.4), lambda n: 0.5**n),
+        "p-series": (q.DecaySpec("p-series", p=2.0, scale=0.4), lambda n: (n + 1) ** -2.0),
+        "p-series-slow": (
+            q.DecaySpec("p-series", p=0.75, scale=0.4),
+            lambda n: (n + 1) ** -0.75,
+        ),
+        "eventually-constant": (
+            q.DecaySpec("eventually-constant", rank=5, scale=0.4),
+            lambda n: 1.0 if n < 5 else 0.0,
+        ),
+    }[kind]
+
+    def fn(n):
+        w = 0.2 * weight(n)
+        return q.FactorVector((u0 - w * u1, u1 + w * u0)).normalized().scaled(turn)
+
+    tail = q.ParametricTail(dim=2, factor_fn=fn, limit=limit.scaled(turn), decay=decay)
+    return q.ProductState(prefix, tail)
+
+
+# kind -> (the second state's limit, its phase): summable kinds with a
+# phase-only limit shift never decohere; the rest get a rotated limit and a
+# finite horizon
+FROZEN_PAIRS = {
+    "constant": (rotated(1.1), 0.0),
+    # deficit/2 = sin(0.205) lies between 2d and 2d + d^2 for the declared
+    # bound d = 0.1 at site 2, so the witness site pins the d^2 term
+    "geometric": (rotated(0.3), 0.41),
+    "p-series": (rotated(0.3), 0.5),
+    "p-series-slow": (rotated(1.1), 0.0),
+    "eventually-constant": (rotated(1.1), 0.0),
+}
+
+# reprs of the classify_sequence evidence of both states, the same_sector
+# certificates against the partner and against a finitely changed copy, and
+# the decoherence horizon at eps = 1e-3
+FROZEN_BITS = {
+    'constant': (
+        "{'limit_norm': 1.0, 'decay_kind': 'eventually-constant', 'summable': True, 'prefix_norm_deviation': 0.0, 'proven': True, 'norm_series_bound': 0.0}",
+        "{'limit_norm': 1.0, 'decay_kind': 'eventually-constant', 'summable': True, 'prefix_norm_deviation': 0.0, 'proven': True, 'norm_series_bound': 0.0}",
+        "{'differing_prefix_indices': (1,), 'prefix_deficit_sum': 0.019933422158758374, 'limit_overlap_deficit': 0.3032932906528347, 'per_term_lower_bound': 0.15164664532641736, 'from_site': 2}",
+        "{'differing_prefix_indices': (1, 3), 'prefix_deficit_sum': 0.3607781474842833, 'limit_overlap_deficit': 0.0, 'deficit_series_bound': 0.3607781474842833, 'method': 'constant-tails'}",
+        '20',
+    ),
+    'eventually-constant': (
+        "{'limit_norm': 1.0, 'decay_kind': 'eventually-constant', 'summable': True, 'prefix_norm_deviation': 0.0, 'proven': True, 'norm_series_bound': 1.2000000000000002}",
+        "{'limit_norm': 1.0, 'decay_kind': 'eventually-constant', 'summable': True, 'prefix_norm_deviation': 0.0, 'proven': True, 'norm_series_bound': 1.2000000000000002}",
+        "{'differing_prefix_indices': (1,), 'prefix_deficit_sum': 0.019933422158758374, 'limit_overlap_deficit': 0.3032932906528347, 'per_term_lower_bound': 0.15164664532641736, 'from_site': 8}",
+        "{'differing_prefix_indices': (1, 3), 'prefix_deficit_sum': 0.3996793998891185, 'limit_overlap_deficit': 0.0, 'deficit_series_bound': 1.3596793998891186, 'method': 'declared-decay'}",
+        '20',
+    ),
+    'geometric': (
+        "{'limit_norm': 1.0, 'decay_kind': 'geometric', 'summable': True, 'prefix_norm_deviation': 0.0, 'proven': True, 'norm_series_bound': 0.2}",
+        "{'limit_norm': 1.0, 'decay_kind': 'geometric', 'summable': True, 'prefix_norm_deviation': 0.0, 'proven': True, 'norm_series_bound': 0.2}",
+        "{'differing_prefix_indices': (1,), 'prefix_deficit_sum': 0.019933422158758374, 'limit_overlap_deficit': 0.407134319809556, 'per_term_lower_bound': 0.203567159904778, 'from_site': 4}",
+        "{'differing_prefix_indices': (1, 3), 'prefix_deficit_sum': 0.3635839964422545, 'limit_overlap_deficit': 0.0, 'deficit_series_bound': 0.48358399644225447, 'method': 'declared-decay'}",
+        'inf',
+    ),
+    'p-series': (
+        "{'limit_norm': 1.0, 'decay_kind': 'p-series', 'summable': True, 'prefix_norm_deviation': 0.0, 'proven': True, 'norm_series_bound': 0.17777777777777778}",
+        "{'limit_norm': 1.0, 'decay_kind': 'p-series', 'summable': True, 'prefix_norm_deviation': 0.0, 'proven': True, 'norm_series_bound': 0.17777777777777778}",
+        "{'differing_prefix_indices': (1,), 'prefix_deficit_sum': 0.019933422158758374, 'limit_overlap_deficit': 0.4948079185090458, 'per_term_lower_bound': 0.2474039592545229, 'from_site': 2}",
+        "{'differing_prefix_indices': (1, 3), 'prefix_deficit_sum': 0.3621036933022844, 'limit_overlap_deficit': 0.0, 'deficit_series_bound': 0.5925036933022845, 'method': 'declared-decay'}",
+        'inf',
+    ),
+    'p-series-slow': (
+        "{'limit_norm': 1.0, 'decay_kind': 'p-series', 'summable': False, 'prefix_norm_deviation': 0.0, 'proven': False, 'method': 'numeric-probe', 'probe_window': 4096, 'probe_sums': (2.041700142285663e-13, 2.015054789694659e-13)}",
+        "{'limit_norm': 1.0, 'decay_kind': 'p-series', 'summable': False, 'prefix_norm_deviation': 0.0, 'proven': False, 'method': 'numeric-probe', 'probe_window': 4096, 'probe_sums': (1.9906298831529057e-13, 1.9839685450051547e-13)}",
+        "{'differing_prefix_indices': (1,), 'prefix_deficit_sum': 0.019933422158758374, 'limit_overlap_deficit': 0.3032932906528347, 'per_term_lower_bound': 0.15164664532641736, 'from_site': 16}",
+        "{'differing_prefix_indices': (1, 3), 'prefix_deficit_sum': 0.3702980747062987, 'limit_overlap_deficit': 0.0, 'reason': 'tail limits align but a declared class does not certify a summable approach'}",
+        '20',
+    ),
+}
+
+
+def _frozen_outputs(kind):
+    other_limit, phase = FROZEN_PAIRS[kind]
+    a = _declared_pair_state(kind, rotated(0.3), (rotated(0.3), rotated(0.7)))
+    b = _declared_pair_state(kind, other_limit, (rotated(0.3), rotated(0.9)), phase)
+    moved = q.apply_finite_change(a, {1: E1, 3: rotated(0.2)})
+    model = q.MeasurementModel((0.6, 0.8), (a, b))
+    return (
+        repr(q.classify_sequence(a).evidence),
+        repr(q.classify_sequence(b).evidence),
+        repr(q.same_sector(a, b).certificate),
+        repr(q.same_sector(a, moved).certificate),
+        repr(q.decoherence_horizon(model, 1e-3)),
+    )
+
+
+class TestFrozenCertificates:
+    @pytest.mark.parametrize("kind", sorted(FROZEN_PAIRS))
+    def test_certificate_bits_are_unchanged(self, kind):
+        assert _frozen_outputs(kind) == FROZEN_BITS[kind]
