@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidAmplitude, PreconditionViolated
-from .overlaps import _Terms, _walk
-from .sectors import classify_sequence, same_sector
+from .overlaps import _Terms, _walk, truncated_overlap
+from .sectors import _same_sector, classify_sequence
 from .states import (
     ALIGN_EXACT,
     ALIGN_GRAY,
@@ -85,9 +85,10 @@ class MeasurementModel:
                     f"branch {idx} classifies as {cls.kind}; "
                     "branches must be non-trivial convergent sequences"
                 )
+        # every branch is classified once, above; the pairs reuse that
         for i in range(len(branches)):
             for j in range(i + 1, len(branches)):
-                verdict = same_sector(branches[i], branches[j])
+                verdict = _same_sector(branches[i], branches[j])
                 if verdict.kind != "DifferentSector":
                     raise PreconditionViolated(
                         f"branches {i} and {j} are {verdict.kind}; "
@@ -183,13 +184,42 @@ def truncated_density(model: MeasurementModel, truncation: int) -> TruncatedDens
 
 
 def _pair_horizon(
+    bra: ProductState, ket: ProductState, base: float, eps: float, budget: int
+) -> float:
+    """Smallest N with base * |<bra|ket>_N| < eps, where <bra|ket>_N is the
+    value ``truncated_overlap(bra, ket, N)`` returns, or ``math.inf`` when
+    the decay certificates prove the modulus never drops that far.
+
+    A candidate N comes from summed log moduli; it is then stepped down or
+    up until the predicate holds at N and fails at N - 1, so the horizon and
+    the truncated overlap agree at exact ties too.
+    """
+    n = _horizon_candidate(
+        bra, ket, math.log(base) if base > 0.0 else -math.inf, math.log(eps), budget
+    )
+    if n == math.inf:
+        return n
+
+    def below(cut: int) -> bool:
+        return base * abs(truncated_overlap(bra, ket, cut)) < eps
+
+    while n > 0 and below(n - 1):
+        n -= 1
+    while not below(n):
+        n += 1
+    return n
+
+
+def _horizon_candidate(
     bra: ProductState,
     ket: ProductState,
     base_log: float,
     log_eps: float,
     budget: int,
 ) -> float:
-    """Smallest N with base * prod_{site<N} |<bra_site|ket_site>| below eps."""
+    """First N with base * prod_{site<N} |<bra_site|ket_site>| below eps by
+    log moduli summed site by site or, past constant tails' prefixes, in
+    closed form; ``math.inf`` when the certificates rule that out."""
     if base_log == -math.inf or base_log < log_eps:
         return 0
     cur = base_log
@@ -262,14 +292,10 @@ def decoherence_horizon(
         pairs = [(i, j)]
     else:
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    log_eps = math.log(eps)
     worst: float = 0
     for i, j in pairs:
         base = abs(model.coefficients[i]) * abs(model.coefficients[j])
-        base_log = math.log(base) if base > 0.0 else -math.inf
-        h = _pair_horizon(
-            model.branches[j], model.branches[i], base_log, log_eps, budget
-        )
+        h = _pair_horizon(model.branches[j], model.branches[i], base, eps, budget)
         if h == math.inf:
             return math.inf
         worst = max(worst, h)

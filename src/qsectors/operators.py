@@ -373,12 +373,14 @@ def expectation_sweep(
 
 class _Images:
     """Walk side of the images U_t f of a one-term side's factors f, one
-    term per operator term."""
+    term per operator term.  Every term's tail operator is constant, so the
+    images repeat one vector once the factors and the prefix operators stop."""
 
     def __init__(self, terms: Sequence[OperatorTerm], state: _Terms) -> None:
         self.terms = terms
         self.state = state
         self.explicit = state.explicit
+        self.constant_from = max([state.constant_from] + [len(t.prefix_ops) for t in terms])
         self.sources = [self._image(t, state.sources[0]) for t in terms]
 
     @staticmethod

@@ -7,7 +7,10 @@ phase so sweeps survive far past double-precision underflow.  A factor
 overlap of exactly zero short-circuits the whole product.
 
 Long explicit prefixes are bracketed in stacked numpy blocks, every term
-pair of a block at once; everything else goes one site at a time.
+pair of a block at once.  From the site where every term's factors are
+declared to repeat one vector, each pair is bracketed once and the rest of
+the product is that bracket's power, read in closed form.  Everything else
+goes one site at a time, within ``WALK_BUDGET``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import products
-from .errors import InconclusiveSector, PreconditionViolated
+from .errors import DimensionBudgetExceeded, InconclusiveSector, PreconditionViolated
 from .sectors import same_sector
 from .states import (
     CompositeState,
@@ -43,6 +46,9 @@ __all__ = [
 DIRECT_LIMIT = 64
 # Amplitudes one block of the stacked walk holds, per side and in its brackets.
 BLOCK_AMPLITUDES = 2**16
+# Term pairs x sites a walk may bracket one at a time past the shortest
+# explicit prefix; closed-form stretches do not count.
+WALK_BUDGET = 2**21
 
 # Maps an absolute site to the factor a walk brackets there.
 FactorSource = Callable[[int], FactorVector]
@@ -54,11 +60,21 @@ def _as_terms(state: ProductState | CompositeState) -> tuple[tuple[complex, Prod
     return state.terms
 
 
+def _constant_from(state: ProductState) -> float:
+    """First site from which every factor of ``state`` is declared to be one
+    vector, or inf."""
+    decay = state.tail.decay
+    if decay.kind != "eventually-constant":
+        return math.inf
+    return max(state.prefix_len, decay.rank)
+
+
 class _Terms:
     """One side of a walk: a list of product-state terms.
 
     The site-by-site loop fetches their factors through ``sources``; the
-    block stretch reads their explicit prefixes, stacked by ``rows``.
+    block stretch reads their explicit prefixes, stacked by ``rows``.  From
+    ``constant_from`` on, every term repeats one factor.
     """
 
     def __init__(
@@ -67,6 +83,7 @@ class _Terms:
         self.states = tuple(states)
         self.sources = list(sources) or [s.factor_at for s in self.states]
         self.explicit = min(s.prefix_len for s in self.states)
+        self.constant_from = max(_constant_from(s) for s in self.states)
         self._rows: tuple = (None, None)
 
     def dim_at(self, site: int) -> int:
@@ -178,6 +195,19 @@ def _push_sites(steps, start: int, stop: int) -> None:
             push(factor_overlap(bra_at(site), ket_at(site)))
 
 
+def _check_budget(pairs: int, start: int, stop: float) -> None:
+    """Refuse a walk that would bracket more than WALK_BUDGET term-pair
+    sites one at a time between ``start`` and ``stop``."""
+    sites = pairs * max(0, stop - start)
+    if sites > WALK_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"the walk would bracket {sites} term-pair sites one at a time; "
+            f"the budget is {WALK_BUDGET}",
+            sites=sites,
+            budget=WALK_BUDGET,
+        )
+
+
 def _walk(
     bra: _Terms, ket: _Terms, readouts: Sequence[Readout], cuts: Sequence[int]
 ) -> list[list[tuple[complex, float]]]:
@@ -191,13 +221,22 @@ def _walk(
     next so sources may share per-site work; readouts there keep the direct
     product's bits.  The remaining stretch, held explicitly by every term,
     is bracketed in stacked blocks and folded into the log form only.
+
+    From j, the later ``constant_from`` of the two sides, each pair is
+    bracketed once, at j, giving G.  Sites up to a cut <= DIRECT_LIMIT push
+    G once per site; a readout past DIRECT_LIMIT takes the log form at j
+    plus (n - j) * (log|G|, atan2 G), whatever other cuts were asked for.
     """
     keys = sorted({(a, b) for readout in readouts for _, a, b in readout})
     accs = {key: products._Accumulator() for key in keys}
-    groups = [[(c, accs[a, b]) for c, a, b in readout] for readout in readouts]
+    keyed = [[(c, (a, b)) for c, a, b in readout] for readout in readouts]
+    groups = [[(c, accs[key]) for c, key in group] for group in keyed]
     steps = [(bra.sources[a], ket.sources[b], accs[a, b].push) for a, b in keys]
+    explicit = min(bra.explicit, ket.explicit)
+    jump = max(bra.constant_from, ket.constant_from)
+    _check_budget(len(keys), explicit, min(cuts[-1], jump))
     lo = max((cut for cut in cuts if cut <= DIRECT_LIMIT), default=0)
-    hi = min(bra.explicit, ket.explicit, cuts[-1])
+    hi = min(explicit, cuts[-1])
     if hi - lo <= DIRECT_LIMIT:
         lo = hi = 0  # no block stretch
     blocks = _bracket_blocks(bra, ket, keys, lo, hi)
@@ -220,14 +259,28 @@ def _walk(
                 acc.push_logs(log_mod, arg, zero)
             start = end
 
+    at_jump: dict = {}  # per pair: (its product at j, G, push)
     out: list[list[tuple[complex, float]]] = [[] for _ in groups]
     start = 0
     for cut in cuts:
         _push_sites(steps, start, min(cut, lo))
         stacked(max(start, lo), min(cut, hi))
-        _push_sites(steps, max(start, hi), cut)
+        _push_sites(steps, max(start, hi), min(cut, jump))
+        read = groups
+        if cut > jump:
+            if not at_jump:
+                for key, (bra_at, ket_at, push) in zip(keys, steps):
+                    g = factor_overlap(bra_at(jump), ket_at(jump))
+                    at_jump[key] = accs[key].repeated(g, 0), g, push
+            if cut <= DIRECT_LIMIT:
+                for site in range(max(start, jump), cut):
+                    for _, g, push in at_jump.values():
+                        push(g)
+            else:
+                jumped = {key: acc.repeated(g, cut - jump) for key, (acc, g, _) in at_jump.items()}
+                read = [[(c, jumped[key]) for c, key in group] for group in keyed]
         start = cut
-        for values, group in zip(out, groups):
+        for values, group in zip(out, read):
             values.append(_combine(group, cut))
     return out
 

@@ -192,6 +192,20 @@ class _Accumulator:
         self.log_mod += log_mod
         self.arg += arg
 
+    def repeated(self, z: complex, count: int) -> "_Accumulator":
+        """A copy with ``count`` more terms ``z`` folded into the log form in
+        one step, as count * log|z| and count * atan2(z).  ``direct`` is left
+        behind, so only the log form reads the copy."""
+        out = _Accumulator()
+        out.zero, out.log_mod, out.arg = self.zero, self.log_mod, self.arg
+        if count and not out.zero:
+            if z == 0:
+                out.zero = True
+            else:
+                out.log_mod += count * math.log(abs(z))
+                out.arg += count * math.atan2(z.imag, z.real)
+        return out
+
     def value(self) -> complex:
         """exp of the log form."""
         if self.zero:

@@ -147,7 +147,13 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
                 "NonTrivialConvergentSequence",
                 classification=cls.kind,
             )
+    return _same_sector(a, b)
 
+
+def _same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
+    """``same_sector`` for same-shaped states whose classes the caller has
+    already found to be NonTrivialConvergentSequence; nothing is classified
+    again."""
     span = max(a.prefix_len, b.prefix_len)
     prefix_deficits = [
         abs(factor_overlap(a.factor_at(k), b.factor_at(k)) - 1.0) for k in range(span)

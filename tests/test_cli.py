@@ -167,6 +167,28 @@ class TestOverlapSweep:
         assert code == 2
         assert "cuts" in json.loads(err)["message"]
 
+    def test_constant_tails_far_out_take_the_closed_form(self, capsys, files):
+        a = files("a.json", encode_state(QUIET))
+        b = files("b.json", encode_state(KICKED))
+        code, out, _ = run(capsys, "overlap-sweep", a, b, "--cuts", "10,1000000000000")
+        assert code == 0
+        last = out.splitlines()[2].split(",")
+        assert float(last[4]) == pytest.approx(1e12 * math.log10(0.8), rel=1e-12)
+
+    def test_parametric_walk_past_the_budget_exits_3(self, capsys, files):
+        drifting = {
+            "type": "product-state",
+            "prefix": [],
+            "tail": {"kind": "parametric", "limit": [0.8, 0.6], "deviation": [0.1, 0.0],
+                     "class": "geometric", "ratio": 0.5},
+        }
+        a = files("a.json", encode_state(QUIET))
+        b = files("b.json", drifting)
+        code, out, err = run(capsys, "overlap-sweep", a, b, "--cuts", "10,1000000000000")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["code"] == "dimension-budget-exceeded"
+
 
 class TestExpectationSweep:
     def test_projector_decay(self, capsys, files):

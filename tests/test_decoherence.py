@@ -60,6 +60,29 @@ class TestMeasurementModel:
         with pytest.raises(q.ShapeMismatch):
             q.MeasurementModel((2**-0.5, 2**-0.5), (pointer_branch(1.0), wide))
 
+    def test_classifies_each_branch_once(self):
+        # p = 0.75 does not certify a summable approach, so each branch's
+        # classification probes 8,192 factors; the pair check reuses it
+        calls = []
+
+        def branch(limit, other):
+            def fn(n):
+                calls.append(n)
+                kick = 0.01 * (n + 1) ** -0.75
+                return q.FactorVector(
+                    tuple(math.sqrt(1.0 - kick**2) * x + kick * y
+                          for x, y in zip(limit.amplitudes, other.amplitudes))
+                )
+
+            decay = q.DecaySpec("p-series", p=0.75, scale=0.01)
+            return q.ProductState((), q.ParametricTail(2, fn, limit, decay))
+
+        b0, b1 = branch(E0, E1), branch(E1, E0)
+        calls.clear()
+        m = q.MeasurementModel((0.6, 0.8), (b0, b1))
+        assert m.n_outcomes == 2
+        assert len(calls) <= 2 * 8192
+
     def test_probabilities(self):
         m = two_outcome_model(weights=(0.6, 0.8j))
         assert m.probabilities == pytest.approx((0.36, 0.64))
@@ -259,6 +282,24 @@ class TestDecoherenceHorizon:
         with pytest.raises(q.PreconditionViolated) as exc:
             q.decoherence_horizon(m, 1e-9, budget=1000)
         assert exc.value.context["budget"] == 1000
+
+    @pytest.mark.parametrize("a", [1, 2])
+    @pytest.mark.parametrize("target", [1, 10, 63, 64, 65, 66, 100, 400])
+    def test_dyadic_ties_agree_with_the_truncated_overlap(self, a, target):
+        # basis-aligned records: the coherence after n sites is exactly
+        # 2**-(a*n + 1) and eps sits on it at the target, a tie that the
+        # summed logs and the readout may break differently
+        recorded = q.FactorVector((2.0**-a, math.sqrt(1.0 - 4.0**-a)))
+        b0 = q.make_product_state((), q.ConstantTail(E0))
+        b1 = q.make_product_state((), q.ConstantTail(recorded))
+        coeffs = (complex(2**-0.5), complex(2**-0.5))
+        m = q.MeasurementModel(coeffs, (b0, b1))
+        eps = 2.0 ** -(a * target + 1)
+        base = abs(coeffs[0]) * abs(coeffs[1])
+        h = q.decoherence_horizon(m, eps)
+        assert abs(h - target) <= 1
+        assert base * abs(q.truncated_overlap(b1, b0, h)) < eps
+        assert base * abs(q.truncated_overlap(b1, b0, h - 1)) >= eps
 
     def test_eps_and_pair_validation(self):
         m = two_outcome_model()

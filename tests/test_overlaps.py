@@ -1,6 +1,9 @@
 import cmath
 import math
+import time
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,13 @@ from hypothesis import strategies as st
 
 import qsectors as q
 from qsectors import overlaps
+from qsectors.operators import (
+    ConstantOperatorTail,
+    FactoredOperator,
+    FactorOperator,
+    IdentityTail,
+    OperatorTerm,
+)
 from qsectors.oracle import dense_overlap, densify
 
 from support import random_factor, random_operator, random_product_state
@@ -427,3 +437,293 @@ class TestBlockStretch:
                 for t, (c, logs) in enumerate(per_term)
             )
             assert abs(got.values[k] - want.values[k]) <= 1e-12 * scale
+
+
+# -- constant-tail jumps ------------------------------------------------------
+#
+# Once every term of both sides repeats one factor, from site j, the walk
+# brackets each pair once, at j, and reads the rest in closed form.  These
+# tests compare that with the site-by-site walk (``_constant_from`` patched
+# to inf turns the jumps off): cuts <= DIRECT_LIMIT keep their bits, and past
+# it the closed form (n - j) * log|G| is at least as close to a 50-digit
+# value as the per-site sum of n - j logs.
+
+JUMP_CUTS = (1, 5, 12, 20, 64, 65, 100, 1000, 5000)
+
+
+def _phase(theta):
+    return complex(math.cos(theta), math.sin(theta))
+
+
+def _positive(rng, dim):
+    """Unit vector with positive real amplitudes: brackets of two are real
+    and positive, so a readout's log-modulus is the walk's log form."""
+    v = np.abs(rng.normal(size=dim)) + 0.1
+    return q.FactorVector(tuple((v / np.linalg.norm(v)).tolist()))
+
+
+def _prefixed(rng, tail, prefix_len, unit):
+    return q.ProductState(tuple(unit(rng, tail.dim) for _ in range(prefix_len)), tail)
+
+
+def _constant(rng, prefix_len, vector, unit=random_factor):
+    return _prefixed(rng, q.ConstantTail(vector), prefix_len, unit)
+
+
+def _eventually_constant(rng, prefix_len, rank, limit, unit=random_factor):
+    """A parametric tail that leaves ``limit`` before ``rank`` and equals it after."""
+    moved = np.array(limit.amplitudes) + 0.3 * np.array(unit(rng, limit.dim).amplitudes)
+    before = q.FactorVector(tuple((moved / np.linalg.norm(moved)).tolist()))
+    tail = q.ParametricTail(
+        limit.dim,
+        lambda n: limit if n >= rank else before,
+        limit,
+        q.DecaySpec("eventually-constant", rank=rank, scale=0.6),
+    )
+    return _prefixed(rng, tail, prefix_len, unit)
+
+
+def _geometric(rng, prefix_len, limit):
+    step = np.array(random_factor(rng, limit.dim).amplitudes)
+
+    def fn(n):
+        v = np.array(limit.amplitudes) + 0.2 * 0.7**n * step
+        return q.FactorVector(tuple((v / np.linalg.norm(v)).tolist()))
+
+    tail = q.ParametricTail(limit.dim, fn, limit, q.DecaySpec("geometric", ratio=0.7, scale=0.2))
+    return _prefixed(rng, tail, prefix_len, random_factor)
+
+
+def _jump_cases():
+    """name -> (bra, ket, j): pairs whose factors all repeat from site j."""
+    rng = np.random.default_rng(2024)
+    u, w = random_factor(rng, 3), random_factor(rng, 3)
+    pu, pw = _positive(rng, 3), _positive(rng, 3)
+    cases = {
+        "constant": (_constant(rng, 3, u), _constant(rng, 7, w), 7),
+        "eventually-constant": (
+            _eventually_constant(rng, 4, 30, u), _constant(rng, 2, w), 30
+        ),
+        "eventually-constant-within-prefix": (
+            _eventually_constant(rng, 40, 10, u), _eventually_constant(rng, 5, 12, w), 40
+        ),
+        "zero-bracket": (_constant(rng, 2, E0), _constant(rng, 3, E1), 3),
+        "unit-phase": (
+            _constant(rng, 2, E0), _constant(rng, 1, q.FactorVector((_phase(0.3), 0j))), 2
+        ),
+        "positive-constant": (
+            _constant(rng, 3, pu, _positive), _constant(rng, 6, pw, _positive), 6
+        ),
+        "positive-no-prefix": (_constant(rng, 0, pu), _constant(rng, 0, pw), 0),
+        "positive-eventually-constant": (
+            _eventually_constant(rng, 2, 25, pu, _positive), _constant(rng, 4, pw, _positive), 25
+        ),
+    }
+    cases["composite"] = (
+        q.CompositeState((
+            (0.6 + 0.2j, _constant(rng, 2, u)),
+            (-0.3 + 0.1j, _eventually_constant(rng, 1, 9, u)),
+        )),
+        q.CompositeState((
+            (0.5 + 0j, _constant(rng, 4, w)),
+            (0.1 - 0.7j, _constant(rng, 0, u)),
+            (0.2 + 0.2j, _eventually_constant(rng, 6, 3, w)),
+        )),
+        9,
+    )
+    return cases
+
+
+JUMP_CASES = _jump_cases()
+
+
+def _cuts_for(j):
+    return sorted(set(JUMP_CUTS) | {j} - {0})
+
+
+def _site_by_site(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(overlaps, "_constant_from", lambda state: math.inf)
+        return fn(*args)
+
+
+def _rounding_room(bra, ket, n):
+    """(1e-12 of the largest pair's log mass at n, log of sum_k |c_k| |g_k(n)|):
+    a sum of n logs or angles rounds at about 1e-16 of its mass."""
+    bra_c = bra if isinstance(bra, q.CompositeState) else bra.as_composite()
+    ket_c = ket if isinstance(ket, q.CompositeState) else ket.as_composite()
+    g = _site_brackets(bra_c, ket_c, n)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(g)).sum(axis=-1)
+    coeffs = np.outer([abs(c) for c, _ in bra_c.terms], [abs(c) for c, _ in ket_c.terms])
+    return 1e-12 * max(1.0, _log_mass(g)[..., -1].max()), np.logaddexp.reduce(
+        (np.log(coeffs) + logs).ravel()
+    )
+
+
+def _assert_jump_agrees(bra, ket, got, want, cuts):
+    """Bits kept at cuts <= DIRECT_LIMIT; past it, agreement within the
+    rounding room of the per-site sums."""
+    for n, (v1, l1), (v2, l2) in zip(cuts, got, want):
+        if n <= overlaps.DIRECT_LIMIT:
+            assert repr((v1, l1)) == repr((v2, l2))
+        elif l2 == -math.inf:
+            assert (v1, l1) == (0j, -math.inf)
+        else:
+            room, log_scale = _rounding_room(bra, ket, n)
+            assert abs(l1 - l2) <= room * math.exp(log_scale - l2)
+            assert abs(v1 - v2) <= room * math.exp(log_scale)
+
+
+def _sweep_pairs(sweep):
+    return list(zip(sweep.values, sweep.log_modulus))
+
+
+class TestConstantTailJumps:
+    @pytest.mark.parametrize("name", sorted(JUMP_CASES))
+    def test_agrees_with_the_site_by_site_walk(self, name, monkeypatch):
+        bra, ket, j = JUMP_CASES[name]
+        cuts = _cuts_for(j)
+        got = q.overlap_sweep(bra, ket, cuts)
+        want = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts)
+        _assert_jump_agrees(bra, ket, _sweep_pairs(got), _sweep_pairs(want), cuts)
+
+    @pytest.mark.parametrize("name", sorted(JUMP_CASES))
+    def test_sweep_readouts_match_single_cut_walks(self, name):
+        bra, ket, j = JUMP_CASES[name]
+        cuts = _cuts_for(j)
+        sweep = q.overlap_sweep(bra, ket, cuts)
+        for n, value, log_mod in zip(cuts, sweep.values, sweep.log_modulus):
+            assert repr(q.composite_overlap(bra, ket, n)) == repr(value)
+            assert repr(q.overlap_sweep(bra, ket, [n]).log_modulus) == repr((log_mod,))
+            if isinstance(bra, q.ProductState):
+                assert repr(q.truncated_overlap(bra, ket, n)) == repr(value)
+
+    @pytest.mark.parametrize(
+        "name", ["positive-constant", "positive-no-prefix", "positive-eventually-constant"]
+    )
+    def test_closed_form_is_at_least_as_close_as_the_per_site_sum(self, name, monkeypatch):
+        bra, ket, j = JUMP_CASES[name]
+        cuts = [n for n in JUMP_CUTS if n > max(j, overlaps.DIRECT_LIMIT)] + [10**5]
+        jumped = q.overlap_sweep(bra, ket, cuts).log_modulus
+        summed = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts).log_modulus
+        # the walk's log form at j: per-site logs summed in site order
+        at_j = 0.0
+        for site in range(j):
+            at_j += math.log(abs(q.factor_overlap(bra.factor_at(site), ket.factor_at(site))))
+        g = q.factor_overlap(bra.factor_at(j), ket.factor_at(j))
+        assert g.real > 0.0 and g.imag == 0.0
+        with mpmath.workdps(50):
+            for n, a, b in zip(cuts, jumped, summed):
+                truth = mpmath.mpf(at_j) + (n - j) * mpmath.log(mpmath.mpf(g.real))
+                assert abs(a - truth) <= abs(b - truth)
+                assert abs(a - truth) <= 1e-12 * abs(truth)
+
+    def test_zero_bracket_and_unit_phase_past_the_jump(self):
+        bra, ket, j = JUMP_CASES["zero-bracket"]
+        sweep = q.overlap_sweep(bra, ket, [j, j + 1, 10**9])
+        assert sweep.values[1:] == (0j, 0j)
+        assert sweep.log_modulus[1:] == (-math.inf, -math.inf)
+        bra, ket, j = JUMP_CASES["unit-phase"]
+        at_j = q.truncated_overlap(bra, ket, j)
+        for n in (64, 65, 10**9):
+            value = q.truncated_overlap(bra, ket, n)
+            assert abs(value) == pytest.approx(abs(at_j), rel=1e-12)
+            assert cmath.isclose(value, at_j * _phase(0.3 * (n - j)), rel_tol=1e-6)
+
+    def test_mixed_terms_do_not_jump_until_every_term_is_constant(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        u = random_factor(rng, 2)
+        bra = q.CompositeState(((1.0, _constant(rng, 2, u)), (0.5j, _geometric(rng, 1, u))))
+        ket = _constant(rng, 3, random_factor(rng, 2))
+        bra_side, ket_side, _ = overlaps._sides(bra, ket)
+        assert (bra_side.constant_from, ket_side.constant_from) == (math.inf, 3)
+        cuts = [1, 64, 65, 300]
+        got = q.overlap_sweep(bra, ket, cuts)
+        assert repr(got) == repr(_site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts))
+
+    @pytest.mark.parametrize("tail", ["constant", "identity"])
+    def test_expectation_sweep(self, tail, monkeypatch):
+        rng = np.random.default_rng(3)
+        state = _eventually_constant(rng, 3, 11, random_factor(rng, 2))
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        op_tail = (
+            ConstantOperatorTail(FactorOperator((m + m.conj().T) / 6))
+            if tail == "constant"
+            else IdentityTail(2)
+        )
+        op = FactoredOperator((
+            OperatorTerm(0.7 - 0.2j, (FactorOperator(m),) * 16, op_tail),
+            OperatorTerm(0.3j, (), op_tail),
+        ))
+        cuts = [4, 11, 16, 17, 64, 65, 900]
+        got = q.expectation_sweep(op, state, cuts)
+        want = _site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
+        image = q.apply_operator(op, state)
+        _assert_jump_agrees(state, image, _sweep_pairs(got), _sweep_pairs(want), cuts)
+
+    def test_sixteen_site_spin_blocks(self, monkeypatch):
+        scenario = q.SpinChainScenario(Fraction(3, 16))
+        counts = [16 * k for k in (1, 2, 40, 64, 65, 80)]
+        got = scenario.sweep(counts)
+        want = _site_by_site(monkeypatch, scenario.sweep, counts)
+        _assert_jump_agrees(
+            *scenario.states(), _sweep_pairs(got), _sweep_pairs(want), [n // 16 for n in counts]
+        )
+        half_ln2 = 0.5 * math.log(2.0)
+        for n, log_mod in zip(counts, got.log_modulus):
+            assert log_mod == pytest.approx(-(3 * n // 16) * half_ln2, rel=1e-12)
+
+
+def _count_brackets(monkeypatch):
+    calls = []
+    real = overlaps.factor_overlap
+
+    def counting(bra, ket):
+        calls.append(1)
+        return real(bra, ket)
+
+    monkeypatch.setattr(overlaps, "factor_overlap", counting)
+    return calls
+
+
+class TestWalkWork:
+    def test_constant_tails_bracket_each_pair_once_past_the_prefix(self, monkeypatch):
+        calls = _count_brackets(monkeypatch)
+        rng = np.random.default_rng(1)
+        bra = _constant(rng, 5, random_factor(rng, 2))
+        ket = _constant(rng, 2, random_factor(rng, 2))
+        q.truncated_overlap(bra, ket, 10**9)
+        assert len(calls) <= 5 + 1
+        calls.clear()
+        bra_c = q.CompositeState(((1.0, bra), (0.5, _constant(rng, 3, random_factor(rng, 2)))))
+        ket_c = q.CompositeState(((1.0, ket), (1j, _constant(rng, 0, random_factor(rng, 2)))))
+        q.composite_overlap(bra_c, ket_c, 10**9)
+        assert len(calls) <= 4 * (5 + 1)
+
+    def test_constant_tails_at_a_trillion_sites_take_the_closed_form(self):
+        bra = constant_state((E1,), q.FactorVector((0.6, 0.8)))
+        ket = constant_state((E1,), E0)
+        n = 10**12
+        start = time.perf_counter()
+        (log_mod,) = q.overlap_sweep(bra, ket, [n]).log_modulus
+        assert q.truncated_overlap(bra, ket, n) == 0j
+        assert time.perf_counter() - start < 0.5
+        assert log_mod == pytest.approx((n - 1) * math.log(0.6), rel=1e-12)
+
+    def test_parametric_tails_past_the_budget_raise_at_once(self):
+        calls = []
+        limit = q.FactorVector((0.6, 0.8))
+
+        def fn(n):
+            calls.append(n)
+            return limit
+
+        state = q.ProductState((), q.ParametricTail(2, fn, limit, q.DecaySpec("geometric", ratio=0.5)))
+        calls.clear()
+        with pytest.raises(q.DimensionBudgetExceeded) as exc:
+            q.truncated_overlap(state, constant_state(), 10**12)
+        assert exc.value.context["budget"] == overlaps.WALK_BUDGET
+        with pytest.raises(q.DimensionBudgetExceeded):
+            q.overlap_sweep(state, state, [10, 10**12])
+        assert calls == []

@@ -6,10 +6,14 @@ each module's ``__all__``, so a stale entry would silently drop a layer.
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import qsectors
+
+from support import child_env
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qsectors.__path__))
 EXPORTED = [name for name in qsectors.__all__ if name != "__version__"]
@@ -35,3 +39,16 @@ def test_package_export_is_its_home_module_object(name):
 
 def test_package_exports_are_unique():
     assert len(set(qsectors.__all__)) == len(qsectors.__all__)
+
+
+def test_cli_import_loads_no_test_only_dependency():
+    # scipy, mpmath and hypothesis serve the tests only; importing any of
+    # them would add to every CLI call's start-up time
+    probe = (
+        "import sys, qsectors.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), check=True
+    )
+    assert out.stdout.strip() == "[]"
