@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decoherence import decoherence_horizon, sample_outcomes
-from .errors import IoError, QsectorsError, UsageError
+from .decoherence import _branch_overlaps, decoherence_horizon, sample_outcomes
+from .errors import DimensionBudgetExceeded, IoError, QsectorsError, UsageError
 from .operators import expectation_sweep
 from .overlaps import OverlapSweep, overlap_sweep
 from .products import classify_product
@@ -45,7 +45,7 @@ from .serialize import (
     jsonable,
     loads,
 )
-from .states import ProductState
+from .states import WALK_BUDGET, ProductState
 
 __all__ = ["main"]
 
@@ -103,13 +103,26 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise UsageError(f"{what} must be comma-separated integers: {text!r}") from None
 
 
+def _cut_range(step: int, stop: int) -> list[int]:
+    """The cuts step, 2 step, ... up to ``stop``, counted before they are
+    built: more than WALK_BUDGET of them are refused."""
+    cuts = range(step, stop + 1, step)
+    if len(cuts) > WALK_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"{len(cuts)} truncations requested; the budget is {WALK_BUDGET}",
+            cuts=len(cuts),
+            budget=WALK_BUDGET,
+        )
+    return list(cuts)
+
+
 def _resolve_cuts(args) -> list[int]:
     if args.cuts is not None:
         cuts = _parse_int_list(args.cuts, "--cuts")
     elif args.max_cut is not None:
         if args.step < 1:
             raise UsageError("--step must be >= 1")
-        cuts = list(range(args.step, args.max_cut + 1, args.step))
+        cuts = _cut_range(args.step, args.max_cut)
     else:
         raise UsageError("provide --cuts or --max")
     if not cuts:
@@ -201,22 +214,15 @@ def _cmd_decohere(args) -> int:
             for i in range(model.n_outcomes)
             for j in range(i + 1, model.n_outcomes)
         ]
-    sweeps = {
-        (i, j): overlap_sweep(model.branches[j], model.branches[i], cuts)
-        for i, j in pairs
-    }
+    walked = _branch_overlaps(model, pairs, cuts)
     rows = []
     for k, n in enumerate(cuts):
-        for i, j in pairs:
-            sweep = sweeps[(i, j)]
+        for (i, j), readings in zip(pairs, walked):
+            g, log_mod = readings[k]
             scale = model.coefficients[i] * model.coefficients[j].conjugate()
-            value = scale * sweep.values[k]
+            value = scale * g
             base = abs(scale)
-            log10 = (
-                (math.log(base) + sweep.log_modulus[k]) / _LN10
-                if base > 0.0
-                else -math.inf
-            )
+            log10 = (math.log(base) + log_mod) / _LN10 if base > 0.0 else -math.inf
             rows.append([n, i, j, value.real, value.imag, abs(value), log10])
     header = ("truncation", "i", "j", "re", "im", "modulus", "log10_modulus")
     _write_text(args.out, _csv_text(header, rows))
@@ -256,7 +262,7 @@ def _cmd_spin_sweep(args) -> int:
     step = args.step if args.step is not None else scenario.period
     if step < 1:
         raise UsageError("--step must be >= 1")
-    cuts = list(range(step, args.n_max + 1, step))
+    cuts = _cut_range(step, args.n_max)
     if not cuts:
         raise UsageError(
             f"--n-max {args.n_max} admits no site counts at step {step}"

@@ -16,18 +16,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidAmplitude, PreconditionViolated
-from .overlaps import _Terms, _walk, truncated_overlap
+from .overlaps import DIRECT_LIMIT, _sides, _Terms, _walk, _Walker
 from .sectors import _same_sector, classify_sequence
 from .states import (
     ALIGN_EXACT,
     ALIGN_GRAY,
     CompositeState,
-    ConstantTail,
     ProductState,
-    _bracket_series_bound,
+    _log_loss_bound,
     basis_vector,
     ensure_same_shape,
-    factor_overlap,
 )
 
 __all__ = [
@@ -172,15 +170,22 @@ def truncated_density(model: MeasurementModel, truncation: int) -> TruncatedDens
     rho = np.zeros((m, m), dtype=complex)
     for i in range(m):
         rho[i, i] = abs(model.coefficients[i]) ** 2
-    # bra branch j, ket branch i: entry (i, j) of the reduced matrix
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    branches = _Terms(model.branches)
-    walked = _walk(branches, branches, [[(1.0 + 0j, j, i)] for i, j in pairs], [truncation])
-    for (i, j), ((g, _),) in zip(pairs, walked):
+    for (i, j), ((g, _),) in zip(pairs, _branch_overlaps(model, pairs, [truncation])):
         val = model.coefficients[i] * model.coefficients[j].conjugate() * g
         rho[i, j] = val
         rho[j, i] = val.conjugate()
     return TruncatedDensityMatrix(rho, truncation)
+
+
+def _branch_overlaps(
+    model: MeasurementModel, pairs: list[tuple[int, int]], cuts: list[int]
+) -> list[list[tuple[complex, float]]]:
+    """(value, log-modulus) of <branch j|branch i>, entry (i, j) of the
+    reduced matrix up to the pointer weights, for each pair (i, j) at every
+    cut, read off one walk over all branches."""
+    branches = _Terms(model.branches)
+    return _walk(branches, branches, [[(1.0 + 0j, j, i)] for i, j in pairs], cuts)
 
 
 def _pair_horizon(
@@ -190,83 +195,58 @@ def _pair_horizon(
     value ``truncated_overlap(bra, ket, N)`` returns, or ``math.inf`` when
     the decay certificates prove the modulus never drops that far.
 
-    A candidate N comes from summed log moduli; it is then stepped down or
-    up until the predicate holds at N and fails at N - 1, so the horizon and
-    the truncated overlap agree at exact ties too.
+    The cuts N = 0, 1, ... are read off one walk over the pair, the walk
+    ``truncated_overlap`` makes, so the two agree at exact ties too.  From
+    the site where both branches repeat one factor, with bracket G, every
+    cut reads in closed form: N is solved from the log form and G, then
+    checked at N - 1 and N.  ``budget`` bounds the sites read past the
+    prefixes; parametric tails check their certificate every
+    ``_HORIZON_CHECK_EVERY`` sites there.
     """
-    n = _horizon_candidate(
-        bra, ket, math.log(base) if base > 0.0 else -math.inf, math.log(eps), budget
-    )
-    if n == math.inf:
-        return n
+    walk = _Walker(*_sides(bra, ket))
+    log_base = math.log(base) if base > 0.0 else -math.inf
+    log_eps = math.log(eps)
+    span = max(bra.prefix_len, ket.prefix_len)
+    stop = max(span, budget)
 
     def below(cut: int) -> bool:
-        return base * abs(truncated_overlap(bra, ket, cut)) < eps
+        ((value, _),) = walk.read(cut)
+        return base * abs(value) < eps
 
-    while n > 0 and below(n - 1):
-        n -= 1
-    while not below(n):
-        n += 1
-    return n
-
-
-def _horizon_candidate(
-    bra: ProductState,
-    ket: ProductState,
-    base_log: float,
-    log_eps: float,
-    budget: int,
-) -> float:
-    """First N with base * prod_{site<N} |<bra_site|ket_site>| below eps by
-    log moduli summed site by site or, past constant tails' prefixes, in
-    closed form; ``math.inf`` when the certificates rule that out."""
-    if base_log == -math.inf or base_log < log_eps:
-        return 0
-    cur = base_log
-    site = 0
-    span = max(bra.prefix_len, ket.prefix_len)
-    constant = isinstance(bra.tail, ConstantTail) and isinstance(ket.tail, ConstantTail)
-    if constant:
-        # past the prefix every site repeats; the walk stops there
-        stop = span
-        certified = False
-    else:
-        stop = max(span, budget)
-        certified = (
-            abs(abs(factor_overlap(bra.tail.limit, ket.tail.limit)) - 1.0) <= ALIGN_EXACT
-            and bra.tail.decay.summable
-            and ket.tail.decay.summable
-        )
-    while site < stop:
-        g = factor_overlap(bra.factor_at(site), ket.factor_at(site))
-        mod = abs(g)
-        if mod == 0.0:
-            return site + 1
-        cur += math.log(mod)
-        site += 1
-        if cur < log_eps:
-            return site
-        if site % _HORIZON_CHECK_EVERY == 0 and certified and site > span:
-            # remaining per-site log losses are dominated by the decay
-            # series; |log x| <= 2|x - 1| once the terms sit above 1/2
-            remaining = _bracket_series_bound(bra.tail, ket.tail, site)
-            if remaining <= 0.25 and cur - 2.0 * remaining >= log_eps:
+    n = 0
+    while True:
+        ((value, log_mod),) = walk.read(n)
+        if base * abs(value) < eps:
+            return n
+        cur = log_base + log_mod
+        if n >= walk.jump:
+            (g,) = walk.g.values()
+            if abs(g) >= 1.0 - ALIGN_EXACT:
                 return math.inf
-    if constant:
-        mod = abs(factor_overlap(bra.tail.vector, ket.tail.vector))
-        if mod == 0.0:
-            return site + 1
-        if mod >= 1.0 - ALIGN_EXACT:
+            if n >= DIRECT_LIMIT:
+                # first N with cur + (N - n) * log|G| < log_eps; past n every
+                # readout is closed in form, so the reads below cost O(1)
+                steps = math.floor((log_eps - cur) / math.log(abs(g))) + 1 if g != 0 else 1
+                last, n = n, n + max(1, steps)
+                while n - 1 > last and below(n - 1):
+                    n -= 1
+                while not below(n):
+                    n += 1
+                return n
+        elif n >= stop:
+            raise PreconditionViolated(
+                "decoherence horizon undecided within budget",
+                budget=budget,
+                log_modulus=cur,
+                target=log_eps,
+            )
+        elif (
+            n % _HORIZON_CHECK_EVERY == 0
+            and n > span
+            and cur - _log_loss_bound(bra.tail, ket.tail, n) >= log_eps
+        ):
             return math.inf
-        # closed form: first N with cur + (N - site) * log(mod) < log_eps
-        step = math.log(mod)
-        return site + math.floor((log_eps - cur) / step) + 1
-    raise PreconditionViolated(
-        "decoherence horizon undecided within budget",
-        budget=budget,
-        log_modulus=cur,
-        target=log_eps,
-    )
+        n += 1
 
 
 def decoherence_horizon(

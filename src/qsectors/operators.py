@@ -380,7 +380,7 @@ class _Images:
         self.terms = terms
         self.state = state
         self.explicit = state.explicit
-        self.constant_from = max([state.constant_from] + [len(t.prefix_ops) for t in terms])
+        self.repeats_from = [max(state.constant_from, len(t.prefix_ops)) for t in terms]
         self.sources = [self._image(t, state.sources[0]) for t in terms]
 
     @staticmethod

@@ -7,10 +7,11 @@ phase so sweeps survive far past double-precision underflow.  A factor
 overlap of exactly zero short-circuits the whole product.
 
 Long explicit prefixes are bracketed in stacked numpy blocks, every term
-pair of a block at once.  From the site where every term's factors are
-declared to repeat one vector, each pair is bracketed once and the rest of
-the product is that bracket's power, read in closed form.  Everything else
-goes one site at a time, within ``WALK_BUDGET``.
+pair of a block at once.  From the site where every factor of a pair is
+declared to repeat one vector, the pair is bracketed once and the rest of
+its product is that bracket's power, read in closed form.  Everything else
+goes one site at a time, within ``WALK_BUDGET``.  Which path a site takes
+depends on the two sides alone, so a readout depends only on its cut.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import products
 from .errors import DimensionBudgetExceeded, InconclusiveSector, PreconditionViolated
 from .sectors import same_sector
 from .states import (
+    WALK_BUDGET,
     CompositeState,
     ConstantTail,
     FactorVector,
@@ -46,9 +48,6 @@ __all__ = [
 DIRECT_LIMIT = 64
 # Amplitudes one block of the stacked walk holds, per side and in its brackets.
 BLOCK_AMPLITUDES = 2**16
-# Term pairs x sites a walk may bracket one at a time past the shortest
-# explicit prefix; closed-form stretches do not count.
-WALK_BUDGET = 2**21
 
 # Maps an absolute site to the factor a walk brackets there.
 FactorSource = Callable[[int], FactorVector]
@@ -73,8 +72,9 @@ class _Terms:
     """One side of a walk: a list of product-state terms.
 
     The site-by-site loop fetches their factors through ``sources``; the
-    block stretch reads their explicit prefixes, stacked by ``rows``.  From
-    ``constant_from`` on, every term repeats one factor.
+    block stretch reads their explicit prefixes, stacked by ``rows``.  Term
+    k repeats one factor from ``repeats_from[k]`` on, every term from
+    ``constant_from`` on.
     """
 
     def __init__(
@@ -83,7 +83,8 @@ class _Terms:
         self.states = tuple(states)
         self.sources = list(sources) or [s.factor_at for s in self.states]
         self.explicit = min(s.prefix_len for s in self.states)
-        self.constant_from = max(_constant_from(s) for s in self.states)
+        self.repeats_from = [_constant_from(s) for s in self.states]
+        self.constant_from = max(self.repeats_from)
         self._rows: tuple = (None, None)
 
     def dim_at(self, site: int) -> int:
@@ -166,8 +167,8 @@ def _combine(
 def _bracket_blocks(
     bra: _Terms, ket: _Terms, keys: Sequence[tuple[int, int]], lo: int, hi: int
 ):
-    """Yield (start, stop, log|g|, angle g, g == 0) for consecutive blocks of
-    sites covering [lo, hi), each array (pairs, sites) over the (bra term,
+    """Yield (start, stop, log|g| + i angle g, g == 0) for consecutive blocks
+    of sites covering [lo, hi), each array (pairs, sites) over the (bra term,
     ket term) pairs in ``keys``.  One einsum brackets every term pair of a
     block; a block keeps one dim, read from the bra side, and about
     BLOCK_AMPLITUDES amplitudes per side and in its brackets."""
@@ -183,116 +184,167 @@ def _bracket_blocks(
         )[bra_idx, ket_idx]
         mod = np.abs(g)
         zeros = mod == 0
-        yield start, stop, np.log(mod, out=np.zeros_like(mod), where=~zeros), np.angle(g), zeros
+        forms = np.zeros_like(g)
+        np.log(mod, out=forms.real, where=~zeros)
+        forms.imag = np.angle(g)
+        yield start, stop, forms, zeros
         start = stop
 
 
-def _push_sites(steps, start: int, stop: int) -> None:
-    """Bracket sites [start, stop) one at a time, every pair advancing one
-    site before any pair takes the next."""
+def _push_sites(steps, repeats, start: int, stop: int) -> None:
+    """Advance every pair over sites [start, stop), one site at a time: the
+    pairs in ``steps`` bracket the site, those in ``repeats`` push their
+    repeated bracket.  Every pair takes a site before any takes the next."""
     for site in range(start, stop):
         for bra_at, ket_at, push in steps:
             push(factor_overlap(bra_at(site), ket_at(site)))
+        for g, push in repeats:
+            push(g)
 
 
-def _check_budget(pairs: int, start: int, stop: float) -> None:
-    """Refuse a walk that would bracket more than WALK_BUDGET term-pair
-    sites one at a time between ``start`` and ``stop``."""
-    sites = pairs * max(0, stop - start)
-    if sites > WALK_BUDGET:
-        raise DimensionBudgetExceeded(
-            f"the walk would bracket {sites} term-pair sites one at a time; "
-            f"the budget is {WALK_BUDGET}",
-            sites=sites,
-            budget=WALK_BUDGET,
-        )
+class _Walker:
+    """One walk over (bra term, ket term) pairs, advanced to a cut on demand:
+    ``read(cut)`` gives (value, log-modulus) of each readout sum_k c_k
+    prod_{site<cut} <bra_a(site)|ket_b(site)>.  Which path brackets a site
+    depends on the sides alone, so a readout depends only on its cut.
+
+    When every term holds more than DIRECT_LIMIT explicit sites, those go in
+    stacked blocks, no further than ``last_cut``; a pair's log form there is
+    a running sum (a seeded cumsum), so a cut inside a block reads a column.
+    Other sites are bracketed one at a time; cuts <= DIRECT_LIMIT read their
+    direct product, which with blocks is all they update.  Pair k repeats
+    one factor from ``starts[k]``: bracketed once there, giving ``g[k]``, it
+    pushes that for later sites, and a readout whose pairs all repeat reads
+    cut n > DIRECT_LIMIT as each pair's log form at its start plus
+    (n - start) * (log|G|, atan2 G).  Cuts must not decrease, except these.
+    """
+
+    def __init__(
+        self,
+        bra: _Terms,
+        ket: _Terms,
+        readouts: Sequence[Readout],
+        last_cut: float = math.inf,
+    ) -> None:
+        self.keys = sorted({(a, b) for readout in readouts for _, a, b in readout})
+        index = {key: k for k, key in enumerate(self.keys)}
+        self.readouts = [[(c, index[a, b]) for c, a, b in readout] for readout in readouts]
+        self.starts = [max(bra.repeats_from[a], ket.repeats_from[b]) for a, b in self.keys]
+        self.jumps = [max(self.starts[k] for _, k in readout) for readout in self.readouts]
+        self.jump = max(self.jumps)
+        self.explicit = min(bra.explicit, ket.explicit)
+        self.blocked = self.explicit if self.explicit > DIRECT_LIMIT else 0
+        self.accs = [products._Accumulator() for _ in self.keys]
+        sources = [(bra.sources[a], ket.sources[b]) for a, b in self.keys]
+        self.steps = self.pair_steps = [(*s, acc.push) for s, acc in zip(sources, self.accs)]
+        self.direct_steps = [(*s, acc.push_direct) for s, acc in zip(sources, self.accs)]
+        self.repeats: list = []
+        self.g: dict[int, complex] = {}
+        self.at: dict[int, products._Accumulator] = {}  # log form at each pair's start
+        self.events: dict[float, list[int]] = {}  # start site -> its pairs, until reached
+        for k, start in enumerate(self.starts):
+            if start < math.inf:
+                self.events.setdefault(start, []).append(k)
+        self.site = 0  # the log form holds sites [0, site)
+        self.direct_at = 0  # with blocks, ``direct`` holds sites [0, direct_at)
+        self.block: tuple = ()  # (start, running log forms, zeros) of the last block
+        # a generator: no block is bracketed before it is needed
+        self.blocks = _bracket_blocks(bra, ket, self.keys, 0, min(self.blocked, last_cut))
+
+    def check(self, cut: float) -> None:
+        """Refuse a read of ``cut`` that brackets more than WALK_BUDGET term
+        pairs x sites one at a time past the shortest explicit prefix."""
+        sites = len(self.keys) * max(0, min(cut, self.jump) - self.explicit)
+        if sites > WALK_BUDGET:
+            raise DimensionBudgetExceeded(
+                f"the walk would bracket {sites} term-pair sites one at a time; "
+                f"the budget is {WALK_BUDGET}",
+                sites=sites,
+                budget=WALK_BUDGET,
+            )
+
+    def read(self, cut: int) -> list[tuple[complex, float]]:
+        self.check(cut)
+        if cut > DIRECT_LIMIT:
+            self._advance(min(cut, self.jump))
+        elif self.blocked:
+            _push_sites(self.direct_steps, (), self.direct_at, cut)
+            self.direct_at = max(self.direct_at, cut)
+        else:
+            self._advance(cut)
+        at_cut = None
+        out = []
+        for readout, jump in zip(self.readouts, self.jumps):
+            if cut > max(jump, DIRECT_LIMIT):
+                pairs = [
+                    (c, self.at[k].repeated(self.g[k], cut - self.starts[k])) for c, k in readout
+                ]
+            else:
+                at_cut = at_cut or self._at(cut)
+                pairs = [(c, at_cut[k]) for c, k in readout]
+            out.append(_combine(pairs, cut))
+        return out
+
+    def _at(self, cut: int) -> list[products._Accumulator]:
+        """Every pair's accumulator at ``cut``, which the walk has reached."""
+        if cut <= DIRECT_LIMIT or cut == self.site:
+            return self.accs
+        start, forms, zeros = self.block  # the cut lies inside the last block
+        column = zip(forms[:, cut - start - 1].tolist(), zeros[:, cut - start - 1].tolist())
+        return [products._Accumulator(f.real, f.imag, zero) for f, zero in column]
+
+    def _advance(self, stop: float) -> None:
+        """Fold the sites up to ``stop`` into the log form; the last block
+        may end past it."""
+        self._arrive()
+        while self.site < stop:
+            if self.site < self.blocked:
+                self._fold_block()
+            else:
+                end = min(stop, min(self.events, default=stop))
+                _push_sites(self.steps, self.repeats, self.site, end)
+                self.site = end
+            self._arrive()
+
+    def _arrive(self) -> None:
+        """Bracket G for the pairs that start repeating at this site, and
+        keep their log forms here."""
+        starting = self.events.pop(self.site, ())
+        for k in starting:
+            bra_at, ket_at, _ = self.pair_steps[k]
+            self.g[k] = factor_overlap(bra_at(self.site), ket_at(self.site))
+            acc = self.accs[k]
+            self.at[k] = products._Accumulator(acc.log_mod, acc.arg, acc.zero)
+        if starting:
+            self.steps = [s for k, s in enumerate(self.pair_steps) if k not in self.g]
+            self.repeats = [(g, self.accs[k].push) for k, g in self.g.items()]
+
+    def _fold_block(self) -> None:
+        """Bracket the next block and fold it into each pair's log form."""
+        start, self.site, forms, zeros = next(self.blocks)
+        # running sums seeded with each pair's log form so far: a column is
+        # the site-by-site sum, bit for bit (a complex sum adds the log
+        # moduli and the angles apart)
+        forms[:, 0] += [complex(acc.log_mod, acc.arg) for acc in self.accs]
+        zeros[:, 0] |= [acc.zero for acc in self.accs]
+        np.cumsum(forms, axis=1, out=forms)
+        if zeros.any():
+            np.logical_or.accumulate(zeros, axis=1, out=zeros)
+        for acc, form, zero in zip(self.accs, forms[:, -1].tolist(), zeros[:, -1].tolist()):
+            acc.log_mod, acc.arg, acc.zero = form.real, form.imag, zero
+        self.block = (start, forms, zeros)
 
 
 def _walk(
     bra: _Terms, ket: _Terms, readouts: Sequence[Readout], cuts: Sequence[int]
 ) -> list[list[tuple[complex, float]]]:
-    """(value, log-modulus) of each readout sum_k c_k prod_{site<n}
-    <bra_a(site)|ket_b(site)> at every cut n, in one pass over the sites.
-
-    Returns one list per readout with one entry per cut; ``cuts`` increase.
-    Sites up to the last cut <= DIRECT_LIMIT, sites past an explicit prefix
-    and explicit stretches of DIRECT_LIMIT sites or fewer are bracketed one
-    site at a time, every pair advancing one site before any pair takes the
-    next so sources may share per-site work; readouts there keep the direct
-    product's bits.  The remaining stretch, held explicitly by every term,
-    is bracketed in stacked blocks and folded into the log form only.
-
-    From j, the later ``constant_from`` of the two sides, each pair is
-    bracketed once, at j, giving G.  Sites up to a cut <= DIRECT_LIMIT push
-    G once per site; a readout past DIRECT_LIMIT takes the log form at j
-    plus (n - j) * (log|G|, atan2 G), whatever other cuts were asked for.
-    """
-    keys = sorted({(a, b) for readout in readouts for _, a, b in readout})
-    accs = {key: products._Accumulator() for key in keys}
-    keyed = [[(c, (a, b)) for c, a, b in readout] for readout in readouts]
-    groups = [[(c, accs[key]) for c, key in group] for group in keyed]
-    steps = [(bra.sources[a], ket.sources[b], accs[a, b].push) for a, b in keys]
-    explicit = min(bra.explicit, ket.explicit)
-    jump = max(bra.constant_from, ket.constant_from)
-    _check_budget(len(keys), explicit, min(cuts[-1], jump))
-    lo = max((cut for cut in cuts if cut <= DIRECT_LIMIT), default=0)
-    hi = min(explicit, cuts[-1])
-    if hi - lo <= DIRECT_LIMIT:
-        lo = hi = 0  # no block stretch
-    blocks = _bracket_blocks(bra, ket, keys, lo, hi)
-    block = (lo, lo, None, None, None)
-
-    def stacked(start: int, stop: int) -> None:
-        nonlocal block
-        while start < stop:
-            if start >= block[1]:
-                block = next(blocks)
-            b0, b1, logs, args, zeros = block
-            end = min(stop, b1)
-            part = slice(start - b0, end - b0)
-            for acc, log_mod, arg, zero in zip(
-                accs.values(),  # in the order of keys, like the block rows
-                logs[:, part].sum(axis=1).tolist(),
-                args[:, part].sum(axis=1).tolist(),
-                zeros[:, part].any(axis=1).tolist(),
-            ):
-                acc.push_logs(log_mod, arg, zero)
-            start = end
-
-    at_jump: dict = {}  # per pair: (its product at j, G, push)
-    out: list[list[tuple[complex, float]]] = [[] for _ in groups]
-    start = 0
-    for cut in cuts:
-        _push_sites(steps, start, min(cut, lo))
-        stacked(max(start, lo), min(cut, hi))
-        _push_sites(steps, max(start, hi), min(cut, jump))
-        read = groups
-        if cut > jump:
-            if not at_jump:
-                for key, (bra_at, ket_at, push) in zip(keys, steps):
-                    g = factor_overlap(bra_at(jump), ket_at(jump))
-                    at_jump[key] = accs[key].repeated(g, 0), g, push
-            if cut <= DIRECT_LIMIT:
-                for site in range(max(start, jump), cut):
-                    for _, g, push in at_jump.values():
-                        push(g)
-            else:
-                jumped = {key: acc.repeated(g, cut - jump) for key, (acc, g, _) in at_jump.items()}
-                read = [[(c, jumped[key]) for c, key in group] for group in keyed]
-        start = cut
-        for values, group in zip(out, read):
-            values.append(_combine(group, cut))
-    return out
-
-
-def truncated_overlap(
-    bra: ProductState, ket: ProductState, truncation: int
-) -> complex:
-    """Product of the first ``truncation`` per-factor overlaps <bra_k|ket_k>."""
-    if truncation < 0:
-        raise PreconditionViolated(f"truncation {truncation} must be >= 0")
-    (((value, _),),) = _walk(*_sides(bra, ket), [truncation])
-    return value
+    """(value, log-modulus) of each readout at every cut, in one pass over
+    the sites; one list per readout with one entry per cut.  ``cuts``
+    increase, and the budget is checked against the last before any site is
+    bracketed."""
+    walker = _Walker(bra, ket, readouts, last_cut=cuts[-1])
+    walker.check(cuts[-1])
+    return [list(values) for values in zip(*(walker.read(cut) for cut in cuts))]
 
 
 def composite_overlap(
@@ -300,11 +352,16 @@ def composite_overlap(
     ket: ProductState | CompositeState,
     truncation: int,
 ) -> complex:
-    """<bra|ket> at the cutoff, expanded over all term pairs."""
+    """<bra|ket> at the cutoff, expanded over all term pairs: for two product
+    states, the product of the first ``truncation`` per-factor overlaps
+    <bra_k|ket_k>."""
     if truncation < 0:
         raise PreconditionViolated(f"truncation {truncation} must be >= 0")
     (((value, _),),) = _walk(*_sides(bra, ket), [truncation])
     return value
+
+
+truncated_overlap = composite_overlap
 
 
 @dataclass(frozen=True)

@@ -168,36 +168,33 @@ class _Accumulator:
 
     __slots__ = ("direct", "log_mod", "arg", "zero")
 
-    def __init__(self) -> None:
+    def __init__(self, log_mod: float = 0.0, arg: float = 0.0, zero: bool = False) -> None:
         self.direct = 1.0 + 0j
-        self.log_mod = 0.0
-        self.arg = 0.0
-        self.zero = False
+        self.log_mod = log_mod
+        self.arg = arg
+        self.zero = zero
 
     def push(self, z: complex) -> None:
+        self.push_direct(z)
+        if not self.zero:
+            self.log_mod += math.log(abs(z))
+            self.arg += math.atan2(z.imag, z.real)
+
+    def push_direct(self, z: complex) -> None:
+        """``push`` for the direct product alone, for terms whose log form
+        is folded in elsewhere."""
         if self.zero:
             return
         if z == 0:
             self.zero = True
             return
         self.direct *= z
-        self.log_mod += math.log(abs(z))
-        self.arg += math.atan2(z.imag, z.real)
-
-    def push_logs(self, log_mod: float, arg: float, zero: bool) -> None:
-        """Fold in a run of terms by their summed log-moduli and arguments
-        and whether any was exactly 0.  ``direct`` is left behind, so only
-        the log form reads the product afterwards."""
-        self.zero = self.zero or zero
-        self.log_mod += log_mod
-        self.arg += arg
 
     def repeated(self, z: complex, count: int) -> "_Accumulator":
         """A copy with ``count`` more terms ``z`` folded into the log form in
         one step, as count * log|z| and count * atan2(z).  ``direct`` is left
         behind, so only the log form reads the copy."""
-        out = _Accumulator()
-        out.zero, out.log_mod, out.arg = self.zero, self.log_mod, self.arg
+        out = _Accumulator(self.log_mod, self.arg, self.zero)
         if count and not out.zero:
             if z == 0:
                 out.zero = True

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import PreconditionViolated, ShapeMismatch, ZeroNormFactor
+from .errors import DimensionBudgetExceeded, PreconditionViolated, ShapeMismatch, ZeroNormFactor
 from .states import (
     ALIGN_EXACT,
     ALIGN_GRAY,
+    WALK_BUDGET,
     ConstantTail,
     FactorVector,
     ParametricTail,
@@ -246,7 +247,8 @@ def apply_finite_change(
     """Replace factors at finitely many sites, keeping the tail rule.
 
     Sites are absolute and 0-based and may point past the current prefix;
-    tail factors are materialized up to the largest changed site first.
+    tail factors are materialized up to the largest changed site first, at
+    most ``WALK_BUDGET`` of them.
     """
     if not changes:
         return state
@@ -261,6 +263,13 @@ def apply_finite_change(
             )
         coerced[site] = v
     new_len = max(state.prefix_len, max(coerced) + 1)
+    if new_len - state.prefix_len > WALK_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"a change at site {new_len - 1} would materialize "
+            f"{new_len - state.prefix_len} tail sites; the budget is {WALK_BUDGET}",
+            sites=new_len - state.prefix_len,
+            budget=WALK_BUDGET,
+        )
     prefix = [state.factor_at(k) for k in range(new_len)]
     for site, v in coerced.items():
         prefix[site] = v

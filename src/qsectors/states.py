@@ -19,6 +19,7 @@ from typing import Callable, ClassVar, Iterable, Sequence, Union
 from .errors import (
     IndexOutOfRange,
     InvalidAmplitude,
+    PreconditionViolated,
     ShapeMismatch,
     UndeclaredTailClass,
     ZeroNormFactor,
@@ -52,6 +53,11 @@ __all__ = [
 #              rounding either way; unit-norm checks on factors use it.
 ALIGN_EXACT = 1e-12
 ALIGN_GRAY = 1e-9
+
+# Sites a computation may visit one at a time: term pairs x sites a walk
+# brackets past the shortest explicit prefix (closed-form stretches do not
+# count), tail sites a finite change materializes, cuts a sweep is asked for.
+WALK_BUDGET = 2**21
 
 
 def _as_complex_tuple(values: Iterable[complex]) -> tuple[complex, ...]:
@@ -271,6 +277,17 @@ def _bracket_series_bound(bra: TailRule, ket: TailRule, start: int) -> float:
     )
 
 
+def _log_loss_bound(bra: TailRule, ket: TailRule, start: int) -> float:
+    """Bound on sum_{n >= start} |log|<bra_n|ket_n>|| that the declarations
+    certify, or inf: the limits must bracket to modulus 1 and both decays be
+    summable, and |log x| <= 2|x - 1| once the terms sit above 1/2."""
+    aligned = abs(abs(factor_overlap(bra.limit, ket.limit)) - 1.0) <= ALIGN_EXACT
+    if not (aligned and bra.decay.summable and ket.decay.summable):
+        return math.inf
+    remaining = _bracket_series_bound(bra, ket, start)
+    return 2.0 * remaining if remaining <= 0.25 else math.inf
+
+
 @dataclass(frozen=True)
 class ProductState:
     """A single elementary product over all factor spaces."""
@@ -399,17 +416,24 @@ def distance(
     b: ProductState | CompositeState,
     truncation: int,
 ) -> float:
-    """<A-B|A-B> at the given truncation.
-
-    The accumulation is arranged symmetrically so distance(a, b) equals
-    distance(b, a) bit for bit and distance(a, a) is exactly 0.
+    """<A-B|A-B> at the given truncation, from one walk over the terms of
+    both states.  A bracket does not depend on where its pair sits in the
+    stack, so distance(a, b) equals distance(b, a) bit for bit and
+    distance(a, a) is exactly 0.
     """
-    from .overlaps import composite_overlap
+    from .overlaps import _Terms, _walk
 
     ca = a.as_composite() if isinstance(a, ProductState) else a
     cb = b.as_composite() if isinstance(b, ProductState) else b
     ensure_same_shape(ca, cb)
-    self_a = composite_overlap(ca, ca, truncation)
-    self_b = composite_overlap(cb, cb, truncation)
-    cross = composite_overlap(ca, cb, truncation) + composite_overlap(cb, ca, truncation)
-    return ((self_a + self_b) - cross).real
+    if truncation < 0:
+        raise PreconditionViolated(f"truncation {truncation} must be >= 0")
+    terms = ca.terms + cb.terms
+    first, second = range(len(ca.terms)), range(len(ca.terms), len(terms))
+    readouts = [
+        [(terms[m][0].conjugate() * terms[n][0], m, n) for m in bras for n in kets]
+        for bras, kets in ((first, first), (second, second), (first, second), (second, first))
+    ]
+    side = _Terms([s for _, s in terms])
+    (aa,), (bb,), (ab,), (ba,) = _walk(side, side, readouts, [truncation])
+    return ((aa[0] + bb[0]) - (ab[0] + ba[0])).real

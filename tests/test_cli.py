@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qsectors as q
 from qsectors.cli import main
-from qsectors.serialize import dumps, encode_model, encode_operator, encode_state
+from qsectors.serialize import decode_model, dumps, encode_model, encode_operator, encode_state, loads
 
 from support import child_env
 
@@ -189,6 +190,18 @@ class TestOverlapSweep:
         assert out == ""
         assert json.loads(err)["code"] == "dimension-budget-exceeded"
 
+    def test_a_cut_range_past_the_budget_exits_3_before_it_is_built(self, capsys, files):
+        a = files("a.json", encode_state(QUIET))
+        b = files("b.json", encode_state(KICKED))
+        code, out, err = run(
+            capsys, "overlap-sweep", a, b, "--max", "1000000000000", "--step", "1"
+        )
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["code"] == "dimension-budget-exceeded"
+        assert payload["context"]["cuts"] == 10**12
+
 
 class TestExpectationSweep:
     def test_projector_decay(self, capsys, files):
@@ -247,6 +260,33 @@ class TestDecohere:
         assert code == 0
         assert summary_of(err)["horizon"] == 125
 
+    def test_rows_match_the_truncated_density(self, capsys, files):
+        # three branches with 100-site explicit prefixes: every row comes
+        # from the one walk truncated_density makes, bit for bit
+        rng = np.random.default_rng(11)
+        branches = []
+        for _ in range(3):
+            rows = rng.normal(size=(101, 2)) + 1j * rng.normal(size=(101, 2))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            factors = [tuple(complex(c) for c in r) for r in rows]
+            branches.append(
+                q.make_product_state(factors[:100], q.ConstantTail(q.FactorVector(factors[100])))
+            )
+        amps = rng.normal(size=3) + 1j * rng.normal(size=3)
+        coeffs = tuple(complex(c) for c in amps / np.linalg.norm(amps))
+        path = files("model.json", encode_model(q.MeasurementModel(coeffs, tuple(branches))))
+        model = decode_model(loads(Path(path).read_text()))
+        cuts = [1, 30, 64, 65, 99, 100, 101, 250]
+        code, out, _ = run(capsys, "decohere", path, "--cuts", ",".join(map(str, cuts)))
+        assert code == 0
+        lines = out.splitlines()[1:]
+        assert len(lines) == 3 * len(cuts)
+        for line in lines:
+            n, i, j, re, im = line.split(",")[:5]
+            rho = q.truncated_density(model, int(n)).matrix
+            assert re == repr(float(rho[int(i), int(j)].real))
+            assert im == repr(float(rho[int(i), int(j)].imag))
+
     def test_pair_flag(self, capsys, files):
         path = self.model_file(files)
         code, out, _ = run(capsys, "decohere", path, "--cuts", "1", "--pair", "0,1")
@@ -280,6 +320,14 @@ class TestSample:
 
 
 class TestSpinSweep:
+    def test_a_site_range_past_the_budget_exits_3_before_it_is_built(self, capsys):
+        code, out, err = run(
+            capsys, "spin-sweep", "--xi", "1/2", "--n-max", "1000000000000", "--step", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["code"] == "dimension-budget-exceeded"
+
     def test_auto_step_follows_the_period(self, capsys):
         code, out, err = run(capsys, "spin-sweep", "--xi", "2/3", "--n-max", "12")
         assert code == 0

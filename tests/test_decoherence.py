@@ -301,6 +301,66 @@ class TestDecoherenceHorizon:
         assert base * abs(q.truncated_overlap(b1, b0, h)) < eps
         assert base * abs(q.truncated_overlap(b1, b0, h - 1)) >= eps
 
+    @pytest.mark.parametrize("a", [1, 2])
+    @pytest.mark.parametrize("target", [1, 10, 64, 65, 99, 100, 101, 150, 400])
+    def test_dyadic_ties_on_explicit_prefixes_agree_with_the_truncated_overlap(self, a, target):
+        # the same records held as 100-site explicit prefixes: cuts up to
+        # 100 read the block stretch, later ones the repeated bracket
+        recorded = q.FactorVector((2.0**-a, math.sqrt(1.0 - 4.0**-a)))
+        b0 = q.make_product_state((E0,) * 100, q.ConstantTail(E0))
+        b1 = q.make_product_state((recorded,) * 100, q.ConstantTail(recorded))
+        coeffs = (complex(2**-0.5), complex(2**-0.5))
+        m = q.MeasurementModel(coeffs, (b0, b1))
+        eps = 2.0 ** -(a * target + 1)
+        base = abs(coeffs[0]) * abs(coeffs[1])
+        h = q.decoherence_horizon(m, eps)
+        assert abs(h - target) <= 1
+        assert base * abs(q.truncated_overlap(b1, b0, h)) < eps
+        assert base * abs(q.truncated_overlap(b1, b0, h - 1)) >= eps
+
+    @staticmethod
+    def _drifting(calls, ratio=0.9):
+        def fn(n):
+            calls.append(n)
+            drift = 0.3 * ratio**n
+            return q.FactorVector((math.sqrt(1.0 - drift**2), drift))
+
+        decay = q.DecaySpec(kind="geometric", ratio=ratio, scale=0.3)
+        return q.ProductState((), q.ParametricTail(2, fn, E0, decay))
+
+    def test_parametric_horizon_reads_each_site_once(self):
+        calls = []
+        m = q.MeasurementModel(
+            (2**-0.5, 2**-0.5), (self._drifting(calls), pointer_branch(0.999))
+        )
+        calls.clear()
+        h = q.decoherence_horizon(m, 1e-6)
+        assert h > 1000
+        assert len(calls) <= h + 8
+
+    def test_a_budget_past_the_walk_budget_is_not_refused_up_front(self):
+        calls = []
+        m = q.MeasurementModel(
+            (2**-0.5, 2**-0.5), (self._drifting(calls), pointer_branch(0.98))
+        )
+        h = q.decoherence_horizon(m, 1e-6)
+        assert 500 < h < 1000
+        assert q.decoherence_horizon(m, 1e-6, budget=10**7) == h
+
+    def test_the_walk_budget_stops_the_walk_where_it_is_reached(self, monkeypatch):
+        from qsectors import overlaps
+
+        monkeypatch.setattr(overlaps, "WALK_BUDGET", 500)
+        calls = []
+        m = q.MeasurementModel(
+            (2**-0.5, 2**-0.5), (self._drifting(calls), pointer_branch(0.999))
+        )
+        calls.clear()
+        with pytest.raises(q.DimensionBudgetExceeded) as exc:
+            q.decoherence_horizon(m, 1e-6, budget=10**7)
+        assert exc.value.context["budget"] == 500
+        assert len(calls) == 500
+
     def test_eps_and_pair_validation(self):
         m = two_outcome_model()
         with pytest.raises(q.PreconditionViolated):

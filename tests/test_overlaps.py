@@ -439,6 +439,94 @@ class TestBlockStretch:
             assert abs(got.values[k] - want.values[k]) <= 1e-12 * scale
 
 
+# -- readouts depend only on the cut -------------------------------------------
+#
+# Which path brackets a site depends on the two sides alone, and a pair's
+# bracket does not depend on where the pair sits in the stack or where its
+# block starts or ends.  So every cut of a sweep reads the bits a walk asked
+# for that cut alone reads.
+
+
+def _sweep_bits(sweep):
+    return repr((sweep.values, sweep.log_modulus))
+
+
+def _pair_terms(bra, ket, a, b, lo, hi):
+    """(log|g| + i angle g, g == 0) bytes of pair (a, b) over sites [lo, hi)."""
+    blocks = list(overlaps._bracket_blocks(bra, ket, [(a, b)], lo, hi))
+    return [np.concatenate([block[k][0] for block in blocks]).tobytes() for k in (2, 3)]
+
+
+class TestReadoutsDependOnlyOnTheCut:
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_readouts_match_single_cut_walks(self, seed, small_blocks, monkeypatch):
+        if small_blocks:
+            monkeypatch.setattr(overlaps, "BLOCK_AMPLITUDES", 2**9)
+        bra, ket, cuts = _block_case(seed)
+        used = _uses_blocks(monkeypatch)
+        sweep = q.overlap_sweep(bra, ket, cuts)
+        assert used
+        for k, n in enumerate(cuts):
+            assert repr(q.composite_overlap(bra, ket, n)) == repr(sweep.values[k])
+            single = q.overlap_sweep(bra, ket, [n])
+            assert _sweep_bits(single) == repr(((sweep.values[k],), (sweep.log_modulus[k],)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_expectation_sweep_readouts_match_single_cut_walks(self, seed, monkeypatch):
+        rng = np.random.default_rng(100 + seed)
+        d, length = int(rng.integers(1, 6)), int(rng.integers(200, 401))
+        s = q.make_product_state(
+            [tuple(r.tolist()) for r in _unit_rows(rng, [d] * length)],
+            q.ConstantTail(q.FactorVector(tuple(_unit_rows(rng, [d])[0].tolist()))),
+        )
+        op = random_operator(rng, dim=d, n_terms=int(rng.integers(1, 6)), max_prefix=100)
+        cuts = [1, 30, 64, 65, 99, 150, length - 1, length, length + 20, 10**6]
+        used = _uses_blocks(monkeypatch)
+        sweep = q.expectation_sweep(op, s, cuts)
+        assert used
+        for k, n in enumerate(cuts):
+            single = q.expectation_sweep(op, s, [n])
+            assert _sweep_bits(single) == repr(((sweep.values[k],), (sweep.log_modulus[k],)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_pair_bracket_ignores_its_stack_position_and_block_edges(self, seed, monkeypatch):
+        rng = np.random.default_rng(200 + seed)
+        d, length, n_terms = int(rng.integers(1, 9)), 300, int(rng.integers(2, 7))
+        states = [
+            q.make_product_state(
+                [tuple(r.tolist()) for r in _unit_rows(rng, [d] * length)],
+                q.ConstantTail(q.FactorVector(tuple(_unit_rows(rng, [d])[0].tolist()))),
+            )
+            for _ in range(n_terms)
+        ]
+        stack = overlaps._Terms(states)
+        a, b = (int(x) for x in rng.integers(0, n_terms, size=2))
+        want = _pair_terms(stack, stack, a, b, 0, length)
+        alone = overlaps._Terms([states[a]]), overlaps._Terms([states[b]])
+        # the pair alone, and moved to the end of a reversed stack
+        assert _pair_terms(*alone, 0, 0, 0, length) == want
+        moved = overlaps._Terms(states[::-1] + [states[a], states[b]])
+        assert _pair_terms(moved, moved, n_terms, n_terms + 1, 0, length) == want
+        # blocks of other sizes, starting elsewhere
+        for amplitudes, lo in ((2**7, 0), (2**9, 37), (2**5, 131)):
+            monkeypatch.setattr(overlaps, "BLOCK_AMPLITUDES", amplitudes)
+            cut = [want[0][lo * 16 :], want[1][lo:]]
+            assert _pair_terms(stack, stack, a, b, lo, length) == cut
+        monkeypatch.undo()
+        # so a branch pair reads the same bits in the density walk over all
+        # branches as in its own walk
+        amps = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+        coeffs = tuple(complex(c) for c in amps / np.linalg.norm(amps))
+        model = q.MeasurementModel(coeffs, tuple(states))
+        for n in (64, 65, 200, 300, 310):
+            rho = q.truncated_density(model, n).matrix
+            for i in range(n_terms):
+                for j in range(i + 1, n_terms):
+                    g = q.truncated_overlap(states[j], states[i], n)
+                    assert rho[i, j] == coeffs[i] * coeffs[j].conjugate() * g
+
+
 # -- constant-tail jumps ------------------------------------------------------
 #
 # Once every term of both sides repeats one factor, from site j, the walk

@@ -326,6 +326,20 @@ class TestApplyFiniteChange:
         t = q.apply_finite_change(s, {0: E1, 3: rotated(1.2), 9: E1})
         assert q.same_sector(s, t).kind == "SameSector"
 
+    def test_refuses_to_materialize_past_the_walk_budget(self):
+        calls = []
+
+        def fn(n):
+            calls.append(n)
+            return E0
+
+        s = q.ProductState((E1,), q.ParametricTail(2, fn, E0, q.DecaySpec("geometric", ratio=0.5)))
+        calls.clear()
+        with pytest.raises(q.DimensionBudgetExceeded) as exc:
+            q.apply_finite_change(s, {10**12: E1})
+        assert exc.value.context["sites"] == 10**12
+        assert calls == []
+
 
 def _declared_pair_state(kind, limit, prefix, phase=0.0):
     """Unit-factor state of one tail kind sliding toward ``limit``.
