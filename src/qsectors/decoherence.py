@@ -103,12 +103,14 @@ class MeasurementModel:
 
 
 def premeasurement_state(model: MeasurementModel) -> CompositeState:
-    """Entangled system-plus-device state, system factor prepended at site 0."""
+    """Entangled system-plus-device state, system factor prepended at site 0:
+    device site k sits at site k + 1, tails and their declarations with it."""
     m = model.n_outcomes
     terms = []
     for i, (coeff, branch) in enumerate(zip(model.coefficients, model.branches)):
         prefix = (basis_vector(m, i),) + branch.prefix
-        terms.append((coeff, ProductState(prefix, branch.tail, label=branch.label)))
+        tail = branch.tail.shifted(1)
+        terms.append((coeff, ProductState(prefix, tail, label=branch.label)))
     return CompositeState(tuple(terms))
 
 

@@ -33,6 +33,8 @@ from .states import (
     FactorVector,
     ParametricTail,
     ProductState,
+    _dim_runs,
+    _first_dim_mismatch,
     factor_overlap,
 )
 
@@ -205,19 +207,18 @@ class FactoredOperator:
 
 
 def _check_op_state_dims(op: FactoredOperator, state: ProductState) -> None:
-    span = max(
-        max(len(t.prefix_ops) for t in op.terms), state.prefix_len
-    )
-    for site in range(span):
-        if op.dim_at(site) != state.dim_at(site):
-            raise ShapeMismatch(
-                f"operator dim {op.dim_at(site)} vs state dim "
-                f"{state.dim_at(site)} at site {site}"
-            )
-    if op.tail_dim != state.tail_dim:
+    op_runs = _dim_runs(u.dim for u in op.terms[0].prefix_ops)
+    mismatch = _first_dim_mismatch(op_runs, op.tail_dim, state.dim_runs, state.tail_dim)
+    if mismatch is None:
+        return
+    site, op_dim, state_dim = mismatch
+    if site < max(max(len(t.prefix_ops) for t in op.terms), state.prefix_len):
         raise ShapeMismatch(
-            f"operator tail dim {op.tail_dim} vs state tail dim {state.tail_dim}"
+            f"operator dim {op_dim} vs state dim {state_dim} at site {site}"
         )
+    raise ShapeMismatch(
+        f"operator tail dim {op.tail_dim} vs state tail dim {state.tail_dim}"
+    )
 
 
 def _transform_tail(tail, op_tail: OperatorTail):

@@ -7,7 +7,8 @@ phase so sweeps survive far past double-precision underflow.  A factor
 overlap of exactly zero short-circuits the whole product.
 
 Long explicit prefixes are bracketed in stacked numpy blocks, every term
-pair of a block at once.  From the site where every factor of a pair is
+pair of a block at once, read off each state's stacked prefix
+(``ProductState.stacked``).  From the site where every factor of a pair is
 declared to repeat one vector, the pair is bracketed once and the rest of
 its product is that bracket's power, read in closed form.  Everything else
 goes one site at a time, within ``WALK_BUDGET``.  Which path a site takes
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +35,8 @@ from .states import (
     ConstantTail,
     FactorVector,
     ProductState,
+    _prefix_brackets,
+    _stacked_brackets,
     ensure_same_shape,
     factor_overlap,
 )
@@ -93,20 +97,15 @@ class _Terms:
     def run_end(self, start: int, stop: int) -> int:
         """First prefix site in (start, stop) whose dim differs from the dim
         at ``start``, or ``stop``."""
-        prefix = self.states[0].prefix
-        d = prefix[start].dim
-        return next((s for s in range(start + 1, stop) if prefix[s].dim != d), stop)
+        runs = self.states[0].dim_runs
+        return min(stop, runs[bisect_right(runs, start, key=itemgetter(0))][0])
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """(terms, sites, dim) amplitudes of the prefix sites [lo, hi), which
-        share one dim.  The last block is kept, so a side that serves as
-        both bra and ket is stacked once."""
+        """(terms, sites, dim) amplitudes of the explicit sites [lo, hi),
+        which share one dim, from each state's stacked prefix.  The last block
+        is kept, so a side that serves as both bra and ket is stacked once."""
         if self._rows[0] != (lo, hi):
-            shape = (len(self.states), hi - lo, self.dim_at(lo))
-            flat = chain.from_iterable(
-                f.amplitudes for s in self.states for f in s.prefix[lo:hi]
-            )
-            block = np.fromiter(flat, complex, math.prod(shape)).reshape(shape)
+            block = np.stack([s.prefix_rows(lo, hi) for s in self.states])
             self._rows = ((lo, hi), block)
         return self._rows[1]
 
@@ -164,14 +163,14 @@ def _combine(
     return value, log_mod
 
 
-def _bracket_blocks(
+def _stacked_blocks(
     bra: _Terms, ket: _Terms, keys: Sequence[tuple[int, int]], lo: int, hi: int
 ):
-    """Yield (start, stop, log|g| + i angle g, g == 0) for consecutive blocks
-    of sites covering [lo, hi), each array (pairs, sites) over the (bra term,
-    ket term) pairs in ``keys``.  One einsum brackets every term pair of a
-    block; a block keeps one dim, read from the bra side, and about
-    BLOCK_AMPLITUDES amplitudes per side and in its brackets."""
+    """Yield (start, stop, g) for consecutive blocks of sites covering
+    [lo, hi), g the (pairs, sites) brackets of the (bra term, ket term) pairs
+    in ``keys``.  One einsum brackets every term pair of a block; a block
+    keeps one dim, read from the bra side, and about BLOCK_AMPLITUDES
+    amplitudes per side and in its brackets."""
     n_bra, n_ket = len(bra.sources), len(ket.sources)
     bra_idx, ket_idx = (np.array(ix) for ix in zip(*keys))
     start = lo
@@ -179,16 +178,22 @@ def _bracket_blocks(
         d = bra.dim_at(start)
         width = max(n_bra * d, n_ket * d, n_bra * n_ket)
         stop = bra.run_end(start, min(hi, start + max(1, BLOCK_AMPLITUDES // width)))
-        g = np.einsum(
-            "asi,bsi->abs", bra.rows(start, stop).conj(), ket.rows(start, stop)
-        )[bra_idx, ket_idx]
+        g = _stacked_brackets(bra.rows(start, stop), ket.rows(start, stop))
+        yield start, stop, g[bra_idx, ket_idx]
+        start = stop
+
+
+def _bracket_blocks(
+    bra: _Terms, ket: _Terms, keys: Sequence[tuple[int, int]], lo: int, hi: int
+):
+    """``_stacked_blocks`` with each g given as (log|g| + i angle g, g == 0)."""
+    for start, stop, g in _stacked_blocks(bra, ket, keys, lo, hi):
         mod = np.abs(g)
         zeros = mod == 0
         forms = np.zeros_like(g)
         np.log(mod, out=forms.real, where=~zeros)
         forms.imag = np.angle(g)
         yield start, stop, forms, zeros
-        start = stop
 
 
 def _push_sites(steps, repeats, start: int, stop: int) -> None:
@@ -212,7 +217,11 @@ class _Walker:
     stacked blocks, no further than ``last_cut``; a pair's log form there is
     a running sum (a seeded cumsum), so a cut inside a block reads a column.
     Other sites are bracketed one at a time; cuts <= DIRECT_LIMIT read their
-    direct product, which with blocks is all they update.  Pair k repeats
+    direct product, which with blocks is all they update.  Two ``_Terms``
+    sides bracket those sites in one stacked block too, pushed in site order
+    (their rows are the factors, so the brackets keep their bits); operator
+    images go one site at a time, since a batched matmul does not keep the
+    bits of ``apply_to``.  Pair k repeats
     one factor from ``starts[k]``: bracketed once there, giving ``g[k]``, it
     pushes that for later sites, and a readout whose pairs all repeat reads
     cut n > DIRECT_LIMIT as each pair's log form at its start plus
@@ -248,8 +257,14 @@ class _Walker:
         self.site = 0  # the log form holds sites [0, site)
         self.direct_at = 0  # with blocks, ``direct`` holds sites [0, direct_at)
         self.block: tuple = ()  # (start, running log forms, zeros) of the last block
-        # a generator: no block is bracketed before it is needed
+        # generators: no block is bracketed before it is needed
         self.blocks = _bracket_blocks(bra, ket, self.keys, 0, min(self.blocked, last_cut))
+        self.direct_blocks = None
+        if self.blocked and isinstance(bra, _Terms) and isinstance(ket, _Terms):
+            self.direct_blocks = _stacked_blocks(
+                bra, ket, self.keys, 0, min(DIRECT_LIMIT, last_cut)
+            )
+        self.direct_columns: list[list[complex]] = []  # brackets per site, from 0
 
     def check(self, cut: float) -> None:
         """Refuse a read of ``cut`` that brackets more than WALK_BUDGET term
@@ -268,8 +283,7 @@ class _Walker:
         if cut > DIRECT_LIMIT:
             self._advance(min(cut, self.jump))
         elif self.blocked:
-            _push_sites(self.direct_steps, (), self.direct_at, cut)
-            self.direct_at = max(self.direct_at, cut)
+            self._push_direct(cut)
         else:
             self._advance(cut)
         at_cut = None
@@ -284,6 +298,20 @@ class _Walker:
                 pairs = [(c, at_cut[k]) for c, k in readout]
             out.append(_combine(pairs, cut))
         return out
+
+    def _push_direct(self, cut: int) -> None:
+        """Push the sites [direct_at, cut) into every pair's direct product."""
+        if self.direct_blocks is None:
+            _push_sites(self.direct_steps, (), self.direct_at, cut)
+        else:
+            while len(self.direct_columns) < cut:
+                _, _, g = next(self.direct_blocks)
+                self.direct_columns += g.T.tolist()
+            pushes = [push for *_, push in self.direct_steps]
+            for column in self.direct_columns[self.direct_at : cut]:
+                for push, z in zip(pushes, column):
+                    push(z)
+        self.direct_at = max(self.direct_at, cut)
 
     def _at(self, cut: int) -> list[products._Accumulator]:
         """Every pair's accumulator at ``cut``, which the walk has reached."""
@@ -440,9 +468,7 @@ def asymptotic_overlap(bra: ProductState, ket: ProductState) -> complex:
         )
 
     span = max(bra.prefix_len, ket.prefix_len)
-    prefix = tuple(
-        factor_overlap(bra.factor_at(k), ket.factor_at(k)) for k in range(span)
-    )
+    prefix = tuple(_prefix_brackets(bra, ket, span))
     if isinstance(bra.tail, ConstantTail) and isinstance(ket.tail, ConstantTail):
         # SameSector already certified the tail bracket is 1 within tolerance
         tail: products.ConstantValue | products.ClosedFormTail = products.ConstantValue(

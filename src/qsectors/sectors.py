@@ -26,6 +26,7 @@ from .states import (
     TailRule,
     _bracket_bound,
     _bracket_series_bound,
+    _prefix_brackets,
     ensure_same_shape,
     factor_overlap,
 )
@@ -156,9 +157,7 @@ def _same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
     already found to be NonTrivialConvergentSequence; nothing is classified
     again."""
     span = max(a.prefix_len, b.prefix_len)
-    prefix_deficits = [
-        abs(factor_overlap(a.factor_at(k), b.factor_at(k)) - 1.0) for k in range(span)
-    ]
+    prefix_deficits = [abs(z - 1.0) for z in _prefix_brackets(a, b, span)]
     differing = tuple(
         k for k, d in enumerate(prefix_deficits) if d > ALIGN_EXACT
     )

@@ -13,8 +13,14 @@ factors into the prefix never changes which vector lives at a given site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Callable, ClassVar, Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     IndexOutOfRange,
@@ -58,6 +64,11 @@ ALIGN_GRAY = 1e-9
 # brackets past the shortest explicit prefix (closed-form stretches do not
 # count), tail sites a finite change materializes, cuts a sweep is asked for.
 WALK_BUDGET = 2**21
+
+# Shared explicit stretches up to this many sites are bracketed one site at
+# a time, so short prefixes build and keep no arrays: for a state bracketed
+# once, stacking its prefix pays off only from a few dozen sites on.
+STACK_MIN = 64
 
 
 def _as_complex_tuple(values: Iterable[complex]) -> tuple[complex, ...]:
@@ -129,6 +140,15 @@ def factor_overlap(bra: FactorVector, ket: FactorVector) -> complex:
     )
 
 
+def _stacked_brackets(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """(bra terms, ket terms, sites) brackets of two (terms, sites, dim)
+    stacks of rows.  Each entry equals ``factor_overlap`` of its two rows bit
+    for bit, since einsum adds a bracket's products in row order as the
+    scalar sum does; test_stacked_brackets_match_factor_overlap_bits fails
+    first if a numpy release changes that order."""
+    return np.einsum("asi,bsi->abs", bra.conj(), ket)
+
+
 _DECAY_KINDS = ("eventually-constant", "geometric", "p-series", "custom-certified")
 
 
@@ -181,6 +201,21 @@ class DecaySpec:
             return self.scale * (n + 1) ** (-self.p)
         return self.scale
 
+    def shifted(self, sites: int) -> "DecaySpec":
+        """A declaration that still holds once the declared factors move
+        ``sites`` sites later, so that site n carries the factor of n - sites."""
+        if sites == 0 or self.kind == "custom-certified":
+            return self
+        if self.kind == "eventually-constant":
+            return replace(self, rank=self.rank + sites)
+        if self.kind == "p-series":
+            # (n - sites + 1)**-p <= (sites + 1)**p * (n + 1)**-p for n >= sites
+            return replace(self, scale=self.scale * (sites + 1) ** self.p)
+        if self.ratio > 0.0:
+            return replace(self, scale=self.scale / self.ratio**sites)
+        # ratio 0 bounds only the first factor; every later one is the limit
+        return DecaySpec("eventually-constant", rank=sites + 1, scale=self.scale)
+
     def series_bound(self, start: int) -> float:
         """Upper bound on the summed distances over sites n >= start."""
         if self.kind == "eventually-constant":
@@ -222,6 +257,9 @@ class ConstantTail:
     def factor_at(self, site: int) -> FactorVector:
         return self.vector
 
+    def shifted(self, sites: int) -> "ConstantTail":
+        return self
+
 
 @dataclass(frozen=True)
 class ParametricTail:
@@ -255,6 +293,18 @@ class ParametricTail:
 
     def factor_at(self, site: int) -> FactorVector:
         return self.factor_fn(site)
+
+    def shifted(self, sites: int) -> "ParametricTail":
+        """This tail moved ``sites`` sites later, its declaration with it:
+        site n carries ``factor_fn(n - sites)``.  The sites before the shift
+        belong to a prefix; they read factor 0, so probes there stay valid."""
+        inner = self.factor_fn
+        return ParametricTail(
+            dim=self.dim,
+            factor_fn=lambda n: inner(max(n - sites, 0)),
+            limit=self.limit,
+            decay=self.decay.shifted(sites),
+        )
 
 
 TailRule = Union[ConstantTail, ParametricTail]
@@ -325,6 +375,39 @@ class ProductState:
         if site < len(self.prefix):
             return self.prefix[site]
         return self.tail.factor_at(site)
+
+    @cached_property
+    def dim_runs(self) -> tuple[tuple[int, int], ...]:
+        """(end, dim) of each maximal run of prefix sites sharing one dim, in
+        site order: a run starts at site 0 or where the one before it ends."""
+        return _dim_runs(f.dim for f in self.prefix)
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, ...]:
+        """The explicit prefix as one read-only (sites, dim) complex array
+        per run of ``dim_runs``.  Built on first use and kept for the life of
+        the state, at 16 bytes per amplitude; not pickled."""
+        runs, start = [], 0
+        for end, dim in self.dim_runs:
+            amplitudes = chain.from_iterable(f.amplitudes for f in self.prefix[start:end])
+            flat = np.fromiter(amplitudes, complex, (end - start) * dim)
+            flat.setflags(write=False)
+            runs.append(flat.reshape(-1, dim))
+            start = end
+        return tuple(runs)
+
+    def prefix_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Read-only (hi - lo, dim) view of the prefix sites [lo, hi), which
+        must lie in one run of ``dim_runs``."""
+        k = bisect_right(self.dim_runs, lo, key=itemgetter(0))
+        start = self.dim_runs[k - 1][0] if k else 0
+        return self.stacked[k][lo - start : hi - start]
+
+    def __getstate__(self) -> dict:
+        # the cached views are rebuilt on demand, so pickles stay the same
+        return {
+            k: v for k, v in self.__dict__.items() if k not in ("dim_runs", "stacked")
+        }
 
     def as_composite(self, coefficient: complex = 1.0 + 0j) -> "CompositeState":
         return CompositeState(((complex(coefficient), self),))
@@ -400,15 +483,63 @@ def ensure_same_shape(
     """Raise ShapeMismatch unless dims agree position-by-position."""
     a_states = [s for _, s in a.terms] if isinstance(a, CompositeState) else [a]
     b_states = [s for _, s in b.terms] if isinstance(b, CompositeState) else [b]
-    span = max(s.prefix_len for s in a_states + b_states)
     sa, sb = a_states[0], b_states[0]
-    for site in range(span):
-        if sa.dim_at(site) != sb.dim_at(site):
-            raise ShapeMismatch(
-                f"dim {sa.dim_at(site)} vs {sb.dim_at(site)} at site {site}"
-            )
-    if sa.tail_dim != sb.tail_dim:
-        raise ShapeMismatch(f"tail dims differ: {sa.tail_dim} vs {sb.tail_dim}")
+    mismatch = _first_dim_mismatch(sa.dim_runs, sa.tail_dim, sb.dim_runs, sb.tail_dim)
+    if mismatch is None:
+        return
+    site, dim_a, dim_b = mismatch
+    if site < max(s.prefix_len for s in a_states + b_states):
+        raise ShapeMismatch(f"dim {dim_a} vs {dim_b} at site {site}")
+    raise ShapeMismatch(f"tail dims differ: {sa.tail_dim} vs {sb.tail_dim}")
+
+
+def _dim_runs(dims: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """(end, dim) of each maximal run of equal dims, ends counted from 0."""
+    runs, end = [], 0
+    for dim, run in groupby(dims):
+        end += sum(1 for _ in run)
+        runs.append((end, dim))
+    return tuple(runs)
+
+
+def _first_dim_mismatch(
+    a_runs: Sequence[tuple[int, int]], a_tail: int,
+    b_runs: Sequence[tuple[int, int]], b_tail: int,
+) -> tuple[int, int, int] | None:
+    """(site, dim in a, dim in b) at the first site where two shapes differ,
+    or None.  A shape is its (end, dim) runs, then its tail dim forever."""
+    a = [*a_runs, (math.inf, a_tail)]
+    b = [*b_runs, (math.inf, b_tail)]
+    i = j = site = 0
+    while site < math.inf:
+        (end_a, dim_a), (end_b, dim_b) = a[i], b[j]
+        if dim_a != dim_b:
+            return site, dim_a, dim_b
+        site = min(end_a, end_b)
+        i += end_a == site
+        j += end_b == site
+    return None
+
+
+def _prefix_brackets(a: ProductState, b: ProductState, span: int) -> list[complex]:
+    """``factor_overlap`` of the two states' factors at each site below
+    ``span``, bit for bit.  The explicit stretch both share is read off their
+    stacked prefixes when it is longer than STACK_MIN sites; the rest, and
+    shorter stretches, go one site at a time."""
+    shared = min(a.prefix_len, b.prefix_len, span)
+    if shared <= STACK_MIN:
+        shared = 0
+    out: list[complex] = []
+    start = 0
+    for end, _ in a.dim_runs:
+        if start >= shared:
+            break
+        stop = min(end, shared)
+        rows = (s.prefix_rows(start, stop)[None] for s in (a, b))
+        out += _stacked_brackets(*rows)[0, 0].tolist()
+        start = stop
+    out += [factor_overlap(a.factor_at(k), b.factor_at(k)) for k in range(shared, span)]
+    return out
 
 
 def distance(

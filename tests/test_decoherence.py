@@ -120,6 +120,35 @@ class TestTruncatedDensity:
             dense = dense_density(densify(q.premeasurement_state(m), n + 1), 2)
             assert np.max(np.abs(rho.matrix - dense)) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["geometric", "p-series", "eventually-constant"])
+    def test_parametric_branches_match_dense_partial_trace(self, kind):
+        # the premeasured terms carry each device site one site later, so a
+        # parametric tail must be read one site later too
+        weights = {
+            "geometric": (lambda n: 0.6 * 0.5**n, q.DecaySpec("geometric", ratio=0.5, scale=0.6)),
+            "p-series": (lambda n: 0.6 * (n + 1) ** -1.5, q.DecaySpec("p-series", p=1.5, scale=0.6)),
+            "eventually-constant": (
+                lambda n: 0.6 if n < 3 else 0.0,
+                q.DecaySpec("eventually-constant", rank=3, scale=0.6),
+            ),
+        }
+        weight, decay = weights[kind]
+
+        def branch(theta, sign):
+            limit = q.FactorVector((math.cos(theta), math.sin(theta)))
+
+            def fn(n):
+                t = theta + sign * weight(n)
+                return q.FactorVector((math.cos(t), math.sin(t)))
+
+            return q.ProductState((), q.ParametricTail(2, fn, limit, decay))
+
+        m = q.MeasurementModel((0.6, 0.8j), (branch(0.0, 1), branch(0.3, -1)))
+        for n in range(1, 6):
+            rho = q.truncated_density(m, n)
+            dense = dense_density(densify(q.premeasurement_state(m), n + 1), 2)
+            assert np.max(np.abs(rho.matrix - dense)) < 1e-12
+
     def test_coherence_decays_geometrically(self):
         m = two_outcome_model(eta=0.9)
         for n in (1, 2, 5, 10, 50, 100, 200, 400):

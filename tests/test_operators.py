@@ -12,7 +12,7 @@ from qsectors.oracle import (
     densify_operator,
 )
 
-from support import random_operator, random_product_state
+from support import random_factor, random_operator, random_product_state
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -108,6 +108,56 @@ class TestFactoredOperator:
         three = q.make_product_state((), q.ConstantTail(q.basis_vector(3, 0)))
         with pytest.raises(q.ShapeMismatch):
             q.apply_operator(single_site(PAULI_X), three)
+
+    # (operator prefix dims, tail dim), (state prefix dims, tail dim): a
+    # mismatch at the first site, a middle site, the last prefix site of
+    # either side, in the tail, and none
+    MISMATCHES = [
+        (([3] + [2] * 9, 2), ([2] * 100, 2)),
+        (([2] * 10, 2), ([2] * 50 + [3] * 50, 2)),
+        (([2] * 10, 2), ([2] * 99 + [1], 2)),
+        (([2] * 9 + [4], 2), ([2] * 100, 2)),
+        (([2] * 70, 2), ([2] * 70, 3)),
+        (([4] * 80, 2), ([4] * 80, 2)),
+    ]
+
+    @pytest.mark.parametrize("op_dims, state_dims", MISMATCHES)
+    def test_state_dim_mismatch_messages(self, op_dims, state_dims):
+        from qsectors.operators import _check_op_state_dims
+
+        rng = np.random.default_rng(0)
+        op = q.FactoredOperator((
+            q.OperatorTerm(
+                1.0,
+                tuple(q.identity_operator(d) for d in op_dims[0]),
+                q.ConstantOperatorTail(q.identity_operator(op_dims[1])),
+            ),
+        ))
+        state = q.ProductState(
+            tuple(random_factor(rng, d) for d in state_dims[0]),
+            q.ConstantTail(random_factor(rng, state_dims[1])),
+        )
+        message = _op_state_message_by_site(op, state)
+        if message is None:
+            _check_op_state_dims(op, state)
+            return
+        with pytest.raises(q.ShapeMismatch) as err:
+            _check_op_state_dims(op, state)
+        assert str(err.value) == message
+
+
+def _op_state_message_by_site(op, state):
+    """The site-by-site check _check_op_state_dims replaced, as a reference."""
+    span = max(max(len(t.prefix_ops) for t in op.terms), state.prefix_len)
+    for site in range(span):
+        if op.dim_at(site) != state.dim_at(site):
+            return (
+                f"operator dim {op.dim_at(site)} vs state dim "
+                f"{state.dim_at(site)} at site {site}"
+            )
+    if op.tail_dim != state.tail_dim:
+        return f"operator tail dim {op.tail_dim} vs state tail dim {state.tail_dim}"
+    return None
 
 
 class TestApplyOperator:

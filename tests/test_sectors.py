@@ -448,3 +448,59 @@ class TestFrozenCertificates:
     @pytest.mark.parametrize("kind", sorted(FROZEN_PAIRS))
     def test_certificate_bits_are_unchanged(self, kind):
         assert _frozen_outputs(kind) == FROZEN_BITS[kind]
+
+
+# -- certificates over long explicit prefixes ----------------------------------
+#
+# Prefixes that share more than 64 explicit sites are bracketed from the
+# states' stacked arrays; certificates and asymptotic overlaps must keep the
+# bits of the site-by-site loop they replaced, kept here as the reference.
+
+
+def _site_by_site_brackets(a, b, span):
+    return [q.factor_overlap(a.factor_at(k), b.factor_at(k)) for k in range(span)]
+
+
+def _near(rng, f, sigma):
+    v = np.array(f.amplitudes) + sigma * (rng.normal(size=f.dim) + 1j * rng.normal(size=f.dim))
+    return q.FactorVector(tuple((v / np.linalg.norm(v)).tolist()))
+
+
+def _long_pair(seed):
+    """Two unit states with mixed-dim prefixes of unequal lengths, sharing
+    more than 64 explicit sites; the tails agree on every other seed."""
+    rng = np.random.default_rng(seed)
+    dims = []
+    while len(dims) < 80:
+        dims += [int(rng.integers(1, 6))] * int(rng.integers(1, 30))
+    tail_dim = 2
+    last = int(rng.integers(2, 60))
+    dims += [tail_dim] * last
+    a_prefix = tuple(random_factor(rng, d) for d in dims)
+    cut = len(dims) - int(rng.integers(1, last + 1))  # inside the tail-dim run
+    sigma = float(rng.choice([0.0, 1e-7, 0.05]))
+    b_prefix = tuple(_near(rng, f, sigma) for f in a_prefix[:cut])
+    limit = random_factor(rng, tail_dim)
+    other = limit if seed % 2 == 0 else random_factor(rng, tail_dim)
+    if seed % 3 == 2:
+        a_tail = geometric_state(limit).tail
+    else:
+        a_tail = q.ConstantTail(limit)
+    a, b = q.ProductState(a_prefix, a_tail), q.ProductState(b_prefix, q.ConstantTail(other))
+    return (a, b) if seed % 4 < 2 else (b, a)
+
+
+class TestLongPrefixCertificates:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_match_the_site_by_site_reference(self, seed, monkeypatch):
+        from qsectors import overlaps, sectors
+
+        a, b = _long_pair(seed)
+
+        def outputs():
+            return repr((sectors._same_sector(a, b), q.same_sector(a, b), q.asymptotic_overlap(a, b)))
+
+        got = outputs()
+        monkeypatch.setattr(sectors, "_prefix_brackets", _site_by_site_brackets)
+        monkeypatch.setattr(overlaps, "_prefix_brackets", _site_by_site_brackets)
+        assert outputs() == got

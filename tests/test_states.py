@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
-from support import random_product_state
+from support import random_factor, random_product_state
 
 import numpy as np
 
@@ -84,6 +85,38 @@ class TestDecaySpec:
 
     def test_non_summable_p_series_bound(self):
         assert q.DecaySpec("p-series", p=1.0).series_bound(3) == math.inf
+
+
+class TestShiftedDeclarations:
+    SPECS = [
+        q.DecaySpec("geometric", ratio=0.5, scale=0.3),
+        q.DecaySpec("geometric", ratio=0.0, scale=0.3),
+        q.DecaySpec("p-series", p=1.5, scale=0.3),
+        q.DecaySpec("p-series", p=0.75, scale=0.3),
+        q.DecaySpec("eventually-constant", rank=4, scale=0.3),
+        q.DecaySpec("custom-certified", scale=0.3),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("sites", [0, 1, 3])
+    def test_shifted_bound_covers_the_moved_factors(self, spec, sites):
+        moved = spec.shifted(sites)
+        assert moved.summable == spec.summable
+        room = 1.0 - 1e-12  # the bounds are products of rounded powers
+        for n in range(sites, sites + 200):
+            assert moved.bound(n) >= room * spec.bound(n - sites)
+            assert moved.series_bound(n) >= room * spec.series_bound(n - sites)
+
+    def test_shifted_tail_reads_earlier_sites(self):
+        def fn(n):
+            return q.FactorVector((1.0, 0.5**n))
+
+        tail = q.ParametricTail(2, fn, q.basis_vector(2, 0), q.DecaySpec("geometric", ratio=0.5))
+        moved = tail.shifted(1)
+        assert moved.decay == q.DecaySpec("geometric", ratio=0.5, scale=2.0)
+        assert [moved.factor_at(n) for n in (1, 2, 7)] == [fn(0), fn(1), fn(6)]
+        constant = q.ConstantTail(q.basis_vector(2, 1))
+        assert constant.shifted(1) is constant
 
 
 class TestTails:
@@ -175,6 +208,54 @@ class TestShapes:
         with pytest.raises(q.ShapeMismatch):
             q.ensure_same_shape(a, b)
 
+    # (first state's prefix dims, tail dim), (second's), the message: a
+    # mismatch at the first site, a middle site, the last prefix site, past
+    # the shorter prefix, in the tail, and none
+    MISMATCHES = [
+        (([3] + [2] * 99, 2), ([2] * 100, 2), "dim 3 vs 2 at site 0"),
+        (([2] * 50 + [3] * 50, 2), ([2] * 100, 2), "dim 3 vs 2 at site 50"),
+        (([2] * 99 + [4], 2), ([2] * 100, 2), "dim 4 vs 2 at site 99"),
+        (([2] * 70 + [1] * 30, 2), ([2] * 70, 2), "dim 1 vs 2 at site 70"),
+        (([2] * 100, 2), ([2] * 70, 3), "dim 2 vs 3 at site 70"),
+        (([2] * 40 + [5] * 60, 2), ([2] * 40 + [5] * 60, 3), "tail dims differ: 2 vs 3"),
+        (([2] * 40 + [5] * 60, 2), ([2] * 40 + [5] * 60 + [2] * 9, 2), None),
+    ]
+
+    @pytest.mark.parametrize("first, second, message", MISMATCHES)
+    def test_mismatch_messages(self, first, second, message):
+        rng = np.random.default_rng(0)
+
+        def state(dims, tail_dim):
+            return q.ProductState(
+                tuple(random_factor(rng, d) for d in dims),
+                q.ConstantTail(random_factor(rng, tail_dim)),
+            )
+
+        a, b = state(*first), state(*second)
+        assert _shape_message_by_site(a, b) == message
+        if message is None:
+            q.ensure_same_shape(a, b)
+            return
+        with pytest.raises(q.ShapeMismatch) as err:
+            q.ensure_same_shape(a, b)
+        assert str(err.value) == message
+        # a longer term elsewhere widens the span, not the message
+        long = state([2] * 40 + [5] * 60 + [2] * 9 + [first[1]] * 40, first[1])
+        if q.shapes_match(a, long):
+            with pytest.raises(q.ShapeMismatch) as err:
+                q.ensure_same_shape(q.CompositeState(((1, a), (1, long))), b)
+            assert str(err.value) == _shape_message_by_site(a, b, long.prefix_len)
+
+
+def _shape_message_by_site(a, b, span=0):
+    """The site-by-site check ensure_same_shape replaced, as a reference."""
+    for site in range(max(a.prefix_len, b.prefix_len, span)):
+        if a.dim_at(site) != b.dim_at(site):
+            return f"dim {a.dim_at(site)} vs {b.dim_at(site)} at site {site}"
+    if a.tail_dim != b.tail_dim:
+        return f"tail dims differ: {a.tail_dim} vs {b.tail_dim}"
+    return None
+
 
 class TestDistance:
     def test_self_distance_is_exactly_zero(self):
@@ -204,3 +285,184 @@ class TestDistance:
         a = random_product_state(rng, dim=2, unit=False)
         b = random_product_state(rng, dim=2, unit=False)
         assert q.distance(a, b, 6) >= -1e-9
+
+
+# -- the stacked prefix --------------------------------------------------------
+#
+# Each ProductState keeps its explicit prefix as read-only (sites, dim) arrays,
+# one per run of equal dims, built on first use.  Walks, sector certificates
+# and asymptotic overlaps read brackets off these arrays, and keep the bits of
+# the scalar factor_overlap only while einsum adds in the same order.
+
+
+def test_stacked_brackets_match_factor_overlap_bits():
+    from qsectors.states import _stacked_brackets
+
+    rng = np.random.default_rng(2024)
+    for dim in range(1, 65):
+        # every term count 1..16 on each side over the dims
+        n_bra, n_ket, sites = 1 + dim % 16, 16 - dim % 16, 3
+        shape = (sites, dim)
+        scale = 10.0 ** rng.uniform(-6, 6, size=(n_bra + n_ket,) + shape)
+        rows = scale * (rng.normal(size=scale.shape) + 1j * rng.normal(size=scale.shape))
+        bra, ket = rows[:n_bra], rows[n_bra:]
+        got = _stacked_brackets(bra, ket)
+        vec = [[q.FactorVector(tuple(r.tolist())) for r in term] for term in rows]
+        want = np.array([
+            [[q.factor_overlap(vec[a][s], vec[n_bra + b][s]) for s in range(sites)]
+             for b in range(n_ket)]
+            for a in range(n_bra)
+        ])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"dim {dim}"
+
+
+def _runs_state(rng, runs, tail_dim=None):
+    """Product state whose prefix holds ``runs`` = [(sites, dim), ...]."""
+    dims = [d for sites, d in runs for _ in range(sites)]
+    tail = q.ConstantTail(random_factor(rng, tail_dim or (dims[-1] if dims else 2)))
+    return q.ProductState(tuple(random_factor(rng, d) for d in dims), tail)
+
+
+def _random_runs(rng, length, max_dim=16):
+    runs, left = [], length
+    while left:
+        sites = min(left, int(rng.integers(1, 40)))
+        runs.append((sites, int(rng.integers(1, max_dim + 1))))
+        left -= sites
+    return runs
+
+
+def _dim_runs_by_site(state):
+    runs = []
+    for site, f in enumerate(state.prefix):
+        if runs and runs[-1][1] == f.dim:
+            runs[-1][0] = site + 1
+        else:
+            runs.append([site + 1, f.dim])
+    return tuple(tuple(r) for r in runs)
+
+
+def _scalar_brackets(a, b, span):
+    return [q.factor_overlap(a.factor_at(k), b.factor_at(k)) for k in range(span)]
+
+
+class TestStackedPrefix:
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 200])
+    def test_runs_hold_the_prefix(self, length):
+        rng = np.random.default_rng(length)
+        s = _runs_state(rng, _random_runs(rng, length))
+        assert s.dim_runs == _dim_runs_by_site(s)
+        assert len(s.stacked) == len(s.dim_runs)
+        start = 0
+        for (end, dim), rows in zip(s.dim_runs, s.stacked):
+            assert rows.shape == (end - start, dim) and rows.dtype == complex
+            want = np.array([f.amplitudes for f in s.prefix[start:end]])
+            assert rows.tobytes() == want.tobytes()
+            for lo in range(start, end):
+                hi = int(rng.integers(lo + 1, end + 1))
+                assert s.prefix_rows(lo, hi).tobytes() == want[lo - start : hi - start].tobytes()
+            start = end
+        assert start == length
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 66])
+    def test_direct_cuts_keep_the_site_by_site_bits(self, length):
+        from qsectors import overlaps
+
+        rng = np.random.default_rng(10 + length)
+        runs = _random_runs(rng, length)
+        bra = q.CompositeState(tuple((complex(rng.normal(), 1.0), _runs_state(rng, runs)) for _ in range(3)))
+        ket = q.CompositeState(tuple((complex(1.0, rng.normal()), _runs_state(rng, runs)) for _ in range(2)))
+        cuts = [1, 7, 30, 63, 64, 65, length + 5]
+        bra_side, ket_side, readouts = overlaps._sides(bra, ket)
+        got = overlaps._walk(bra_side, ket_side, readouts, cuts)
+        bra_side, ket_side, readouts = overlaps._sides(bra, ket)
+        bra_side.explicit = ket_side.explicit = 0  # no blocks: every site alone
+        want = overlaps._walk(bra_side, ket_side, readouts, cuts)
+        for k, n in enumerate(cuts):
+            if n <= overlaps.DIRECT_LIMIT:
+                assert repr(got[0][k]) == repr(want[0][k])
+
+    def test_arrays_are_read_only(self):
+        s = _runs_state(np.random.default_rng(1), [(70, 2), (5, 3)])
+        for rows in s.stacked + (s.prefix_rows(3, 60),):
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
+
+    def test_built_once_across_walks(self, monkeypatch):
+        from functools import cached_property
+
+        real = q.ProductState.__dict__["stacked"].func
+        built = []
+
+        def spy(state):
+            built.append(state)
+            return real(state)
+
+        prop = cached_property(spy)
+        prop.__set_name__(q.ProductState, "stacked")
+        monkeypatch.setattr(q.ProductState, "stacked", prop)
+        rng = np.random.default_rng(3)
+        runs = [(40, 2), (60, 3), (30, 2)]
+        a, b = _runs_state(rng, runs), _runs_state(rng, runs)
+        for _ in range(10):
+            q.composite_overlap(a, b, 120)
+            q.overlap_sweep(a, b, [10, 64, 100, 130])
+            q.distance(a, b, 130)
+        assert sorted(map(id, built)) == sorted([id(a), id(b)])
+
+    def test_terms_rows_across_run_edges(self):
+        from qsectors.overlaps import _Terms
+
+        rng = np.random.default_rng(4)
+        runs = _random_runs(rng, 300)
+        states = [_runs_state(rng, runs) for _ in range(3)]
+        side = _Terms(states)
+        start = 0
+        for end, dim in states[0].dim_runs:
+            assert side.run_end(start, 10**6) == end
+            assert side.run_end(start, start + 1) == start + 1
+            for lo, hi in ((start, end), (end - 1, end), (start, (start + end + 1) // 2)):
+                want = np.array([[f.amplitudes for f in s.prefix[lo:hi]] for s in states])
+                assert side.rows(lo, hi).shape == (3, hi - lo, dim)
+                assert side.rows(lo, hi).tobytes() == want.tobytes()
+            start = end
+
+    def test_identity_survives_walks(self):
+        from qsectors import serialize
+
+        rng = np.random.default_rng(5)
+        runs = [(50, 3), (40, 1), (30, 3)]
+        a, b = _runs_state(rng, runs), _runs_state(rng, runs)
+        copy = q.ProductState(a.prefix, a.tail, a.label)
+        before = (hash(a), pickle.dumps(a), serialize.dumps(serialize.encode_state(a)))
+        q.overlap_sweep(a, b, [5, 64, 100, 120])
+        assert a.stacked and "stacked" not in vars(copy)
+        assert a == copy and hash(a) == hash(copy)
+        after = (hash(a), pickle.dumps(a), serialize.dumps(serialize.encode_state(a)))
+        assert after == before
+        back = pickle.loads(after[1])
+        assert back == a and "stacked" not in vars(back)
+        assert back.stacked[1].tobytes() == a.stacked[1].tobytes()
+
+
+class TestPrefixBrackets:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_the_site_by_site_brackets(self, seed):
+        from qsectors.states import _prefix_brackets
+
+        rng = np.random.default_rng(seed)
+        tail_dim = int(rng.integers(1, 5))
+        last = int(rng.integers(1, 60))
+        runs = _random_runs(rng, int(rng.integers(70, 200)), max_dim=6) + [(last, tail_dim)]
+        a = _runs_state(rng, runs, tail_dim)
+        # b stops inside a's last run, so the two share more than 64 sites
+        cut = a.prefix_len - int(rng.integers(1, last + 1))
+        b = q.ProductState(
+            tuple(random_factor(rng, f.dim) for f in a.prefix[:cut]),
+            q.ConstantTail(random_factor(rng, tail_dim)),
+        )
+        span = a.prefix_len
+        for x, y in ((a, b), (b, a), (a, a)):
+            for n in (0, 1, 64, 65, cut, span, span + 3):
+                assert repr(_prefix_brackets(x, y, n)) == repr(_scalar_brackets(x, y, n))
