@@ -198,11 +198,13 @@ def _pair_horizon(
     the decay certificates prove the modulus never drops that far.
 
     The cuts N = 0, 1, ... are read off one walk over the pair, the walk
-    ``truncated_overlap`` makes, so the two agree at exact ties too.  From
-    the site where both branches repeat one factor, with bracket G, every
-    cut reads in closed form: N is solved from the log form and G, then
-    checked at N - 1 and N.  ``budget`` bounds the sites read past the
-    prefixes; parametric tails check their certificate every
+    ``truncated_overlap`` makes, so the two agree at exact ties too.  Inside
+    a run of the pair, with bracket G, every cut past DIRECT_LIMIT reads in
+    closed form: where |G| < 1, N is solved from the log form and G and, if
+    it falls inside the run, checked at N - 1 and N; otherwise the walk goes
+    on at the run's end.  Only the last run, which never ends, can prove
+    that the modulus stays put.  ``budget`` bounds the sites read one at a
+    time past the prefixes; parametric tails check their certificate every
     ``_HORIZON_CHECK_EVERY`` sites there.
     """
     walk = _Walker(*_sides(bra, ket))
@@ -221,20 +223,25 @@ def _pair_horizon(
         if base * abs(value) < eps:
             return n
         cur = log_base + log_mod
-        if n >= walk.jump:
-            (g,) = walk.g.values()
-            if abs(g) >= 1.0 - ALIGN_EXACT:
+        run = walk.runs.get(0)
+        if run is not None:
+            _, end, g, _ = run
+            if end == math.inf and abs(g) >= 1.0 - ALIGN_EXACT:
                 return math.inf
             if n >= DIRECT_LIMIT:
-                # first N with cur + (N - n) * log|G| < log_eps; past n every
-                # readout is closed in form, so the reads below cost O(1)
-                steps = math.floor((log_eps - cur) / math.log(abs(g))) + 1 if g != 0 else 1
-                last, n = n, n + max(1, steps)
-                while n - 1 > last and below(n - 1):
-                    n -= 1
-                while not below(n):
-                    n += 1
-                return n
+                # first N with cur + (N - n) * log|G| < log_eps; inside the
+                # run every readout is closed in form, so the reads cost O(1)
+                if abs(g) < 1.0:
+                    steps = math.floor((log_eps - cur) / math.log(abs(g))) + 1 if g != 0 else 1
+                    if n + max(1, steps) <= end:
+                        last, n = n, n + max(1, steps)
+                        while n - 1 > last and below(n - 1):
+                            n -= 1
+                        while not below(n):
+                            n += 1
+                        return n
+                n = end
+                continue
         elif n >= stop:
             raise PreconditionViolated(
                 "decoherence horizon undecided within budget",

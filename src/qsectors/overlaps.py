@@ -8,11 +8,12 @@ overlap of exactly zero short-circuits the whole product.
 
 Long explicit prefixes are bracketed in stacked numpy blocks, every term
 pair of a block at once, read off each state's stacked prefix
-(``ProductState.stacked``).  From the site where every factor of a pair is
-declared to repeat one vector, the pair is bracketed once and the rest of
-its product is that bracket's power, read in closed form.  Everything else
-goes one site at a time, within ``WALK_BUDGET``.  Which path a site takes
-depends on the two sides alone, so a readout depends only on its cut.
+(``ProductState.stacked``).  Where both factors of a pair stay one vector
+over a run of sites, the pair is bracketed once at the run's start and its
+product over the run is that bracket's power, read in closed form.
+Everything else goes one site at a time, within ``WALK_BUDGET``.  Which
+path a site takes depends on the two sides alone, so a readout depends only
+on its cut.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .states import (
     ConstantTail,
     FactorVector,
     ProductState,
+    _CanonicalFamily,
     _prefix_brackets,
     _stacked_brackets,
     ensure_same_shape,
@@ -63,22 +65,38 @@ def _as_terms(state: ProductState | CompositeState) -> tuple[tuple[complex, Prod
     return state.terms
 
 
-def _constant_from(state: ProductState) -> float:
-    """First site from which every factor of ``state`` is declared to be one
-    vector, or inf."""
-    decay = state.tail.decay
-    if decay.kind != "eventually-constant":
-        return math.inf
-    return max(state.prefix_len, decay.rank)
+def _run_starts(state: ProductState) -> tuple[int, ...]:
+    """Sites from which the factors of ``state`` stay one vector, each up to
+    the next start, the last for good; empty when no such site is known.
+
+    A tail declared eventually-constant (a constant tail is one, of rank 0)
+    repeats its limit from its rank on; the declaration says nothing about
+    the sites before.  A canonical family computes its own factors, so it
+    also answers for the stretch between the prefix and its rank."""
+    p, tail = state.prefix_len, state.tail
+    family = getattr(tail, "factor_fn", None)
+    if isinstance(family, _CanonicalFamily) and family.rank is not None:
+        return tuple(sorted({p, max(p, family.rank)}))
+    if tail.decay.kind == "eventually-constant":
+        return (max(p, tail.decay.rank),)
+    return ()
+
+
+def _pair_runs(bra: tuple[int, ...], ket: tuple[int, ...]) -> tuple[int, ...]:
+    """Run starts of a term pair: where both terms are in a run, a run of the
+    pair starts wherever one of either term starts."""
+    if not (bra and ket):
+        return ()
+    first = max(bra[0], ket[0])
+    return tuple(sorted({s for s in bra + ket if s >= first}))
 
 
 class _Terms:
     """One side of a walk: a list of product-state terms.
 
     The site-by-site loop fetches their factors through ``sources``; the
-    block stretch reads their explicit prefixes, stacked by ``rows``.  Term
-    k repeats one factor from ``repeats_from[k]`` on, every term from
-    ``constant_from`` on.
+    block stretch reads their explicit prefixes, stacked by ``rows``.
+    ``runs[k]`` holds the run starts of term k (``_run_starts``).
     """
 
     def __init__(
@@ -87,8 +105,7 @@ class _Terms:
         self.states = tuple(states)
         self.sources = list(sources) or [s.factor_at for s in self.states]
         self.explicit = min(s.prefix_len for s in self.states)
-        self.repeats_from = [_constant_from(s) for s in self.states]
-        self.constant_from = max(self.repeats_from)
+        self.runs = [_run_starts(s) for s in self.states]
         self._rows: tuple = (None, None)
 
     def dim_at(self, site: int) -> int:
@@ -199,7 +216,7 @@ def _bracket_blocks(
 def _push_sites(steps, repeats, start: int, stop: int) -> None:
     """Advance every pair over sites [start, stop), one site at a time: the
     pairs in ``steps`` bracket the site, those in ``repeats`` push their
-    repeated bracket.  Every pair takes a site before any takes the next."""
+    run's bracket.  Every pair takes a site before any takes the next."""
     for site in range(start, stop):
         for bra_at, ket_at, push in steps:
             push(factor_overlap(bra_at(site), ket_at(site)))
@@ -221,11 +238,15 @@ class _Walker:
     sides bracket those sites in one stacked block too, pushed in site order
     (their rows are the factors, so the brackets keep their bits); operator
     images go one site at a time, since a batched matmul does not keep the
-    bits of ``apply_to``.  Pair k repeats
-    one factor from ``starts[k]``: bracketed once there, giving ``g[k]``, it
-    pushes that for later sites, and a readout whose pairs all repeat reads
-    cut n > DIRECT_LIMIT as each pair's log form at its start plus
-    (n - start) * (log|G|, atan2 G).  Cuts must not decrease, except these.
+    bits of ``apply_to``.
+
+    From its first run start (``_pair_runs``) on, a pair is in a run: it
+    brackets G once at the run's start a and keeps its log form there, and
+    reads cut n > DIRECT_LIMIT inside the run as that log form plus
+    (n - a) * (log|G|, atan2 G); it crosses a finite run in that one step.
+    On the way to a cut <= DIRECT_LIMIT it pushes G into its direct product
+    once per site, which keeps the bits of the site-by-site walk.  Cuts must
+    not decrease, except within every pair's run or the last block.
     """
 
     def __init__(
@@ -238,23 +259,26 @@ class _Walker:
         self.keys = sorted({(a, b) for readout in readouts for _, a, b in readout})
         index = {key: k for k, key in enumerate(self.keys)}
         self.readouts = [[(c, index[a, b]) for c, a, b in readout] for readout in readouts]
-        self.starts = [max(bra.repeats_from[a], ket.repeats_from[b]) for a, b in self.keys]
-        self.jumps = [max(self.starts[k] for _, k in readout) for readout in self.readouts]
-        self.jump = max(self.jumps)
+        term_runs = [(bra.runs[a], ket.runs[b]) for a, b in self.keys]
+        merged = {key: _pair_runs(*key) for key in set(term_runs)}  # few kinds, many pairs
+        self.starts = [merged[key] for key in term_runs]
+        self.firsts = [starts[0] if starts else math.inf for starts in self.starts]
+        self.last_first = max(self.firsts)
         self.explicit = min(bra.explicit, ket.explicit)
         self.blocked = self.explicit if self.explicit > DIRECT_LIMIT else 0
         self.accs = [products._Accumulator() for _ in self.keys]
-        sources = [(bra.sources[a], ket.sources[b]) for a, b in self.keys]
-        self.steps = self.pair_steps = [(*s, acc.push) for s, acc in zip(sources, self.accs)]
-        self.direct_steps = [(*s, acc.push_direct) for s, acc in zip(sources, self.accs)]
-        self.repeats: list = []
-        self.g: dict[int, complex] = {}
-        self.at: dict[int, products._Accumulator] = {}  # log form at each pair's start
-        self.events: dict[float, list[int]] = {}  # start site -> its pairs, until reached
-        for k, start in enumerate(self.starts):
-            if start < math.inf:
+        self.sources = [(bra.sources[a], ket.sources[b]) for a, b in self.keys]
+        self.steps = self.pair_steps = [(*s, acc.push) for s, acc in zip(self.sources, self.accs)]
+        self.direct_steps = [(*s, acc.push_direct) for s, acc in zip(self.sources, self.accs)]
+        self.repeats: list = []  # (G, push_direct) of the pairs in a run
+        # pair -> (start, end, G, log form at start) of its run at ``site``
+        self.runs: dict[int, tuple[int, float, complex, products._Accumulator]] = {}
+        self.events: dict[int, list[int]] = {}  # run start -> its pairs, until reached
+        for k, starts in enumerate(self.starts):
+            for start in starts:
                 self.events.setdefault(start, []).append(k)
-        self.site = 0  # the log form holds sites [0, site)
+        self.next_event = min(self.events, default=math.inf)
+        self.site = 0  # the walk holds sites [0, site)
         self.direct_at = 0  # with blocks, ``direct`` holds sites [0, direct_at)
         self.block: tuple = ()  # (start, running log forms, zeros) of the last block
         # generators: no block is bracketed before it is needed
@@ -268,8 +292,11 @@ class _Walker:
 
     def check(self, cut: float) -> None:
         """Refuse a read of ``cut`` that brackets more than WALK_BUDGET term
-        pairs x sites one at a time past the shortest explicit prefix."""
-        sites = len(self.keys) * max(0, min(cut, self.jump) - self.explicit)
+        pairs x sites one at a time past the shortest explicit prefix: a pair
+        does so up to its first run start."""
+        sites = len(self.keys) * max(0, min(cut, self.last_first) - self.explicit)
+        if sites > WALK_BUDGET:  # an upper bound: count pair by pair only past it
+            sites = sum(max(0, min(cut, first) - self.explicit) for first in self.firsts)
         if sites > WALK_BUDGET:
             raise DimensionBudgetExceeded(
                 f"the walk would bracket {sites} term-pair sites one at a time; "
@@ -280,24 +307,12 @@ class _Walker:
 
     def read(self, cut: int) -> list[tuple[complex, float]]:
         self.check(cut)
-        if cut > DIRECT_LIMIT:
-            self._advance(min(cut, self.jump))
-        elif self.blocked:
+        if cut <= DIRECT_LIMIT and self.blocked:
             self._push_direct(cut)
         else:
             self._advance(cut)
-        at_cut = None
-        out = []
-        for readout, jump in zip(self.readouts, self.jumps):
-            if cut > max(jump, DIRECT_LIMIT):
-                pairs = [
-                    (c, self.at[k].repeated(self.g[k], cut - self.starts[k])) for c, k in readout
-                ]
-            else:
-                at_cut = at_cut or self._at(cut)
-                pairs = [(c, at_cut[k]) for c, k in readout]
-            out.append(_combine(pairs, cut))
-        return out
+        accs = self.accs if cut <= DIRECT_LIMIT else self._log_forms(cut)
+        return [_combine([(c, accs[k]) for c, k in readout], cut) for readout in self.readouts]
 
     def _push_direct(self, cut: int) -> None:
         """Push the sites [direct_at, cut) into every pair's direct product."""
@@ -313,39 +328,67 @@ class _Walker:
                     push(z)
         self.direct_at = max(self.direct_at, cut)
 
-    def _at(self, cut: int) -> list[products._Accumulator]:
-        """Every pair's accumulator at ``cut``, which the walk has reached."""
-        if cut <= DIRECT_LIMIT or cut == self.site:
-            return self.accs
-        start, forms, zeros = self.block  # the cut lies inside the last block
+    def _log_forms(self, cut: int) -> list[products._Accumulator]:
+        """Every pair's log form at ``cut``, which the walk has reached: in
+        closed form inside its run, else as walked, read off the last block
+        when the cut lies inside it."""
+        walked = self.accs if cut == self.site else None
+        if not self.runs:
+            return walked or self._block_column(cut)
+        out = []
+        for k in range(len(self.accs)):
+            run = self.runs.get(k)
+            if run is not None and run[0] <= cut:
+                start, _, g, at = run
+                out.append(at.repeated(g, cut - start))
+            else:
+                walked = walked or self._block_column(cut)
+                out.append(walked[k])
+        return out
+
+    def _block_column(self, cut: int) -> list[products._Accumulator]:
+        start, forms, zeros = self.block
         column = zip(forms[:, cut - start - 1].tolist(), zeros[:, cut - start - 1].tolist())
         return [products._Accumulator(f.real, f.imag, zero) for f, zero in column]
 
     def _advance(self, stop: float) -> None:
-        """Fold the sites up to ``stop`` into the log form; the last block
-        may end past it."""
-        self._arrive()
+        """Bring the walk to site ``stop``; the last block may end past it.
+        Pairs in a run push nothing, except into their direct product on the
+        way to a cut <= DIRECT_LIMIT, so once every pair is in a run the walk
+        moves from run start to run start."""
+        if self.site == self.next_event:
+            self._arrive()
         while self.site < stop:
             if self.site < self.blocked:
                 self._fold_block()
             else:
-                end = min(stop, min(self.events, default=stop))
-                _push_sites(self.steps, self.repeats, self.site, end)
+                end = min(stop, self.next_event)
+                repeats = self.repeats if stop <= DIRECT_LIMIT else ()
+                if self.steps or repeats:
+                    _push_sites(self.steps, repeats, self.site, end)
                 self.site = end
-            self._arrive()
+            if self.site == self.next_event:
+                self._arrive()
 
     def _arrive(self) -> None:
-        """Bracket G for the pairs that start repeating at this site, and
-        keep their log forms here."""
-        starting = self.events.pop(self.site, ())
+        """Start the runs that begin at this site: a pair in a run crosses to
+        its end in one step, then brackets the new run's G here."""
+        starting = self.events.pop(self.site)
+        self.next_event = min(self.events, default=math.inf)
         for k in starting:
-            bra_at, ket_at, _ = self.pair_steps[k]
-            self.g[k] = factor_overlap(bra_at(self.site), ket_at(self.site))
             acc = self.accs[k]
-            self.at[k] = products._Accumulator(acc.log_mod, acc.arg, acc.zero)
-        if starting:
-            self.steps = [s for k, s in enumerate(self.pair_steps) if k not in self.g]
-            self.repeats = [(g, self.accs[k].push) for k, g in self.g.items()]
+            if k in self.runs:
+                start, _, g, at = self.runs[k]
+                crossed = at.repeated(g, self.site - start)
+                acc.log_mod, acc.arg, acc.zero = crossed.log_mod, crossed.arg, crossed.zero
+            starts = self.starts[k]
+            later = starts.index(self.site) + 1
+            end = starts[later] if later < len(starts) else math.inf
+            bra_at, ket_at = self.sources[k]
+            g = factor_overlap(bra_at(self.site), ket_at(self.site))
+            self.runs[k] = (self.site, end, g, products._Accumulator(acc.log_mod, acc.arg, acc.zero))
+        self.steps = [s for k, s in enumerate(self.pair_steps) if k not in self.runs]
+        self.repeats = [(g, self.accs[k].push_direct) for k, (_, _, g, _) in self.runs.items()]
 
     def _fold_block(self) -> None:
         """Bracket the next block and fold it into each pair's log form."""

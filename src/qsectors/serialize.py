@@ -6,10 +6,12 @@ inside strict JSON.  Matrices travel as flat row-major entry lists with the
 dimension recovered from the square root of the length.
 
 Parametric tails are stored as their canonical family: the limit vector,
-the declared decay class, and the initial deviation.  Decoding rebuilds a
-callback from those three pieces, so a tail with an arbitrary callback
-round-trips to the canonical member of its own decay class; the prefix,
-limit, and declaration always survive exactly.
+the declared decay class, and the initial deviation.  Decoding rebuilds
+the family (``states._CanonicalFamily``) from those three pieces, so a tail
+with an arbitrary callback round-trips to the canonical member of its own
+decay class; the prefix, limit, and declaration always survive exactly.
+A family moved later (``ParametricTail.shifted``) is written as the
+canonical family of its moved declaration where one exists.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .states import (
     FactorVector,
     ParametricTail,
     ProductState,
+    _CanonicalFamily,
 )
 
 __all__ = [
@@ -136,9 +139,22 @@ def _encode_tail(tail) -> dict:
         raise UndeclaredTailClass(
             "custom-certified tails have no canonical closed form to serialize"
         )
-    dev = getattr(tail.factor_fn, "deviation", None) or tuple(
-        a - b for a, b in zip(tail.factor_fn(0).amplitudes, tail.limit.amplitudes)
-    )
+    family = tail.factor_fn
+    if isinstance(family, _CanonicalFamily):
+        dev = family.deviation
+        # a shifted family is written as the canonical family of its shifted
+        # declaration: geometric rescales its deviation, eventually-constant
+        # keeps it under the shifted rank
+        if family.shift and decay.kind == "p-series":
+            raise UndeclaredTailClass(
+                "shifted p-series tails have no canonical closed form to serialize"
+            )
+        if family.shift and decay.kind == "geometric":
+            dev = tuple(d / decay.ratio**family.shift for d in dev)
+    else:
+        dev = tuple(
+            a - b for a, b in zip(tail.factor_fn(0).amplitudes, tail.limit.amplitudes)
+        )
     out = {
         "kind": "parametric",
         "dim": tail.dim,
@@ -154,20 +170,6 @@ def _encode_tail(tail) -> dict:
     if decay.rank is not None:
         out["rank"] = decay.rank
     return out
-
-
-def _canonical_factor_fn(limit, dev, decay):
-    base = limit.amplitudes
-
-    def shifted(weight: float) -> FactorVector:
-        return FactorVector(tuple(a + weight * d for a, d in zip(base, dev)))
-
-    if decay.kind == "geometric":
-        return lambda n: shifted(decay.ratio ** n)
-    if decay.kind == "p-series":
-        return lambda n: shifted((n + 1) ** (-decay.p))
-    rank = decay.rank or 0
-    return lambda n: shifted(1.0) if n < rank else limit
 
 
 def _decode_tail(obj: Any, where: str):
@@ -194,11 +196,10 @@ def _decode_tail(obj: Any, where: str):
         rank=obj.get("rank", 0 if "class" not in obj else None),
         scale=_float_in(obj["scale"]) if "scale" in obj else max(dev_norm, 0.0),
     )
-    factor_fn = _canonical_factor_fn(limit, dev, decay)
-    # encoding writes back the decoded deviation: (limit + dev) - limit
-    # need not equal dev in floating point
-    factor_fn.deviation = dev
-    return ParametricTail(dim=limit.dim, factor_fn=factor_fn, limit=limit, decay=decay)
+    # the family keeps the decoded deviation for encoding: (limit + dev) -
+    # limit need not equal dev in floating point
+    family = _CanonicalFamily(limit, dev, decay)
+    return ParametricTail(dim=limit.dim, factor_fn=family, limit=limit, decay=decay)
 
 
 def encode_state(state: Union[ProductState, CompositeState]) -> dict:

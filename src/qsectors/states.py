@@ -297,14 +297,64 @@ class ParametricTail:
     def shifted(self, sites: int) -> "ParametricTail":
         """This tail moved ``sites`` sites later, its declaration with it:
         site n carries ``factor_fn(n - sites)``.  The sites before the shift
-        belong to a prefix; they read factor 0, so probes there stay valid."""
+        belong to a prefix; they read factor 0, so probes there stay valid.
+        A canonical family stays one, so the walk keeps its runs."""
         inner = self.factor_fn
+        if isinstance(inner, _CanonicalFamily):
+            factor_fn = replace(inner, shift=inner.shift + sites)
+        else:
+            factor_fn = lambda n: inner(max(n - sites, 0))  # noqa: E731
         return ParametricTail(
             dim=self.dim,
-            factor_fn=lambda n: inner(max(n - sites, 0)),
+            factor_fn=factor_fn,
             limit=self.limit,
             decay=self.decay.shifted(sites),
         )
+
+
+@dataclass(frozen=True)
+class _CanonicalFamily:
+    """The factors of a serialized parametric tail: ``limit + w(n) *
+    deviation`` with w(n) = ratio**n (geometric), (n + 1)**-p (p-series), or
+    1 before rank and the limit itself from rank on (any other class).
+    ``decay`` is the family's own declaration; site n reads the factor of
+    ``max(n - shift, 0)``.
+
+    Before its rank an eventually-constant family returns one vector, built
+    once, so a walk may bracket that stretch once; no other callback is
+    trusted with a run before its declared rank.
+    """
+
+    limit: FactorVector
+    deviation: tuple[complex, ...]
+    decay: DecaySpec
+    shift: int = 0
+
+    @cached_property
+    def _moved(self) -> FactorVector:
+        return self._weighted(1.0)
+
+    def _weighted(self, weight: float) -> FactorVector:
+        return FactorVector(
+            tuple(a + weight * d for a, d in zip(self.limit.amplitudes, self.deviation))
+        )
+
+    @property
+    def rank(self) -> int | None:
+        """For an eventually-constant family, the site from which every
+        factor is the limit, each one before it the same vector; else None."""
+        if self.decay.kind != "eventually-constant":
+            return None
+        return self.decay.rank + self.shift if self.decay.rank else 0
+
+    def __call__(self, n: int) -> FactorVector:
+        n = max(n - self.shift, 0)
+        kind = self.decay.kind
+        if kind == "geometric":
+            return self._weighted(self.decay.ratio**n)
+        if kind == "p-series":
+            return self._weighted((n + 1) ** (-self.decay.p))
+        return self._moved if n < (self.decay.rank or 0) else self.limit
 
 
 TailRule = Union[ConstantTail, ParametricTail]

@@ -190,6 +190,27 @@ class TestOverlapSweep:
         assert out == ""
         assert json.loads(err)["code"] == "dimension-budget-exceeded"
 
+    def test_an_eventually_constant_document_is_read_in_runs(self, capsys, files):
+        # the decoded tail is one vector before rank 1e8 and the limit after,
+        # so 200 cuts up to 2e8 sites bracket a few sites, not 2e8
+        recorded = {
+            "type": "product-state",
+            "prefix": [[0.6, 0.8]],
+            "tail": {"kind": "parametric", "limit": [0.8, 0.6], "deviation": [0.2, -0.6],
+                     "class": "eventually-constant", "rank": 10**8},
+        }
+        a = files("a.json", encode_state(QUIET))
+        b = files("b.json", recorded)
+        code, out, err = run(
+            capsys, "overlap-sweep", a, b, "--max", "200000000", "--step", "1000000"
+        )
+        assert code == 0, err
+        rows = out.splitlines()[1:]
+        assert len(rows) == 200
+        # one site at 0.6, then 1 before rank and 0.8 after it
+        last = rows[-1].split(",")
+        assert float(last[4]) == pytest.approx(math.log10(0.6) + 1e8 * math.log10(0.8), rel=1e-12)
+
     def test_a_cut_range_past_the_budget_exits_3_before_it_is_built(self, capsys, files):
         a = files("a.json", encode_state(QUIET))
         b = files("b.json", encode_state(KICKED))

@@ -5,6 +5,7 @@ import pytest
 
 import qsectors as q
 from qsectors.oracle import dense_density, densify
+from qsectors.serialize import decode_state
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -389,6 +390,60 @@ class TestDecoherenceHorizon:
             q.decoherence_horizon(m, 1e-6, budget=10**7)
         assert exc.value.context["budget"] == 500
         assert len(calls) == 500
+
+    @staticmethod
+    def _recorded(moved, rank, limit=(0.6, 0.8)):
+        """A decoded branch: ``moved`` from its one prefix site to ``rank``,
+        ``limit`` after it, so its bracket with E0 is constant on each run."""
+        doc = {
+            "type": "product-state",
+            "prefix": [[0.8, 0.6]],
+            "tail": {
+                "kind": "parametric",
+                "class": "eventually-constant",
+                "rank": rank,
+                "limit": list(limit),
+                "deviation": [m - u for m, u in zip(moved, limit)],
+            },
+        }
+        return decode_state(doc)
+
+    @pytest.mark.parametrize(
+        "moved, rank, eps, where",
+        [
+            ((0.5, 0.75**0.5), 10**6, 1e-40, "before"),
+            ((0.5, 0.75**0.5), 100, 0.5 * 0.8 * 0.5**98.5, "at"),
+            ((0.9, 0.19**0.5), 100, 0.5 * 0.8 * 0.9**99 * 0.6**50.5, "after"),
+            ((1.0, 0.0), 500, 1e-12, "after"),
+            ((1.2, 0.0), 1000, 1e-6, "after"),
+        ],
+    )
+    def test_horizon_inside_and_past_the_run_before_rank(
+        self, moved, rank, eps, where, monkeypatch
+    ):
+        from qsectors import overlaps
+
+        b0 = pointer_branch(1.0)
+        b1 = self._recorded(moved, rank)
+        m = q.MeasurementModel((2**-0.5, 2**-0.5), (b0, b1))
+        reads = []
+        real = overlaps._Walker.read
+        monkeypatch.setattr(overlaps._Walker, "read", lambda w, cut: reads.append(cut) or real(w, cut))
+        h = q.decoherence_horizon(m, eps)
+        monkeypatch.undo()
+        # cuts 0..64 one at a time, then a few per run: no stepping in a run
+        assert len(reads) <= overlaps.DIRECT_LIMIT + 8
+        assert h < math.inf
+        assert {"before": h < rank, "at": h == rank, "after": h > rank}[where]
+        base = 0.5
+        assert base * abs(q.truncated_overlap(b1, b0, h)) < eps
+        assert base * abs(q.truncated_overlap(b1, b0, h - 1)) >= eps
+        if rank <= 1000:
+            # the same family behind a plain lambda is walked site by site
+            family = b1.tail.factor_fn
+            tail = q.ParametricTail(2, lambda n: family(n), b1.tail.limit, b1.tail.decay)
+            plain = q.MeasurementModel((2**-0.5, 2**-0.5), (b0, q.ProductState(b1.prefix, tail)))
+            assert q.decoherence_horizon(plain, eps) == h
 
     def test_eps_and_pair_validation(self):
         m = two_outcome_model()

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
-from qsectors import overlaps
+from qsectors import operators, overlaps
+from qsectors.decoherence import premeasurement_state
 from qsectors.operators import (
     ConstantOperatorTail,
     FactoredOperator,
@@ -19,6 +20,8 @@ from qsectors.operators import (
     OperatorTerm,
 )
 from qsectors.oracle import dense_overlap, densify
+from qsectors.serialize import decode_state, encode_complex
+from qsectors.states import _CanonicalFamily
 
 from support import random_factor, random_operator, random_product_state
 
@@ -531,8 +534,8 @@ class TestReadoutsDependOnlyOnTheCut:
 #
 # Once every term of both sides repeats one factor, from site j, the walk
 # brackets each pair once, at j, and reads the rest in closed form.  These
-# tests compare that with the site-by-site walk (``_constant_from`` patched
-# to inf turns the jumps off): cuts <= DIRECT_LIMIT keep their bits, and past
+# tests compare that with the site-by-site walk (``_run_starts`` patched to
+# return no runs turns the jumps off): cuts <= DIRECT_LIMIT keep their bits, and past
 # it the closed form (n - j) * log|G| is at least as close to a 50-digit
 # value as the per-site sum of n - j logs.
 
@@ -631,7 +634,7 @@ def _cuts_for(j):
 
 def _site_by_site(monkeypatch, fn, *args):
     with monkeypatch.context() as m:
-        m.setattr(overlaps, "_constant_from", lambda state: math.inf)
+        m.setattr(overlaps, "_run_starts", lambda state: ())
         return fn(*args)
 
 
@@ -719,16 +722,21 @@ class TestConstantTailJumps:
             assert abs(value) == pytest.approx(abs(at_j), rel=1e-12)
             assert cmath.isclose(value, at_j * _phase(0.3 * (n - j)), rel_tol=1e-6)
 
-    def test_mixed_terms_do_not_jump_until_every_term_is_constant(self, monkeypatch):
+    def test_mixed_terms_jump_pair_by_pair(self, monkeypatch):
         rng = np.random.default_rng(7)
         u = random_factor(rng, 2)
         bra = q.CompositeState(((1.0, _constant(rng, 2, u)), (0.5j, _geometric(rng, 1, u))))
         ket = _constant(rng, 3, random_factor(rng, 2))
-        bra_side, ket_side, _ = overlaps._sides(bra, ket)
-        assert (bra_side.constant_from, ket_side.constant_from) == (math.inf, 3)
+        bra_side, ket_side, readouts = overlaps._sides(bra, ket)
+        assert (bra_side.runs, ket_side.runs) == ([(2,), ()], [(3,)])
+        # the constant pair runs from site 3, the geometric one never
+        walker = overlaps._Walker(bra_side, ket_side, readouts)
+        walker.read(300)
+        assert [(k, run[:2]) for k, run in walker.runs.items()] == [(0, (3, math.inf))]
         cuts = [1, 64, 65, 300]
         got = q.overlap_sweep(bra, ket, cuts)
-        assert repr(got) == repr(_site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts))
+        want = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts)
+        _assert_jump_agrees(bra, ket, _sweep_pairs(got), _sweep_pairs(want), cuts)
 
     @pytest.mark.parametrize("tail", ["constant", "identity"])
     def test_expectation_sweep(self, tail, monkeypatch):
@@ -761,6 +769,220 @@ class TestConstantTailJumps:
         half_ln2 = 0.5 * math.log(2.0)
         for n, log_mod in zip(counts, got.log_modulus):
             assert log_mod == pytest.approx(-(3 * n // 16) * half_ln2, rel=1e-12)
+
+
+# -- runs before rank -----------------------------------------------------------
+#
+# A decoded eventually-constant tail (a canonical family) is one vector from
+# the prefix end to its rank and the limit after it, so the walk brackets each
+# stretch once.  The reference is the same family behind a plain lambda,
+# which the walk brackets site by site up to rank: cuts <= DIRECT_LIMIT keep
+# its bits, and later cuts agree with the site-by-site walk to the rounding
+# room of its sums.
+
+
+def _vector_doc(v):
+    return [encode_complex(c) for c in v.amplitudes]
+
+
+def _canonical(rng, prefix_len, rank, limit, moved=None, unit=random_factor):
+    """A decoded eventually-constant state: ``moved`` (a random unit vector
+    by default) up to ``rank``, ``limit`` from there on."""
+    moved = moved or unit(rng, limit.dim)
+    deviation = q.FactorVector(
+        tuple(m - u for m, u in zip(moved.amplitudes, limit.amplitudes))
+    )
+    return decode_state({
+        "type": "product-state",
+        "prefix": [_vector_doc(unit(rng, limit.dim)) for _ in range(prefix_len)],
+        "tail": {
+            "kind": "parametric",
+            "class": "eventually-constant",
+            "rank": rank,
+            "scale": 2.0,
+            "limit": _vector_doc(limit),
+            "deviation": _vector_doc(deviation),
+        },
+    })
+
+
+def _plain(state):
+    """``state`` with every canonical tail behind a plain lambda."""
+    if isinstance(state, q.CompositeState):
+        return q.CompositeState(tuple((c, _plain(s)) for c, s in state.terms))
+    tail = state.tail
+    family = getattr(tail, "factor_fn", None)
+    if not isinstance(family, _CanonicalFamily):
+        return state
+    plain = q.ParametricTail(tail.dim, lambda n: family(n), tail.limit, tail.decay)
+    return q.ProductState(state.prefix, plain, state.label)
+
+
+def _run_cases():
+    """name -> (bra, ket, cuts), cuts at each prefix end and rank +- 1."""
+    rng = np.random.default_rng(99)
+    u, w = random_factor(rng, 3), random_factor(rng, 3)
+    cases = {
+        "rank-before-64": (_canonical(rng, 3, 40, u), _constant(rng, 5, w)),
+        "rank-past-64": (_canonical(rng, 4, 200, u), _constant(rng, 2, w)),
+        "rank-within-prefix": (_canonical(rng, 30, 10, u), _canonical(rng, 6, 90, w)),
+        "rank-at-prefix": (_canonical(rng, 12, 12, u), _constant(rng, 0, w)),
+        "two-ranks": (_canonical(rng, 2, 70, u), _canonical(rng, 5, 130, w)),
+        "zero-bracket": (
+            _canonical(rng, 2, 80, E0, moved=E1), _constant(rng, 3, E0)
+        ),
+        "unit-phase": (
+            _canonical(rng, 2, 500, E0, moved=q.FactorVector((_phase(0.3), 0j))),
+            _constant(rng, 1, E0),
+        ),
+        "positive": (
+            _canonical(rng, 3, 150, _positive(rng, 3), _positive(rng, 3), _positive),
+            _constant(rng, 4, _positive(rng, 3), _positive),
+        ),
+    }
+    v = random_factor(rng, 3)
+    cases["composite"] = (
+        q.CompositeState((
+            (0.6 + 0.2j, _canonical(rng, 2, 90, u)),
+            (-0.3 + 0.1j, _plain(_canonical(rng, 1, 30, v))),
+            (0.2j, _constant(rng, 4, w)),
+        )),
+        q.CompositeState((
+            (0.5 + 0j, _geometric(rng, 3, u)),
+            (0.1 - 0.7j, _canonical(rng, 0, 75, w)),
+            (0.4 + 0.0j, _constant(rng, 6, v)),
+        )),
+    )
+    model = q.MeasurementModel(
+        (0.6, 0.8), (_canonical(rng, 2, 70, E0), _canonical(rng, 1, 110, q.FactorVector((0.6, 0.8))))
+    )
+    premeasured = premeasurement_state(model)
+    cases["premeasured"] = (premeasured, premeasured)
+    out = {}
+    for name, (bra, ket) in cases.items():
+        edges = set()
+        for side in (bra, ket):
+            for _, s in overlaps._as_terms(side):
+                edges.add(s.prefix_len)
+                rank = s.tail.decay.rank
+                if rank is not None:
+                    edges |= {rank - 1, rank, rank + 1}
+        cuts = sorted((edges | {1, 20, 64, 65, 1000, 3000}) - {0, -1})
+        out[name] = (bra, ket, cuts)
+    return out
+
+
+RUN_CASES = _run_cases()
+
+
+class TestRunsBeforeRank:
+    def test_run_starts(self):
+        rng = np.random.default_rng(5)
+        u = random_factor(rng, 2)
+        assert overlaps._run_starts(_canonical(rng, 3, 40, u)) == (3, 40)
+        assert overlaps._run_starts(_canonical(rng, 40, 3, u)) == (40,)
+        assert overlaps._run_starts(_canonical(rng, 3, 0, u)) == (3,)
+        assert overlaps._run_starts(_plain(_canonical(rng, 3, 40, u))) == (40,)
+        assert overlaps._run_starts(_constant(rng, 7, u)) == (7,)
+        assert overlaps._run_starts(_geometric(rng, 7, u)) == ()
+        _, (_, shifted) = premeasurement_state(q.MeasurementModel(
+            (0.6, 0.8), (_constant(rng, 0, E0), _canonical(rng, 3, 40, E1))
+        )).terms
+        assert overlaps._run_starts(shifted) == (4, 41)
+        # an image runs where its factor does, past the prefix operators
+        m = FactorOperator(np.eye(2))
+        op = FactoredOperator((
+            OperatorTerm(1.0, (m,) * 10, IdentityTail(2)),
+            OperatorTerm(1.0, (m,) * 50, ConstantOperatorTail(m)),
+        ))
+        side = overlaps._Terms([_canonical(rng, 3, 40, u)])
+        assert operators._Images(op.terms, side).runs == [(10, 40), (50,)]
+
+    @pytest.mark.parametrize("name", sorted(RUN_CASES))
+    def test_cuts_up_to_64_keep_the_bits_of_the_plain_lambda_walk(self, name):
+        bra, ket, cuts = RUN_CASES[name]
+        direct = [n for n in cuts if n <= overlaps.DIRECT_LIMIT]
+        got = q.overlap_sweep(bra, ket, direct)
+        assert repr(got) == repr(q.overlap_sweep(_plain(bra), _plain(ket), direct))
+
+    @pytest.mark.parametrize("name", sorted(RUN_CASES))
+    def test_agrees_with_the_site_by_site_walk(self, name, monkeypatch):
+        bra, ket, cuts = RUN_CASES[name]
+        got = q.overlap_sweep(bra, ket, cuts)
+        want = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts)
+        _assert_jump_agrees(bra, ket, _sweep_pairs(got), _sweep_pairs(want), cuts)
+
+    @pytest.mark.parametrize("name", sorted(RUN_CASES))
+    def test_sweep_readouts_match_single_cut_walks(self, name):
+        bra, ket, cuts = RUN_CASES[name]
+        sweep = q.overlap_sweep(bra, ket, cuts)
+        for n, value, log_mod in zip(cuts, sweep.values, sweep.log_modulus):
+            assert repr(q.composite_overlap(bra, ket, n)) == repr(value)
+            assert repr(q.overlap_sweep(bra, ket, [n]).log_modulus) == repr((log_mod,))
+
+    def test_closed_form_is_at_least_as_close_as_the_per_site_sum(self, monkeypatch):
+        bra, ket, _ = RUN_CASES["positive"]
+        p, rank = max(bra.prefix_len, ket.prefix_len), bra.tail.decay.rank
+        cuts = [100, 149, 150, 151, 1000, 10**5]
+        runs = q.overlap_sweep(bra, ket, cuts).log_modulus
+        summed = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts).log_modulus
+        # the walk's log form at the prefix end: per-site logs in site order
+        at_p = 0.0
+        for site in range(p):
+            at_p += math.log(abs(q.factor_overlap(bra.factor_at(site), ket.factor_at(site))))
+        g1, g2 = (q.factor_overlap(bra.factor_at(k), ket.factor_at(k)) for k in (p, rank))
+        assert g1.imag == g2.imag == 0.0 and g1.real > 0.0 and g2.real > 0.0
+        with mpmath.workdps(50):
+            for n, a, b in zip(cuts, runs, summed):
+                log1, log2 = (mpmath.log(mpmath.mpf(g.real)) for g in (g1, g2))
+                truth = mpmath.mpf(at_p) + (min(n, rank) - p) * log1 + max(0, n - rank) * log2
+                assert abs(a - truth) <= abs(b - truth)
+                assert abs(a - truth) <= 1e-12 * abs(truth)
+
+    def test_zero_bracket_and_unit_phase_before_rank(self):
+        bra, ket, _ = RUN_CASES["zero-bracket"]
+        sweep = q.overlap_sweep(bra, ket, [3, 4, 65, 81, 10**9])
+        assert sweep.values[0] != 0j
+        assert sweep.values[1:] == (0j,) * 4
+        assert sweep.log_modulus[1:] == (-math.inf,) * 4
+        bra, ket, _ = RUN_CASES["unit-phase"]
+        g = q.factor_overlap(bra.factor_at(2), ket.factor_at(2))
+        at_p = q.truncated_overlap(bra, ket, 2)
+        for n in (64, 65, 499, 500):
+            value = q.truncated_overlap(bra, ket, n)
+            assert abs(value) == pytest.approx(abs(at_p) * abs(g) ** (n - 2), rel=1e-12)
+            assert cmath.isclose(value / abs(value), at_p / abs(at_p) * _phase(-0.3 * (n - 2)), abs_tol=1e-9)
+
+    @pytest.mark.parametrize("prefix_ops", [8, 40])
+    def test_expectation_sweep(self, prefix_ops, monkeypatch):
+        rng = np.random.default_rng(8)
+        state = _canonical(rng, 3, 20, random_factor(rng, 2))
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        op = FactoredOperator((
+            OperatorTerm(0.7 - 0.2j, (FactorOperator(m),) * prefix_ops,
+                         ConstantOperatorTail(FactorOperator((m + m.conj().T) / 6))),
+            OperatorTerm(0.3j, (FactorOperator(m),) * 5, IdentityTail(2)),
+        ))
+        cuts = [3, 5, 8, 19, 20, 21, 40, 41, 64, 65, 900]
+        got = q.expectation_sweep(op, state, cuts)
+        plain = q.expectation_sweep(op, _plain(state), cuts)
+        want = _site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
+        assert repr(_sweep_pairs(got)[:9]) == repr(_sweep_pairs(plain)[:9])
+        image = q.apply_operator(op, state)
+        _assert_jump_agrees(state, image, _sweep_pairs(got), _sweep_pairs(want), cuts)
+        for n, value in zip(cuts, got.values):
+            assert repr(q.expectation_sweep(op, state, [n]).values) == repr((value,))
+
+    def test_premeasured_branches(self):
+        premeasured, _, cuts = RUN_CASES["premeasured"]
+        (_, b0), (_, b1) = premeasured.terms
+        for n in cuts:
+            plain = q.truncated_overlap(_plain(b1), _plain(b0), n)
+            got = q.truncated_overlap(b1, b0, n)
+            if n <= overlaps.DIRECT_LIMIT:
+                assert repr(got) == repr(plain)
+            else:
+                assert cmath.isclose(got, plain, rel_tol=1e-9, abs_tol=0.0)
 
 
 def _count_brackets(monkeypatch):
@@ -798,6 +1020,36 @@ class TestWalkWork:
         assert q.truncated_overlap(bra, ket, n) == 0j
         assert time.perf_counter() - start < 0.5
         assert log_mod == pytest.approx((n - 1) * math.log(0.6), rel=1e-12)
+
+    def test_canonical_tails_bracket_each_pair_at_most_prefix_plus_two_times(self, monkeypatch):
+        calls = _count_brackets(monkeypatch)
+        rng = np.random.default_rng(4)
+        rank, n = 10**11, 10**12
+        bra = _canonical(rng, 5, rank, random_factor(rng, 2))
+        ket = _constant(rng, 3, random_factor(rng, 2))
+        start = time.perf_counter()
+        q.truncated_overlap(bra, ket, n)
+        assert len(calls) <= 5 + 2
+        calls.clear()
+        bra_c = q.CompositeState(((1.0, bra), (0.5, _canonical(rng, 2, rank + 7, random_factor(rng, 2)))))
+        ket_c = q.CompositeState(((1.0, ket), (1j, _canonical(rng, 0, rank - 3, random_factor(rng, 2)))))
+        sweep = q.overlap_sweep(bra_c, ket_c, [rank - 3, rank, rank + 7, n])
+        assert len(calls) <= 4 * (5 + 3)
+        assert time.perf_counter() - start < 0.5
+        assert all(math.isfinite(x) for x in sweep.log_modulus)
+
+    def test_a_plain_lambda_before_rank_still_counts_against_the_budget(self):
+        rng = np.random.default_rng(6)
+        state = _plain(_canonical(rng, 2, 10**7, random_factor(rng, 2)))
+        calls = []
+        family = state.tail.factor_fn
+        tail = q.ParametricTail(2, lambda n: calls.append(n) or family(n), state.tail.limit, state.tail.decay)
+        state = q.ProductState(state.prefix, tail)
+        calls.clear()
+        with pytest.raises(q.DimensionBudgetExceeded) as exc:
+            q.truncated_overlap(state, constant_state(), 2 * 10**7)
+        assert exc.value.context["sites"] == 10**7  # past the shorter prefix, of 0 sites
+        assert calls == []
 
     def test_parametric_tails_past_the_budget_raise_at_once(self):
         calls = []

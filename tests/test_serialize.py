@@ -157,6 +157,44 @@ class TestStateCodec:
         text = dumps(doc)
         assert dumps(encode_state(decode_state(loads(text)))) == text
 
+    @staticmethod
+    def _premeasured(tail):
+        """The tail of the second premeasured term: the decoded branch below,
+        moved one site later behind the system factor."""
+        kicked = decode_state({
+            "type": "product-state",
+            "prefix": [],
+            "tail": {"kind": "parametric", "limit": [0.6, 0.8], "deviation": [0.0, 0.3],
+                     "scale": 0.3, **tail},
+        })
+        quiet = q.make_product_state((), q.ConstantTail(E0))
+        model = q.MeasurementModel((0.6, 0.8), (quiet, kicked))
+        return q.premeasurement_state(model).terms[1][1]
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            {"class": "geometric", "ratio": 0.5},
+            {"class": "geometric", "ratio": 0.0},
+            {"class": "eventually-constant", "rank": 3},
+        ],
+    )
+    def test_shifted_canonical_tails_round_trip(self, tail):
+        term = self._premeasured(tail)
+        assert term.factor_at(1).amplitudes == (0.6, 0.8 + 0.3)
+        text = dumps(encode_state(term))
+        back = decode_state(loads(text))
+        for site in range(12):
+            want, got = term.factor_at(site).amplitudes, back.factor_at(site).amplitudes
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+        assert back.tail.decay == term.tail.decay
+        assert dumps(encode_state(back)) == text
+
+    def test_shifted_p_series_tails_are_refused(self):
+        term = self._premeasured({"class": "p-series", "p": 2.0})
+        with pytest.raises(q.UndeclaredTailClass):
+            encode_state(term)
+
     def test_custom_certified_has_no_encoding(self):
         tail = q.ParametricTail(
             dim=2,

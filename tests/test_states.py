@@ -1,11 +1,13 @@
 import math
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
+from qsectors.states import _CanonicalFamily
 from support import random_factor, random_product_state
 
 import numpy as np
@@ -117,6 +119,29 @@ class TestShiftedDeclarations:
         assert [moved.factor_at(n) for n in (1, 2, 7)] == [fn(0), fn(1), fn(6)]
         constant = q.ConstantTail(q.basis_vector(2, 1))
         assert constant.shifted(1) is constant
+
+    @pytest.mark.parametrize("spec", SPECS[:5])
+    def test_a_canonical_family_stays_one_when_shifted(self, spec):
+        limit = q.FactorVector((0.6, 0.8))
+        family = _CanonicalFamily(limit, (0.1 + 0.2j, -0.3), spec)
+        tail = q.ParametricTail(2, family, limit, spec)
+        plain = q.ParametricTail(2, lambda n: family(n), limit, spec)
+        for shifts in ((1,), (2, 3), (5,)):
+            moved, moved_plain = tail, plain
+            for sites in shifts:
+                moved, moved_plain = moved.shifted(sites), moved_plain.shifted(sites)
+            assert isinstance(moved.factor_fn, _CanonicalFamily)
+            assert moved.decay == moved_plain.decay
+            for n in range(12):
+                assert moved.factor_at(n) == moved_plain.factor_at(n)
+
+    def test_an_eventually_constant_family_builds_its_vector_once(self):
+        limit = q.FactorVector((0.6, 0.8))
+        family = _CanonicalFamily(limit, (0.4, -0.8), q.DecaySpec("eventually-constant", rank=9))
+        assert family(0) is family(8)
+        assert family(0).amplitudes == (1.0, 0.0)
+        assert family(9) is family(10**12) is limit
+        assert (family.rank, replace(family, shift=2).rank) == (9, 11)
 
 
 class TestTails:
