@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import (
     InvalidAmplitude,
@@ -123,7 +124,10 @@ class ComplexSequenceSpec:
             return self.prefix[n - 1]
         if isinstance(self.tail, ConstantValue):
             return self.tail.value
-        return _coerce_term(self.tail.term_fn(n), f"at term {n}")
+        z = complex(self.tail.term_fn(n))
+        if cmath.isfinite(z):
+            return z
+        return _coerce_term(z, f"at term {n}")  # raises; the text is built only here
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,8 @@ class _Accumulator:
     Overlap readouts use the direct product up to ``overlaps.DIRECT_LIMIT``
     terms and the log form past it, where the direct product may underflow;
     the classifiers read the log form.  A zero term pins the product at 0.
+    The classifiers' tail walk (``_walk_tail``) folds terms into the log form
+    only, so after it ``direct`` and ``zero`` still describe the prefix.
     """
 
     __slots__ = ("direct", "log_mod", "arg", "zero")
@@ -305,9 +311,43 @@ def _classify_constant_tail(
     return ConvergenceVerdict("Diverges", None, diag)
 
 
-def _iter_tail(seq: ComplexSequenceSpec, start: int, stop: int) -> Iterable[tuple[int, complex]]:
+def _walk_tail(
+    seq: ComplexSequenceSpec,
+    acc: _Accumulator,
+    start: int,
+    stop: int,
+    step: Callable[[int, complex], bool] | None = None,
+    readings: _NumericReadings | None = None,
+) -> tuple[int, bool]:
+    """Read the tail terms ``start..stop`` once each, through ``seq.term_at``,
+    and fold each into the log form of ``acc`` with the float operations of
+    ``_Accumulator.push``, in its order.
+
+    The walk ends early after a term for which ``step(n, z)`` is true, and
+    at a zero term, which it does not fold.  ``readings`` reads the log form
+    at its half mark and doubling samples as the walk passes them.  Only the
+    log form is kept: ``acc.direct`` and ``acc.zero`` are not updated, and the
+    zero flag is returned instead.  Returns the last term index read and
+    whether that term was zero."""
+    term_at = seq.term_at
+    log, atan2 = math.log, math.atan2
+    log_mod, arg = acc.log_mod, acc.arg
+    due = readings.due if readings is not None else stop + 1
+    n = start - 1
     for n in range(start, stop + 1):
-        yield n, seq.term_at(n)
+        z = term_at(n)
+        if z == 0:
+            return n, True
+        log_mod += log(abs(z))
+        arg += atan2(z.imag, z.real)
+        if n >= due:
+            acc.log_mod, acc.arg = log_mod, arg
+            readings.record(n, acc)
+            due = readings.due
+        if step is not None and step(n, z):
+            break
+    acc.log_mod, acc.arg = log_mod, arg
+    return n, False
 
 
 def _classify_eventually_one(
@@ -320,40 +360,32 @@ def _classify_eventually_one(
     needed_ones = 16
     run = 0
     prod = prefix_prod
-    samples = [(start - 1, prod)]
-    last_n = start - 1
-    for n, z in _iter_tail(seq, start, budget):
-        last_n = n
-        acc.push(z)
+
+    def step(n: int, z: complex) -> bool:
+        nonlocal run, prod
         if z == 1:
             run += 1
-            if run >= needed_ones:
-                break
-            continue
+            return run >= needed_ones
         run = 0
-        if z == 0:
-            return _zero_product(n)
         prod *= z
-    samples.append((last_n, prod))
+        return False
+
+    last_n, zero = _walk_tail(seq, acc, start, budget, step)
+    if zero:
+        return _zero_product(last_n)
+    settled = run >= needed_ones
     diag = ProductDiagnostics(
-        samples=tuple(samples),
+        samples=((start - 1, prefix_prod), (last_n, prod)),
         log_modulus_sum=acc.log_mod,
         argument_drift=acc.arg,
         terms_examined=last_n,
-    )
-    if run >= needed_ones:
-        return _converges(prod, diag)
-    return ConvergenceVerdict(
-        "Inconclusive",
-        None,
-        ProductDiagnostics(
-            samples=tuple(samples),
-            log_modulus_sum=acc.log_mod,
-            argument_drift=acc.arg,
-            terms_examined=last_n,
-            notes=("declared eventually-one but terms kept differing within budget",),
+        notes=() if settled else (
+            "declared eventually-one but terms kept differing within budget",
         ),
     )
+    if settled:
+        return _converges(prod, diag)
+    return ConvergenceVerdict("Inconclusive", None, diag)
 
 
 def _classify_geometric(
@@ -367,12 +399,9 @@ def _classify_geometric(
     ratio = seq.tail.ratio
     log_sum = 0j
     coeff = 0.0
-    last_n = start - 1
-    for n, z in _iter_tail(seq, start, budget):
-        last_n = n
-        if z == 0:
-            return _zero_product(n)
-        acc.push(z)
+
+    def step(n: int, z: complex) -> bool:
+        nonlocal log_sum, coeff
         ell = cmath.log(z)
         log_sum += ell
         if ratio > 0.0:
@@ -380,8 +409,11 @@ def _classify_geometric(
             remaining = coeff * ratio ** (n + 1) / (1.0 - ratio)
         else:
             remaining = 0.0
-        if remaining < tol:
-            break
+        return remaining < tol
+
+    last_n, zero = _walk_tail(seq, acc, start, budget, step)
+    if zero:
+        return _zero_product(last_n)
     value = prefix_prod * cmath.exp(log_sum)
     return _converges(
         value,
@@ -405,25 +437,27 @@ def _classify_p_series(
 ) -> ConvergenceVerdict:
     p = seq.tail.p
     log_sum = 0j
-    window: list[complex] = []
-    # a vanishing coefficient falls back on the numeric verdict, read here
-    readings = _NumericReadings(acc, prefix_prod, start, budget)
-    last_n = start - 1
-    for n, z in _iter_tail(seq, start, budget):
-        last_n = n
-        if z == 0:
-            return _zero_product(n)
-        acc.push(z)
-        readings.record(n, acc)
+    window: deque[complex] = deque(maxlen=8)
+    sizes: deque[float] = deque(maxlen=8)  # abs of each window entry, for p > 1
+
+    def step(n: int, z: complex) -> bool:
+        nonlocal log_sum
         ell = cmath.log(z)
         log_sum += ell
-        window.append(ell * (n**p))
-        if len(window) > 8:
-            window.pop(0)
-        if p > 1.0 and n >= start + 32:
-            c_mag = max(abs(w) for w in window)
-            if c_mag * n ** (1.0 - p) / (p - 1.0) < tol:
-                break
+        c_n = ell * (n**p)
+        window.append(c_n)
+        if p > 1.0:
+            sizes.append(abs(c_n))
+            if n >= start + 32:
+                return max(sizes) * n ** (1.0 - p) / (p - 1.0) < tol
+        return False
+
+    # for p <= 1 a vanishing coefficient falls back on the numeric verdict,
+    # read off this walk
+    readings = None if p > 1.0 else _NumericReadings(acc, prefix_prod, start, budget)
+    last_n, zero = _walk_tail(seq, acc, start, budget, step, readings)
+    if zero:
+        return _zero_product(last_n)
 
     c_est = sum(window) / len(window) if window else 0j
     if p > 1.0:
@@ -463,10 +497,9 @@ def _classify_declared_quasi(
     seq: ComplexSequenceSpec, acc: _Accumulator, start: int, budget: int
 ) -> ConvergenceVerdict:
     probe = min(budget, start + 9_999)
-    for n, z in _iter_tail(seq, start, probe):
-        if z == 0:
-            return _zero_product(n)
-        acc.push(z)
+    last_n, zero = _walk_tail(seq, acc, start, probe)
+    if zero:
+        return _zero_product(last_n)
     return ConvergenceVerdict(
         "QuasiConvergesToZero",
         0j,
@@ -485,9 +518,10 @@ def _classify_declared_quasi(
 
 class _NumericReadings:
     """What a numeric verdict reads off one walk over terms start..budget:
-    the log form at the half mark and samples at doubling term counts."""
+    the log form at the half mark and samples at doubling term counts.
+    ``due`` is the next term after which the walk must call ``record``."""
 
-    __slots__ = ("half_mark", "half_log", "half_arg", "samples", "next_sample")
+    __slots__ = ("half_mark", "half_log", "half_arg", "samples", "next_sample", "due")
 
     def __init__(
         self, acc: _Accumulator, prefix_prod: complex, start: int, budget: int
@@ -497,15 +531,19 @@ class _NumericReadings:
         self.half_arg = acc.arg
         self.samples: list[tuple[int, complex]] = [(start - 1, prefix_prod)]
         self.next_sample = max(start, 1)
+        self.due = min(self.half_mark, self.next_sample)
 
     def record(self, n: int, acc: _Accumulator) -> None:
-        """Read ``acc`` after term ``n`` was pushed."""
+        """Read ``acc`` after term ``n`` was folded in."""
         if n == self.half_mark:
             self.half_log = acc.log_mod
             self.half_arg = acc.arg
         if n >= self.next_sample:
             self.samples.append((n, acc.value()))
             self.next_sample *= 2
+        self.due = self.next_sample if n >= self.half_mark else min(
+            self.half_mark, self.next_sample
+        )
 
 
 def _classify_numeric(
@@ -517,13 +555,9 @@ def _classify_numeric(
     tol: float,
 ) -> ConvergenceVerdict:
     readings = _NumericReadings(acc, prefix_prod, start, budget)
-    last_n = start - 1
-    for n, z in _iter_tail(seq, start, budget):
-        last_n = n
-        if z == 0:
-            return _zero_product(n)
-        acc.push(z)
-        readings.record(n, acc)
+    last_n, zero = _walk_tail(seq, acc, start, budget, readings=readings)
+    if zero:
+        return _zero_product(last_n)
     return _numeric_verdict(acc, readings, last_n, tol)
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import DimensionBudgetExceeded, PreconditionViolated, ShapeMismatch, ZeroNormFactor
 from .states import (
     ALIGN_EXACT,
@@ -26,7 +28,9 @@ from .states import (
     TailRule,
     _bracket_bound,
     _bracket_series_bound,
+    _CanonicalFamily,
     _prefix_brackets,
+    _row_norms,
     ensure_same_shape,
     factor_overlap,
 )
@@ -123,12 +127,8 @@ def _probe_norm_series(state: ProductState, evidence: dict) -> SequenceClass:
     """Numeric fallback when the declared class does not certify summability."""
     window = 4096
     start = state.prefix_len
-    first = sum(
-        abs(state.factor_at(start + k).norm - 1.0) for k in range(window)
-    )
-    second = sum(
-        abs(state.factor_at(start + window + k).norm - 1.0) for k in range(window)
-    )
+    first = sum(_norm_deviations(state, start, start + window))
+    second = sum(_norm_deviations(state, start + window, start + 2 * window))
     evidence["proven"] = False
     evidence["method"] = "numeric-probe"
     evidence["probe_window"] = window
@@ -136,6 +136,16 @@ def _probe_norm_series(state: ProductState, evidence: dict) -> SequenceClass:
     if second <= max(ALIGN_EXACT * window, 0.25 * first):
         return SequenceClass("NonTrivialConvergentSequence", evidence)
     return SequenceClass("ConvergentSequence", evidence)
+
+
+def _norm_deviations(state: ProductState, lo: int, hi: int) -> list[float]:
+    """|norm - 1| of the factors at the tail sites [lo, hi).  A canonical
+    family gives them as one block, with the bits ``FactorVector.norm``
+    gives; any other callback is called site by site."""
+    family = getattr(state.tail, "factor_fn", None)
+    if isinstance(family, _CanonicalFamily):
+        return np.abs(_row_norms(family.rows(lo, hi)) - 1.0).tolist()
+    return [abs(state.factor_at(n).norm - 1.0) for n in range(lo, hi)]
 
 
 def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:

@@ -10,8 +10,9 @@ the declared decay class, and the initial deviation.  Decoding rebuilds
 the family (``states._CanonicalFamily``) from those three pieces, so a tail
 with an arbitrary callback round-trips to the canonical member of its own
 decay class; the prefix, limit, and declaration always survive exactly.
-A family moved later (``ParametricTail.shifted``) is written as the
-canonical family of its moved declaration where one exists.
+A tail moved later (``ParametricTail.shifted``), whether a family or a
+plain callback, is written as the canonical family of its moved declaration
+where one exists, and refused where none does.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .states import (
     ParametricTail,
     ProductState,
     _CanonicalFamily,
+    _Shifted,
 )
 
 __all__ = [
@@ -142,19 +144,19 @@ def _encode_tail(tail) -> dict:
     family = tail.factor_fn
     if isinstance(family, _CanonicalFamily):
         dev = family.deviation
-        # a shifted family is written as the canonical family of its shifted
-        # declaration: geometric rescales its deviation, eventually-constant
-        # keeps it under the shifted rank
-        if family.shift and decay.kind == "p-series":
-            raise UndeclaredTailClass(
-                "shifted p-series tails have no canonical closed form to serialize"
-            )
-        if family.shift and decay.kind == "geometric":
-            dev = tuple(d / decay.ratio**family.shift for d in dev)
     else:
-        dev = tuple(
-            a - b for a, b in zip(tail.factor_fn(0).amplitudes, tail.limit.amplitudes)
+        # a shifted callback reads its callback's factor 0 at site 0
+        dev = tuple(a - b for a, b in zip(family(0).amplitudes, tail.limit.amplitudes))
+    shift = family.shift if isinstance(family, (_CanonicalFamily, _Shifted)) else 0
+    # a shifted tail is written as the canonical family of its shifted
+    # declaration: geometric rescales its deviation, eventually-constant
+    # keeps it under the shifted rank
+    if shift and decay.kind == "p-series":
+        raise UndeclaredTailClass(
+            "shifted p-series tails have no canonical closed form to serialize"
         )
+    if shift and decay.kind == "geometric":
+        dev = tuple(d / decay.ratio**shift for d in dev)
     out = {
         "kind": "parametric",
         "dim": tail.dim,

@@ -93,9 +93,12 @@ class FactorVector:
         if not amps:
             raise InvalidAmplitude("factor vector needs at least one amplitude")
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(
-            self, "norm_sq", sum(c.real * c.real + c.imag * c.imag for c in amps)
-        )
+        # added left to right on every Python version (3.12's float sum
+        # compensates); _row_norms adds the columns of a block in this order
+        norm_sq = 0.0
+        for c in amps:
+            norm_sq += c.real * c.real + c.imag * c.imag
+        object.__setattr__(self, "norm_sq", norm_sq)
 
     @property
     def dim(self) -> int:
@@ -138,6 +141,17 @@ def factor_overlap(bra: FactorVector, ket: FactorVector) -> complex:
     return sum(
         a.conjugate() * b for a, b in zip(bra.amplitudes, ket.amplitudes)
     )
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``FactorVector.norm`` of each row of a (sites, dim) complex array, bit
+    for bit: the squared moduli are added one column at a time, left to
+    right, as ``norm_sq`` adds them, and numpy's sqrt rounds as math.sqrt."""
+    squares = rows.real * rows.real + rows.imag * rows.imag
+    norm_sq = squares[:, 0]
+    for column in squares.T[1:]:
+        norm_sq = norm_sq + column
+    return np.sqrt(norm_sq)
 
 
 def _stacked_brackets(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -298,18 +312,32 @@ class ParametricTail:
         """This tail moved ``sites`` sites later, its declaration with it:
         site n carries ``factor_fn(n - sites)``.  The sites before the shift
         belong to a prefix; they read factor 0, so probes there stay valid.
-        A canonical family stays one, so the walk keeps its runs."""
+        A canonical family stays one, so the walk keeps its runs; any other
+        callback is wrapped once in ``_Shifted``, which encoding reads."""
         inner = self.factor_fn
-        if isinstance(inner, _CanonicalFamily):
+        if isinstance(inner, (_CanonicalFamily, _Shifted)):
             factor_fn = replace(inner, shift=inner.shift + sites)
         else:
-            factor_fn = lambda n: inner(max(n - sites, 0))  # noqa: E731
+            factor_fn = _Shifted(inner, sites)
         return ParametricTail(
             dim=self.dim,
             factor_fn=factor_fn,
             limit=self.limit,
             decay=self.decay.shifted(sites),
         )
+
+
+@dataclass(frozen=True)
+class _Shifted:
+    """A callback moved ``shift`` sites later: site n reads ``inner(max(n -
+    shift, 0))``.  It says what it wraps and by how much, so encoding can
+    write the moved tail's canonical family."""
+
+    inner: Callable[[int], FactorVector]
+    shift: int
+
+    def __call__(self, n: int) -> FactorVector:
+        return self.inner(max(n - self.shift, 0))
 
 
 @dataclass(frozen=True)
@@ -335,8 +363,11 @@ class _CanonicalFamily:
         return self._weighted(1.0)
 
     def _weighted(self, weight: float) -> FactorVector:
+        # complex * complex, not float * complex: CPython 3.14 multiplies a
+        # float into a complex without the 0 * x terms, which moves zero signs
+        w = complex(weight)
         return FactorVector(
-            tuple(a + weight * d for a, d in zip(self.limit.amplitudes, self.deviation))
+            tuple(a + w * d for a, d in zip(self.limit.amplitudes, self.deviation))
         )
 
     @property
@@ -347,14 +378,44 @@ class _CanonicalFamily:
             return None
         return self.decay.rank + self.shift if self.decay.rank else 0
 
-    def __call__(self, n: int) -> FactorVector:
+    def _weight(self, n: int) -> float | None:
+        """w of site n, or None where the factor is the limit itself."""
         n = max(n - self.shift, 0)
         kind = self.decay.kind
         if kind == "geometric":
-            return self._weighted(self.decay.ratio**n)
+            return self.decay.ratio**n
         if kind == "p-series":
-            return self._weighted((n + 1) ** (-self.decay.p))
-        return self._moved if n < (self.decay.rank or 0) else self.limit
+            return (n + 1) ** (-self.decay.p)
+        return 1.0 if n < (self.decay.rank or 0) else None
+
+    def __call__(self, n: int) -> FactorVector:
+        weight = self._weight(n)
+        if weight is None:
+            return self.limit
+        if self.decay.kind == "eventually-constant":
+            return self._moved
+        return self._weighted(weight)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The factors of sites [lo, hi) as one (hi - lo, dim) complex array,
+        row k equal to ``self(lo + k).amplitudes`` bit for bit.  Weights come
+        from ``_weight`` in Python; w * deviation is formed as ``_weighted``
+        forms it, the complex product (w + 0j) * d, so even the signs of
+        underflowed zeros agree.  A non-finite amplitude raises as
+        ``FactorVector`` does, at the first one in site order."""
+        weights = [self._weight(n) for n in range(lo, hi)]
+        w = np.array([0.0 if x is None else x for x in weights])[:, None]
+        limit = np.array(self.limit.amplitudes, dtype=complex)
+        dev = np.array(self.deviation, dtype=complex)
+        out = np.empty((hi - lo, len(limit)), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # Python floats do not warn
+            out.real = limit.real + (w * dev.real - 0.0 * dev.imag)
+            out.imag = limit.imag + (w * dev.imag + 0.0 * dev.real)
+        out[[x is None for x in weights]] = limit
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise InvalidAmplitude(f"non-finite amplitude {complex(out[~finite][0])!r}")
+        return out
 
 
 TailRule = Union[ConstantTail, ParametricTail]

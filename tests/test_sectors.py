@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
+from qsectors.states import _CanonicalFamily, _row_norms
 
 from support import random_factor
 
@@ -504,3 +506,157 @@ class TestLongPrefixCertificates:
         monkeypatch.setattr(sectors, "_prefix_brackets", _site_by_site_brackets)
         monkeypatch.setattr(overlaps, "_prefix_brackets", _site_by_site_brackets)
         assert outputs() == got
+
+
+# -- the probe's block path ----------------------------------------------------
+#
+# A decoded family's tail is read by the norm-series probe as one block of
+# rows; the evidence must keep the bits of the site-by-site walk that any
+# other callback still takes.
+
+
+def _decoded_p_series(dim, prefix_len, p, seed):
+    from qsectors import serialize
+
+    rng = np.random.default_rng(seed)
+    doc = {
+        "type": "product-state",
+        "prefix": [
+            [serialize.encode_complex(c) for c in random_factor(rng, dim).amplitudes]
+            for _ in range(prefix_len)
+        ],
+        "tail": {
+            "kind": "parametric",
+            "class": "p-series",
+            "p": p,
+            "scale": 0.3,
+            "limit": [serialize.encode_complex(c) for c in random_factor(rng, dim).amplitudes],
+            "deviation": [
+                serialize.encode_complex(0.3 * c) for c in random_factor(rng, dim).amplitudes
+            ],
+        },
+    }
+    return serialize.decode_state(serialize.loads(serialize.dumps(doc)))
+
+
+def _plain_twin(state, shift, p):
+    """The same factors as a shifted decoded p-series tail, behind a lambda."""
+    tail = state.tail
+    limit, dev = tail.limit.amplitudes, tail.factor_fn.deviation
+
+    def factor(n):
+        w = (max(n - shift, 0) + 1) ** (-p)
+        return q.FactorVector(tuple(a + w * d for a, d in zip(limit, dev)))
+
+    return q.ProductState(
+        state.prefix, q.ParametricTail(tail.dim, factor, tail.limit, tail.decay)
+    )
+
+
+# (dim, prefix sites, shift, p): every p, prefix and shift together, dims 1-8 in turn
+PROBE_CASES = [
+    (k % 8 + 1, prefix_len, shift, p)
+    for k, (p, prefix_len, shift) in enumerate(
+        itertools.product((0.3, 0.75, 1.0), (0, 3, 70), (0, 1, 5))
+    )
+]
+
+
+# cases whose probe evidence is frozen below
+FROZEN_PROBE_CASES = [(1, 0, 0, 0.3), (3, 3, 1, 0.75), (5, 70, 5, 1.0), (8, 3, 0, 0.3)]
+FROZEN_PROBE_EVIDENCE = {
+    (1, 0, 0, 0.3): "{'limit_norm': 1.0, 'decay_kind': 'p-series', 'summable': False, 'prefix_norm_deviation': 0, 'proven': False, 'method': 'numeric-probe', 'probe_window': 4096, 'probe_sums': (143.39702570864046, 89.72515012106336)}",
+    (3, 3, 1, 0.75): "{'limit_norm': 0.9999999999999999, 'decay_kind': 'p-series', 'summable': False, 'prefix_norm_deviation': 2.220446049250313e-16, 'proven': False, 'method': 'numeric-probe', 'probe_window': 4096, 'probe_sums': (3.711520295638964, 0.823726149620972)}",
+    (5, 70, 5, 1.0): "{'limit_norm': 1.0, 'decay_kind': 'p-series', 'summable': False, 'prefix_norm_deviation': 4.3298697960381105e-15, 'proven': False, 'method': 'numeric-probe', 'probe_window': 4096, 'probe_sums': (0.19833186033339367, 0.03263255206879978)}",
+    (8, 3, 0, 0.3): "{'limit_norm': 1.0, 'decay_kind': 'p-series', 'summable': False, 'prefix_norm_deviation': 0.0, 'proven': False, 'method': 'numeric-probe', 'probe_window': 4096, 'probe_sums': (23.135336249669013, 15.37695100306031)}",
+}
+
+
+def _family_kinds():
+    # signed zeros and subnormals, so rounding to zero shows in the signs
+    limit = q.FactorVector((0.6, -0.0, 0.8j, complex(-0.0, -0.0)))
+    dev = (complex(0.1, -0.0), complex(-3e-310, 0.2), complex(0.0, -1e-300), complex(0.0, -3e-320))
+    decays = {
+        "geometric": q.DecaySpec("geometric", ratio=0.5),
+        "geometric-ratio-zero": q.DecaySpec("geometric", ratio=0.0),
+        "p-series": q.DecaySpec("p-series", p=0.75),
+        "eventually-constant": q.DecaySpec("eventually-constant", rank=7),
+        "custom-certified": q.DecaySpec("custom-certified", scale=0.5),
+    }
+    return {
+        f"{name}-shift-{shift}": _CanonicalFamily(limit, dev, decay, shift)
+        for name, decay in decays.items()
+        for shift in (0, 3)
+    }
+
+
+class TestProbeBlockPath:
+    @pytest.mark.parametrize("dim, prefix_len, shift, p", PROBE_CASES)
+    def test_evidence_matches_the_plain_callback(self, dim, prefix_len, shift, p):
+        decoded = _decoded_p_series(dim, prefix_len, p, seed=dim * 1000 + prefix_len + shift)
+        state = q.ProductState(decoded.prefix, decoded.tail.shifted(shift))
+        twin = _plain_twin(state, shift, p)
+        got = q.classify_sequence(state)
+        assert got.evidence["method"] == "numeric-probe"
+        assert repr(got.evidence) == repr(q.classify_sequence(twin).evidence)
+
+    @pytest.mark.parametrize("case", FROZEN_PROBE_CASES)
+    def test_evidence_bits_are_frozen(self, case):
+        # frozen from the site-by-site probe, before the block path existed
+        dim, prefix_len, shift, p = case
+        decoded = _decoded_p_series(dim, prefix_len, p, seed=dim * 1000 + prefix_len + shift)
+        state = q.ProductState(decoded.prefix, decoded.tail.shifted(shift))
+        assert repr(q.classify_sequence(state).evidence) == FROZEN_PROBE_EVIDENCE[case]
+
+    @pytest.mark.parametrize("name", sorted(_family_kinds()))
+    def test_rows_match_the_factors_bit_for_bit(self, name):
+        family = _family_kinds()[name]
+        for lo, hi in ((0, 1), (0, 12), (2, 9), (15, 40), (5000, 5003)):
+            want = np.array([family(n).amplitudes for n in range(lo, hi)], dtype=complex)
+            got = family.rows(lo, hi)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_block_norms_match_factor_norms(self):
+        family = _family_kinds()["p-series-shift-3"]
+        norms = _row_norms(family.rows(0, 40))
+        assert norms.tolist() == [family(n).norm for n in range(40)]
+
+    def test_canonical_probe_makes_no_per_site_call(self, monkeypatch):
+        state = _decoded_p_series(3, 2, 0.5, seed=5)
+        calls = []
+        original = _CanonicalFamily.__call__
+
+        def counting(self, n):
+            calls.append(n)
+            return original(self, n)
+
+        monkeypatch.setattr(_CanonicalFamily, "__call__", counting)
+        assert q.classify_sequence(state).evidence["method"] == "numeric-probe"
+        assert calls == []
+
+    def test_plain_callback_probe_goes_site_by_site(self):
+        state = _decoded_p_series(3, 2, 0.5, seed=5)
+        family = state.tail.factor_fn
+        calls = []
+
+        def plain(n):
+            calls.append(n)
+            return family(n)
+
+        tail = q.ParametricTail(3, plain, state.tail.limit, state.tail.decay)
+        twin = q.ProductState(state.prefix, tail)
+        calls.clear()
+        evidence = q.classify_sequence(twin).evidence
+        assert evidence["method"] == "numeric-probe"
+        assert len(calls) == 8192
+        assert repr(evidence) == repr(q.classify_sequence(state).evidence)
+
+    def test_non_finite_rows_raise_as_factors_do(self):
+        limit = q.FactorVector((0.6, 0.8))
+        family = _CanonicalFamily(limit, (complex(math.inf, 0.0), 0j), q.DecaySpec("geometric", ratio=0.5))
+        with pytest.raises(q.InvalidAmplitude) as want:
+            family(0)
+        with pytest.raises(q.InvalidAmplitude) as got:
+            family.rows(0, 4)
+        assert str(got.value) == str(want.value)

@@ -195,6 +195,43 @@ class TestStateCodec:
         with pytest.raises(q.UndeclaredTailClass):
             encode_state(term)
 
+    @staticmethod
+    def _premeasured_callback(decay, weight):
+        """``_premeasured`` with the branch's factors (0.6, 0.8 + 0.3 w(n))
+        behind a plain Python callback instead of a decoded family."""
+        limit = q.FactorVector((0.6, 0.8))
+        tail = q.ParametricTail(
+            2, lambda n: q.FactorVector((0.6, 0.8 + 0.3 * weight(n))), limit, decay
+        )
+        quiet = q.make_product_state((), q.ConstantTail(E0))
+        model = q.MeasurementModel((0.6, 0.8), (quiet, q.ProductState((), tail)))
+        return q.premeasurement_state(model).terms[1][1]
+
+    @pytest.mark.parametrize(
+        "decay, weight",
+        [
+            (q.DecaySpec("geometric", ratio=0.5, scale=0.3), lambda n: 0.5**n),
+            (q.DecaySpec("geometric", ratio=0.0, scale=0.3), lambda n: 0.0**n),
+            (q.DecaySpec("eventually-constant", rank=3, scale=0.3), lambda n: float(n < 3)),
+        ],
+    )
+    def test_shifted_callback_tails_decode_to_their_own_factors(self, decay, weight):
+        # the shifted callback is written with its shift, as a shifted
+        # family is: site 1 reads (0.6, 1.1) before and after
+        term = self._premeasured_callback(decay, weight)
+        assert term.factor_at(1).amplitudes == (0.6, 0.8 + 0.3)
+        back = decode_state(loads(dumps(encode_state(term))))
+        for site in range(1, 12):
+            want, got = term.factor_at(site).amplitudes, back.factor_at(site).amplitudes
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+        assert back.tail.decay == term.tail.decay
+
+    def test_shifted_p_series_callback_tails_are_refused(self):
+        decay = q.DecaySpec("p-series", p=2.0, scale=0.3)
+        term = self._premeasured_callback(decay, lambda n: (n + 1) ** -2.0)
+        with pytest.raises(q.UndeclaredTailClass):
+            encode_state(term)
+
     def test_custom_certified_has_no_encoding(self):
         tail = q.ParametricTail(
             dim=2,

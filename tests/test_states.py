@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
-from qsectors.states import _CanonicalFamily
+from qsectors.states import _CanonicalFamily, _Shifted
 from support import random_factor, random_product_state
 
 import numpy as np
@@ -131,9 +131,12 @@ class TestShiftedDeclarations:
             for sites in shifts:
                 moved, moved_plain = moved.shifted(sites), moved_plain.shifted(sites)
             assert isinstance(moved.factor_fn, _CanonicalFamily)
+            # a plain callback is wrapped once, with the shifts added up
+            assert moved_plain.factor_fn == _Shifted(plain.factor_fn, sum(shifts))
             assert moved.decay == moved_plain.decay
             for n in range(12):
-                assert moved.factor_at(n) == moved_plain.factor_at(n)
+                want = family(max(n - sum(shifts), 0))
+                assert moved.factor_at(n) == moved_plain.factor_at(n) == want
 
     def test_an_eventually_constant_family_builds_its_vector_once(self):
         limit = q.FactorVector((0.6, 0.8))
