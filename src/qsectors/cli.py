@@ -34,7 +34,7 @@ from .scenarios import (
     default_cascade,
     run_cascade,
 )
-from .sectors import classify_sequence, same_sector
+from .sectors import same_sector
 from .serialize import (
     decode_model,
     decode_operator,
@@ -161,8 +161,8 @@ def _cmd_sector_test(args) -> int:
     b = _product_state(_load(args.b), "second state")
     report = {
         "type": "sector-test",
-        "a_class": encode_verdict(classify_sequence(a)),
-        "b_class": encode_verdict(classify_sequence(b)),
+        "a_class": encode_verdict(a.sequence_class),
+        "b_class": encode_verdict(b.sequence_class),
         "verdict": encode_verdict(same_sector(a, b)),
     }
     _write_text(args.out, dumps(report, pretty=args.pretty) + "\n")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidAmplitude, PreconditionViolated
 from .overlaps import DIRECT_LIMIT, _sides, _Terms, _walk, _Walker
-from .sectors import _same_sector, classify_sequence
+from .sectors import same_sector
 from .states import (
     ALIGN_EXACT,
     ALIGN_GRAY,
@@ -77,16 +77,15 @@ class MeasurementModel:
                 raise PreconditionViolated(
                     f"branch {idx} has non-unit factors", norms=bad
                 )
-            cls = classify_sequence(b)
-            if cls.kind != "NonTrivialConvergentSequence":
+            kind = b.sequence_class.kind
+            if kind != "NonTrivialConvergentSequence":
                 raise PreconditionViolated(
-                    f"branch {idx} classifies as {cls.kind}; "
+                    f"branch {idx} classifies as {kind}; "
                     "branches must be non-trivial convergent sequences"
                 )
-        # every branch is classified once, above; the pairs reuse that
         for i in range(len(branches)):
             for j in range(i + 1, len(branches)):
-                verdict = _same_sector(branches[i], branches[j])
+                verdict = same_sector(branches[i], branches[j])
                 if verdict.kind != "DifferentSector":
                     raise PreconditionViolated(
                         f"branches {i} and {j} are {verdict.kind}; "

@@ -24,14 +24,12 @@ from .errors import (
     ShapeMismatch,
 )
 from .overlaps import OverlapSweep, _check_cuts, _sweep, _Terms, composite_overlap
-from .sectors import classify_sequence
 from .states import (
     ALIGN_EXACT,
     ALIGN_GRAY,
     CompositeState,
     ConstantTail,
     FactorVector,
-    ParametricTail,
     ProductState,
     _dim_runs,
     _first_dim_mismatch,
@@ -228,7 +226,8 @@ def _transform_tail(tail, op_tail: OperatorTail):
     if isinstance(tail, ConstantTail):
         return ConstantTail(u.apply_to(tail.vector))
     inner = tail.factor_fn
-    return ParametricTail(
+    return replace(
+        tail,
         dim=u.dim,
         factor_fn=lambda n: u.apply_to(inner(n)),
         limit=u.apply_to(tail.limit),
@@ -271,10 +270,10 @@ class SectorActionVerdict:
 def sector_action(op: FactoredOperator, state: ProductState) -> SectorActionVerdict:
     """Whether acting with ``op`` can move ``state`` out of its sector."""
     _check_op_state_dims(op, state)
-    cls = classify_sequence(state)
-    if cls.kind != "NonTrivialConvergentSequence":
+    kind = state.sequence_class.kind
+    if kind != "NonTrivialConvergentSequence":
         raise PreconditionViolated(
-            f"state is {cls.kind}; sector action needs NonTrivialConvergentSequence"
+            f"state is {kind}; sector action needs NonTrivialConvergentSequence"
         )
     limit = state.tail.limit
     off_unit = [f.norm for f in state.prefix if abs(f.norm - 1.0) > ALIGN_GRAY]

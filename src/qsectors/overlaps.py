@@ -72,11 +72,13 @@ def _run_starts(state: ProductState) -> tuple[int, ...]:
     A tail declared eventually-constant (a constant tail is one, of rank 0)
     repeats its limit from its rank on; the declaration says nothing about
     the sites before.  A canonical family computes its own factors, so it
-    also answers for the stretch between the prefix and its rank."""
+    also answers for the stretch between the prefix and its rank, moved
+    with its tail; a family of rank 0 is the limit from the prefix on."""
     p, tail = state.prefix_len, state.tail
     family = getattr(tail, "factor_fn", None)
     if isinstance(family, _CanonicalFamily) and family.rank is not None:
-        return tuple(sorted({p, max(p, family.rank)}))
+        rank = family.rank + tail.shift if family.rank else 0
+        return tuple(sorted({p, max(p, rank)}))
     if tail.decay.kind == "eventually-constant":
         return (max(p, tail.decay.rank),)
     return ()

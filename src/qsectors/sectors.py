@@ -140,11 +140,13 @@ def _probe_norm_series(state: ProductState, evidence: dict) -> SequenceClass:
 
 def _norm_deviations(state: ProductState, lo: int, hi: int) -> list[float]:
     """|norm - 1| of the factors at the tail sites [lo, hi).  A canonical
-    family gives them as one block, with the bits ``FactorVector.norm``
-    gives; any other callback is called site by site."""
-    family = getattr(state.tail, "factor_fn", None)
+    family gives them as one block, read at its own sites, with the bits
+    ``FactorVector.norm`` gives; any other callback is called site by site."""
+    tail = state.tail
+    family = getattr(tail, "factor_fn", None)
     if isinstance(family, _CanonicalFamily):
-        return np.abs(_row_norms(family.rows(lo, hi)) - 1.0).tolist()
+        rows = family.rows(lo - tail.shift, hi - tail.shift)
+        return np.abs(_row_norms(rows) - 1.0).tolist()
     return [abs(state.factor_at(n).norm - 1.0) for n in range(lo, hi)]
 
 
@@ -152,20 +154,13 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
     """Decide whether two non-trivial states carry the sector relation."""
     ensure_same_shape(a, b)
     for name, s in (("first", a), ("second", b)):
-        cls = classify_sequence(s)
-        if cls.kind != "NonTrivialConvergentSequence":
+        kind = s.sequence_class.kind
+        if kind != "NonTrivialConvergentSequence":
             raise PreconditionViolated(
-                f"{name} state is {cls.kind}; sector membership needs "
+                f"{name} state is {kind}; sector membership needs "
                 "NonTrivialConvergentSequence",
-                classification=cls.kind,
+                classification=kind,
             )
-    return _same_sector(a, b)
-
-
-def _same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
-    """``same_sector`` for same-shaped states whose classes the caller has
-    already found to be NonTrivialConvergentSequence; nothing is classified
-    again."""
     span = max(a.prefix_len, b.prefix_len)
     prefix_deficits = [abs(z - 1.0) for z in _prefix_brackets(a, b, span)]
     differing = tuple(
@@ -239,11 +234,10 @@ def normed_representative(state: ProductState) -> ProductState:
         if tail.limit.norm == 0.0:
             raise ZeroNormFactor("parametric tail limit has zero norm")
         inner = tail.factor_fn
-        limit = tail.limit.normalized()
-        new_tail = ParametricTail(
-            dim=tail.dim,
+        new_tail = replace(
+            tail,
             factor_fn=lambda n: inner(n).normalized(),
-            limit=limit,
+            limit=tail.limit.normalized(),
             # normalizing both sides at worst doubles the distance bound
             decay=replace(tail.decay, scale=2.0 * tail.decay.scale / tail.limit.norm),
         )

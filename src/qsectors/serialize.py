@@ -10,7 +10,7 @@ the declared decay class, and the initial deviation.  Decoding rebuilds
 the family (``states._CanonicalFamily``) from those three pieces, so a tail
 with an arbitrary callback round-trips to the canonical member of its own
 decay class; the prefix, limit, and declaration always survive exactly.
-A tail moved later (``ParametricTail.shifted``), whether a family or a
+A tail moved later (``ParametricTail.shift``), whether a family or a
 plain callback, is written as the canonical family of its moved declaration
 where one exists, and refused where none does.
 """
@@ -50,7 +50,6 @@ from .states import (
     ParametricTail,
     ProductState,
     _CanonicalFamily,
-    _Shifted,
 )
 
 __all__ = [
@@ -141,13 +140,11 @@ def _encode_tail(tail) -> dict:
         raise UndeclaredTailClass(
             "custom-certified tails have no canonical closed form to serialize"
         )
-    family = tail.factor_fn
+    family, shift = tail.factor_fn, tail.shift
     if isinstance(family, _CanonicalFamily):
         dev = family.deviation
     else:
-        # a shifted callback reads its callback's factor 0 at site 0
         dev = tuple(a - b for a, b in zip(family(0).amplitudes, tail.limit.amplitudes))
-    shift = family.shift if isinstance(family, (_CanonicalFamily, _Shifted)) else 0
     # a shifted tail is written as the canonical family of its shifted
     # declaration: geometric rescales its deviation, eventually-constant
     # keeps it under the shifted rank
@@ -190,7 +187,9 @@ def _decode_tail(obj: Any, where: str):
     dim = obj.get("dim", limit.dim)
     if dim != limit.dim:
         raise ShapeMismatch(f"{where}: dim {dim} vs limit dim {limit.dim}")
-    dev_norm = math.sqrt(sum(abs(c) ** 2 for c in dev))
+    # huge entries give inf here where abs(c) ** 2 raises OverflowError; a
+    # document without a scale then fails the declaration's finite-scale check
+    dev_norm = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in dev))
     decay = DecaySpec(
         kind=obj.get("class", "eventually-constant"),
         ratio=obj.get("ratio"),

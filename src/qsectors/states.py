@@ -17,6 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, groupby
+from numbers import Real
 from operator import itemgetter
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
@@ -187,13 +188,19 @@ class DecaySpec:
     def __post_init__(self) -> None:
         if self.kind not in _DECAY_KINDS:
             raise UndeclaredTailClass(f"unknown decay class {self.kind!r}")
+        for name, kind, what in (
+            ("ratio", Real, "a real number"), ("p", Real, "a real number"), ("rank", int, "an int")
+        ):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise UndeclaredTailClass(f"decay {name} must be {what}, got {value!r}")
         if not (math.isfinite(self.scale) and self.scale >= 0.0):
             raise UndeclaredTailClass("decay scale must be finite and nonnegative")
         if self.kind == "geometric":
             if self.ratio is None or not 0.0 <= self.ratio < 1.0:
                 raise UndeclaredTailClass("geometric decay needs 0 <= ratio < 1")
         if self.kind == "p-series":
-            if self.p is None or self.p <= 0.0:
+            if self.p is None or not self.p > 0.0:  # NaN too
                 raise UndeclaredTailClass("p-series decay needs p > 0")
         if self.kind == "eventually-constant":
             if self.rank is None or self.rank < 0:
@@ -279,15 +286,18 @@ class ConstantTail:
 class ParametricTail:
     """Factors beyond the prefix come from a pure closed-form callback.
 
-    ``factor_fn`` receives the absolute 0-based site index.  ``limit`` is the
-    vector the factors approach and ``decay`` certifies how fast; series tests
-    lean on that certification, so callers own its correctness.
+    Site n carries ``factor_fn(max(n - shift, 0))``: ``factor_fn`` receives
+    the absolute 0-based site index of the tail before it was moved
+    ``shift`` sites later (``shifted``).  ``limit`` is the vector the
+    factors approach and ``decay`` certifies how fast, at the moved sites;
+    series tests lean on that certification, so callers own its correctness.
     """
 
     dim: int
     factor_fn: Callable[[int], FactorVector]
     limit: FactorVector
     decay: DecaySpec
+    shift: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.decay, DecaySpec):
@@ -306,47 +316,23 @@ class ParametricTail:
                 )
 
     def factor_at(self, site: int) -> FactorVector:
-        return self.factor_fn(site)
+        # max(site - shift, 0), without the cost of a builtin call per site
+        shift = self.shift
+        return self.factor_fn(site - shift if site > shift else 0)
 
     def shifted(self, sites: int) -> "ParametricTail":
-        """This tail moved ``sites`` sites later, its declaration with it:
-        site n carries ``factor_fn(n - sites)``.  The sites before the shift
-        belong to a prefix; they read factor 0, so probes there stay valid.
-        A canonical family stays one, so the walk keeps its runs; any other
-        callback is wrapped once in ``_Shifted``, which encoding reads."""
-        inner = self.factor_fn
-        if isinstance(inner, (_CanonicalFamily, _Shifted)):
-            factor_fn = replace(inner, shift=inner.shift + sites)
-        else:
-            factor_fn = _Shifted(inner, sites)
-        return ParametricTail(
-            dim=self.dim,
-            factor_fn=factor_fn,
-            limit=self.limit,
-            decay=self.decay.shifted(sites),
-        )
-
-
-@dataclass(frozen=True)
-class _Shifted:
-    """A callback moved ``shift`` sites later: site n reads ``inner(max(n -
-    shift, 0))``.  It says what it wraps and by how much, so encoding can
-    write the moved tail's canonical family."""
-
-    inner: Callable[[int], FactorVector]
-    shift: int
-
-    def __call__(self, n: int) -> FactorVector:
-        return self.inner(max(n - self.shift, 0))
+        """This tail moved ``sites`` sites later, its declaration with it.
+        The sites before the shift belong to a prefix; they read factor 0,
+        so probes there stay valid."""
+        return replace(self, shift=self.shift + sites, decay=self.decay.shifted(sites))
 
 
 @dataclass(frozen=True)
 class _CanonicalFamily:
     """The factors of a serialized parametric tail: ``limit + w(n) *
     deviation`` with w(n) = ratio**n (geometric), (n + 1)**-p (p-series), or
-    1 before rank and the limit itself from rank on (any other class).
-    ``decay`` is the family's own declaration; site n reads the factor of
-    ``max(n - shift, 0)``.
+    1 before rank and the limit itself from rank on (any other class), for
+    n >= 0.  ``decay`` is the family's own declaration, before any shift.
 
     Before its rank an eventually-constant family returns one vector, built
     once, so a walk may bracket that stretch once; no other callback is
@@ -356,7 +342,6 @@ class _CanonicalFamily:
     limit: FactorVector
     deviation: tuple[complex, ...]
     decay: DecaySpec
-    shift: int = 0
 
     @cached_property
     def _moved(self) -> FactorVector:
@@ -374,13 +359,10 @@ class _CanonicalFamily:
     def rank(self) -> int | None:
         """For an eventually-constant family, the site from which every
         factor is the limit, each one before it the same vector; else None."""
-        if self.decay.kind != "eventually-constant":
-            return None
-        return self.decay.rank + self.shift if self.decay.rank else 0
+        return self.decay.rank if self.decay.kind == "eventually-constant" else None
 
     def _weight(self, n: int) -> float | None:
-        """w of site n, or None where the factor is the limit itself."""
-        n = max(n - self.shift, 0)
+        """w of site n >= 0, or None where the factor is the limit itself."""
         kind = self.decay.kind
         if kind == "geometric":
             return self.decay.ratio**n
@@ -398,12 +380,12 @@ class _CanonicalFamily:
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The factors of sites [lo, hi) as one (hi - lo, dim) complex array,
-        row k equal to ``self(lo + k).amplitudes`` bit for bit.  Weights come
-        from ``_weight`` in Python; w * deviation is formed as ``_weighted``
-        forms it, the complex product (w + 0j) * d, so even the signs of
-        underflowed zeros agree.  A non-finite amplitude raises as
+        row k equal to ``self(max(lo + k, 0)).amplitudes`` bit for bit.
+        Weights come from ``_weight`` in Python; w * deviation is formed as
+        ``_weighted`` forms it, the complex product (w + 0j) * d, so even the
+        signs of underflowed zeros agree.  A non-finite amplitude raises as
         ``FactorVector`` does, at the first one in site order."""
-        weights = [self._weight(n) for n in range(lo, hi)]
+        weights = [self._weight(n if n > 0 else 0) for n in range(lo, hi)]
         w = np.array([0.0 if x is None else x for x in weights])[:, None]
         limit = np.array(self.limit.amplitudes, dtype=complex)
         dev = np.array(self.deviation, dtype=complex)
@@ -516,28 +498,19 @@ class ProductState:
 
     def __getstate__(self) -> dict:
         # the cached views are rebuilt on demand, so pickles stay the same
-        return {
-            k: v for k, v in self.__dict__.items() if k not in ("dim_runs", "stacked")
-        }
+        cached = ("dim_runs", "stacked", "sequence_class")
+        return {k: v for k, v in self.__dict__.items() if k not in cached}
 
     def as_composite(self, coefficient: complex = 1.0 + 0j) -> "CompositeState":
         return CompositeState(((complex(coefficient), self),))
 
+    @cached_property
     def sequence_class(self):
+        """``sectors.classify_sequence`` of this state, computed on first use
+        and kept for the life of the state; not pickled."""
         from . import sectors
 
         return sectors.classify_sequence(self)
-
-    @property
-    def is_convergent_sequence(self) -> bool:
-        return self.sequence_class().kind in (
-            "ConvergentSequence",
-            "NonTrivialConvergentSequence",
-        )
-
-    @property
-    def is_nontrivial_convergent_sequence(self) -> bool:
-        return self.sequence_class().kind == "NonTrivialConvergentSequence"
 
 
 @dataclass(frozen=True)

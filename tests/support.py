@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from qsectors.operators import (
     IdentityTail,
     OperatorTerm,
 )
+from qsectors.serialize import decode_state, encode_state
 
 
 def random_factor(rng: np.random.Generator, dim: int, unit: bool = True) -> q.FactorVector:
@@ -85,3 +87,47 @@ def child_env() -> dict[str, str]:
         part for part in (source_root, env.get("PYTHONPATH")) if part
     )
     return env
+
+
+# -- malformed state documents -------------------------------------------------
+#
+# A canonical document (as encode_state writes it) of each declared tail class,
+# and each of them with one tail field, or one deviation entry, replaced by a
+# value of the wrong type, sign or size.  Decoding or reading one must fail
+# with a QsectorsError, or succeed; nothing else.
+
+MALFORMED_VALUES = ("x", "0.5", 3.5, -1, True, None, [], {}, 1e308)
+
+CANONICAL_DOCUMENTS = {
+    cls: encode_state(decode_state({
+        "type": "product-state",
+        "prefix": [[0.8, 0.6]],
+        "tail": {"kind": "parametric", "class": cls, "scale": 0.3,
+                 "limit": [0.6, 0.8], "deviation": [0.0, 0.3], **declaration},
+    }))
+    for cls, declaration in (
+        ("geometric", {"ratio": 0.5}),
+        ("p-series", {"p": 2.0}),
+        ("eventually-constant", {"rank": 3}),
+    )
+}
+
+
+def _malformed_documents() -> dict[str, tuple[str, dict]]:
+    out = {}
+    for cls, doc in CANONICAL_DOCUMENTS.items():
+        for k, value in enumerate(MALFORMED_VALUES):
+            for name in doc["tail"]:
+                mutated = copy.deepcopy(doc)
+                mutated["tail"][name] = value
+                out[f"{cls}-{name}-{k}"] = (cls, mutated)
+            for i in range(len(doc["tail"]["deviation"])):
+                mutated = copy.deepcopy(doc)
+                mutated["tail"]["deviation"][i] = value
+                out[f"{cls}-deviation[{i}]-{k}"] = (cls, mutated)
+    return out
+
+
+# id -> (tail class, document); ids name the class, the field and the value's
+# index in MALFORMED_VALUES
+MALFORMED_DOCUMENTS = _malformed_documents()

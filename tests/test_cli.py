@@ -12,7 +12,7 @@ import qsectors as q
 from qsectors.cli import main
 from qsectors.serialize import decode_model, dumps, encode_model, encode_operator, encode_state, loads
 
-from support import child_env
+from support import CANONICAL_DOCUMENTS, MALFORMED_DOCUMENTS, child_env
 
 QUIET = q.make_product_state((), q.ConstantTail(q.FactorVector((1.0, 0.0))))
 KICKED = q.make_product_state((), q.ConstantTail(q.FactorVector((0.8, 0.6))))
@@ -510,3 +510,14 @@ class TestConsoleScript:
         assert a.returncode == b.returncode == 0, a.stderr + b.stderr
         assert a.stdout == b.stdout
         check_installed_script(("qnd-sim",), b)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_documents_exit_with_a_json_error(capsys, files, case):
+    cls, doc = MALFORMED_DOCUMENTS[case]
+    bad, good = files("bad.json", doc), files("good.json", CANONICAL_DOCUMENTS[cls])
+    for argv in (("sector-test", bad, good), ("overlap-sweep", bad, good, "--max", "8")):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert "code" in json.loads(err)

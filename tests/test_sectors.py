@@ -210,6 +210,33 @@ class TestSameSectorVerdicts:
         assert "summable" in v.certificate["reason"]
 
 
+class TestClassifyOnce:
+    def test_each_state_is_classified_once(self, monkeypatch):
+        from qsectors import sectors
+        from qsectors.operators import FactoredOperator, FactorOperator, IdentityTail, OperatorTerm
+
+        calls = []
+        classify = sectors.classify_sequence
+        monkeypatch.setattr(sectors, "classify_sequence", lambda s: calls.append(s) or classify(s))
+        a, b = geometric_state(E0), unit_state(tail_vec=rotated(0.2))
+        op = FactoredOperator((OperatorTerm(1.0, (FactorOperator(np.eye(2)),), IdentityTail(2)),))
+        for _ in range(3):
+            q.same_sector(a, b)
+            q.sector_action(op, a)
+            q.MeasurementModel((0.6, 0.8), (a, b))
+        assert [id(s) for s in calls] == [id(a), id(b)]
+        assert a.sequence_class is a.sequence_class
+
+    def test_the_class_is_not_pickled(self):
+        import pickle
+
+        s = unit_state(prefix=(rotated(0.3),))
+        before = pickle.dumps(s)
+        assert s.sequence_class.kind == "NonTrivialConvergentSequence"
+        assert pickle.dumps(s) == before
+        assert "sequence_class" not in vars(pickle.loads(before))
+
+
 class TestEquivalenceAxioms:
     def pool(self):
         return [
@@ -500,7 +527,7 @@ class TestLongPrefixCertificates:
         a, b = _long_pair(seed)
 
         def outputs():
-            return repr((sectors._same_sector(a, b), q.same_sector(a, b), q.asymptotic_overlap(a, b)))
+            return repr((q.same_sector(a, b), q.asymptotic_overlap(a, b)))
 
         got = outputs()
         monkeypatch.setattr(sectors, "_prefix_brackets", _site_by_site_brackets)
@@ -584,10 +611,17 @@ def _family_kinds():
         "custom-certified": q.DecaySpec("custom-certified", scale=0.5),
     }
     return {
-        f"{name}-shift-{shift}": _CanonicalFamily(limit, dev, decay, shift)
+        f"{name}-shift-{shift}": q.ParametricTail(
+            4, _CanonicalFamily(limit, dev, decay), limit, decay
+        ).shifted(shift)
         for name, decay in decays.items()
         for shift in (0, 3)
     }
+
+
+def _tail_rows(tail, lo, hi):
+    """Rows of a canonical tail's sites [lo, hi), read at its family's sites."""
+    return tail.factor_fn.rows(lo - tail.shift, hi - tail.shift)
 
 
 class TestProbeBlockPath:
@@ -610,17 +644,17 @@ class TestProbeBlockPath:
 
     @pytest.mark.parametrize("name", sorted(_family_kinds()))
     def test_rows_match_the_factors_bit_for_bit(self, name):
-        family = _family_kinds()[name]
+        tail = _family_kinds()[name]
         for lo, hi in ((0, 1), (0, 12), (2, 9), (15, 40), (5000, 5003)):
-            want = np.array([family(n).amplitudes for n in range(lo, hi)], dtype=complex)
-            got = family.rows(lo, hi)
+            want = np.array([tail.factor_at(n).amplitudes for n in range(lo, hi)], dtype=complex)
+            got = _tail_rows(tail, lo, hi)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
     def test_block_norms_match_factor_norms(self):
-        family = _family_kinds()["p-series-shift-3"]
-        norms = _row_norms(family.rows(0, 40))
-        assert norms.tolist() == [family(n).norm for n in range(40)]
+        tail = _family_kinds()["p-series-shift-3"]
+        norms = _row_norms(_tail_rows(tail, 0, 40))
+        assert norms.tolist() == [tail.factor_at(n).norm for n in range(40)]
 
     def test_canonical_probe_makes_no_per_site_call(self, monkeypatch):
         state = _decoded_p_series(3, 2, 0.5, seed=5)

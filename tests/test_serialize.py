@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 import qsectors as q
+from qsectors.operators import (
+    ConstantOperatorTail,
+    FactoredOperator,
+    FactorOperator,
+    OperatorTerm,
+)
 from qsectors.serialize import (
     decode_complex,
     decode_model,
@@ -21,6 +27,8 @@ from qsectors.serialize import (
     jsonable,
     loads,
 )
+
+from support import MALFORMED_DOCUMENTS
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -171,6 +179,19 @@ class TestStateCodec:
         model = q.MeasurementModel((0.6, 0.8), (quiet, kicked))
         return q.premeasurement_state(model).terms[1][1]
 
+    @staticmethod
+    def _image(term):
+        """``term`` under an operator that keeps the system factor at site 0
+        and rotates every device factor: its tail is a new callback that
+        must keep the premeasured shift."""
+        rotation = FactorOperator(np.array([[0.6, -0.8], [0.8, 0.6]]))
+        op = FactoredOperator((
+            OperatorTerm(1.0, (FactorOperator(np.eye(2)),), ConstantOperatorTail(rotation)),
+        ))
+        (_, image), = q.apply_operator(op, term).terms
+        return image
+
+    @pytest.mark.parametrize("image", [False, True])
     @pytest.mark.parametrize(
         "tail",
         [
@@ -179,9 +200,11 @@ class TestStateCodec:
             {"class": "eventually-constant", "rank": 3},
         ],
     )
-    def test_shifted_canonical_tails_round_trip(self, tail):
+    def test_shifted_canonical_tails_round_trip(self, tail, image):
         term = self._premeasured(tail)
         assert term.factor_at(1).amplitudes == (0.6, 0.8 + 0.3)
+        if image:
+            term = self._image(term)
         text = dumps(encode_state(term))
         back = decode_state(loads(text))
         for site in range(12):
@@ -190,8 +213,11 @@ class TestStateCodec:
         assert back.tail.decay == term.tail.decay
         assert dumps(encode_state(back)) == text
 
-    def test_shifted_p_series_tails_are_refused(self):
+    @pytest.mark.parametrize("image", [False, True])
+    def test_shifted_p_series_tails_are_refused(self, image):
         term = self._premeasured({"class": "p-series", "p": 2.0})
+        if image:
+            term = self._image(term)
         with pytest.raises(q.UndeclaredTailClass):
             encode_state(term)
 
@@ -207,6 +233,7 @@ class TestStateCodec:
         model = q.MeasurementModel((0.6, 0.8), (quiet, q.ProductState((), tail)))
         return q.premeasurement_state(model).terms[1][1]
 
+    @pytest.mark.parametrize("image", [False, True])
     @pytest.mark.parametrize(
         "decay, weight",
         [
@@ -215,20 +242,25 @@ class TestStateCodec:
             (q.DecaySpec("eventually-constant", rank=3, scale=0.3), lambda n: float(n < 3)),
         ],
     )
-    def test_shifted_callback_tails_decode_to_their_own_factors(self, decay, weight):
+    def test_shifted_callback_tails_decode_to_their_own_factors(self, decay, weight, image):
         # the shifted callback is written with its shift, as a shifted
         # family is: site 1 reads (0.6, 1.1) before and after
         term = self._premeasured_callback(decay, weight)
         assert term.factor_at(1).amplitudes == (0.6, 0.8 + 0.3)
+        if image:
+            term = self._image(term)
         back = decode_state(loads(dumps(encode_state(term))))
         for site in range(1, 12):
             want, got = term.factor_at(site).amplitudes, back.factor_at(site).amplitudes
             assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
         assert back.tail.decay == term.tail.decay
 
-    def test_shifted_p_series_callback_tails_are_refused(self):
+    @pytest.mark.parametrize("image", [False, True])
+    def test_shifted_p_series_callback_tails_are_refused(self, image):
         decay = q.DecaySpec("p-series", p=2.0, scale=0.3)
         term = self._premeasured_callback(decay, lambda n: (n + 1) ** -2.0)
+        if image:
+            term = self._image(term)
         with pytest.raises(q.UndeclaredTailClass):
             encode_state(term)
 
@@ -475,3 +507,12 @@ class TestDumpsLoads:
         with pytest.raises(q.UsageError):
             loads("{not json")
         assert loads('{"a": [1, 2]}') == {"a": [1, 2]}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_documents_fail_with_a_package_error(case):
+    _, doc = MALFORMED_DOCUMENTS[case]
+    try:
+        decode_state(doc)
+    except q.QsectorsError:
+        pass

@@ -1,13 +1,13 @@
 import math
 import pickle
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
-from qsectors.states import _CanonicalFamily, _Shifted
+from qsectors import overlaps
+from qsectors.states import _CanonicalFamily
 from support import random_factor, random_product_state
 
 import numpy as np
@@ -65,6 +65,26 @@ class TestDecaySpec:
             q.DecaySpec("geometric")
         with pytest.raises(q.UndeclaredTailClass):
             q.DecaySpec("geometric", ratio=1.0)
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            ("geometric", {"ratio": "0.5"}),
+            ("geometric", {"ratio": True}),
+            ("p-series", {"p": "2"}),
+            ("p-series", {"p": math.nan}),
+            ("eventually-constant", {"rank": 3.5}),
+            ("eventually-constant", {"rank": True}),
+            ("custom-certified", {"rank": "3"}),
+        ],
+    )
+    def test_declaration_numbers_are_numbers(self, kind, fields):
+        with pytest.raises(q.UndeclaredTailClass):
+            q.DecaySpec(kind, **fields)
+
+    def test_numpy_floats_and_ints_are_numbers(self):
+        assert q.DecaySpec("geometric", ratio=np.float64(0.5)).ratio == 0.5
+        assert q.DecaySpec("p-series", p=2).summable
 
     def test_p_series_summability(self):
         assert not q.DecaySpec("p-series", p=1.0).summable
@@ -130,9 +150,10 @@ class TestShiftedDeclarations:
             moved, moved_plain = tail, plain
             for sites in shifts:
                 moved, moved_plain = moved.shifted(sites), moved_plain.shifted(sites)
-            assert isinstance(moved.factor_fn, _CanonicalFamily)
-            # a plain callback is wrapped once, with the shifts added up
-            assert moved_plain.factor_fn == _Shifted(plain.factor_fn, sum(shifts))
+            # either callback stays itself; the tail holds the shifts added up
+            assert moved.factor_fn is family
+            assert moved_plain.factor_fn is plain.factor_fn
+            assert moved.shift == moved_plain.shift == sum(shifts)
             assert moved.decay == moved_plain.decay
             for n in range(12):
                 want = family(max(n - sum(shifts), 0))
@@ -144,7 +165,23 @@ class TestShiftedDeclarations:
         assert family(0) is family(8)
         assert family(0).amplitudes == (1.0, 0.0)
         assert family(9) is family(10**12) is limit
-        assert (family.rank, replace(family, shift=2).rank) == (9, 11)
+        assert family.rank == 9
+        # moved 2 sites later, the family's run before rank starts at the
+        # prefix end and its limit at 9 + 2
+        moved = q.ParametricTail(2, family, limit, family.decay).shifted(2)
+        assert overlaps._run_starts(q.ProductState((limit,) * 3, moved)) == (3, 11)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("a, b", [(0, 0), (1, 2), (3, 0), (2, 5)])
+    def test_shifts_add_up_on_the_tail(self, spec, a, b):
+        def fn(n):
+            return q.FactorVector((0.6, 0.8 + 0.3 * 0.5**n))
+
+        tail = q.ParametricTail(2, fn, q.FactorVector((0.6, 0.8)), spec)
+        moved = tail.shifted(a).shifted(b)
+        assert moved.shift == a + b
+        assert moved.factor_fn is fn
+        assert moved.decay == spec.shifted(a).shifted(b)
 
 
 class TestTails:
