@@ -140,11 +140,8 @@ def _sweep_rows(sweep: OverlapSweep) -> list[list]:
 
 
 def _maybe_first_below(sweep: OverlapSweep, eps: Optional[float]) -> None:
-    if eps is None:
-        return
-    if not eps > 0.0:
-        raise UsageError("--eps must be positive")
-    _summary({"eps": eps, "first_below": sweep.first_below(eps)})
+    if eps is not None:
+        _summary({"eps": eps, "first_below": sweep.first_below(eps)})
 
 
 def _cmd_product_classify(args) -> int:
@@ -227,8 +224,6 @@ def _cmd_decohere(args) -> int:
     header = ("truncation", "i", "j", "re", "im", "modulus", "log10_modulus")
     _write_text(args.out, _csv_text(header, rows))
     if args.eps is not None:
-        if not args.eps > 0.0:
-            raise UsageError("--eps must be positive")
         horizon = decoherence_horizon(model, args.eps, pair=pair)
         _summary({"eps": args.eps, "horizon": horizon})
     return 0
@@ -285,8 +280,6 @@ def _cmd_spin_sweep(args) -> int:
     _write_text(args.out, _csv_text(header, rows))
     payload = {"xi": str(xi), "sector": scenario.sector_verdict().kind}
     if args.eps is not None:
-        if not args.eps > 0.0:
-            raise UsageError("--eps must be positive")
         payload["eps"] = args.eps
         payload["first_below"] = sweep.first_below(args.eps)
     _summary(payload)
@@ -343,8 +336,6 @@ def _cmd_qnd_sim(args) -> int:
         "stages": list(cascade_stage_report(result)),
     }
     if args.eps is not None:
-        if not args.eps > 0.0:
-            raise UsageError("--eps must be positive")
         report["eps"] = args.eps
         report["horizon"] = (
             None
@@ -476,6 +467,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # before any subcommand computes or writes its artifact
+        if getattr(args, "eps", None) is not None and not args.eps > 0.0:
+            raise UsageError("--eps must be positive")
         return args.run(args)
     except (UsageError, IoError) as exc:
         print(dumps(_error_payload(exc)), file=sys.stderr)

@@ -193,13 +193,22 @@ class FactoredOperator:
         return self.terms[0].tail.dim
 
     def norm_bound(self, truncation: int) -> float:
-        """Triangle-inequality bound on the truncated operator norm."""
+        """Triangle-inequality bound on the truncated operator norm: per term,
+        the norms of the prefix operators within ``truncation``, times the
+        tail operator's norm to the power of the sites left."""
         total = 0.0
         for t in self.terms:
+            cut = max(min(truncation, len(t.prefix_ops)), 0)
             prod = 1.0
-            for site in range(truncation):
-                op = t.op_at(site)
-                prod *= op.norm_bound if op is not None else 1.0
+            for op in t.prefix_ops[:cut]:
+                prod *= op.norm_bound
+            rest, tail = truncation - cut, t.tail
+            # a product already at 0 or inf stays there, as in a site-by-site loop
+            if rest > 0 and isinstance(tail, ConstantOperatorTail) and 0.0 < prod < math.inf:
+                try:
+                    prod *= tail.operator.norm_bound**rest
+                except OverflowError:
+                    prod = math.inf
             total += abs(t.coefficient) * prod
         return total
 

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import (
+    DimensionBudgetExceeded,
     InvalidAmplitude,
     NotQuasiConvergent,
     PreconditionViolated,
     UndeclaredTailClass,
 )
-from .states import ALIGN_EXACT
+from .states import ALIGN_EXACT, WALK_BUDGET
 
 __all__ = [
     "ConstantValue",
@@ -43,14 +44,6 @@ QUASI_DRIFT = 4.0 * math.pi
 # Log-modulus sums beyond +/- this, still trending, count as 0 or divergence.
 LOG_RUNAWAY = 50.0
 _ARG_STABLE = 1e-8
-
-TAIL_CLASSES = (
-    "eventually-one",
-    "geometric-modulus",
-    "p-series-log-modulus",
-    "bounded-nonsummable-argument",
-    "custom",
-)
 
 
 def _coerce_term(value: complex, where: str) -> complex:
@@ -157,10 +150,6 @@ class ConvergenceVerdict:
             raise PreconditionViolated("ConvergesTo requires a value")
 
 
-def _converges(value: complex, diag: ProductDiagnostics) -> ConvergenceVerdict:
-    return ConvergenceVerdict("ConvergesTo", complex(value), diag)
-
-
 class _Accumulator:
     """Running complex product, kept both directly and as log-modulus plus
     unwrapped argument.
@@ -168,8 +157,6 @@ class _Accumulator:
     Overlap readouts use the direct product up to ``overlaps.DIRECT_LIMIT``
     terms and the log form past it, where the direct product may underflow;
     the classifiers read the log form.  A zero term pins the product at 0.
-    The classifiers' tail walk (``_walk_tail``) folds terms into the log form
-    only, so after it ``direct`` and ``zero`` still describe the prefix.
     """
 
     __slots__ = ("direct", "log_mod", "arg", "zero")
@@ -217,24 +204,41 @@ class _Accumulator:
         return cmath.exp(complex(min(self.log_mod, 700.0), self.arg))
 
 
-def _zero_product(n: int, where: str = "tail") -> ConvergenceVerdict:
-    """Verdict for a product cut to 0 by a zero term among the first ``n``."""
-    return _converges(
-        0j,
+class _ZeroTerm(Exception):
+    """Raised by ``_walk_tail`` at a zero term, whose index is ``args[0]``;
+    ``classify_product`` answers it with ``_zero_product``."""
+
+
+def _verdict(
+    kind: str,
+    value: complex | None,
+    acc: _Accumulator,
+    last_n: int,
+    samples: tuple[tuple[int, complex], ...],
+    note: str | None = None,
+    drift: float | None = None,
+) -> ConvergenceVerdict:
+    """A verdict reached after reading term ``last_n``.  Its diagnostics
+    carry the log form of ``acc``, with ``drift`` in place of the argument
+    when given."""
+    return ConvergenceVerdict(
+        kind,
+        value,
         ProductDiagnostics(
-            samples=((n, 0j),),
-            log_modulus_sum=-math.inf,
-            terms_examined=n,
-            notes=(f"zero {where} term short-circuits the product",),
+            samples=samples,
+            log_modulus_sum=acc.log_mod,
+            argument_drift=acc.arg if drift is None else drift,
+            terms_examined=last_n,
+            notes=() if note is None else (note,),
         ),
     )
 
 
-def _prefix_accumulator(seq: ComplexSequenceSpec) -> _Accumulator:
-    acc = _Accumulator()
-    for z in seq.prefix:
-        acc.push(z)
-    return acc
+def _zero_product(n: int, where: str = "tail") -> ConvergenceVerdict:
+    """Verdict for a product cut to 0 by a zero term among the first ``n``:
+    its log modulus is -inf."""
+    note = f"zero {where} term short-circuits the product"
+    return _verdict("ConvergesTo", 0j, _Accumulator(-math.inf), n, ((n, 0j),), note)
 
 
 def classify_product(
@@ -245,18 +249,27 @@ def classify_product(
 ) -> ConvergenceVerdict:
     """Decide convergence of the infinite product of ``seq``.
 
-    ``budget`` caps the total number of terms ever evaluated and ``tol`` is
-    the numeric stabilization tolerance.  With ``require_exact`` a custom
-    tail raises instead of returning a numeric verdict.
+    ``budget`` caps the total number of terms ever evaluated, at most
+    ``WALK_BUDGET``, and ``tol`` is the numeric stabilization tolerance.
+    With ``require_exact`` a custom tail raises instead of returning a
+    numeric verdict.
     """
     if budget < len(seq.prefix) + 1:
         raise PreconditionViolated(
             f"budget {budget} cannot cover the prefix of {len(seq.prefix)} terms"
         )
+    if budget > WALK_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"a term budget of {budget} was requested; the cap is {WALK_BUDGET}",
+            terms=budget,
+            budget=WALK_BUDGET,
+        )
     if not (tol > 0.0 and math.isfinite(tol)):
         raise PreconditionViolated("tol must be a positive finite number")
 
-    acc = _prefix_accumulator(seq)
+    acc = _Accumulator()
+    for z in seq.prefix:
+        acc.push(z)
     if acc.zero:
         return _zero_product(len(seq.prefix), "prefix")
     prefix_prod = acc.direct
@@ -267,22 +280,15 @@ def classify_product(
     tail = seq.tail
     if isinstance(tail, ConstantValue):
         return _classify_constant_tail(seq, prefix_prod, acc)
-
     if tail.klass == "custom" and require_exact:
         raise UndeclaredTailClass(
             "custom tail has no declared class; exact verdict unavailable"
         )
-
-    start = len(seq.prefix) + 1
-    if tail.klass == "eventually-one":
-        return _classify_eventually_one(seq, prefix_prod, acc, start, budget)
-    if tail.klass == "geometric-modulus":
-        return _classify_geometric(seq, prefix_prod, acc, start, budget, tol)
-    if tail.klass == "p-series-log-modulus":
-        return _classify_p_series(seq, prefix_prod, acc, start, budget, tol)
-    if tail.klass == "bounded-nonsummable-argument":
-        return _classify_declared_quasi(seq, acc, start, budget)
-    return _classify_numeric(seq, prefix_prod, acc, start, budget, tol)
+    classify = _CLASSIFIERS[tail.klass]
+    try:
+        return classify(seq, prefix_prod, acc, len(seq.prefix) + 1, budget, tol)
+    except _ZeroTerm as zero:
+        return _zero_product(zero.args[0])
 
 
 def _classify_constant_tail(
@@ -296,19 +302,14 @@ def _classify_constant_tail(
         return _zero_product(n0 + 1)
     mod_dev = abs(z) - 1.0
     arg = math.atan2(z.imag, z.real)
-    diag = ProductDiagnostics(
-        samples=((n0, prefix_prod), (n0 + 1, prefix_prod * z)),
-        log_modulus_sum=acc.log_mod,
-        argument_drift=abs(arg),
-        terms_examined=n0 + 1,
-    )
-    if abs(mod_dev) <= ALIGN_EXACT:
-        if abs(arg) <= ALIGN_EXACT:
-            return _converges(prefix_prod, diag)
-        return ConvergenceVerdict("QuasiConvergesToZero", 0j, diag)
-    if mod_dev < 0.0:
-        return _converges(0j, diag)
-    return ConvergenceVerdict("Diverges", None, diag)
+    if abs(mod_dev) > ALIGN_EXACT:
+        kind, value = ("ConvergesTo", 0j) if mod_dev < 0.0 else ("Diverges", None)
+    elif abs(arg) <= ALIGN_EXACT:
+        kind, value = "ConvergesTo", prefix_prod
+    else:
+        kind, value = "QuasiConvergesToZero", 0j
+    samples = ((n0, prefix_prod), (n0 + 1, prefix_prod * z))
+    return _verdict(kind, value, acc, n0 + 1, samples, drift=abs(arg))
 
 
 def _walk_tail(
@@ -318,17 +319,17 @@ def _walk_tail(
     stop: int,
     step: Callable[[int, complex], bool] | None = None,
     readings: _NumericReadings | None = None,
-) -> tuple[int, bool]:
+) -> int:
     """Read the tail terms ``start..stop`` once each, through ``seq.term_at``,
     and fold each into the log form of ``acc`` with the float operations of
     ``_Accumulator.push``, in its order.
 
-    The walk ends early after a term for which ``step(n, z)`` is true, and
-    at a zero term, which it does not fold.  ``readings`` reads the log form
-    at its half mark and doubling samples as the walk passes them.  Only the
-    log form is kept: ``acc.direct`` and ``acc.zero`` are not updated, and the
-    zero flag is returned instead.  Returns the last term index read and
-    whether that term was zero."""
+    The walk ends early after a term for which ``step(n, z)`` is true.  A
+    zero term raises ``_ZeroTerm``, so no classifier sees one.  ``readings``
+    reads the log form at its half mark and doubling samples as the walk
+    passes them.  Only the log form is kept: ``acc.direct`` still holds the
+    prefix product and ``acc.zero`` stays false.  Returns the last term
+    index read."""
     term_at = seq.term_at
     log, atan2 = math.log, math.atan2
     log_mod, arg = acc.log_mod, acc.arg
@@ -337,7 +338,7 @@ def _walk_tail(
     for n in range(start, stop + 1):
         z = term_at(n)
         if z == 0:
-            return n, True
+            raise _ZeroTerm(n)
         log_mod += log(abs(z))
         arg += atan2(z.imag, z.real)
         if n >= due:
@@ -347,7 +348,7 @@ def _walk_tail(
         if step is not None and step(n, z):
             break
     acc.log_mod, acc.arg = log_mod, arg
-    return n, False
+    return n
 
 
 def _classify_eventually_one(
@@ -356,6 +357,7 @@ def _classify_eventually_one(
     acc: _Accumulator,
     start: int,
     budget: int,
+    tol: float,
 ) -> ConvergenceVerdict:
     needed_ones = 16
     run = 0
@@ -370,22 +372,12 @@ def _classify_eventually_one(
         prod *= z
         return False
 
-    last_n, zero = _walk_tail(seq, acc, start, budget, step)
-    if zero:
-        return _zero_product(last_n)
-    settled = run >= needed_ones
-    diag = ProductDiagnostics(
-        samples=((start - 1, prefix_prod), (last_n, prod)),
-        log_modulus_sum=acc.log_mod,
-        argument_drift=acc.arg,
-        terms_examined=last_n,
-        notes=() if settled else (
-            "declared eventually-one but terms kept differing within budget",
-        ),
-    )
-    if settled:
-        return _converges(prod, diag)
-    return ConvergenceVerdict("Inconclusive", None, diag)
+    last_n = _walk_tail(seq, acc, start, budget, step)
+    samples = ((start - 1, prefix_prod), (last_n, prod))
+    if run >= needed_ones:
+        return _verdict("ConvergesTo", prod, acc, last_n, samples)
+    note = "declared eventually-one but terms kept differing within budget"
+    return _verdict("Inconclusive", None, acc, last_n, samples, note)
 
 
 def _classify_geometric(
@@ -411,20 +403,11 @@ def _classify_geometric(
             remaining = 0.0
         return remaining < tol
 
-    last_n, zero = _walk_tail(seq, acc, start, budget, step)
-    if zero:
-        return _zero_product(last_n)
+    last_n = _walk_tail(seq, acc, start, budget, step)
     value = prefix_prod * cmath.exp(log_sum)
-    return _converges(
-        value,
-        ProductDiagnostics(
-            samples=((start - 1, prefix_prod), (last_n, value)),
-            log_modulus_sum=acc.log_mod,
-            argument_drift=acc.arg,
-            terms_examined=last_n,
-            notes=(f"geometric log-modulus tail bound below {tol:g}",),
-        ),
-    )
+    samples = ((start - 1, prefix_prod), (last_n, value))
+    note = f"geometric log-modulus tail bound below {tol:g}"
+    return _verdict("ConvergesTo", value, acc, last_n, samples, note)
 
 
 def _classify_p_series(
@@ -455,65 +438,49 @@ def _classify_p_series(
     # for p <= 1 a vanishing coefficient falls back on the numeric verdict,
     # read off this walk
     readings = None if p > 1.0 else _NumericReadings(acc, prefix_prod, start, budget)
-    last_n, zero = _walk_tail(seq, acc, start, budget, step, readings)
-    if zero:
-        return _zero_product(last_n)
+    last_n = _walk_tail(seq, acc, start, budget, step, readings)
 
     c_est = sum(window) / len(window) if window else 0j
     if p > 1.0:
-        # midpoint integral correction for the unevaluated tail
+        # midpoint integral correction for the unevaluated tail, folded into
+        # the log form the diagnostics report
         correction = c_est * (last_n + 0.5) ** (1.0 - p) / (p - 1.0)
         value = prefix_prod * cmath.exp(log_sum + correction)
-        return _converges(
-            value,
-            ProductDiagnostics(
-                samples=((start - 1, prefix_prod), (last_n, value)),
-                log_modulus_sum=acc.log_mod + correction.real,
-                argument_drift=acc.arg + correction.imag,
-                terms_examined=last_n,
-                notes=(f"p-series tail corrected by {abs(correction):.3e}",),
-            ),
-        )
+        acc.log_mod += correction.real
+        acc.arg += correction.imag
+        samples = ((start - 1, prefix_prod), (last_n, value))
+        note = f"p-series tail corrected by {abs(correction):.3e}"
+        return _verdict("ConvergesTo", value, acc, last_n, samples, note)
 
     # p <= 1: the log series diverges unless its coefficient vanishes
     tiny = max(tol, 1e-9)
-    diag = ProductDiagnostics(
-        samples=((last_n, prefix_prod * cmath.exp(log_sum)),),
-        log_modulus_sum=acc.log_mod,
-        argument_drift=acc.arg,
-        terms_examined=last_n,
-        notes=(f"p={p:g} <= 1: log terms scale like c/n^p with c ~ {c_est:.3e}",),
-    )
+    samples = ((last_n, prefix_prod * cmath.exp(log_sum)),)
     if c_est.real > tiny:
-        return ConvergenceVerdict("Diverges", None, diag)
-    if c_est.real < -tiny:
-        return _converges(0j, diag)
-    if abs(c_est.imag) > tiny:
-        return ConvergenceVerdict("QuasiConvergesToZero", 0j, diag)
-    return _numeric_verdict(acc, readings, last_n, tol)
+        kind, value = "Diverges", None
+    elif c_est.real < -tiny:
+        kind, value = "ConvergesTo", 0j
+    elif abs(c_est.imag) > tiny:
+        kind, value = "QuasiConvergesToZero", 0j
+    else:
+        return _numeric_verdict(acc, readings, last_n, tol)
+    note = f"p={p:g} <= 1: log terms scale like c/n^p with c ~ {c_est:.3e}"
+    return _verdict(kind, value, acc, last_n, samples, note)
 
 
 def _classify_declared_quasi(
-    seq: ComplexSequenceSpec, acc: _Accumulator, start: int, budget: int
+    seq: ComplexSequenceSpec,
+    prefix_prod: complex,
+    acc: _Accumulator,
+    start: int,
+    budget: int,
+    tol: float,
 ) -> ConvergenceVerdict:
-    probe = min(budget, start + 9_999)
-    last_n, zero = _walk_tail(seq, acc, start, probe)
-    if zero:
-        return _zero_product(last_n)
-    return ConvergenceVerdict(
-        "QuasiConvergesToZero",
-        0j,
-        ProductDiagnostics(
-            samples=((probe, acc.value()),),
-            log_modulus_sum=acc.log_mod,
-            argument_drift=acc.arg,
-            terms_examined=probe,
-            notes=(
-                "declared bounded-nonsummable-argument: modulus product converges, "
-                "argument sums are unbounded",
-            ),
-        ),
+    last_n = _walk_tail(seq, acc, start, min(budget, start + 9_999))
+    note = (
+        "declared bounded-nonsummable-argument: modulus product converges, "
+        "argument sums are unbounded"
     )
+    return _verdict("QuasiConvergesToZero", 0j, acc, last_n, ((last_n, acc.value()),), note)
 
 
 class _NumericReadings:
@@ -555,9 +522,7 @@ def _classify_numeric(
     tol: float,
 ) -> ConvergenceVerdict:
     readings = _NumericReadings(acc, prefix_prod, start, budget)
-    last_n, zero = _walk_tail(seq, acc, start, budget, readings=readings)
-    if zero:
-        return _zero_product(last_n)
+    last_n = _walk_tail(seq, acc, start, budget, readings=readings)
     return _numeric_verdict(acc, readings, last_n, tol)
 
 
@@ -566,27 +531,37 @@ def _numeric_verdict(
 ) -> ConvergenceVerdict:
     """Verdict from partial products walked up to term ``last_n``."""
     half_log = readings.half_log
-    samples = readings.samples + [(last_n, acc.value())]
+    samples = (*readings.samples, (last_n, acc.value()))
     drift = abs(acc.arg - readings.half_arg)
-    diag = ProductDiagnostics(
-        samples=tuple(samples),
-        log_modulus_sum=acc.log_mod,
-        argument_drift=drift,
-        terms_examined=last_n,
-        notes=("numeric verdict from partial products",),
-    )
+    kind, value = "Inconclusive", None
     if acc.log_mod < -LOG_RUNAWAY and acc.log_mod < half_log - 1.0:
-        return _converges(0j, diag)
-    if acc.log_mod > LOG_RUNAWAY and acc.log_mod > half_log + 1.0:
-        return ConvergenceVerdict("Diverges", None, diag)
-    modulus_now = math.exp(min(acc.log_mod, LOG_RUNAWAY))
-    modulus_half = math.exp(min(half_log, LOG_RUNAWAY))
-    if abs(modulus_now - modulus_half) <= tol * max(1.0, modulus_now):
-        if drift > QUASI_DRIFT:
-            return ConvergenceVerdict("QuasiConvergesToZero", 0j, diag)
-        if drift <= _ARG_STABLE:
-            return _converges(acc.value(), diag)
-    return ConvergenceVerdict("Inconclusive", None, diag)
+        kind, value = "ConvergesTo", 0j
+    elif acc.log_mod > LOG_RUNAWAY and acc.log_mod > half_log + 1.0:
+        kind = "Diverges"
+    else:
+        modulus_now = math.exp(min(acc.log_mod, LOG_RUNAWAY))
+        modulus_half = math.exp(min(half_log, LOG_RUNAWAY))
+        if abs(modulus_now - modulus_half) <= tol * max(1.0, modulus_now):
+            if drift > QUASI_DRIFT:
+                kind, value = "QuasiConvergesToZero", 0j
+            elif drift <= _ARG_STABLE:
+                kind, value = "ConvergesTo", acc.value()
+    note = "numeric verdict from partial products"
+    return _verdict(kind, value, acc, last_n, samples, note, drift)
+
+
+# The walked classifier of each tail class ``ClosedFormTail`` accepts.  Each
+# is called as (seq, prefix_prod, acc, start, budget, tol), with the prefix
+# folded into ``acc`` and its product in ``prefix_prod``; the tail starts at
+# term ``start``.
+_CLASSIFIERS: dict[str, Callable[..., ConvergenceVerdict]] = {
+    "eventually-one": _classify_eventually_one,
+    "geometric-modulus": _classify_geometric,
+    "p-series-log-modulus": _classify_p_series,
+    "bounded-nonsummable-argument": _classify_declared_quasi,
+    "custom": _classify_numeric,
+}
+TAIL_CLASSES = tuple(_CLASSIFIERS)
 
 
 def quasi_convergence_value(

@@ -43,6 +43,7 @@ from .products import (
 )
 from .sectors import SectorVerdict, SequenceClass
 from .states import (
+    ALIGN_GRAY,
     CompositeState,
     ConstantTail,
     DecaySpec,
@@ -197,6 +198,15 @@ def _decode_tail(obj: Any, where: str):
         rank=obj.get("rank", 0 if "class" not in obj else None),
         scale=_float_in(obj["scale"]) if "scale" in obj else max(dev_norm, 0.0),
     )
+    # every family that reads its deviation weighs it by w(0) = 1 at site 0
+    # and by w(n) <= 1 after, so the declaration holds exactly when the
+    # deviation's norm (not nan) is within the declared scale
+    reads_deviation = decay.kind in ("geometric", "p-series") or (decay.rank or 0) > 0
+    if reads_deviation and not dev_norm <= decay.scale * (1.0 + ALIGN_GRAY):
+        raise UndeclaredTailClass(
+            f"{where}: deviation norm {dev_norm!r} exceeds the declared scale "
+            f"{decay.scale!r}"
+        )
     # the family keeps the decoded deviation for encoding: (limit + dev) -
     # limit need not equal dev in floating point
     family = _CanonicalFamily(limit, dev, decay)

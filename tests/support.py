@@ -131,3 +131,12 @@ def _malformed_documents() -> dict[str, tuple[str, dict]]:
 # id -> (tail class, document); ids name the class, the field and the value's
 # index in MALFORMED_VALUES
 MALFORMED_DOCUMENTS = _malformed_documents()
+
+
+# A geometric tail whose deviation breaks its declared scale: the first factor
+# is 3.0 from the limit, not at most 0.3.  Decoding it must refuse.
+BROKEN_SCALE_STATE = {
+    "type": "product-state",
+    "tail": {"kind": "parametric", "class": "geometric", "ratio": 0.5, "scale": 0.3,
+             "limit": [0.6, 0.8], "deviation": [0.0, 3.0]},
+}

@@ -11,8 +11,9 @@ import pytest
 import qsectors as q
 from qsectors.cli import main
 from qsectors.serialize import decode_model, dumps, encode_model, encode_operator, encode_state, loads
+from qsectors.states import WALK_BUDGET
 
-from support import CANONICAL_DOCUMENTS, MALFORMED_DOCUMENTS, child_env
+from support import BROKEN_SCALE_STATE, CANONICAL_DOCUMENTS, MALFORMED_DOCUMENTS, child_env
 
 QUIET = q.make_product_state((), q.ConstantTail(q.FactorVector((1.0, 0.0))))
 KICKED = q.make_product_state((), q.ConstantTail(q.FactorVector((0.8, 0.6))))
@@ -75,6 +76,18 @@ class TestProductClassify:
         assert code == 3
         assert json.loads(err)["code"] == "undeclared-tail-class"
 
+    def test_a_budget_past_the_cap_exits_3_before_any_term_is_read(self, capsys, files):
+        seq = files(
+            "seq.json",
+            {"tail": {"kind": "phase-drift", "coefficient": 1.0, "p": 0.5}},
+        )
+        code, out, err = run(capsys, "product-classify", seq, "--budget", "1000000000")
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["code"] == "dimension-budget-exceeded"
+        assert payload["context"] == {"terms": 10**9, "budget": WALK_BUDGET}
+
     def test_malformed_json(self, capsys, files):
         bad = files("bad.json", "{oops")
         code, _, err = run(capsys, "product-classify", bad)
@@ -115,6 +128,14 @@ class TestSectorTest:
         code, _, err = run(capsys, "sector-test", a, b)
         assert code == 3
         assert json.loads(err)["code"] == "precondition-violated"
+
+    def test_a_deviation_above_its_declared_scale_exits_3(self, capsys, files):
+        a = files("a.json", BROKEN_SCALE_STATE)
+        b = files("b.json", encode_state(KICKED))
+        code, out, err = run(capsys, "sector-test", a, b)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["code"] == "undeclared-tail-class"
 
     def test_composite_input_is_a_usage_error(self, capsys, files):
         doc = encode_state(q.CompositeState(((1.0, QUIET),)))
@@ -431,6 +452,41 @@ class TestQndSim:
         code, _, err = run(capsys, "qnd-sim", "--stages", "broken")
         assert code == 2
         assert json.loads(err)["code"] == "usage-error"
+
+
+def _eps_argv(files, command):
+    """argv for ``command`` without its --eps and --out options."""
+    quiet = files("quiet.json", encode_state(QUIET))
+    model = q.MeasurementModel((2**-0.5, 2**-0.5), (QUIET, KICKED))
+    eye = q.FactoredOperator((q.OperatorTerm(1.0, (), q.IdentityTail(2)),))
+    return {
+        "overlap-sweep": [quiet, files("kicked.json", encode_state(KICKED)), "--max", "3"],
+        "expectation-sweep": [files("op.json", encode_operator(eye)), quiet, "--max", "3"],
+        "decohere": [files("model.json", encode_model(model)), "--cuts", "1,2"],
+        "spin-sweep": ["--xi", "1/2", "--n-max", "4"],
+        "qnd-sim": [],
+    }[command]
+
+
+@pytest.mark.parametrize("eps", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command", ["overlap-sweep", "expectation-sweep", "decohere", "spin-sweep", "qnd-sim"]
+)
+def test_an_invalid_eps_is_refused_before_anything_is_written(
+    capsys, files, tmp_path, command, eps
+):
+    target = tmp_path / "artifact.out"
+    argv = [command, *_eps_argv(files, command), "--eps", eps, "--out", str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert not target.exists()
+    payload = json.loads(err)
+    assert payload["code"] == "usage-error"
+    assert payload["message"] == "--eps must be positive"
+    # without --out the artifact would go to stdout; it stays empty too
+    code, out, _ = run(capsys, *argv[:-2])
+    assert (code, out) == (2, "")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

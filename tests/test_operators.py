@@ -104,6 +104,43 @@ class TestFactoredOperator:
             dense = densify_operator(op, 4)
             assert bound + 1e-9 >= np.linalg.norm(dense, 2)
 
+    @staticmethod
+    def _scaled_tail_operator(tail_norm):
+        """Two terms: a 3-site prefix under a tail scaled to ``tail_norm``,
+        and a finitely supported one."""
+        prefix = (np.diag([2.0, 0.5]), np.array(PAULI_X), np.diag([0.25, 1.0]))
+        return q.FactoredOperator((
+            q.OperatorTerm(
+                0.5 - 1j,
+                tuple(q.FactorOperator(m) for m in prefix),
+                q.ConstantOperatorTail(q.FactorOperator(tail_norm * np.array(PAULI_Z))),
+            ),
+            q.OperatorTerm(3.0, (q.FactorOperator(np.eye(2)),), q.IdentityTail(2)),
+        ))
+
+    @staticmethod
+    def _site_by_site(op, truncation):
+        total = 0.0
+        for t in op.terms:
+            prod = 1.0
+            for site in range(truncation):
+                u = t.op_at(site)
+                prod *= u.norm_bound if u is not None else 1.0
+            total += abs(t.coefficient) * prod
+        return total
+
+    @pytest.mark.parametrize("tail_norm", [0.5, 1.5])
+    def test_norm_bound_reads_the_tail_in_closed_form(self, tail_norm):
+        op = self._scaled_tail_operator(tail_norm)
+        # within the prefix, and for no sites at all, the bits are the loop's
+        for truncation in (-1, 0, 1, 2, 3):
+            assert op.norm_bound(truncation) == self._site_by_site(op, truncation)
+        assert op.norm_bound(-5) == abs(0.5 - 1j) + 3.0
+        assert op.norm_bound(1000) == pytest.approx(self._site_by_site(op, 1000), rel=1e-12)
+        # 10**12 sites would take days one at a time
+        far = op.norm_bound(10**12)
+        assert far == (3.0 if tail_norm < 1.0 else math.inf)
+
     def test_state_dim_mismatch(self):
         three = q.make_product_state((), q.ConstantTail(q.basis_vector(3, 0)))
         with pytest.raises(q.ShapeMismatch):

@@ -28,7 +28,7 @@ from qsectors.serialize import (
     loads,
 )
 
-from support import MALFORMED_DOCUMENTS
+from support import BROKEN_SCALE_STATE, MALFORMED_DOCUMENTS
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -282,6 +282,49 @@ class TestStateCodec:
         assert isinstance(back, q.CompositeState)
         assert [coeff for coeff, _ in back.terms] == [0.6 + 0j, 0.8j]
 
+    def test_a_deviation_above_its_declared_scale_is_refused(self):
+        # the first factor is 3.0 from the limit; a scale of 0.3 would
+        # certify bounds that the factors break
+        with pytest.raises(q.UndeclaredTailClass):
+            decode_state(BROKEN_SCALE_STATE)
+        # a nan deviation is not within any scale
+        tail = {**BROKEN_SCALE_STATE["tail"], "deviation": [0.0, {"re": "nan", "im": 0.0}]}
+        with pytest.raises(q.UndeclaredTailClass):
+            decode_state({"type": "product-state", "tail": tail})
+
+    @pytest.mark.parametrize(
+        "declared",
+        [
+            {"class": "geometric", "ratio": 0.5},
+            {"class": "p-series", "p": 2.0},
+            {"class": "eventually-constant", "rank": 2},
+        ],
+    )
+    def test_every_family_that_reads_its_deviation_checks_the_scale(self, declared):
+        tail = {"kind": "parametric", "limit": [0.6, 0.8], "deviation": [0.0, 0.5], **declared}
+        with pytest.raises(q.UndeclaredTailClass):
+            decode_state({"type": "product-state", "tail": {**tail, "scale": 0.49}})
+        # a deviation whose norm equals the scale is the declaration itself
+        state = decode_state({"type": "product-state", "tail": {**tail, "scale": 0.5}})
+        assert state.tail.factor_at(0).amplitudes == (0.6 + 0j, 1.3 + 0j)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            # one rounding above the scale is within the gray zone
+            {"class": "geometric", "ratio": 0.5, "scale": 0.3,
+             "deviation": [0.0, 0.30000000000000004]},
+            # a rank-0 family never reads its deviation
+            {"class": "eventually-constant", "rank": 0, "scale": 0.1, "deviation": [0.0, 3.0]},
+            # without a scale the deviation norm is the scale
+            {"class": "geometric", "ratio": 0.5, "deviation": [0.0, 3.0]},
+        ],
+    )
+    def test_declarations_the_deviation_keeps_still_decode(self, tail):
+        doc = {"type": "product-state",
+               "tail": {"kind": "parametric", "limit": [0.6, 0.8], **tail}}
+        assert decode_state(doc).tail.decay.kind == tail["class"]
+
     def test_decode_rejections(self):
         with pytest.raises(q.UsageError):
             decode_state([])
@@ -369,7 +412,7 @@ class TestModelCodec:
                     "dim": 2,
                     "class": "geometric",
                     "ratio": 0.5,
-                    "scale": 0.3,
+                    "scale": 0.4,
                     "limit": [encode_complex(c) for c in limit],
                     "deviation": [encode_complex(c) for c in dev],
                 },
