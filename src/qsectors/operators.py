@@ -390,7 +390,8 @@ class _Images:
     def __init__(self, terms: Sequence[OperatorTerm], state: _Terms) -> None:
         self.terms = terms
         self.state = state
-        self.explicit = state.explicit
+        # images are stacked over the explicit prefix only
+        self.explicit = self.stackable = state.explicit
         (runs,) = state.runs
         self.runs = [tuple(sorted({max(s, len(t.prefix_ops)) for s in runs})) for t in terms]
         self.sources = [self._image(t, state.sources[0]) for t in terms]

@@ -6,14 +6,16 @@ factors the running product is read from its log-modulus plus unwrapped
 phase so sweeps survive far past double-precision underflow.  A factor
 overlap of exactly zero short-circuits the whole product.
 
-Long explicit prefixes are bracketed in stacked numpy blocks, every term
-pair of a block at once, read off each state's stacked prefix
-(``ProductState.stacked``).  Where both factors of a pair stay one vector
-over a run of sites, the pair is bracketed once at the run's start and its
-product over the run is that bracket's power, read in closed form.
-Everything else goes one site at a time, within ``WALK_BUDGET``.  Which
-path a site takes depends on the two sides alone, so a readout depends only
-on its cut.
+Long walks are bracketed in stacked numpy blocks, every term pair of a
+block at once: explicit prefixes are read off each state's stacked prefix
+(``ProductState.stacked``), and the blocks run on into tails whose factors
+can be built as rows, constant tails and decoded canonical families.  Where
+both factors of a pair stay one vector over a run of sites, the pair is
+bracketed once at the run's start and its product over the run is that
+bracket's power, read in closed form.  Everything else, plain callbacks
+among it, goes one site at a time, within ``WALK_BUDGET``.  Which path a
+site takes depends on the two sides alone, so a readout depends only on its
+cut.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ __all__ = [
 DIRECT_LIMIT = 64
 # Amplitudes one block of the stacked walk holds, per side and in its brackets.
 BLOCK_AMPLITUDES = 2**16
+# Tail sites one block holds at most: prefix rows are views of each state's
+# stacked prefix, but tail rows are built for the block, so this bounds what
+# a long tail walk holds at once.
+TAIL_BLOCK_SITES = 4096
 
 # Maps an absolute site to the factor a walk brackets there.
 FactorSource = Callable[[int], FactorVector]
@@ -93,12 +99,31 @@ def _pair_runs(bra: tuple[int, ...], ket: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted({s for s in bra + ket if s >= first}))
 
 
+def _tail_rows(tail) -> Callable[[int, int], np.ndarray] | None:
+    """``rows(lo, hi)``: the (hi - lo, dim) factors of a tail at sites [lo,
+    hi), bit for bit, for a constant tail (its vector, repeated) or a decoded
+    canonical family (``_CanonicalFamily.rows`` at the sites before the
+    shift, which clamps at 0 as ``factor_at`` does); None for any other
+    callback, whose factors only it can compute."""
+    if isinstance(tail, ConstantTail):
+        amplitudes = tail.vector.amplitudes
+        return lambda lo, hi: np.broadcast_to(np.array(amplitudes), (hi - lo, len(amplitudes)))
+    family = getattr(tail, "factor_fn", None)
+    if isinstance(family, _CanonicalFamily):
+        shift = tail.shift
+        return lambda lo, hi: family.rows(lo - shift, hi - shift)
+    return None
+
+
 class _Terms:
     """One side of a walk: a list of product-state terms.
 
     The site-by-site loop fetches their factors through ``sources``; the
-    block stretch reads their explicit prefixes, stacked by ``rows``.
-    ``runs[k]`` holds the run starts of term k (``_run_starts``).
+    block stretch reads them stacked by ``rows``: the explicit prefixes, and
+    past them the tails that ``_tail_rows`` builds.  ``explicit`` is the
+    shortest prefix, ``stackable`` how far every term's rows reach: no limit
+    when every tail builds rows, else ``explicit``.  ``runs[k]`` holds the
+    run starts of term k (``_run_starts``).
     """
 
     def __init__(
@@ -107,26 +132,42 @@ class _Terms:
         self.states = tuple(states)
         self.sources = list(sources) or [s.factor_at for s in self.states]
         self.explicit = min(s.prefix_len for s in self.states)
+        self.tails = [_tail_rows(s.tail) for s in self.states]
+        self.stackable = math.inf if None not in self.tails else self.explicit
         self.runs = [_run_starts(s) for s in self.states]
         self._rows: tuple = (None, None)
 
     def dim_at(self, site: int) -> int:
-        return self.states[0].prefix[site].dim
+        return self.states[0].dim_at(site)
 
     def run_end(self, start: int, stop: int) -> int:
-        """First prefix site in (start, stop) whose dim differs from the dim
-        at ``start``, or ``stop``."""
+        """First site in (start, stop) whose dim differs from the dim at
+        ``start``, or ``stop``."""
         runs = self.states[0].dim_runs
-        return min(stop, runs[bisect_right(runs, start, key=itemgetter(0))][0])
+        k = bisect_right(runs, start, key=itemgetter(0))
+        return min(stop, runs[k][0]) if k < len(runs) else stop
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """(terms, sites, dim) amplitudes of the explicit sites [lo, hi),
-        which share one dim, from each state's stacked prefix.  The last block
-        is kept, so a side that serves as both bra and ket is stacked once."""
+        """(terms, sites, dim) amplitudes of the sites [lo, hi), which share
+        one dim: each state's stacked prefix, then its tail rows.  The last
+        block is kept, so a side that serves as both bra and ket is stacked
+        once."""
         if self._rows[0] != (lo, hi):
-            block = np.stack([s.prefix_rows(lo, hi) for s in self.states])
+            block = np.stack([
+                _state_rows(s, tail, lo, hi) for s, tail in zip(self.states, self.tails)
+            ])
             self._rows = ((lo, hi), block)
         return self._rows[1]
+
+
+def _state_rows(state: ProductState, tail, lo: int, hi: int) -> np.ndarray:
+    """One state's rows of [lo, hi): prefix rows, tail rows past its prefix."""
+    p = state.prefix_len
+    if hi <= p:
+        return state.prefix_rows(lo, hi)
+    if lo >= p:
+        return tail(lo, hi)
+    return np.concatenate([state.prefix_rows(lo, p), tail(p, hi)])
 
 
 # One readout of a walk: (c_k, bra term index, ket term index) per product.
@@ -188,15 +229,22 @@ def _stacked_blocks(
     """Yield (start, stop, g) for consecutive blocks of sites covering
     [lo, hi), g the (pairs, sites) brackets of the (bra term, ket term) pairs
     in ``keys``.  One einsum brackets every term pair of a block; a block
-    keeps one dim, read from the bra side, and about BLOCK_AMPLITUDES
-    amplitudes per side and in its brackets."""
+    keeps one dim, read from the bra side, about BLOCK_AMPLITUDES amplitudes
+    per side and in its brackets, and at most TAIL_BLOCK_SITES sites past
+    the shortest explicit prefix."""
     n_bra, n_ket = len(bra.sources), len(ket.sources)
     bra_idx, ket_idx = (np.array(ix) for ix in zip(*keys))
+    explicit = min(bra.explicit, ket.explicit)
     start = lo
     while start < hi:
         d = bra.dim_at(start)
         width = max(n_bra * d, n_ket * d, n_bra * n_ket)
-        stop = bra.run_end(start, min(hi, start + max(1, BLOCK_AMPLITUDES // width)))
+        stop = min(
+            hi,
+            start + max(1, BLOCK_AMPLITUDES // width),
+            max(start, explicit) + TAIL_BLOCK_SITES,
+        )
+        stop = bra.run_end(start, stop)
         g = _stacked_brackets(bra.rows(start, stop), ket.rows(start, stop))
         yield start, stop, g[bra_idx, ket_idx]
         start = stop
@@ -232,15 +280,19 @@ class _Walker:
     prod_{site<cut} <bra_a(site)|ket_b(site)>.  Which path brackets a site
     depends on the sides alone, so a readout depends only on its cut.
 
-    When every term holds more than DIRECT_LIMIT explicit sites, those go in
-    stacked blocks, no further than ``last_cut``; a pair's log form there is
-    a running sum (a seeded cumsum), so a cut inside a block reads a column.
-    Other sites are bracketed one at a time; cuts <= DIRECT_LIMIT read their
+    The sites before the block end go in stacked blocks, no further than
+    ``last_cut``: the block end is the shortest reach of the two sides' rows
+    (``stackable``: the explicit prefixes, or for ever where every tail
+    builds rows) or the first run start of any pair, whichever comes first,
+    when that lies past DIRECT_LIMIT.  A pair's log form there is a running
+    sum (a seeded cumsum), so a cut inside a block reads a column.  Other
+    sites are bracketed one at a time; cuts <= DIRECT_LIMIT read their
     direct product, which with blocks is all they update.  Two ``_Terms``
     sides bracket those sites in one stacked block too, pushed in site order
     (their rows are the factors, so the brackets keep their bits); operator
     images go one site at a time, since a batched matmul does not keep the
-    bits of ``apply_to``.
+    bits of ``apply_to``.  Blocked or not, ``check`` counts the sites past
+    the shortest explicit prefix against WALK_BUDGET.
 
     From its first run start (``_pair_runs``) on, a pair is in a run: it
     brackets G once at the run's start a and keeps its log form there, and
@@ -267,7 +319,8 @@ class _Walker:
         self.firsts = [starts[0] if starts else math.inf for starts in self.starts]
         self.last_first = max(self.firsts)
         self.explicit = min(bra.explicit, ket.explicit)
-        self.blocked = self.explicit if self.explicit > DIRECT_LIMIT else 0
+        stackable = min(bra.stackable, ket.stackable, min(self.firsts))
+        self.blocked = stackable if stackable > DIRECT_LIMIT else 0
         self.accs = [products._Accumulator() for _ in self.keys]
         self.sources = [(bra.sources[a], ket.sources[b]) for a, b in self.keys]
         self.steps = self.pair_steps = [(*s, acc.push) for s, acc in zip(self.sources, self.accs)]
@@ -294,8 +347,8 @@ class _Walker:
 
     def check(self, cut: float) -> None:
         """Refuse a read of ``cut`` that brackets more than WALK_BUDGET term
-        pairs x sites one at a time past the shortest explicit prefix: a pair
-        does so up to its first run start."""
+        pairs x sites past the shortest explicit prefix, one at a time or in
+        tail blocks: a pair does so up to its first run start."""
         sites = len(self.keys) * max(0, min(cut, self.last_first) - self.explicit)
         if sites > WALK_BUDGET:  # an upper bound: count pair by pair only past it
             sites = sum(max(0, min(cut, first) - self.explicit) for first in self.firsts)

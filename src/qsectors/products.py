@@ -351,6 +351,24 @@ def _walk_tail(
     return n
 
 
+def _declared_value(prefix_prod: complex, log_sum: complex) -> complex | None:
+    """``prefix_prod * exp(log_sum)``, or None where the exp overflows: a
+    log sum that large breaks the declared class, whose logs are summable."""
+    try:
+        return prefix_prod * cmath.exp(log_sum)
+    except OverflowError:
+        return None
+
+
+def _broken(
+    acc: _Accumulator, start: int, prefix_prod: complex, last_n: int, note: str
+) -> ConvergenceVerdict:
+    """Inconclusive verdict for a tail whose terms break its declared class;
+    its sample is the walked product, through the clamped exp."""
+    samples = ((start - 1, prefix_prod), (last_n, acc.value()))
+    return _verdict("Inconclusive", None, acc, last_n, samples, note)
+
+
 def _classify_eventually_one(
     seq: ComplexSequenceSpec,
     prefix_prod: complex,
@@ -391,20 +409,33 @@ def _classify_geometric(
     ratio = seq.tail.ratio
     log_sum = 0j
     coeff = 0.0
+    broken = False
 
     def step(n: int, z: complex) -> bool:
-        nonlocal log_sum, coeff
+        nonlocal log_sum, coeff, broken
         ell = cmath.log(z)
         log_sum += ell
         if ratio > 0.0:
-            coeff = max(coeff, abs(ell) / ratio**n)
+            bound = ratio**n
+            if bound > 0.0:
+                coeff = max(coeff, abs(ell) / bound)
+            elif ell:
+                # once ratio**n underflows, no finite C bounds a nonzero term
+                broken = True
+                return True
             remaining = coeff * ratio ** (n + 1) / (1.0 - ratio)
         else:
             remaining = 0.0
         return remaining < tol
 
     last_n = _walk_tail(seq, acc, start, budget, step)
-    value = prefix_prod * cmath.exp(log_sum)
+    if broken:
+        note = "declared geometric but a log term stays nonzero past ratio**n underflow"
+        return _broken(acc, start, prefix_prod, last_n, note)
+    value = _declared_value(prefix_prod, log_sum)
+    if value is None:
+        note = "declared geometric but the log sum overflows"
+        return _broken(acc, start, prefix_prod, last_n, note)
     samples = ((start - 1, prefix_prod), (last_n, value))
     note = f"geometric log-modulus tail bound below {tol:g}"
     return _verdict("ConvergesTo", value, acc, last_n, samples, note)
@@ -445,7 +476,10 @@ def _classify_p_series(
         # midpoint integral correction for the unevaluated tail, folded into
         # the log form the diagnostics report
         correction = c_est * (last_n + 0.5) ** (1.0 - p) / (p - 1.0)
-        value = prefix_prod * cmath.exp(log_sum + correction)
+        value = _declared_value(prefix_prod, log_sum + correction)
+        if value is None:
+            note = f"declared p={p:g} > 1 but the log sum overflows"
+            return _broken(acc, start, prefix_prod, last_n, note)
         acc.log_mod += correction.real
         acc.arg += correction.imag
         samples = ((start - 1, prefix_prod), (last_n, value))
@@ -454,7 +488,7 @@ def _classify_p_series(
 
     # p <= 1: the log series diverges unless its coefficient vanishes
     tiny = max(tol, 1e-9)
-    samples = ((last_n, prefix_prod * cmath.exp(log_sum)),)
+    samples = ((last_n, prefix_prod * _Accumulator(log_sum.real, log_sum.imag).value()),)
     if c_est.real > tiny:
         kind, value = "Diverges", None
     elif c_est.real < -tiny:

@@ -217,8 +217,8 @@ class TestAsymptoticOverlap:
 #
 # Past the last cut <= DIRECT_LIMIT, sites every term holds explicitly are
 # bracketed in stacked numpy blocks.  These tests compare that path with the
-# site-by-site walk over the same sides (``explicit = 0`` turns the block
-# stretch off).  Sums of n logs or angles round at about 1e-16 of their
+# site-by-site walk over the same sides (``explicit = stackable = 0`` turns
+# the block stretch off).  Sums of n logs or angles round at about 1e-16 of their
 # summed magnitudes, so the block path must agree to 1e-12 of those.
 
 
@@ -327,6 +327,7 @@ def _pair_walk(bra, ket, cuts, block):
     bra_side, ket_side, (readout,) = overlaps._sides(bra, ket)
     if not block:
         bra_side.explicit = ket_side.explicit = 0
+        bra_side.stackable = ket_side.stackable = 0
     pairs = [[(1.0 + 0j, a, b)] for _, a, b in readout]
     return overlaps._walk(bra_side, ket_side, [readout] + pairs, cuts)
 
@@ -633,8 +634,11 @@ def _cuts_for(j):
 
 
 def _site_by_site(monkeypatch, fn, *args):
+    """``fn(*args)`` with no runs and no tail rows: past the explicit
+    prefixes, every site is bracketed one at a time."""
     with monkeypatch.context() as m:
         m.setattr(overlaps, "_run_starts", lambda state: ())
+        m.setattr(overlaps, "_tail_rows", lambda tail: None)
         return fn(*args)
 
 
@@ -1067,3 +1071,194 @@ class TestWalkWork:
         with pytest.raises(q.DimensionBudgetExceeded):
             q.overlap_sweep(state, state, [10, 10**12])
         assert calls == []
+
+
+# -- tail blocks ----------------------------------------------------------------
+#
+# The block stretch runs on past the explicit prefixes into tails whose
+# factors it builds as rows: constant tails and decoded canonical families,
+# moved or not.  It stops at the first run start of any pair, so only pairs
+# that never repeat one factor block their tails.  The reference is the walk
+# over the same sides with the block stretch off: cuts <= DIRECT_LIMIT keep
+# its bits, later cuts agree within the rounding room of its sums.
+
+TAIL_FAMILIES = {
+    "geometric": ("geometric", {"ratio": 0.995}),
+    "p-series": ("p-series", {"p": 1.3}),
+    "rank-inside": ("eventually-constant", {"rank": 150}),
+    "rank-past": ("eventually-constant", {"rank": 10**6}),
+}
+TAIL_CUTS = [1, 20, 63, 64, 65, 70, 71, 150, 151, 4098, 4099, 4100, 4500]
+SHIFT = 70
+
+
+def _near(rng, w, eps=0.05):
+    v = np.array(w.amplitudes) + eps * np.array(random_factor(rng, w.dim).amplitudes)
+    return q.FactorVector(tuple((v / np.linalg.norm(v)).tolist()))
+
+
+def _family(rng, name, prefix_len, limit, shift=0):
+    """A decoded state whose tail is the ``TAIL_FAMILIES[name]`` family
+    around ``limit``, with a deviation of norm 0.1, moved ``shift`` sites."""
+    cls, declared = TAIL_FAMILIES[name]
+    deviation = 0.1 * np.array(random_factor(rng, limit.dim).amplitudes)
+    state = decode_state({
+        "type": "product-state",
+        "prefix": [_vector_doc(random_factor(rng, limit.dim)) for _ in range(prefix_len)],
+        "tail": {
+            "kind": "parametric",
+            "class": cls,
+            "scale": 1.0,
+            "limit": _vector_doc(limit),
+            "deviation": [encode_complex(complex(c)) for c in deviation],
+            **declared,
+        },
+    })
+    return q.ProductState(state.prefix, state.tail.shifted(shift)) if shift else state
+
+
+def _tail_block_cases():
+    """name -> (bra, ket, whether the walk blocks its tails)."""
+    rng = np.random.default_rng(13)
+    w = random_factor(rng, 2)
+    cases = {}
+    for shift, moved in ((0, ""), (SHIFT, "-shifted")):
+        for name in TAIL_FAMILIES:
+            cases[f"constant-vs-{name}{moved}"] = (
+                _constant(rng, 3, _near(rng, w)),
+                _family(rng, name, 5, _near(rng, w), shift),
+                not name.startswith("rank"),
+            )
+        for a, b in (
+            ("geometric", "geometric"), ("geometric", "p-series"), ("p-series", "rank-past"),
+            ("rank-inside", "geometric"), ("rank-inside", "rank-past"),
+        ):
+            cases[f"{a}-vs-{b}{moved}"] = (
+                _family(rng, a, 2, _near(rng, w)),
+                _family(rng, b, 6, _near(rng, w), shift),
+                not (a.startswith("rank") and b.startswith("rank")),
+            )
+    cases["composite"] = (
+        q.CompositeState((
+            (0.6 + 0.2j, _constant(rng, 3, _near(rng, w))),
+            (0.3j, _family(rng, "geometric", 4, _near(rng, w))),
+        )),
+        q.CompositeState((
+            (0.5 + 0j, _family(rng, "p-series", 2, _near(rng, w), SHIFT)),
+            (0.1 - 0.7j, _family(rng, "geometric", 7, _near(rng, w), 3)),
+        )),
+        True,
+    )
+    return cases
+
+
+TAIL_BLOCK_CASES = _tail_block_cases()
+
+
+class TestTailBlocks:
+    def test_tail_rows_are_the_factors(self):
+        rng = np.random.default_rng(2)
+        w = random_factor(rng, 3)
+        tails = [q.ConstantTail(w)] + [
+            _family(rng, name, 0, w, shift).tail
+            for name in TAIL_FAMILIES for shift in (0, SHIFT)
+        ]
+        for tail in tails:
+            rows = overlaps._tail_rows(tail)
+            for lo, hi in ((0, 5), (60, 200), (149, 151)):
+                want = np.array([tail.factor_at(n).amplitudes for n in range(lo, hi)])
+                assert rows(lo, hi).tobytes() == want.tobytes()
+        assert overlaps._tail_rows(_plain(_family(rng, "geometric", 0, w)).tail) is None
+        assert overlaps._tail_rows(_geometric(rng, 0, w).tail) is None
+
+    @pytest.mark.parametrize("name", sorted(TAIL_BLOCK_CASES))
+    def test_agrees_with_the_site_by_site_walk(self, name, monkeypatch):
+        bra, ket, blocks = TAIL_BLOCK_CASES[name]
+        used = _uses_blocks(monkeypatch)
+        (got, *_) = _pair_walk(bra, ket, TAIL_CUTS, block=True)
+        assert used == [(0, TAIL_CUTS[-1] if blocks else 0)]
+        (want, *_) = _pair_walk(bra, ket, TAIL_CUTS, block=False)
+        _assert_jump_agrees(bra, ket, got, want, TAIL_CUTS)
+
+    @pytest.mark.parametrize(
+        "name", ["constant-vs-p-series-shifted", "geometric-vs-geometric", "composite"]
+    )
+    def test_small_tail_blocks_read_the_same_bits(self, name, monkeypatch):
+        """Where the blocks end does not change a bracket or a running sum."""
+        bra, ket, _ = TAIL_BLOCK_CASES[name]
+        want = _pair_walk(bra, ket, TAIL_CUTS, block=True)
+        monkeypatch.setattr(overlaps, "TAIL_BLOCK_SITES", 97)
+        assert repr(_pair_walk(bra, ket, TAIL_CUTS, block=True)) == repr(want)
+
+    @pytest.mark.parametrize(
+        "name", ["constant-vs-geometric-shifted", "p-series-vs-rank-past", "composite"]
+    )
+    def test_sweep_readouts_match_single_cut_walks(self, name):
+        bra, ket, _ = TAIL_BLOCK_CASES[name]
+        sweep = q.overlap_sweep(bra, ket, TAIL_CUTS)
+        for n, value, log_mod in zip(TAIL_CUTS, sweep.values, sweep.log_modulus):
+            assert repr(q.composite_overlap(bra, ket, n)) == repr(value)
+            assert repr(q.overlap_sweep(bra, ket, [n]).log_modulus) == repr((log_mod,))
+
+    def test_a_plain_lambda_keeps_its_side_on_the_site_loop(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        w = random_factor(rng, 2)
+        family = _family(rng, "geometric", 3, _near(rng, w))
+        bra = q.CompositeState(((1.0, family), (0.5j, _geometric(rng, 2, w))))
+        ket = _family(rng, "p-series", 4, _near(rng, w))
+        assert overlaps._Walker(*overlaps._sides(bra, ket)).blocked == 0
+        assert overlaps._Walker(*overlaps._sides(_plain(family), ket)).blocked == 0
+        cuts = [1, 64, 65, 300]
+        got = q.overlap_sweep(bra, ket, cuts)
+        plain = q.CompositeState(tuple((c, _plain(s)) for c, s in bra.terms))
+        assert repr(got) == repr(q.overlap_sweep(plain, ket, cuts))
+
+    def test_budget_refusal_comes_before_any_bracket(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        w = random_factor(rng, 2)
+        bra = _family(rng, "geometric", 3, _near(rng, w))
+        ket = _family(rng, "geometric", 5, _near(rng, w), SHIFT)
+        calls = _count_brackets(monkeypatch)
+        stacked = []
+        real = overlaps._stacked_brackets
+        monkeypatch.setattr(
+            overlaps, "_stacked_brackets", lambda *rows: stacked.append(1) or real(*rows)
+        )
+        with pytest.raises(q.DimensionBudgetExceeded) as exc:
+            q.truncated_overlap(bra, ket, 10**7)
+        assert exc.value.context["sites"] == 10**7 - 3
+        assert calls == [] and stacked == []
+
+    def test_expectation_sweep_keeps_its_bits(self, monkeypatch):
+        """Operator images stay on the explicit prefix: no tail rows."""
+        rng = np.random.default_rng(23)
+        w = random_factor(rng, 2)
+        state = _family(rng, "p-series", 100, _near(rng, w))
+        op = random_operator(rng, dim=2, n_terms=2, max_prefix=80)
+        cuts = [1, 64, 65, 100, 101, 3000]
+        got = q.expectation_sweep(op, state, cuts)
+        want = _site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
+        # runs play no part: a p-series state has none
+        assert overlaps._run_starts(state) == ()
+        assert repr(got) == repr(want)
+
+    def test_a_long_tail_walk_holds_one_small_block(self, monkeypatch):
+        """A decoded geometric pair at 3e4 sites peaks below 2 MB traced; with
+        its tail in one block of 2^16 amplitudes it would hold about 4 MB."""
+        import tracemalloc
+
+        rng = np.random.default_rng(29)
+        w = random_factor(rng, 2)
+        bra = _family(rng, "geometric", 3, _near(rng, w))
+        ket = _family(rng, "geometric", 5, _near(rng, w))
+        n = 3 * 10**4
+        q.truncated_overlap(bra, ket, 100)
+        used = _uses_blocks(monkeypatch)
+        tracemalloc.start()
+        try:
+            q.truncated_overlap(bra, ket, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert used == [(0, n)]
+        assert peak < 2 * 2**20

@@ -223,6 +223,48 @@ class TestPSeriesTails:
         assert declared == custom
 
 
+class TestBrokenDeclarations:
+    """Terms that break their declared class give a verdict at budget 3000,
+    not a bare Python error."""
+
+    @staticmethod
+    def classify(fn, **declared):
+        tail = q.ClosedFormTail(term_fn=fn, **declared)
+        return q.classify_product(q.ComplexSequenceSpec(tail=tail), budget=3000)
+
+    def test_growing_terms_with_p_at_most_one_diverge(self):
+        v = self.classify(lambda n: 2.0, klass="p-series-log-modulus", p=0.5)
+        assert v.kind == "Diverges"
+        # the sample goes through the clamped exp of the log form
+        assert v.diagnostics.samples == ((3000, cmath.exp(700.0)),)
+
+    def test_growing_terms_with_p_above_one_are_inconclusive(self):
+        v = self.classify(lambda n: 2.0, klass="p-series-log-modulus", p=2.0)
+        assert (v.kind, v.value) == ("Inconclusive", None)
+        assert v.diagnostics.notes == ("declared p=2 > 1 but the log sum overflows",)
+        assert v.diagnostics.terms_examined == 3000
+        assert v.diagnostics.log_modulus_sum == pytest.approx(3000 * math.log(2.0))
+
+    def test_geometric_log_sum_overflow_is_inconclusive(self):
+        v = self.classify(lambda n: 2.0, klass="geometric-modulus", ratio=0.999999)
+        assert (v.kind, v.value) == ("Inconclusive", None)
+        assert v.diagnostics.notes == ("declared geometric but the log sum overflows",)
+
+    def test_geometric_terms_past_underflow_are_inconclusive(self):
+        v = self.classify(lambda n: 1 + 0.5 / n, klass="geometric-modulus", ratio=0.3)
+        assert (v.kind, v.value) == ("Inconclusive", None)
+        n = v.diagnostics.terms_examined
+        assert 0.3**n == 0.0 and 0.3 ** (n - 1) > 0.0
+        assert v.diagnostics.notes == (
+            "declared geometric but a log term stays nonzero past ratio**n underflow",
+        )
+
+    def test_zero_log_terms_past_underflow_skip_the_bound(self):
+        v = self.classify(lambda n: 1.001 if n <= 600 else 1.0, klass="geometric-modulus", ratio=0.3)
+        assert v.kind == "ConvergesTo"
+        assert v.value == pytest.approx(1.001**600, rel=1e-12)
+
+
 class TestDeclaredQuasi:
     def test_harmonic_phase(self):
         tail = q.ClosedFormTail(

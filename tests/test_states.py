@@ -443,6 +443,7 @@ class TestStackedPrefix:
         got = overlaps._walk(bra_side, ket_side, readouts, cuts)
         bra_side, ket_side, readouts = overlaps._sides(bra, ket)
         bra_side.explicit = ket_side.explicit = 0  # no blocks: every site alone
+        bra_side.stackable = ket_side.stackable = 0
         want = overlaps._walk(bra_side, ket_side, readouts, cuts)
         for k, n in enumerate(cuts):
             if n <= overlaps.DIRECT_LIMIT:
