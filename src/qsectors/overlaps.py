@@ -7,15 +7,14 @@ phase so sweeps survive far past double-precision underflow.  A factor
 overlap of exactly zero short-circuits the whole product.
 
 Long walks are bracketed in stacked numpy blocks, every term pair of a
-block at once: explicit prefixes are read off each state's stacked prefix
-(``ProductState.stacked``), and the blocks run on into tails whose factors
-can be built as rows, constant tails and decoded canonical families.  Where
-both factors of a pair stay one vector over a run of sites, the pair is
-bracketed once at the run's start and its product over the run is that
-bracket's power, read in closed form.  Everything else, plain callbacks
-among it, goes one site at a time, within ``WALK_BUDGET``.  Which path a
-site takes depends on the two sides alone, so a readout depends only on its
-cut.
+block at once, read off each state's rows (``ProductState.rows``): its
+stacked prefix, and past it a tail with closed rows, a constant tail or a
+decoded canonical family.  Where both factors of a pair stay one vector
+over a run of sites, the pair is bracketed once at the run's start and its
+product over the run is that bracket's power, read in closed form.
+Everything else, plain callbacks among it, goes one site at a time, within
+``WALK_BUDGET``.  Which path a site takes depends on the two sides alone,
+so a readout depends only on its cut.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .states import (
     ConstantTail,
     FactorVector,
     ProductState,
-    _CanonicalFamily,
     _prefix_brackets,
     _stacked_brackets,
     ensure_same_shape,
@@ -71,25 +69,6 @@ def _as_terms(state: ProductState | CompositeState) -> tuple[tuple[complex, Prod
     return state.terms
 
 
-def _run_starts(state: ProductState) -> tuple[int, ...]:
-    """Sites from which the factors of ``state`` stay one vector, each up to
-    the next start, the last for good; empty when no such site is known.
-
-    A tail declared eventually-constant (a constant tail is one, of rank 0)
-    repeats its limit from its rank on; the declaration says nothing about
-    the sites before.  A canonical family computes its own factors, so it
-    also answers for the stretch between the prefix and its rank, moved
-    with its tail; a family of rank 0 is the limit from the prefix on."""
-    p, tail = state.prefix_len, state.tail
-    family = getattr(tail, "factor_fn", None)
-    if isinstance(family, _CanonicalFamily) and family.rank is not None:
-        rank = family.rank + tail.shift if family.rank else 0
-        return tuple(sorted({p, max(p, rank)}))
-    if tail.decay.kind == "eventually-constant":
-        return (max(p, tail.decay.rank),)
-    return ()
-
-
 def _pair_runs(bra: tuple[int, ...], ket: tuple[int, ...]) -> tuple[int, ...]:
     """Run starts of a term pair: where both terms are in a run, a run of the
     pair starts wherever one of either term starts."""
@@ -99,31 +78,14 @@ def _pair_runs(bra: tuple[int, ...], ket: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted({s for s in bra + ket if s >= first}))
 
 
-def _tail_rows(tail) -> Callable[[int, int], np.ndarray] | None:
-    """``rows(lo, hi)``: the (hi - lo, dim) factors of a tail at sites [lo,
-    hi), bit for bit, for a constant tail (its vector, repeated) or a decoded
-    canonical family (``_CanonicalFamily.rows`` at the sites before the
-    shift, which clamps at 0 as ``factor_at`` does); None for any other
-    callback, whose factors only it can compute."""
-    if isinstance(tail, ConstantTail):
-        amplitudes = tail.vector.amplitudes
-        return lambda lo, hi: np.broadcast_to(np.array(amplitudes), (hi - lo, len(amplitudes)))
-    family = getattr(tail, "factor_fn", None)
-    if isinstance(family, _CanonicalFamily):
-        shift = tail.shift
-        return lambda lo, hi: family.rows(lo - shift, hi - shift)
-    return None
-
-
 class _Terms:
     """One side of a walk: a list of product-state terms.
 
     The site-by-site loop fetches their factors through ``sources``; the
-    block stretch reads them stacked by ``rows``: the explicit prefixes, and
-    past them the tails that ``_tail_rows`` builds.  ``explicit`` is the
-    shortest prefix, ``stackable`` how far every term's rows reach: no limit
-    when every tail builds rows, else ``explicit``.  ``runs[k]`` holds the
-    run starts of term k (``_run_starts``).
+    block stretch reads them stacked by ``rows``, each state's own rows.
+    ``explicit`` is the shortest prefix, ``stackable`` how far the block
+    stretch may read: no limit when every tail has closed rows (no per-site
+    callback), else ``explicit``.  ``runs[k]`` holds the run starts of term k.
     """
 
     def __init__(
@@ -132,9 +94,9 @@ class _Terms:
         self.states = tuple(states)
         self.sources = list(sources) or [s.factor_at for s in self.states]
         self.explicit = min(s.prefix_len for s in self.states)
-        self.tails = [_tail_rows(s.tail) for s in self.states]
-        self.stackable = math.inf if None not in self.tails else self.explicit
-        self.runs = [_run_starts(s) for s in self.states]
+        closed = all(s.tail.closed_rows for s in self.states)
+        self.stackable = math.inf if closed else self.explicit
+        self.runs = [s.run_starts for s in self.states]
         self._rows: tuple = (None, None)
 
     def dim_at(self, site: int) -> int:
@@ -149,25 +111,11 @@ class _Terms:
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """(terms, sites, dim) amplitudes of the sites [lo, hi), which share
-        one dim: each state's stacked prefix, then its tail rows.  The last
-        block is kept, so a side that serves as both bra and ket is stacked
-        once."""
+        one dim (``ProductState.rows``).  The last block is kept, so a side
+        that serves as both bra and ket is stacked once."""
         if self._rows[0] != (lo, hi):
-            block = np.stack([
-                _state_rows(s, tail, lo, hi) for s, tail in zip(self.states, self.tails)
-            ])
-            self._rows = ((lo, hi), block)
+            self._rows = ((lo, hi), np.stack([s.rows(lo, hi) for s in self.states]))
         return self._rows[1]
-
-
-def _state_rows(state: ProductState, tail, lo: int, hi: int) -> np.ndarray:
-    """One state's rows of [lo, hi): prefix rows, tail rows past its prefix."""
-    p = state.prefix_len
-    if hi <= p:
-        return state.prefix_rows(lo, hi)
-    if lo >= p:
-        return tail(lo, hi)
-    return np.concatenate([state.prefix_rows(lo, p), tail(p, hi)])
 
 
 # One readout of a walk: (c_k, bra term index, ket term index) per product.
@@ -283,7 +231,7 @@ class _Walker:
     The sites before the block end go in stacked blocks, no further than
     ``last_cut``: the block end is the shortest reach of the two sides' rows
     (``stackable``: the explicit prefixes, or for ever where every tail
-    builds rows) or the first run start of any pair, whichever comes first,
+    has closed rows) or the first run start of any pair, whichever comes first,
     when that lies past DIRECT_LIMIT.  A pair's log form there is a running
     sum (a seeded cumsum), so a cut inside a block reads a column.  Other
     sites are bracketed one at a time; cuts <= DIRECT_LIMIT read their

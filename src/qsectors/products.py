@@ -453,12 +453,20 @@ def _classify_p_series(
     log_sum = 0j
     window: deque[complex] = deque(maxlen=8)
     sizes: deque[float] = deque(maxlen=8)  # abs of each window entry, for p > 1
+    broken = False
 
     def step(n: int, z: complex) -> bool:
-        nonlocal log_sum
+        nonlocal log_sum, broken
         ell = cmath.log(z)
         log_sum += ell
-        c_n = ell * (n**p)
+        try:
+            c_n = ell * (n**p)
+        except OverflowError:
+            # once n**p overflows, no finite c bounds a nonzero term
+            if ell:
+                broken = True
+                return True
+            c_n = 0j
         window.append(c_n)
         if p > 1.0:
             sizes.append(abs(c_n))
@@ -470,6 +478,9 @@ def _classify_p_series(
     # read off this walk
     readings = None if p > 1.0 else _NumericReadings(acc, prefix_prod, start, budget)
     last_n = _walk_tail(seq, acc, start, budget, step, readings)
+    if broken:
+        note = f"declared p={p:g} but a log term stays nonzero past n**p overflow"
+        return _broken(acc, start, prefix_prod, last_n, note)
 
     c_est = sum(window) / len(window) if window else 0j
     if p > 1.0:

@@ -249,6 +249,23 @@ class CascadeResult:
         return truncated_density(self.model, self.total_records)
 
 
+# The largest binomial count and Poisson mean numpy's generator draws.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_POISSON_MEAN_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
+
+
+def _check_draw(stage: StageSpec, what: str, value: float, limit: float) -> None:
+    """Refuse a draw that numpy's generator would refuse, before it is drawn."""
+    if value > limit:
+        raise DimensionBudgetExceeded(
+            f"stage {stage.name!r} would draw with a {what} of {value:g}; "
+            f"the generator's limit is {limit:g}",
+            stage=stage.name,
+            value=value,
+            limit=limit,
+        )
+
+
 def run_cascade(spec: CascadeSpec, seed: int = 0) -> CascadeResult:
     """Realize stage counts, then score the surviving pointer coherence.
 
@@ -263,6 +280,15 @@ def run_cascade(spec: CascadeSpec, seed: int = 0) -> CascadeResult:
             rng = np.random.default_rng(seed)
         return rng
 
+    def poisson(stage: StageSpec, what: str, parents: int, rate: float) -> int:
+        # a product past the float range is refused as too large, not raised
+        try:
+            mean = parents * rate
+        except OverflowError:
+            mean = math.inf
+        _check_draw(stage, what, mean, _POISSON_MEAN_MAX)
+        return int(generator().poisson(mean))
+
     counts: list[int] = []
     parents = 0
     for idx, stage in enumerate(spec.stages):
@@ -270,20 +296,17 @@ def run_cascade(spec: CascadeSpec, seed: int = 0) -> CascadeResult:
             n = (
                 int(stage.parameter)
                 if stage.kind == "fixed"
-                else int(generator().poisson(stage.parameter))
+                else poisson(stage, "Poisson mean", 1, stage.parameter)
             )
             if spec.loss_rate > 0.0 and n > 0:
+                _check_draw(stage, "binomial count", n, _INT64_MAX)
                 n = int(generator().binomial(n, 1.0 - spec.loss_rate))
             if spec.dark_rate > 0.0:
-                n += int(generator().poisson(spec.dark_rate))
+                n += poisson(stage, "dark-count mean", 1, spec.dark_rate)
         elif stage.kind == "fixed":
             n = parents * int(stage.parameter)
         else:
-            n = (
-                int(generator().poisson(parents * stage.parameter))
-                if parents > 0
-                else 0
-            )
+            n = poisson(stage, "Poisson mean", parents, stage.parameter) if parents > 0 else 0
         counts.append(n)
         parents = n
 

@@ -28,7 +28,6 @@ from .states import (
     TailRule,
     _bracket_bound,
     _bracket_series_bound,
-    _CanonicalFamily,
     _prefix_brackets,
     _row_norms,
     ensure_same_shape,
@@ -139,15 +138,9 @@ def _probe_norm_series(state: ProductState, evidence: dict) -> SequenceClass:
 
 
 def _norm_deviations(state: ProductState, lo: int, hi: int) -> list[float]:
-    """|norm - 1| of the factors at the tail sites [lo, hi).  A canonical
-    family gives them as one block, read at its own sites, with the bits
-    ``FactorVector.norm`` gives; any other callback is called site by site."""
-    tail = state.tail
-    family = getattr(tail, "factor_fn", None)
-    if isinstance(family, _CanonicalFamily):
-        rows = family.rows(lo - tail.shift, hi - tail.shift)
-        return np.abs(_row_norms(rows) - 1.0).tolist()
-    return [abs(state.factor_at(n).norm - 1.0) for n in range(lo, hi)]
+    """|norm - 1| of the factors at the sites [lo, hi), read off the state's
+    rows with the bits ``FactorVector.norm`` gives."""
+    return np.abs(_row_norms(state.rows(lo, hi)) - 1.0).tolist()
 
 
 def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:

@@ -66,9 +66,9 @@ ALIGN_GRAY = 1e-9
 # count), tail sites a finite change materializes, cuts a sweep is asked for.
 WALK_BUDGET = 2**21
 
-# Shared explicit stretches up to this many sites are bracketed one site at
-# a time, so short prefixes build and keep no arrays: for a state bracketed
-# once, stacking its prefix pays off only from a few dozen sites on.
+# Prefix spans up to this many sites are bracketed one site at a time, so
+# short prefixes build and keep no arrays: for a state bracketed once,
+# stacking its prefix pays off only from a few dozen sites on.
 STACK_MIN = 64
 
 
@@ -262,6 +262,8 @@ class ConstantTail:
 
     vector: FactorVector
     decay: ClassVar[DecaySpec] = DecaySpec("eventually-constant", rank=0, scale=0.0)
+    # ``rows`` calls no per-site callback
+    closed_rows: ClassVar[bool] = True
 
     @property
     def limit(self) -> FactorVector:
@@ -277,6 +279,11 @@ class ConstantTail:
 
     def factor_at(self, site: int) -> FactorVector:
         return self.vector
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The vector repeated over sites [lo, hi): a read-only (hi - lo,
+        dim) broadcast view."""
+        return np.broadcast_to(np.array(self.vector.amplitudes), (hi - lo, self.dim))
 
     def shifted(self, sites: int) -> "ConstantTail":
         return self
@@ -320,6 +327,28 @@ class ParametricTail:
         shift = self.shift
         return self.factor_fn(site - shift if site > shift else 0)
 
+    @property
+    def closed_rows(self) -> bool:
+        """Whether ``rows`` calls no per-site callback: a decoded canonical
+        family builds its rows itself."""
+        return isinstance(self.factor_fn, _CanonicalFamily)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The factors of sites [lo, hi) as one (hi - lo, dim) complex array,
+        bit for bit: a canonical family's rows at its own sites (before the
+        shift, clamped at 0 as ``factor_at`` clamps), any other callback's
+        factors one ``factor_at`` call per site."""
+        if self.closed_rows:
+            return self.factor_fn.rows(lo - self.shift, hi - self.shift)
+        factors = [self.factor_at(n) for n in range(lo, hi)]
+        for n, f in enumerate(factors, lo):
+            if f.dim != self.dim:
+                raise ShapeMismatch(
+                    f"tail factor at site {n} has dim {f.dim}, declared {self.dim}"
+                )
+        amplitudes = chain.from_iterable(f.amplitudes for f in factors)
+        return np.fromiter(amplitudes, complex, (hi - lo) * self.dim).reshape(-1, self.dim)
+
     def shifted(self, sites: int) -> "ParametricTail":
         """This tail moved ``sites`` sites later, its declaration with it.
         The sites before the shift belong to a prefix; they read factor 0,
@@ -354,12 +383,6 @@ class _CanonicalFamily:
         return FactorVector(
             tuple(a + w * d for a, d in zip(self.limit.amplitudes, self.deviation))
         )
-
-    @property
-    def rank(self) -> int | None:
-        """For an eventually-constant family, the site from which every
-        factor is the limit, each one before it the same vector; else None."""
-        return self.decay.rank if self.decay.kind == "eventually-constant" else None
 
     def _weight(self, n: int) -> float | None:
         """w of site n >= 0, or None where the factor is the limit itself."""
@@ -489,12 +512,37 @@ class ProductState:
             start = end
         return tuple(runs)
 
-    def prefix_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Read-only (hi - lo, dim) view of the prefix sites [lo, hi), which
-        must lie in one run of ``dim_runs``."""
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The factors of sites [lo, hi), which share one dim, as one (hi -
+        lo, dim) complex array, bit for bit: a read-only view of the stacked
+        prefix, then the tail's rows."""
+        p = len(self.prefix)
+        if lo >= p:
+            return self.tail.rows(lo, hi)
         k = bisect_right(self.dim_runs, lo, key=itemgetter(0))
         start = self.dim_runs[k - 1][0] if k else 0
-        return self.stacked[k][lo - start : hi - start]
+        view = self.stacked[k][lo - start : hi - start]
+        return view if hi <= p else np.concatenate([view, self.tail.rows(p, hi)])
+
+    @property
+    def run_starts(self) -> tuple[int, ...]:
+        """Sites from which the factors stay one vector, each up to the next
+        start, the last for good; empty when no such site is known.
+
+        A tail declared eventually-constant (a constant tail is one, of rank
+        0) repeats its limit from its rank on; the declaration says nothing
+        about the sites before.  A canonical family computes its own factors,
+        so it also answers for the stretch between the prefix and its rank,
+        moved with its tail; a family of rank 0 is the limit from the prefix
+        on."""
+        p, tail = len(self.prefix), self.tail
+        family = getattr(tail, "factor_fn", None)
+        if isinstance(family, _CanonicalFamily) and family.decay.kind == "eventually-constant":
+            rank = family.decay.rank + tail.shift if family.decay.rank else 0
+            return tuple(sorted({p, max(p, rank)}))
+        if tail.decay.kind == "eventually-constant":
+            return (max(p, tail.decay.rank),)
+        return ()
 
     def __getstate__(self) -> dict:
         # the cached views are rebuilt on demand, so pickles stay the same
@@ -606,23 +654,18 @@ def _first_dim_mismatch(
 
 
 def _prefix_brackets(a: ProductState, b: ProductState, span: int) -> list[complex]:
-    """``factor_overlap`` of the two states' factors at each site below
-    ``span``, bit for bit.  The explicit stretch both share is read off their
-    stacked prefixes when it is longer than STACK_MIN sites; the rest, and
-    shorter stretches, go one site at a time."""
-    shared = min(a.prefix_len, b.prefix_len, span)
-    if shared <= STACK_MIN:
-        shared = 0
+    """``factor_overlap`` of two same-shaped states' factors at each site
+    below ``span``, bit for bit.  A span longer than STACK_MIN sites is read
+    off both states' rows, one dim run of ``a`` at a time; a shorter one goes
+    one site at a time."""
+    if span <= STACK_MIN:
+        return [factor_overlap(a.factor_at(k), b.factor_at(k)) for k in range(span)]
     out: list[complex] = []
     start = 0
-    for end, _ in a.dim_runs:
-        if start >= shared:
-            break
-        stop = min(end, shared)
-        rows = (s.prefix_rows(start, stop)[None] for s in (a, b))
+    for end in [end for end, _ in a.dim_runs if end < span] + [span]:
+        rows = (s.rows(start, end)[None] for s in (a, b))
         out += _stacked_brackets(*rows)[0, 0].tolist()
-        start = stop
-    out += [factor_overlap(a.factor_at(k), b.factor_at(k)) for k in range(shared, span)]
+        start = end
     return out
 
 

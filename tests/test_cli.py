@@ -448,6 +448,13 @@ class TestQndSim:
         assert lines[0].startswith("stage,kind,parameter,count")
         assert lines[1].split(",")[0] == "fluorescence"
 
+    def test_a_draw_past_the_generator_limit_exits_3(self, capsys):
+        code, out, err = run(capsys, "qnd-sim", "--stages", "a:fixed:1e10,b:poisson:1e10")
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["code"] == "dimension-budget-exceeded"
+        assert payload["context"]["stage"] == "b"
+
     def test_bad_stage_syntax(self, capsys):
         code, _, err = run(capsys, "qnd-sim", "--stages", "broken")
         assert code == 2

@@ -535,8 +535,8 @@ class TestReadoutsDependOnlyOnTheCut:
 #
 # Once every term of both sides repeats one factor, from site j, the walk
 # brackets each pair once, at j, and reads the rest in closed form.  These
-# tests compare that with the site-by-site walk (``_run_starts`` patched to
-# return no runs turns the jumps off): cuts <= DIRECT_LIMIT keep their bits, and past
+# tests compare that with the site-by-site walk (``ProductState.run_starts``
+# patched to return no runs turns the jumps off): cuts <= DIRECT_LIMIT keep their bits, and past
 # it the closed form (n - j) * log|G| is at least as close to a 50-digit
 # value as the per-site sum of n - j logs.
 
@@ -634,11 +634,12 @@ def _cuts_for(j):
 
 
 def _site_by_site(monkeypatch, fn, *args):
-    """``fn(*args)`` with no runs and no tail rows: past the explicit
+    """``fn(*args)`` with no runs and no closed tail rows: past the explicit
     prefixes, every site is bracketed one at a time."""
     with monkeypatch.context() as m:
-        m.setattr(overlaps, "_run_starts", lambda state: ())
-        m.setattr(overlaps, "_tail_rows", lambda tail: None)
+        m.setattr(q.ProductState, "run_starts", property(lambda state: ()))
+        m.setattr(q.ConstantTail, "closed_rows", False)
+        m.setattr(q.ParametricTail, "closed_rows", False)
         return fn(*args)
 
 
@@ -883,16 +884,16 @@ class TestRunsBeforeRank:
     def test_run_starts(self):
         rng = np.random.default_rng(5)
         u = random_factor(rng, 2)
-        assert overlaps._run_starts(_canonical(rng, 3, 40, u)) == (3, 40)
-        assert overlaps._run_starts(_canonical(rng, 40, 3, u)) == (40,)
-        assert overlaps._run_starts(_canonical(rng, 3, 0, u)) == (3,)
-        assert overlaps._run_starts(_plain(_canonical(rng, 3, 40, u))) == (40,)
-        assert overlaps._run_starts(_constant(rng, 7, u)) == (7,)
-        assert overlaps._run_starts(_geometric(rng, 7, u)) == ()
+        assert _canonical(rng, 3, 40, u).run_starts == (3, 40)
+        assert _canonical(rng, 40, 3, u).run_starts == (40,)
+        assert _canonical(rng, 3, 0, u).run_starts == (3,)
+        assert _plain(_canonical(rng, 3, 40, u)).run_starts == (40,)
+        assert _constant(rng, 7, u).run_starts == (7,)
+        assert _geometric(rng, 7, u).run_starts == ()
         _, (_, shifted) = premeasurement_state(q.MeasurementModel(
             (0.6, 0.8), (_constant(rng, 0, E0), _canonical(rng, 3, 40, E1))
         )).terms
-        assert overlaps._run_starts(shifted) == (4, 41)
+        assert shifted.run_starts == (4, 41)
         # an image runs where its factor does, past the prefix operators
         m = FactorOperator(np.eye(2))
         op = FactoredOperator((
@@ -1164,12 +1165,12 @@ class TestTailBlocks:
             for name in TAIL_FAMILIES for shift in (0, SHIFT)
         ]
         for tail in tails:
-            rows = overlaps._tail_rows(tail)
+            assert tail.closed_rows
             for lo, hi in ((0, 5), (60, 200), (149, 151)):
                 want = np.array([tail.factor_at(n).amplitudes for n in range(lo, hi)])
-                assert rows(lo, hi).tobytes() == want.tobytes()
-        assert overlaps._tail_rows(_plain(_family(rng, "geometric", 0, w)).tail) is None
-        assert overlaps._tail_rows(_geometric(rng, 0, w).tail) is None
+                assert tail.rows(lo, hi).tobytes() == want.tobytes()
+        assert not _plain(_family(rng, "geometric", 0, w)).tail.closed_rows
+        assert not _geometric(rng, 0, w).tail.closed_rows
 
     @pytest.mark.parametrize("name", sorted(TAIL_BLOCK_CASES))
     def test_agrees_with_the_site_by_site_walk(self, name, monkeypatch):
@@ -1239,7 +1240,7 @@ class TestTailBlocks:
         got = q.expectation_sweep(op, state, cuts)
         want = _site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
         # runs play no part: a p-series state has none
-        assert overlaps._run_starts(state) == ()
+        assert state.run_starts == ()
         assert repr(got) == repr(want)
 
     def test_a_long_tail_walk_holds_one_small_block(self, monkeypatch):

@@ -245,6 +245,20 @@ class TestBrokenDeclarations:
         assert v.diagnostics.terms_examined == 3000
         assert v.diagnostics.log_modulus_sum == pytest.approx(3000 * math.log(2.0))
 
+    def test_p_series_terms_past_power_overflow(self):
+        # 1 + n**-400 rounds to 1 from n = 2 on, while n**400 overflows at n = 6
+        v = self.classify(lambda n: 1.0 + n**-400, klass="p-series-log-modulus", p=400.0)
+        assert (v.kind, v.value) == ("ConvergesTo", 2.0)
+        for p in (200.0, 1000.0):
+            v = self.classify(lambda n: 1.0 + 1e-9, klass="p-series-log-modulus", p=p)
+            assert (v.kind, v.value) == ("Inconclusive", None)
+            n = v.diagnostics.terms_examined
+            with pytest.raises(OverflowError):
+                float(n) ** p
+            assert v.diagnostics.notes == (
+                f"declared p={p:g} but a log term stays nonzero past n**p overflow",
+            )
+
     def test_geometric_log_sum_overflow_is_inconclusive(self):
         v = self.classify(lambda n: 2.0, klass="geometric-modulus", ratio=0.999999)
         assert (v.kind, v.value) == ("Inconclusive", None)

@@ -183,6 +183,46 @@ class TestRunCascade:
         assert r.total_records > 0
         assert not r.degenerate
 
+    @pytest.mark.parametrize(
+        "stages, loss, dark, stage, value",
+        [
+            ((("a", "fixed", 1e10), ("b", "poisson", 1e10)), 0.0, 0.0, "b", 1e20),
+            ((("a", "poisson", 1e19),), 0.0, 0.0, "a", 1e19),
+            ((("a", "fixed", 4),), 0.0, 1e19, "a", 1e19),
+            ((("a", "fixed", 1e20),), 0.5, 0.0, "a", 10**20),
+            # parents past the float range: the mean itself cannot be formed
+            (
+                (("a", "fixed", 1e200), ("b", "fixed", 1e200), ("c", "poisson", 0.5)),
+                0.0, 0.0, "c", math.inf,
+            ),
+        ],
+    )
+    def test_draws_past_the_generator_limits_are_refused(self, stages, loss, dark, stage, value):
+        spec = q.CascadeSpec(
+            stages=tuple(q.StageSpec(*s) for s in stages), loss_rate=loss, dark_rate=dark
+        )
+        with pytest.raises(q.DimensionBudgetExceeded) as refused:
+            q.run_cascade(spec, seed=1)
+        assert refused.value.context["stage"] == stage
+        assert refused.value.context["value"] == value
+
+    def test_draws_at_the_generator_limit_keep_their_bits(self):
+        from qsectors.scenarios import _POISSON_MEAN_MAX
+
+        spec = q.CascadeSpec(
+            stages=(
+                q.StageSpec("a", "poisson", _POISSON_MEAN_MAX), q.StageSpec("b", "poisson", 0.0)
+            ),
+            loss_rate=0.25,
+            dark_rate=_POISSON_MEAN_MAX,
+        )
+        rng = np.random.default_rng(5)
+        first = int(rng.binomial(int(rng.poisson(_POISSON_MEAN_MAX)), 0.75))
+        first += int(rng.poisson(_POISSON_MEAN_MAX))
+        second = int(rng.poisson(first * 0.0))
+        r = q.run_cascade(spec, seed=5)
+        assert [s.count for s in r.stages] == [first, second]
+
     def test_loss_thins_the_first_stage_only(self):
         spec = q.CascadeSpec(
             stages=(

@@ -619,11 +619,6 @@ def _family_kinds():
     }
 
 
-def _tail_rows(tail, lo, hi):
-    """Rows of a canonical tail's sites [lo, hi), read at its family's sites."""
-    return tail.factor_fn.rows(lo - tail.shift, hi - tail.shift)
-
-
 class TestProbeBlockPath:
     @pytest.mark.parametrize("dim, prefix_len, shift, p", PROBE_CASES)
     def test_evidence_matches_the_plain_callback(self, dim, prefix_len, shift, p):
@@ -647,13 +642,13 @@ class TestProbeBlockPath:
         tail = _family_kinds()[name]
         for lo, hi in ((0, 1), (0, 12), (2, 9), (15, 40), (5000, 5003)):
             want = np.array([tail.factor_at(n).amplitudes for n in range(lo, hi)], dtype=complex)
-            got = _tail_rows(tail, lo, hi)
+            got = tail.rows(lo, hi)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
     def test_block_norms_match_factor_norms(self):
         tail = _family_kinds()["p-series-shift-3"]
-        norms = _row_norms(_tail_rows(tail, 0, 40))
+        norms = _row_norms(tail.rows(0, 40))
         assert norms.tolist() == [tail.factor_at(n).norm for n in range(40)]
 
     def test_canonical_probe_makes_no_per_site_call(self, monkeypatch):

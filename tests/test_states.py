@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
-from qsectors import overlaps
 from qsectors.states import _CanonicalFamily
 from support import random_factor, random_product_state
 
@@ -165,11 +164,11 @@ class TestShiftedDeclarations:
         assert family(0) is family(8)
         assert family(0).amplitudes == (1.0, 0.0)
         assert family(9) is family(10**12) is limit
-        assert family.rank == 9
+        tail = q.ParametricTail(2, family, limit, family.decay)
+        assert q.ProductState((), tail).run_starts == (0, 9)
         # moved 2 sites later, the family's run before rank starts at the
         # prefix end and its limit at 9 + 2
-        moved = q.ParametricTail(2, family, limit, family.decay).shifted(2)
-        assert overlaps._run_starts(q.ProductState((limit,) * 3, moved)) == (3, 11)
+        assert q.ProductState((limit,) * 3, tail.shifted(2)).run_starts == (3, 11)
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("a, b", [(0, 0), (1, 2), (3, 0), (2, 5)])
@@ -426,7 +425,7 @@ class TestStackedPrefix:
             assert rows.tobytes() == want.tobytes()
             for lo in range(start, end):
                 hi = int(rng.integers(lo + 1, end + 1))
-                assert s.prefix_rows(lo, hi).tobytes() == want[lo - start : hi - start].tobytes()
+                assert s.rows(lo, hi).tobytes() == want[lo - start : hi - start].tobytes()
             start = end
         assert start == length
 
@@ -451,7 +450,7 @@ class TestStackedPrefix:
 
     def test_arrays_are_read_only(self):
         s = _runs_state(np.random.default_rng(1), [(70, 2), (5, 3)])
-        for rows in s.stacked + (s.prefix_rows(3, 60),):
+        for rows in s.stacked + (s.rows(3, 60),):
             with pytest.raises(ValueError):
                 rows[0, 0] = 1.0
 
@@ -532,3 +531,96 @@ class TestPrefixBrackets:
         for x, y in ((a, b), (b, a), (a, a)):
             for n in (0, 1, 64, 65, cut, span, span + 3):
                 assert repr(_prefix_brackets(x, y, n)) == repr(_scalar_brackets(x, y, n))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tails_past_a_short_prefix_match_too(self, seed):
+        from qsectors.states import _prefix_brackets
+
+        rng = np.random.default_rng(40 + seed)
+        dim = int(rng.integers(1, 4))
+        long = _runs_state(rng, [(int(rng.integers(65, 150)), dim)])
+        for tail in _row_tails(rng, dim):
+            short = q.ProductState((random_factor(rng, dim),) * int(rng.integers(0, 5)), tail)
+            for x, y in ((long, short), (short, long), (short, short)):
+                for n in (64, 65, long.prefix_len + 9):
+                    assert repr(_prefix_brackets(x, y, n)) == repr(_scalar_brackets(x, y, n))
+
+
+# -- a state's rows ------------------------------------------------------------
+#
+# ``ProductState.rows`` is the one reader of a state's factors as numpy rows:
+# its stacked prefix, then its tail's rows.  Walks, sector probes and prefix
+# brackets trust these rows to be the factors, bit for bit.
+
+
+def _row_tails(rng, dim):
+    """A constant tail, then decoded geometric, p-series and
+    eventually-constant families, each unshifted and shifted, each also
+    behind a plain callback."""
+    limit = random_factor(rng, dim)
+    deviation = tuple(complex(x, y) for x, y in 0.3 * rng.normal(size=(dim, 2)))
+    tails = [q.ConstantTail(limit)]
+    for decay in (
+        q.DecaySpec("geometric", ratio=0.6),
+        q.DecaySpec("p-series", p=1.5),
+        q.DecaySpec("eventually-constant", rank=5),
+    ):
+        family = _CanonicalFamily(limit, deviation, decay)
+        for fn in (family, lambda n, family=family: family(n)):
+            tail = q.ParametricTail(dim, fn, limit, decay)
+            tails += [tail, tail.shifted(4)]
+    return tails
+
+
+def _factor_rows(state, lo, hi, dim):
+    rows = [state.factor_at(n).amplitudes for n in range(lo, hi)]
+    return np.array(rows, dtype=complex).reshape(-1, dim)
+
+
+class TestStateRows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_are_the_factors(self, seed):
+        rng = np.random.default_rng(seed)
+        tail_dim = int(rng.integers(1, 4))
+        # mixed dims, the last run in the tail's dim so spans cross the prefix end
+        runs = _random_runs(rng, int(rng.integers(1, 50)), max_dim=4) + [(3, tail_dim)]
+        for tail in _row_tails(rng, tail_dim):
+            s = q.ProductState(_runs_state(rng, runs, tail_dim).prefix, tail)
+            p = s.prefix_len
+            starts = [0] + [end for end, _ in s.dim_runs]
+            spans = [(start, end) for start, (end, _) in zip(starts, s.dim_runs)]
+            spans += [(p - 2, p + 7), (p - 1, p + 40), (p, p + 9), (p + 60, p + 200)]
+            spans += [(0, 0), (p - 1, p - 1), (p + 3, p + 3)]
+            for lo, hi in spans:
+                got = s.rows(lo, hi)
+                want = _factor_rows(s, lo, hi, s.dim_at(lo))
+                assert got.shape == want.shape and got.dtype == complex
+                assert got.tobytes() == want.tobytes(), (tail, lo, hi)
+
+    def test_closed_rows_call_no_callback(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        closed = [t for t in _row_tails(rng, 2) if t.closed_rows]
+        # the constant tail and three families, unshifted and shifted
+        assert len(closed) == 7
+        monkeypatch.setattr(_CanonicalFamily, "__call__", lambda self, n: pytest.fail("called"))
+        for tail in closed:
+            assert tail.rows(0, 50).shape == (50, 2)
+
+    def test_constant_rows_are_a_read_only_view(self):
+        rows = q.ConstantTail(q.FactorVector((0.6, 0.8j))).rows(3, 1003)
+        assert rows.shape == (1000, 2) and rows.strides[0] == 0
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+    def test_a_plain_factor_of_the_wrong_dim_raises(self):
+        limit = q.FactorVector((0.6, 0.8))
+        odd = q.FactorVector((1.0, 0.0, 0.0))
+        tail = q.ParametricTail(
+            2, lambda n: odd if n == 7 else limit, limit, q.DecaySpec("eventually-constant", rank=8)
+        )
+        s = q.ProductState((limit,), tail)
+        assert s.rows(0, 7).shape == (7, 2)
+        with pytest.raises(q.ShapeMismatch, match="site 7 has dim 3"):
+            s.rows(0, 12)
+        with pytest.raises(q.ShapeMismatch):
+            tail.shifted(2).rows(9, 10)
