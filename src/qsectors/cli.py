@@ -233,6 +233,13 @@ def _cmd_sample(args) -> int:
     model = decode_model(_load(args.model))
     if args.count < 0:
         raise UsageError("--count must be >= 0")
+    # each sample costs a CSV row in memory, so the count is capped up front
+    if args.count > WALK_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"{args.count} samples requested; the budget is {WALK_BUDGET}",
+            count=args.count,
+            budget=WALK_BUDGET,
+        )
     outcomes = sample_outcomes(model, args.count, args.seed)
     rows = [[int(v)] for v in outcomes]
     _write_text(args.out, _csv_text(("outcome",), rows))

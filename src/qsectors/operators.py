@@ -10,7 +10,7 @@ states and truncated expectations reduce to per-factor brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -28,7 +28,6 @@ from .states import (
     ALIGN_EXACT,
     ALIGN_GRAY,
     CompositeState,
-    ConstantTail,
     FactorVector,
     ProductState,
     _dim_runs,
@@ -147,6 +146,23 @@ class OperatorTerm:
             return self.prefix_ops[site].dim
         return self.tail.dim
 
+    def image_at(self, site: int, f: FactorVector) -> FactorVector:
+        """The image of the factor ``f`` at ``site``: ``f`` itself where the
+        term acts as the identity."""
+        u = self.op_at(site)
+        return f if u is None else u.apply_to(f)
+
+    def image_rows(self, lo: int, f: np.ndarray, out: np.ndarray) -> None:
+        """Write the images of the factor rows ``f`` of the sites [lo, lo +
+        len(f)) into ``out``: the tail operator over every row, then each
+        prefix operator over its own row."""
+        if isinstance(self.tail, ConstantOperatorTail):
+            np.matmul(f, self.tail.operator.matrix.T, out=out)
+        else:
+            out[:] = f
+        for site in range(lo, min(lo + len(f), len(self.prefix_ops))):
+            out[site - lo] = self.prefix_ops[site].matrix @ f[site - lo]
+
 
 @dataclass(frozen=True)
 class FactoredOperator:
@@ -228,38 +244,19 @@ def _check_op_state_dims(op: FactoredOperator, state: ProductState) -> None:
     )
 
 
-def _transform_tail(tail, op_tail: OperatorTail):
-    if isinstance(op_tail, IdentityTail):
-        return tail
-    u = op_tail.operator
-    if isinstance(tail, ConstantTail):
-        return ConstantTail(u.apply_to(tail.vector))
-    inner = tail.factor_fn
-    return replace(
-        tail,
-        dim=u.dim,
-        factor_fn=lambda n: u.apply_to(inner(n)),
-        limit=u.apply_to(tail.limit),
-        # a bounded map stretches distances by at most its norm bound
-        decay=replace(tail.decay, scale=tail.decay.scale * u.norm_bound),
-    )
-
-
 def apply_operator(op: FactoredOperator, state: ProductState) -> CompositeState:
     """Act factor-wise; each term yields one product-state component."""
     _check_op_state_dims(op, state)
-    out_terms = []
+    tail, out_terms = state.tail, []
     for t in op.terms:
         span = max(len(t.prefix_ops), state.prefix_len)
-        prefix = []
-        for site in range(span):
-            f = state.factor_at(site)
-            u = t.op_at(site)
-            prefix.append(f if u is None else u.apply_to(f))
-        new_tail = _transform_tail(state.tail, t.tail)
-        out_terms.append(
-            (t.coefficient, ProductState(tuple(prefix), new_tail, label=state.label))
-        )
+        prefix = tuple(t.image_at(site, state.factor_at(site)) for site in range(span))
+        image_tail = tail
+        if isinstance(t.tail, ConstantOperatorTail):
+            u = t.tail.operator
+            # a bounded map stretches distances by at most its norm bound
+            image_tail = tail.mapped(u.apply_to, tail.decay.scale * u.norm_bound)
+        out_terms.append((t.coefficient, ProductState(prefix, image_tail, label=state.label)))
     return CompositeState(tuple(out_terms))
 
 
@@ -304,14 +301,9 @@ def sector_action(op: FactoredOperator, state: ProductState) -> SectorActionVerd
     for idx, t in enumerate(op.terms):
         if t.coefficient == 0:
             continue
+        # every prefix factor is a unit vector, so only an operator can zero one
         span = max(len(t.prefix_ops), state.prefix_len)
-        annihilated = False
-        for site in range(span):
-            u = t.op_at(site)
-            if u is not None and u.apply_to(state.factor_at(site)).norm_sq == 0.0:
-                annihilated = True
-                break
-        if annihilated:
+        if any(t.image_at(site, state.factor_at(site)).norm_sq == 0.0 for site in range(span)):
             continue
         if isinstance(t.tail, IdentityTail):
             any_surviving = True
@@ -394,27 +386,15 @@ class _Images:
         self.explicit = self.stackable = state.explicit
         (runs,) = state.runs
         self.runs = [tuple(sorted({max(s, len(t.prefix_ops)) for s in runs})) for t in terms]
-        self.sources = [self._image(t, state.sources[0]) for t in terms]
-
-    @staticmethod
-    def _image(term: OperatorTerm, factor):
-        def image_at(site: int) -> FactorVector:
-            u = term.op_at(site)
-            return factor(site) if u is None else u.apply_to(factor(site))
-
-        return image_at
+        factor = state.sources[0]
+        self.sources = [lambda site, t=t: t.image_at(site, factor(site)) for t in terms]
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """(terms, sites, dim) image rows of the explicit sites [lo, hi)."""
         f = self.state.rows(lo, hi)[0]
         out = np.empty((len(self.terms),) + f.shape, dtype=complex)
         for img, t in zip(out, self.terms):
-            if isinstance(t.tail, ConstantOperatorTail):
-                np.matmul(f, t.tail.operator.matrix.T, out=img)
-            else:
-                img[:] = f
-            for site in range(lo, min(hi, len(t.prefix_ops))):
-                img[site - lo] = t.prefix_ops[site].matrix @ f[site - lo]
+            t.image_rows(lo, f, img)
         return out
 
 

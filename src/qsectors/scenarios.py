@@ -319,14 +319,19 @@ def run_cascade(spec: CascadeSpec, seed: int = 0) -> CascadeResult:
     cum = 0
     for stage, n in zip(spec.stages, counts):
         cum += n
-        log10_coh = base_log10 + cum * step_log10 if cum > 0 else base_log10
+        log10_coh = base_log10 + _scaled(cum, step_log10) if cum > 0 else base_log10
         stage_rows.append(
             CascadeStage(stage.name, stage.kind, stage.parameter, n, cum, log10_coh)
         )
 
     total = cum
     log10_coh = stage_rows[-1].log10_coherence if stage_rows else base_log10
-    coherence = base_mod * spec.fidelity ** total if total > 0 else base_mod
+    try:
+        coherence = base_mod * spec.fidelity ** total if total > 0 else base_mod
+    except OverflowError:
+        # a fidelity <= 1 - 1e-6 raised to a count past the float range
+        # underflows to 0 long before
+        coherence = 0.0
 
     degenerate = total == 0
     model: Optional[MeasurementModel] = None
@@ -352,6 +357,23 @@ def run_cascade(spec: CascadeSpec, seed: int = 0) -> CascadeResult:
         degenerate=degenerate,
         model=model,
     )
+
+
+def _scaled(count: int, step: float) -> float:
+    """``count * step`` for a negative ``step``, as IEEE rounds it.  A count
+    past the float range is multiplied exactly, and the product rounds to
+    -inf once it leaves the range too."""
+    try:
+        return count * step
+    except OverflowError:
+        pass
+    if step == -math.inf:
+        return step
+    num, den = step.as_integer_ratio()
+    try:
+        return count * num / den
+    except OverflowError:
+        return -math.inf
 
 
 def cascade_stage_report(result: CascadeResult) -> tuple[dict, ...]:

@@ -12,7 +12,7 @@ lower bounds) so that every claim can be re-verified independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .states import (
     WALK_BUDGET,
     ConstantTail,
     FactorVector,
-    ParametricTail,
     ProductState,
     TailRule,
     _bracket_bound,
@@ -221,19 +220,10 @@ def normed_representative(state: ProductState) -> ProductState:
     """Scale every factor to unit modulus, keeping its phase."""
     prefix = tuple(f.normalized() for f in state.prefix)
     tail = state.tail
-    if isinstance(tail, ConstantTail):
-        new_tail: ConstantTail | ParametricTail = ConstantTail(tail.vector.normalized())
-    else:
-        if tail.limit.norm == 0.0:
-            raise ZeroNormFactor("parametric tail limit has zero norm")
-        inner = tail.factor_fn
-        new_tail = replace(
-            tail,
-            factor_fn=lambda n: inner(n).normalized(),
-            limit=tail.limit.normalized(),
-            # normalizing both sides at worst doubles the distance bound
-            decay=replace(tail.decay, scale=2.0 * tail.decay.scale / tail.limit.norm),
-        )
+    if tail.limit.norm == 0.0:
+        raise ZeroNormFactor("tail limit has zero norm")
+    # normalizing both sides at worst doubles the distance bound
+    new_tail = tail.mapped(FactorVector.normalized, 2.0 * tail.decay.scale / tail.limit.norm)
     return ProductState(prefix=prefix, tail=new_tail, label=state.label)
 
 

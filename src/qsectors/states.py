@@ -288,6 +288,11 @@ class ConstantTail:
     def shifted(self, sites: int) -> "ConstantTail":
         return self
 
+    def mapped(self, fn: Callable[[FactorVector], FactorVector], scale: float) -> "ConstantTail":
+        """The tail of ``fn(vector)``; it still equals its limit, so ``scale``
+        is not needed."""
+        return ConstantTail(fn(self.vector))
+
 
 @dataclass(frozen=True)
 class ParametricTail:
@@ -354,6 +359,19 @@ class ParametricTail:
         The sites before the shift belong to a prefix; they read factor 0,
         so probes there stay valid."""
         return replace(self, shift=self.shift + sites, decay=self.decay.shifted(sites))
+
+    def mapped(self, fn: Callable[[FactorVector], FactorVector], scale: float) -> "ParametricTail":
+        """The tail of ``fn(factor)`` at every site, with the same shift.
+        ``scale`` is the declared scale of the mapped factors' distances to
+        ``fn(limit)``; the caller derives it from how far ``fn`` stretches."""
+        inner, limit = self.factor_fn, fn(self.limit)
+        return replace(
+            self,
+            dim=limit.dim,
+            factor_fn=lambda n: fn(inner(n)),
+            limit=limit,
+            decay=replace(self.decay, scale=scale),
+        )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,14 @@ class TestQndSim:
         assert payload["code"] == "dimension-budget-exceeded"
         assert payload["context"]["stage"] == "b"
 
+    def test_counts_past_the_float_range_report_minus_inf(self, capsys):
+        code, out, err = run(capsys, "qnd-sim", "--stages", "a:fixed:1e200,b:fixed:1e200")
+        assert (code, err) == (0, "")
+        doc = loads(out)
+        assert doc["total_records"] == int(1e200) + int(1e200) ** 2
+        assert (doc["log10_coherence"], doc["coherence"]) == ("-inf", 0.0)
+        assert doc["stages"][0]["log10_coherence"] != "-inf"
+
     def test_bad_stage_syntax(self, capsys):
         code, _, err = run(capsys, "qnd-sim", "--stages", "broken")
         assert code == 2
@@ -584,3 +593,45 @@ def test_malformed_documents_exit_with_a_json_error(capsys, files, case):
         assert code in (0, 2, 3)
         if code:
             assert "code" in json.loads(err)
+
+
+# Arguments past a budget or the float range: each subcommand either answers
+# (exit 0) or refuses with one JSON error line (exit 3) before it allocates
+# anything at the oversized value.  Documents are named by placeholder.
+OVERSIZED_ARGUMENTS = {
+    "qnd-sim-two-huge-stages": (0, ("qnd-sim", "--stages", "a:fixed:1e200,b:fixed:1e200")),
+    "qnd-sim-one-huge-stage": (0, ("qnd-sim", "--stages", "a:fixed:1e300")),
+    "sample-count": (3, ("sample", "MODEL", "--count", str(WALK_BUDGET + 1))),
+    "overlap-sweep-max": (3, ("overlap-sweep", "STATE", "STATE", "--max", str(WALK_BUDGET + 1))),
+    "decohere-max": (3, ("decohere", "MODEL", "--max", str(WALK_BUDGET + 1))),
+    "product-classify-budget": (3, ("product-classify", "SEQUENCE", "--budget", str(2**21 + 1))),
+    "spin-sweep-n-max": (
+        3, ("spin-sweep", "--xi", "1/2", "--n-max", str(WALK_BUDGET + 1), "--step", "1")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_ARGUMENTS))
+def test_oversized_arguments_answer_or_refuse_up_front(capsys, files, case):
+    expected, argv = OVERSIZED_ARGUMENTS[case]
+    documents = {
+        "MODEL": files("model.json", encode_model(q.MeasurementModel((0.6, 0.8), (QUIET, KICKED)))),
+        "STATE": files("state.json", encode_state(QUIET)),
+        "SEQUENCE": files(
+            "seq.json", {"tail": {"kind": "phase-drift", "coefficient": 1.0, "p": 0.5}}
+        ),
+    }
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *(documents.get(a, a) for a in argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == expected
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["code"] == "dimension-budget-exceeded"
+        # a list or array of WALK_BUDGET entries alone would take 16 MB
+        assert peak < 4 * 2**20

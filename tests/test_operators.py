@@ -271,6 +271,48 @@ class TestDeclarationsSurviveFactorwiseMaps:
         self.assert_rescaled(new, decay, decay.scale * op.terms[0].tail.operator.norm_bound)
 
 
+class TestTermImages:
+    """A term maps one factor, or a block of factor rows, site by site."""
+
+    @staticmethod
+    def terms(rng):
+        ops = [q.FactorOperator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+               for _ in range(11)]
+        for prefix in ((), ops[:3], ops[:10]):
+            yield q.OperatorTerm(1.0, prefix, q.IdentityTail(2))
+            yield q.OperatorTerm(1.0, prefix, q.ConstantOperatorTail(ops[10]))
+
+    def test_image_at_is_the_factor_or_its_operator_image(self):
+        rng = np.random.default_rng(5)
+        f = random_factor(rng, 2)
+        for t in self.terms(rng):
+            for site in range(14):
+                u = t.op_at(site)
+                image = t.image_at(site, f)
+                if u is None:
+                    assert image is f
+                else:
+                    want = u.apply_to(f)
+                    assert np.array(image.amplitudes).tobytes() == np.array(want.amplitudes).tobytes()
+
+    @pytest.mark.parametrize("lo", [0, 2, 8, 12])
+    def test_image_rows_keep_the_bits_of_one_tail_matmul_and_per_site_prefix(self, lo):
+        rng = np.random.default_rng(lo)
+        f = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        for t in self.terms(rng):
+            # the tail operator over the block as one matmul, then each prefix
+            # operator over its own row
+            if isinstance(t.tail, q.ConstantOperatorTail):
+                want = f @ t.tail.operator.matrix.T
+            else:
+                want = f.copy()
+            for site in range(lo, min(lo + len(f), len(t.prefix_ops))):
+                want[site - lo] = t.prefix_ops[site].matrix @ f[site - lo]
+            out = np.empty_like(f)
+            t.image_rows(lo, f, out)
+            assert out.tobytes() == want.tobytes()
+
+
 class TestSectorAction:
     def test_requires_non_trivial_state(self):
         shrink = constant_state(tail_vec=q.FactorVector((0.9, 0.0)))

@@ -142,6 +142,32 @@ class TestRunCascade:
         assert logs[1] == pytest.approx(-4.709483452138571, abs=1e-12)
         assert logs == sorted(logs, reverse=True)
 
+    def test_counts_past_the_float_range_round_as_ieee_rounds_the_exact_value(self):
+        huge = int(1e200)
+        spec = q.CascadeSpec(
+            stages=(q.StageSpec("a", "fixed", 1e200), q.StageSpec("b", "fixed", 1e200))
+        )
+        r = q.run_cascade(spec)
+        base, step = math.log10(0.5), math.log10(0.99)
+        assert r.total_records == huge + huge * huge
+        # the first stage stays in range and keeps its bits
+        assert r.stages[0].log10_coherence == base + huge * step
+        assert r.stages[1].log10_coherence == r.log10_coherence == -math.inf
+        assert r.coherence == 0.0
+
+    def test_a_count_past_the_float_range_with_a_finite_product_stays_finite(self):
+        spec = q.CascadeSpec(
+            stages=(q.StageSpec("a", "fixed", 1e300), q.StageSpec("b", "fixed", 1e9)),
+            fidelity=1.0 - 1e-6,
+        )
+        r = q.run_cascade(spec)
+        step = math.log10(1.0 - 1e-6)
+        exact = float(Fraction(r.total_records) * Fraction(step))
+        assert math.isfinite(exact)
+        assert r.log10_coherence == math.log10(0.5) + exact
+        assert r.stages[0].log10_coherence == math.log10(0.5) + int(1e300) * step
+        assert r.coherence == 0.0
+
     def test_noiseless_fixed_cascade_ignores_seed(self):
         a = q.run_cascade(q.default_cascade(), seed=1)
         b = q.run_cascade(q.default_cascade(), seed=99)

@@ -183,6 +183,30 @@ class TestShiftedDeclarations:
         assert moved.decay == spec.shifted(a).shifted(b)
 
 
+    @pytest.mark.parametrize("spec", SPECS[:5])
+    @pytest.mark.parametrize("sites", [0, 3])
+    def test_a_mapped_tail_keeps_its_shift_and_declaration(self, spec, sites):
+        limit = q.FactorVector((0.6, 0.8))
+        family = _CanonicalFamily(limit, (0.1 + 0.2j, -0.3), spec)
+        tail = q.ParametricTail(2, family, limit, spec).shifted(sites)
+        m = np.array([[1.0, 2j], [0.5, 0.0], [0.0, -1.0]])  # into dim 3
+
+        def fn(f):
+            return q.FactorVector(tuple(complex(c) for c in m @ np.array(f.amplitudes)))
+
+        image = tail.mapped(fn, 0.7)
+        assert (image.dim, image.shift, image.limit) == (3, tail.shift, fn(limit))
+        old, new = tail.decay, image.decay
+        assert (new.kind, new.ratio, new.p, new.rank, new.scale) == (
+            old.kind, old.ratio, old.p, old.rank, 0.7
+        )
+        for n in range(12):
+            assert image.factor_at(n) == fn(tail.factor_at(n))
+        constant = q.ConstantTail(limit).mapped(fn, 0.7)
+        assert constant == q.ConstantTail(fn(limit))
+        assert constant.decay.scale == 0.0
+
+
 class TestTails:
     def test_constant_tail(self):
         t = q.ConstantTail(q.basis_vector(3, 1))
