@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -150,6 +151,23 @@ class ConvergenceVerdict:
             raise PreconditionViolated("ConvergesTo requires a value")
 
 
+def _scaled(count: int, step: float) -> float:
+    """``count * step`` for a count >= 1, as IEEE rounds it.  A count past
+    the float range is multiplied exactly, and a product that leaves the
+    range too rounds to the infinity of ``step``'s sign."""
+    try:
+        return count * step
+    except OverflowError:
+        pass
+    if not step or not math.isfinite(step):
+        return step
+    num, den = step.as_integer_ratio()
+    try:
+        return count * num / den
+    except OverflowError:
+        return math.copysign(math.inf, step)
+
+
 class _Accumulator:
     """Running complex product, kept both directly and as log-modulus plus
     unwrapped argument.
@@ -185,15 +203,27 @@ class _Accumulator:
 
     def repeated(self, z: complex, count: int) -> "_Accumulator":
         """A copy with ``count`` more terms ``z`` folded into the log form in
-        one step, as count * log|z| and count * atan2(z).  ``direct`` is left
-        behind, so only the log form reads the copy."""
+        one step, as ``_scaled`` count * log|z| and count * atan2(z).
+        ``direct`` is left behind, so only the log form reads the copy.  A
+        log modulus that leaves the float range below reads as the zero
+        product; a modulus or argument that leaves it otherwise cannot be
+        represented and is refused."""
         out = _Accumulator(self.log_mod, self.arg, self.zero)
         if count and not out.zero:
             if z == 0:
                 out.zero = True
-            else:
-                out.log_mod += count * math.log(abs(z))
-                out.arg += count * math.atan2(z.imag, z.real)
+                return out
+            out.log_mod += _scaled(count, math.log(abs(z)))
+            if out.log_mod == -math.inf:
+                out.zero = True
+                return out
+            out.arg += _scaled(count, math.atan2(z.imag, z.real))
+            if not (math.isfinite(out.log_mod) and math.isfinite(out.arg)):
+                raise DimensionBudgetExceeded(
+                    f"bracket {z!r} repeated past the float range: the product's "
+                    "modulus or phase cannot be represented",
+                    bracket=z,
+                )
         return out
 
     def value(self) -> complex:
@@ -320,23 +350,26 @@ def _walk_tail(
     step: Callable[[int, complex], bool] | None = None,
     readings: _NumericReadings | None = None,
 ) -> int:
-    """Read the tail terms ``start..stop`` once each, through ``seq.term_at``,
-    and fold each into the log form of ``acc`` with the float operations of
-    ``_Accumulator.push``, in its order.
+    """Read the tail terms ``start..stop`` once each, straight from
+    ``seq.tail.term_fn`` with ``term_at``'s checks, and fold each into the
+    log form of ``acc`` with the float operations of ``_Accumulator.push``,
+    in its order.
 
     The walk ends early after a term for which ``step(n, z)`` is true.  A
-    zero term raises ``_ZeroTerm``, so no classifier sees one.  ``readings``
-    reads the log form at its half mark and doubling samples as the walk
-    passes them.  Only the log form is kept: ``acc.direct`` still holds the
-    prefix product and ``acc.zero`` stays false.  Returns the last term
-    index read."""
-    term_at = seq.term_at
-    log, atan2 = math.log, math.atan2
+    non-finite term raises ``term_at``'s error, and a zero term raises
+    ``_ZeroTerm``, so no classifier sees either.  ``readings`` reads the log
+    form at its half mark and doubling samples as the walk passes them.
+    Only the log form is kept: ``acc.direct`` still holds the prefix product
+    and ``acc.zero`` stays false.  Returns the last term index read."""
+    term_fn = seq.tail.term_fn
+    log, atan2, isfinite = math.log, math.atan2, cmath.isfinite
     log_mod, arg = acc.log_mod, acc.arg
     due = readings.due if readings is not None else stop + 1
     n = start - 1
     for n in range(start, stop + 1):
-        z = term_at(n)
+        z = complex(term_fn(n))
+        if not isfinite(z):
+            _coerce_term(z, f"at term {n}")  # raises
         if z == 0:
             raise _ZeroTerm(n)
         log_mod += log(abs(z))
@@ -441,6 +474,29 @@ def _classify_geometric(
     return _verdict("ConvergesTo", value, acc, last_n, samples, note)
 
 
+def _first_power_overflow(p: float, start: int, stop: int) -> int:
+    """The first n in ``start..stop`` at which ``n**p`` overflows, else
+    ``stop + 1``.  ``n**p`` grows with n, so a bisection finds it."""
+
+    def overflows(n: int) -> bool:
+        try:
+            n**p
+        except OverflowError:
+            return True
+        return False
+
+    if not overflows(stop):
+        return stop + 1
+    lo, hi = start, stop
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if overflows(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _classify_p_series(
     seq: ComplexSequenceSpec,
     prefix_prod: complex,
@@ -451,28 +507,39 @@ def _classify_p_series(
 ) -> ConvergenceVerdict:
     p = seq.tail.p
     log_sum = 0j
-    window: deque[complex] = deque(maxlen=8)
-    sizes: deque[float] = deque(maxlen=8)  # abs of each window entry, for p > 1
+    # (n, log z_n) of the last 8 terms; the coefficients c_n = log z_n * n**p
+    # of this window are built only where they are read
+    recent: deque[tuple[int, complex]] = deque(maxlen=8)
     broken = False
+    over = _first_power_overflow(p, start, budget)
+    # The rule below stops when max|c_k| * n**(1 - p) / (p - 1) < tol over
+    # the window.  The max is at least |c_n| = |log z_n| * n**p, so it can
+    # stop only where |log z_n| * n < tol * (p - 1); the factor 2 covers the
+    # rounding of both sides.  A bound that is not a normal float screens
+    # nothing.
+    limit = 2.0 * tol * (p - 1.0)
+    if not limit >= sys.float_info.min:
+        limit = math.inf
+    check_from = start + 32 if p > 1.0 else budget + 1
+
+    def coefficients() -> list[complex]:
+        # once n**p overflows, only a zero log term gets this far
+        return [ell * (k**p) if k < over else 0j for k, ell in recent]
 
     def step(n: int, z: complex) -> bool:
         nonlocal log_sum, broken
         ell = cmath.log(z)
         log_sum += ell
-        try:
-            c_n = ell * (n**p)
-        except OverflowError:
+        recent.append((n, ell))
+        if n >= over and ell:
             # once n**p overflows, no finite c bounds a nonzero term
-            if ell:
-                broken = True
-                return True
-            c_n = 0j
-        window.append(c_n)
-        if p > 1.0:
-            sizes.append(abs(c_n))
-            if n >= start + 32:
-                return max(sizes) * n ** (1.0 - p) / (p - 1.0) < tol
-        return False
+            broken = True
+            return True
+        return (
+            n >= check_from
+            and abs(ell) * n < limit
+            and max(abs(c) for c in coefficients()) * n ** (1.0 - p) / (p - 1.0) < tol
+        )
 
     # for p <= 1 a vanishing coefficient falls back on the numeric verdict,
     # read off this walk
@@ -482,6 +549,7 @@ def _classify_p_series(
         note = f"declared p={p:g} but a log term stays nonzero past n**p overflow"
         return _broken(acc, start, prefix_prod, last_n, note)
 
+    window = coefficients()
     c_est = sum(window) / len(window) if window else 0j
     if p > 1.0:
         # midpoint integral correction for the unevaluated tail, folded into

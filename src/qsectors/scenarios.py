@@ -25,6 +25,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .overlaps import OverlapSweep, overlap_sweep
+from .products import _scaled
 from .sectors import SectorVerdict, same_sector
 from .states import ALIGN_EXACT, ConstantTail, FactorVector, ProductState, basis_vector
 
@@ -357,23 +358,6 @@ def run_cascade(spec: CascadeSpec, seed: int = 0) -> CascadeResult:
         degenerate=degenerate,
         model=model,
     )
-
-
-def _scaled(count: int, step: float) -> float:
-    """``count * step`` for a negative ``step``, as IEEE rounds it.  A count
-    past the float range is multiplied exactly, and the product rounds to
-    -inf once it leaves the range too."""
-    try:
-        return count * step
-    except OverflowError:
-        pass
-    if step == -math.inf:
-        return step
-    num, den = step.as_integer_ratio()
-    try:
-        return count * num / den
-    except OverflowError:
-        return -math.inf
 
 
 def cascade_stage_report(result: CascadeResult) -> tuple[dict, ...]:

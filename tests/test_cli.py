@@ -190,6 +190,17 @@ class TestOverlapSweep:
         assert code == 2
         assert "cuts" in json.loads(err)["message"]
 
+    def test_cuts_past_the_float_range_read_zero(self, capsys, files):
+        a = files("a.json", encode_state(QUIET))
+        b = files("b.json", encode_state(q.ProductState((), q.ConstantTail(q.FactorVector((0.6, 0.8))))))
+        code, out, err = run(
+            capsys, "overlap-sweep", a, b, "--max", str(10**400), "--step", str(10**399)
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [k * 10**399 for k in range(1, 11)]
+        assert rows[-1][1:] == ["0.0", "0.0", "0.0", "-inf"]
+
     def test_constant_tails_far_out_take_the_closed_form(self, capsys, files):
         a = files("a.json", encode_state(QUIET))
         b = files("b.json", encode_state(KICKED))
@@ -601,6 +612,9 @@ def test_malformed_documents_exit_with_a_json_error(capsys, files, case):
 OVERSIZED_ARGUMENTS = {
     "qnd-sim-two-huge-stages": (0, ("qnd-sim", "--stages", "a:fixed:1e200,b:fixed:1e200")),
     "qnd-sim-one-huge-stage": (0, ("qnd-sim", "--stages", "a:fixed:1e300")),
+    "overlap-sweep-past-the-float-range": (
+        0, ("overlap-sweep", "STATE", "STATE", "--max", str(10**400), "--step", str(10**399))
+    ),
     "sample-count": (3, ("sample", "MODEL", "--count", str(WALK_BUDGET + 1))),
     "overlap-sweep-max": (3, ("overlap-sweep", "STATE", "STATE", "--max", str(WALK_BUDGET + 1))),
     "decohere-max": (3, ("decohere", "MODEL", "--max", str(WALK_BUDGET + 1))),

@@ -1263,3 +1263,63 @@ class TestTailBlocks:
             tracemalloc.stop()
         assert used == [(0, n)]
         assert peak < 2 * 2**20
+
+
+# -- cuts past the float range -------------------------------------------------
+#
+# A run of one repeated bracket G reads a cut n as (n - j) * (log|G|, arg G).
+# Past the float range that count is multiplied exactly: a modulus below the
+# range reads 0 with log-modulus -inf, a unit bracket keeps its log form, and
+# a phase that cannot be represented is refused with a code.  The reprs below
+# were taken before the change and pin the in-range bits.
+
+E_SKEW = q.FactorVector((0.6, 0.8))
+
+
+class TestCutsPastTheFloatRange:
+    def test_a_modulus_below_the_range_reads_zero(self):
+        a, b = q.ProductState((), q.ConstantTail(E0)), q.ProductState((), q.ConstantTail(E_SKEW))
+        assert q.truncated_overlap(a, b, 10**400) == 0j
+        sweep = q.overlap_sweep(a, b, [10, 10**400])
+        assert repr(sweep.values) == "((0.006046617599999999+0j), 0j)"
+        assert repr(sweep.log_modulus) == "(-5.108256237659907, -inf)"
+
+    def test_in_range_cuts_keep_their_bits(self):
+        a, b = q.ProductState((), q.ConstantTail(E0)), q.ProductState((), q.ConstantTail(E_SKEW))
+        assert repr(q.truncated_overlap(a, b, 10**300)) == "0j"
+        sweep = q.overlap_sweep(a, b, [10, 64, 65, 10**300])
+        assert repr((sweep.values, sweep.log_modulus)) == (
+            "(((0.006046617599999999+0j), (6.334028666297314e-15+0j), "
+            "(3.800417199778395e-15+0j), 0j), (-5.108256237659907, -32.692839921023406, "
+            "-33.203665544789395, -5.108256237659908e+299))"
+        )
+
+    def test_a_run_crossed_at_a_million_sites_keeps_its_bits(self):
+        ranked = decode_state({
+            "type": "product-state",
+            "prefix": [],
+            "tail": {
+                "kind": "parametric", "class": "eventually-constant", "rank": 10**6,
+                "scale": 2.0, "limit": [0.6, 0.8], "deviation": [0.2, -0.2],
+            },
+        })
+        ket = q.ProductState((E_SKEW,), q.ConstantTail(E0))
+        cuts = [10, 10**6 - 1, 10**6, 10**6 + 1, 2 * 10**6, 10**300, 10**400]
+        sweep = q.overlap_sweep(ranked, ket, cuts)
+        assert repr(sweep.values) == "((0.12884901888000008+0j), 0j, 0j, 0j, 0j, 0j, 0j)"
+        assert repr(sweep.log_modulus) == (
+            "(-2.049113956348142, -223143.1458491016, -223143.36899265292, "
+            "-223143.87981827668, -733968.9927586436, -5.108256237659908e+299, -inf)"
+        )
+
+    def test_a_unit_bracket_keeps_its_value(self):
+        a = q.ProductState((E1,), q.ConstantTail(E0))
+        sweep = q.overlap_sweep(a, a, [10, 10**400])
+        assert sweep.values == (1 + 0j, 1 + 0j) and sweep.log_modulus == (0.0, 0.0)
+
+    @pytest.mark.parametrize("phase", [q.FactorVector((1j, 0j)), q.FactorVector((0.6 + 0.8j, 0j))])
+    def test_a_phase_past_the_range_is_refused(self, phase):
+        a, b = q.ProductState((), q.ConstantTail(E0)), q.ProductState((), q.ConstantTail(phase))
+        q.overlap_sweep(a, b, [10, 10**300])
+        with pytest.raises(q.DimensionBudgetExceeded):
+            q.overlap_sweep(a, b, [10, 10**400])

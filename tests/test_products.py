@@ -1,7 +1,12 @@
 import cmath
+import contextlib
 import math
+from collections import deque
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsectors as q
 from qsectors import products, serialize
@@ -249,7 +254,7 @@ class TestBrokenDeclarations:
         # 1 + n**-400 rounds to 1 from n = 2 on, while n**400 overflows at n = 6
         v = self.classify(lambda n: 1.0 + n**-400, klass="p-series-log-modulus", p=400.0)
         assert (v.kind, v.value) == ("ConvergesTo", 2.0)
-        for p in (200.0, 1000.0):
+        for p, first in ((200.0, 35), (1000.0, 3)):
             v = self.classify(lambda n: 1.0 + 1e-9, klass="p-series-log-modulus", p=p)
             assert (v.kind, v.value) == ("Inconclusive", None)
             n = v.diagnostics.terms_examined
@@ -258,6 +263,10 @@ class TestBrokenDeclarations:
             assert v.diagnostics.notes == (
                 f"declared p={p:g} but a log term stays nonzero past n**p overflow",
             )
+            # the first overflowing term, as the per-term reference finds it
+            assert n == first == products._first_power_overflow(p, 1, 3000)
+            lean, ref = _both(_closed(lambda n: 1.0 + 1e-9, "p-series-log-modulus", p=p), budget=3000)
+            assert lean == ref
 
     def test_geometric_log_sum_overflow_is_inconclusive(self):
         v = self.classify(lambda n: 2.0, klass="geometric-modulus", ratio=0.999999)
@@ -534,3 +543,289 @@ def test_non_finite_tail_term_message():
     with pytest.raises(q.InvalidAmplitude) as err:
         q.classify_product(seq)
     assert str(err.value) == "non-finite term (inf+0j) at term 5"
+
+
+# -- the lean walk against the per-term reference -----------------------------
+#
+# ``products._walk_tail`` calls ``term_fn`` itself, and the p-series rule runs
+# only behind its screen.  The reference below is the walk through
+# ``ComplexSequenceSpec.term_at``, one call per term, with the p-series rule
+# evaluated at every term; every verdict, zero-term exit and error must match
+# it to the last bit.
+
+
+def _reference_walk(seq, acc, start, stop, step=None, readings=None):
+    """``_walk_tail`` through ``seq.term_at``, one call per term."""
+    log, atan2 = math.log, math.atan2
+    log_mod, arg = acc.log_mod, acc.arg
+    due = readings.due if readings is not None else stop + 1
+    n = start - 1
+    for n in range(start, stop + 1):
+        z = seq.term_at(n)
+        if z == 0:
+            raise products._ZeroTerm(n)
+        log_mod += log(abs(z))
+        arg += atan2(z.imag, z.real)
+        if n >= due:
+            acc.log_mod, acc.arg = log_mod, arg
+            readings.record(n, acc)
+            due = readings.due
+        if step is not None and step(n, z):
+            break
+    acc.log_mod, acc.arg = log_mod, arg
+    return n
+
+
+def _reference_p_series(seq, prefix_prod, acc, start, budget, tol):
+    """The p-series classifier with c_n = log z_n * n**p built at every term
+    and the stopping rule evaluated at every term past start + 32."""
+    p = seq.tail.p
+    log_sum = 0j
+    window = deque(maxlen=8)
+    sizes = deque(maxlen=8)
+    broken = False
+
+    def step(n, z):
+        nonlocal log_sum, broken
+        ell = cmath.log(z)
+        log_sum += ell
+        try:
+            c_n = ell * (n**p)
+        except OverflowError:
+            if ell:
+                broken = True
+                return True
+            c_n = 0j
+        window.append(c_n)
+        if p > 1.0:
+            sizes.append(abs(c_n))
+            if n >= start + 32:
+                return max(sizes) * n ** (1.0 - p) / (p - 1.0) < tol
+        return False
+
+    readings = None if p > 1.0 else products._NumericReadings(acc, prefix_prod, start, budget)
+    last_n = products._walk_tail(seq, acc, start, budget, step, readings)
+    if broken:
+        note = f"declared p={p:g} but a log term stays nonzero past n**p overflow"
+        return products._broken(acc, start, prefix_prod, last_n, note)
+    c_est = sum(window) / len(window) if window else 0j
+    if p > 1.0:
+        correction = c_est * (last_n + 0.5) ** (1.0 - p) / (p - 1.0)
+        value = products._declared_value(prefix_prod, log_sum + correction)
+        if value is None:
+            note = f"declared p={p:g} > 1 but the log sum overflows"
+            return products._broken(acc, start, prefix_prod, last_n, note)
+        acc.log_mod += correction.real
+        acc.arg += correction.imag
+        samples = ((start - 1, prefix_prod), (last_n, value))
+        note = f"p-series tail corrected by {abs(correction):.3e}"
+        return products._verdict("ConvergesTo", value, acc, last_n, samples, note)
+    tiny = max(tol, 1e-9)
+    samples = ((last_n, prefix_prod * products._Accumulator(log_sum.real, log_sum.imag).value()),)
+    if c_est.real > tiny:
+        kind, value = "Diverges", None
+    elif c_est.real < -tiny:
+        kind, value = "ConvergesTo", 0j
+    elif abs(c_est.imag) > tiny:
+        kind, value = "QuasiConvergesToZero", 0j
+    else:
+        return products._numeric_verdict(acc, readings, last_n, tol)
+    note = f"p={p:g} <= 1: log terms scale like c/n^p with c ~ {c_est:.3e}"
+    return products._verdict(kind, value, acc, last_n, samples, note)
+
+
+@contextlib.contextmanager
+def _reference():
+    with mock.patch.object(products, "_walk_tail", _reference_walk), mock.patch.dict(
+        products._CLASSIFIERS, {"p-series-log-modulus": _reference_p_series}
+    ):
+        yield
+
+
+def _both(seq, **kwargs):
+    """``_classified`` through the lean walk, then through the reference."""
+    lean = _classified(seq, kwargs)
+    with _reference():
+        return lean, _classified(seq, kwargs)
+
+
+def _declared(klass):
+    return {"geometric-modulus": {"ratio": 0.5}, "p-series-log-modulus": {"p": 2.0}}.get(klass, {})
+
+
+@pytest.mark.parametrize("name", sorted(BITS_CASES))
+def test_the_reference_walk_keeps_the_frozen_bits(name):
+    seq, kwargs = BITS_CASES[name]
+    with _reference():
+        assert _classified(seq, kwargs) == FROZEN[name]
+
+
+def test_the_walk_does_not_go_through_term_at():
+    with mock.patch.object(q.ComplexSequenceSpec, "term_at", side_effect=AssertionError):
+        for klass in products.TAIL_CLASSES:
+            v = q.classify_product(_closed(lambda n: 1.0 + 0.5**n, klass, **_declared(klass)), budget=500)
+            assert v.diagnostics.terms_examined >= 1
+
+
+FAMILIES = {
+    "power": lambda c, a: lambda n: 1.0 + c * n ** -a,
+    "geometric": lambda c, a: lambda n: 1.0 + c * (a / 4.0) ** n,
+    "phase": lambda c, a: lambda n: cmath.exp(1j * c.real * n ** -a),
+    "ones-after": lambda c, a: lambda n: 1.0 + c * (n < 8 * a),
+}
+DECLARED = {
+    "eventually-one": st.just({}),
+    "geometric-modulus": st.builds(
+        lambda r: {"ratio": r}, st.sampled_from([0.0, 0.3, 0.5, 0.9, 0.999])
+    ),
+    "p-series-log-modulus": st.builds(
+        lambda p: {"p": p},
+        st.sampled_from([0.3, 0.8, 1.0, 1.0000000000000002, 1.5, 2.0, 3.0, 50.0, 200.0, 400.0]),
+    ),
+    "bounded-nonsummable-argument": st.just({}),
+    "custom": st.just({}),
+}
+FAULTS = st.sampled_from([0j, 1.0, -0.5, 2.0 + 0.5j, 1e-200, 1e200, math.inf, math.nan])
+
+
+@st.composite
+def walked_sequences(draw):
+    """(class, sequence, classify_product keyword arguments) with a drawn
+    prefix, tail family, fault term and budget."""
+    klass = draw(st.sampled_from(products.TAIL_CLASSES))
+    declared = draw(DECLARED[klass])
+    c = draw(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+    fn = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))](c, draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])))
+    prefix = tuple(draw(st.lists(st.sampled_from([0.5, 2.0, 1j, -1.0, 1e-200]), max_size=5)))
+    budget = draw(st.integers(len(prefix) + 1, len(prefix) + 2500))
+    fault_at = draw(st.none() | st.integers(len(prefix) + 1, budget))
+    if fault_at is not None:
+        fault = draw(FAULTS)
+        fn = (lambda f, k, z: lambda n: z if n == k else f(n))(fn, fault_at, fault)
+    tol = draw(st.sampled_from([1e-14, 1e-10, 1e-6, 1e-3, 5e-324]))
+    seq = _closed(fn, klass, prefix, **declared)
+    return klass, seq, {"budget": budget, "tol": tol}
+
+
+class TestLeanWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(walked_sequences())
+    def test_every_class_matches_the_reference(self, case):
+        _, seq, kwargs = case
+        lean, ref = _both(seq, **kwargs)
+        assert lean == ref
+
+    @pytest.mark.parametrize("klass", products.TAIL_CLASSES)
+    @pytest.mark.parametrize("at", [3, 40, 500])
+    def test_zero_terms_exit_at_the_same_term(self, klass, at):
+        seq = _closed(_zero_at(at, lambda n: 1.0 + 1e-3 * n**-2.0), klass, (0.5, 2.0), **_declared(klass))
+        lean, ref = _both(seq, budget=500)
+        assert lean == ref
+        assert f"terms_examined={at}," in lean and f"samples=(({at}, 0j),)" in lean
+
+    @pytest.mark.parametrize("klass", products.TAIL_CLASSES)
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0)])
+    def test_non_finite_terms_raise_the_same_error_at_the_same_term(self, klass, bad):
+        seq = _closed(lambda n: bad if n == 37 else 1.0 + 1e-3 * n**-2.0, klass, (0.5,), **_declared(klass))
+        errors = []
+        for walk in (contextlib.nullcontext(), _reference()):
+            with walk, pytest.raises(q.InvalidAmplitude) as err:
+                q.classify_product(seq, budget=500)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] == (q.InvalidAmplitude, f"non-finite term {bad!r} at term 37")
+
+    def test_a_rule_that_stops_runs_the_exact_check(self):
+        # the screen passes from the first checked term on, and the exact
+        # rule stops there
+        seq = _closed(lambda n: 1.0 + 1e-14 * n**-3.0, "p-series-log-modulus", p=3.0)
+        lean, ref = _both(seq, budget=3000)
+        assert lean == ref and "terms_examined=33," in lean
+
+    def test_the_window_max_holds_the_rule_back(self):
+        # from term 40 on every term passes the screen, but the exact rule
+        # still sees the large coefficients of terms < 40 in its window of 8
+        seq = _closed(
+            lambda n: 1.0 + (1e-2 if n < 40 else 1e-14) * n**-3.0, "p-series-log-modulus", p=3.0
+        )
+        lean, ref = _both(seq, budget=3000)
+        assert lean == ref and "terms_examined=47," in lean
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-300])
+    def test_a_screen_bound_below_the_normal_range_screens_nothing(self, tol):
+        # 2 * tol * (p - 1) is subnormal or 0 here, while the rule still
+        # stops on a window of exact ones
+        seq = _closed(lambda n: 1.0, "p-series-log-modulus", p=1.0 + 2.0**-52)
+        lean, ref = _both(seq, budget=3000, tol=tol)
+        assert lean == ref and "terms_examined=33," in lean
+
+    @pytest.mark.parametrize(
+        "prefix_len, budget", [(5, 6), (5, 100), (4, 5), (0, 5), (0, 6), (0, 100)]
+    )
+    @pytest.mark.parametrize("term", [1.0 + 1e-9, 1.0])
+    def test_power_overflow_at_the_bisection_edge(self, prefix_len, budget, term):
+        # n**400 first overflows at n = 6: the first tail term, the last
+        # budgeted term, or just past the budget
+        with pytest.raises(OverflowError):
+            6.0**400
+        assert 5.0**400 < math.inf
+        seq = _closed(lambda n: term, "p-series-log-modulus", (1.0,) * prefix_len, p=400.0)
+        lean, ref = _both(seq, budget=budget)
+        assert lean == ref
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, 60.0, 200.0, 400.0, 1000.0])
+    @pytest.mark.parametrize(
+        "start, stop", [(1, 1), (1, 2), (3, 3), (1, 40), (2, 6), (6, 6), (7, 9), (1, 140_000)]
+    )
+    def test_first_power_overflow_matches_a_scan(self, p, start, stop):
+        def overflows(n):
+            try:
+                n**p
+            except OverflowError:
+                return True
+            return False
+
+        want = next((n for n in range(start, stop + 1) if overflows(n)), stop + 1)
+        assert products._first_power_overflow(p, start, stop) == want
+
+
+# -- repeated terms past the float range ---------------------------------------
+
+
+class TestRepeatedPastTheFloatRange:
+    def test_in_range_counts_keep_their_bits(self):
+        for z, count in ((0.6, 10**300), (0.6 + 0.8j, 10**300), (0.9j, 65), (1e-300, 10**6)):
+            acc = products._Accumulator(0.25, -0.5).repeated(z, count)
+            assert (acc.log_mod, acc.arg, acc.zero) == (
+                0.25 + count * math.log(abs(z)), -0.5 + count * math.atan2(z.imag, z.real), False
+            )
+
+    @pytest.mark.parametrize(
+        "z, count",
+        [
+            pytest.param(0.6, 10**400, id="past-the-count-range"),
+            pytest.param(0.6 - 0.3j, 10**400, id="rotating"),
+            pytest.param(1e-300, 10**307, id="past-the-product-range"),
+        ],
+    )
+    def test_a_modulus_past_the_range_reads_zero(self, z, count):
+        acc = products._Accumulator(0.25, -0.5).repeated(z, count)
+        assert acc.zero and acc.value() == 0j
+
+    def test_a_unit_bracket_keeps_its_log_form(self):
+        acc = products._Accumulator(0.25, -0.5).repeated(1.0, 10**400)
+        assert (acc.log_mod, acc.arg, acc.zero) == (0.25, -0.5, False)
+
+    @pytest.mark.parametrize("z", [1j, 0.6 + 0.8j, 1.5])
+    def test_a_phase_or_growth_past_the_range_is_refused(self, z):
+        with pytest.raises(q.DimensionBudgetExceeded):
+            products._Accumulator().repeated(z, 10**400)
+
+    def test_scaled(self):
+        scaled = products._scaled
+        assert scaled(3, -0.5) == -1.5
+        assert scaled(10**400, -0.5) == -math.inf
+        assert scaled(10**400, 2.0) == math.inf
+        assert scaled(10**400, 1e-300) == float(10**100)
+        assert scaled(10**400, -math.inf) == -math.inf
+        assert math.copysign(1.0, scaled(10**400, 0.0)) == 1.0
+        assert math.copysign(1.0, scaled(10**400, -0.0)) == -1.0

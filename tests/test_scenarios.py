@@ -268,6 +268,17 @@ class TestRunCascade:
         assert rho.coherence(0, 1) == pytest.approx(r.coherence, rel=1e-12)
         assert rho.truncation == r.total_records
 
+    def test_density_past_the_float_range_has_no_coherence(self):
+        spec = q.CascadeSpec(
+            stages=(q.StageSpec("a", "fixed", 1e200), q.StageSpec("b", "fixed", 1e200))
+        )
+        r = q.run_cascade(spec)
+        rho = r.density()
+        assert rho.truncation == r.total_records == int(1e200) + int(1e200) ** 2
+        assert (r.log10_coherence, r.coherence) == (-math.inf, 0.0)
+        assert rho.coherence(0, 1) == 0j
+        assert rho.matrix[0, 0] == rho.matrix[1, 1] == pytest.approx(0.5)
+
     def test_stage_report_rows(self):
         rows = q.cascade_stage_report(q.run_cascade(q.default_cascade()))
         assert len(rows) == 3
