@@ -211,6 +211,8 @@ def _cmd_decohere(args) -> int:
             for i in range(model.n_outcomes)
             for j in range(i + 1, model.n_outcomes)
         ]
+    # a horizon the model or --eps refuses is refused before the table is written
+    horizon = None if args.eps is None else decoherence_horizon(model, args.eps, pair=pair)
     walked = _branch_overlaps(model, pairs, cuts)
     rows = []
     for k, n in enumerate(cuts):
@@ -224,7 +226,6 @@ def _cmd_decohere(args) -> int:
     header = ("truncation", "i", "j", "re", "im", "modulus", "log10_modulus")
     _write_text(args.out, _csv_text(header, rows))
     if args.eps is not None:
-        horizon = decoherence_horizon(model, args.eps, pair=pair)
         _summary({"eps": args.eps, "horizon": horizon})
     return 0
 
@@ -233,6 +234,8 @@ def _cmd_sample(args) -> int:
     model = decode_model(_load(args.model))
     if args.count < 0:
         raise UsageError("--count must be >= 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     # each sample costs a CSV row in memory, so the count is capped up front
     if args.count > WALK_BUDGET:
         raise DimensionBudgetExceeded(

@@ -42,6 +42,23 @@ __all__ = [
 _HORIZON_CHECK_EVERY = 4096
 
 
+def _check_pointer_amplitudes(coeffs: tuple[complex, ...]) -> None:
+    """Pointer amplitudes must be finite, then normalized."""
+    for c in coeffs:
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise InvalidAmplitude(f"non-finite pointer amplitude {c!r}")
+    total = sum(abs(c) ** 2 for c in coeffs)
+    if abs(total - 1.0) > ALIGN_EXACT:
+        raise InvalidAmplitude(f"pointer amplitudes must be normalized, got sum {total!r}")
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The fixed-stream generator of ``seed``, which must be >= 0."""
+    if seed < 0:
+        raise PreconditionViolated(f"seed must be >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 @dataclass(frozen=True)
 class MeasurementModel:
     """Pointer amplitudes plus one device branch state per outcome."""
@@ -61,14 +78,7 @@ class MeasurementModel:
             raise PreconditionViolated(
                 f"{len(coeffs)} coefficients vs {len(branches)} branches"
             )
-        for c in coeffs:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise InvalidAmplitude(f"non-finite pointer amplitude {c!r}")
-        total = sum(abs(c) ** 2 for c in coeffs)
-        if abs(total - 1.0) > ALIGN_EXACT:
-            raise InvalidAmplitude(
-                f"pointer amplitudes must be normalized, got sum {total!r}"
-            )
+        _check_pointer_amplitudes(coeffs)
         for b in branches[1:]:
             ensure_same_shape(branches[0], b)
         for idx, b in enumerate(branches):
@@ -298,7 +308,7 @@ def sample_outcomes(model: MeasurementModel, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise PreconditionViolated("sample count must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     cdf = np.cumsum(model.probabilities)
     cdf[-1] = 1.0
     u = rng.random(n)

@@ -239,6 +239,11 @@ class _ZeroTerm(Exception):
     ``classify_product`` answers it with ``_zero_product``."""
 
 
+class _Broken(Exception):
+    """Raised as ``_Broken(last_n, note)`` where the tail breaks its declared
+    class; ``classify_product`` answers it with ``_broken``."""
+
+
 def _verdict(
     kind: str,
     value: complex | None,
@@ -315,10 +320,13 @@ def classify_product(
             "custom tail has no declared class; exact verdict unavailable"
         )
     classify = _CLASSIFIERS[tail.klass]
+    start = len(seq.prefix) + 1
     try:
-        return classify(seq, prefix_prod, acc, len(seq.prefix) + 1, budget, tol)
+        return classify(seq, prefix_prod, acc, start, budget, tol)
     except _ZeroTerm as zero:
         return _zero_product(zero.args[0])
+    except _Broken as broken:
+        return _broken(acc, start, prefix_prod, *broken.args)
 
 
 def _classify_constant_tail(
@@ -348,7 +356,6 @@ def _walk_tail(
     start: int,
     stop: int,
     step: Callable[[int, complex], bool] | None = None,
-    readings: _NumericReadings | None = None,
 ) -> int:
     """Read the tail terms ``start..stop`` once each, straight from
     ``seq.tail.term_fn`` with ``term_at``'s checks, and fold each into the
@@ -357,31 +364,60 @@ def _walk_tail(
 
     The walk ends early after a term for which ``step(n, z)`` is true.  A
     non-finite term raises ``term_at``'s error, and a zero term raises
-    ``_ZeroTerm``, so no classifier sees either.  ``readings`` reads the log
-    form at its half mark and doubling samples as the walk passes them.
-    Only the log form is kept: ``acc.direct`` still holds the prefix product
-    and ``acc.zero`` stays false.  Returns the last term index read."""
+    ``_ZeroTerm``, so no classifier sees either.  The log form is written
+    back also when ``step`` raises, so it holds every term folded in.  Only
+    the log form is kept: ``acc.direct`` still holds the prefix product and
+    ``acc.zero`` stays false.  Returns the last term index read."""
     term_fn = seq.tail.term_fn
     log, atan2, isfinite = math.log, math.atan2, cmath.isfinite
     log_mod, arg = acc.log_mod, acc.arg
-    due = readings.due if readings is not None else stop + 1
     n = start - 1
-    for n in range(start, stop + 1):
-        z = complex(term_fn(n))
-        if not isfinite(z):
-            _coerce_term(z, f"at term {n}")  # raises
-        if z == 0:
-            raise _ZeroTerm(n)
-        log_mod += log(abs(z))
-        arg += atan2(z.imag, z.real)
-        if n >= due:
-            acc.log_mod, acc.arg = log_mod, arg
-            readings.record(n, acc)
-            due = readings.due
-        if step is not None and step(n, z):
-            break
-    acc.log_mod, acc.arg = log_mod, arg
+    try:
+        for n in range(start, stop + 1):
+            z = complex(term_fn(n))
+            if not isfinite(z):
+                _coerce_term(z, f"at term {n}")  # raises
+            if z == 0:
+                raise _ZeroTerm(n)
+            log_mod += log(abs(z))
+            arg += atan2(z.imag, z.real)
+            if step is not None and step(n, z):
+                break
+    finally:
+        acc.log_mod, acc.arg = log_mod, arg
     return n
+
+
+def _walk_read(
+    seq: ComplexSequenceSpec,
+    prefix_prod: complex,
+    acc: _Accumulator,
+    start: int,
+    budget: int,
+    step: Callable[[int, complex], bool] | None = None,
+) -> tuple[tuple[float, float], list[tuple[int, complex]]]:
+    """``_walk_tail`` over terms ``start..budget`` in stretches that end at
+    the half mark and at the sample counts max(start, 1), twice that, and so
+    on; ``step`` may raise but must not end the walk.  Returns what
+    ``_numeric_verdict`` reads: the log form of ``acc`` after the half mark,
+    and the samples ``(n, value)`` after ``(start - 1, prefix_prod)``."""
+    half_mark = start + (budget - start) // 2
+    sample_marks = []
+    mark = max(start, 1)
+    while mark <= budget:
+        sample_marks.append(mark)
+        mark *= 2
+    samples = [(start - 1, prefix_prod)]
+    n = start
+    for mark in sorted({half_mark, *sample_marks}):
+        _walk_tail(seq, acc, n, mark, step)
+        n = mark + 1
+        if mark == half_mark:
+            half = (acc.log_mod, acc.arg)
+        if mark in sample_marks:
+            samples.append((mark, acc.value()))
+    _walk_tail(seq, acc, n, budget, step)
+    return half, samples
 
 
 def _declared_value(prefix_prod: complex, log_sum: complex) -> complex | None:
@@ -442,10 +478,9 @@ def _classify_geometric(
     ratio = seq.tail.ratio
     log_sum = 0j
     coeff = 0.0
-    broken = False
 
     def step(n: int, z: complex) -> bool:
-        nonlocal log_sum, coeff, broken
+        nonlocal log_sum, coeff
         ell = cmath.log(z)
         log_sum += ell
         if ratio > 0.0:
@@ -454,21 +489,17 @@ def _classify_geometric(
                 coeff = max(coeff, abs(ell) / bound)
             elif ell:
                 # once ratio**n underflows, no finite C bounds a nonzero term
-                broken = True
-                return True
+                note = "declared geometric but a log term stays nonzero past ratio**n underflow"
+                raise _Broken(n, note)
             remaining = coeff * ratio ** (n + 1) / (1.0 - ratio)
         else:
             remaining = 0.0
         return remaining < tol
 
     last_n = _walk_tail(seq, acc, start, budget, step)
-    if broken:
-        note = "declared geometric but a log term stays nonzero past ratio**n underflow"
-        return _broken(acc, start, prefix_prod, last_n, note)
     value = _declared_value(prefix_prod, log_sum)
     if value is None:
-        note = "declared geometric but the log sum overflows"
-        return _broken(acc, start, prefix_prod, last_n, note)
+        raise _Broken(last_n, "declared geometric but the log sum overflows")
     samples = ((start - 1, prefix_prod), (last_n, value))
     note = f"geometric log-modulus tail bound below {tol:g}"
     return _verdict("ConvergesTo", value, acc, last_n, samples, note)
@@ -510,7 +541,6 @@ def _classify_p_series(
     # (n, log z_n) of the last 8 terms; the coefficients c_n = log z_n * n**p
     # of this window are built only where they are read
     recent: deque[tuple[int, complex]] = deque(maxlen=8)
-    broken = False
     over = _first_power_overflow(p, start, budget)
     # The rule below stops when max|c_k| * n**(1 - p) / (p - 1) < tol over
     # the window.  The max is at least |c_n| = |log z_n| * n**p, so it can
@@ -527,28 +557,24 @@ def _classify_p_series(
         return [ell * (k**p) if k < over else 0j for k, ell in recent]
 
     def step(n: int, z: complex) -> bool:
-        nonlocal log_sum, broken
+        nonlocal log_sum
         ell = cmath.log(z)
         log_sum += ell
         recent.append((n, ell))
         if n >= over and ell:
             # once n**p overflows, no finite c bounds a nonzero term
-            broken = True
-            return True
+            raise _Broken(n, f"declared p={p:g} but a log term stays nonzero past n**p overflow")
         return (
             n >= check_from
             and abs(ell) * n < limit
             and max(abs(c) for c in coefficients()) * n ** (1.0 - p) / (p - 1.0) < tol
         )
 
-    # for p <= 1 a vanishing coefficient falls back on the numeric verdict,
-    # read off this walk
-    readings = None if p > 1.0 else _NumericReadings(acc, prefix_prod, start, budget)
-    last_n = _walk_tail(seq, acc, start, budget, step, readings)
-    if broken:
-        note = f"declared p={p:g} but a log term stays nonzero past n**p overflow"
-        return _broken(acc, start, prefix_prod, last_n, note)
-
+    if p > 1.0:
+        last_n = _walk_tail(seq, acc, start, budget, step)
+    else:
+        # a vanishing coefficient falls back on the numeric verdict
+        last_n, readings = budget, _walk_read(seq, prefix_prod, acc, start, budget, step)
     window = coefficients()
     c_est = sum(window) / len(window) if window else 0j
     if p > 1.0:
@@ -557,8 +583,7 @@ def _classify_p_series(
         correction = c_est * (last_n + 0.5) ** (1.0 - p) / (p - 1.0)
         value = _declared_value(prefix_prod, log_sum + correction)
         if value is None:
-            note = f"declared p={p:g} > 1 but the log sum overflows"
-            return _broken(acc, start, prefix_prod, last_n, note)
+            raise _Broken(last_n, f"declared p={p:g} > 1 but the log sum overflows")
         acc.log_mod += correction.real
         acc.arg += correction.imag
         samples = ((start - 1, prefix_prod), (last_n, value))
@@ -567,7 +592,6 @@ def _classify_p_series(
 
     # p <= 1: the log series diverges unless its coefficient vanishes
     tiny = max(tol, 1e-9)
-    samples = ((last_n, prefix_prod * _Accumulator(log_sum.real, log_sum.imag).value()),)
     if c_est.real > tiny:
         kind, value = "Diverges", None
     elif c_est.real < -tiny:
@@ -577,7 +601,8 @@ def _classify_p_series(
     else:
         return _numeric_verdict(acc, readings, last_n, tol)
     note = f"p={p:g} <= 1: log terms scale like c/n^p with c ~ {c_est:.3e}"
-    return _verdict(kind, value, acc, last_n, samples, note)
+    sample = prefix_prod * _Accumulator(log_sum.real, log_sum.imag).value()
+    return _verdict(kind, value, acc, last_n, ((last_n, sample),), note)
 
 
 def _classify_declared_quasi(
@@ -596,36 +621,6 @@ def _classify_declared_quasi(
     return _verdict("QuasiConvergesToZero", 0j, acc, last_n, ((last_n, acc.value()),), note)
 
 
-class _NumericReadings:
-    """What a numeric verdict reads off one walk over terms start..budget:
-    the log form at the half mark and samples at doubling term counts.
-    ``due`` is the next term after which the walk must call ``record``."""
-
-    __slots__ = ("half_mark", "half_log", "half_arg", "samples", "next_sample", "due")
-
-    def __init__(
-        self, acc: _Accumulator, prefix_prod: complex, start: int, budget: int
-    ) -> None:
-        self.half_mark = start + (budget - start) // 2
-        self.half_log = acc.log_mod
-        self.half_arg = acc.arg
-        self.samples: list[tuple[int, complex]] = [(start - 1, prefix_prod)]
-        self.next_sample = max(start, 1)
-        self.due = min(self.half_mark, self.next_sample)
-
-    def record(self, n: int, acc: _Accumulator) -> None:
-        """Read ``acc`` after term ``n`` was folded in."""
-        if n == self.half_mark:
-            self.half_log = acc.log_mod
-            self.half_arg = acc.arg
-        if n >= self.next_sample:
-            self.samples.append((n, acc.value()))
-            self.next_sample *= 2
-        self.due = self.next_sample if n >= self.half_mark else min(
-            self.half_mark, self.next_sample
-        )
-
-
 def _classify_numeric(
     seq: ComplexSequenceSpec,
     prefix_prod: complex,
@@ -634,18 +629,18 @@ def _classify_numeric(
     budget: int,
     tol: float,
 ) -> ConvergenceVerdict:
-    readings = _NumericReadings(acc, prefix_prod, start, budget)
-    last_n = _walk_tail(seq, acc, start, budget, readings=readings)
-    return _numeric_verdict(acc, readings, last_n, tol)
+    readings = _walk_read(seq, prefix_prod, acc, start, budget)
+    return _numeric_verdict(acc, readings, budget, tol)
 
 
 def _numeric_verdict(
-    acc: _Accumulator, readings: _NumericReadings, last_n: int, tol: float
+    acc: _Accumulator, readings: tuple, last_n: int, tol: float
 ) -> ConvergenceVerdict:
-    """Verdict from partial products walked up to term ``last_n``."""
-    half_log = readings.half_log
-    samples = (*readings.samples, (last_n, acc.value()))
-    drift = abs(acc.arg - readings.half_arg)
+    """Verdict from partial products walked up to term ``last_n``, with the
+    ``_walk_read`` readings of that walk."""
+    (half_log, half_arg), samples = readings
+    samples = (*samples, (last_n, acc.value()))
+    drift = abs(acc.arg - half_arg)
     kind, value = "Inconclusive", None
     if acc.log_mod < -LOG_RUNAWAY and acc.log_mod < half_log - 1.0:
         kind, value = "ConvergesTo", 0j

@@ -17,17 +17,17 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .decoherence import MeasurementModel, truncated_density
-from .errors import (
-    DimensionBudgetExceeded,
-    InvalidAmplitude,
-    NonIntegralFraction,
-    PreconditionViolated,
+from .decoherence import (
+    MeasurementModel,
+    _check_pointer_amplitudes,
+    _generator,
+    truncated_density,
 )
+from .errors import DimensionBudgetExceeded, NonIntegralFraction, PreconditionViolated
 from .overlaps import OverlapSweep, overlap_sweep
 from .products import _scaled
 from .sectors import SectorVerdict, same_sector
-from .states import ALIGN_EXACT, ConstantTail, FactorVector, ProductState, basis_vector
+from .states import ConstantTail, FactorVector, ProductState, basis_vector
 
 __all__ = [
     "SpinChainScenario",
@@ -193,11 +193,7 @@ class CascadeSpec:
         amps = tuple(complex(c) for c in self.amplitudes)
         if len(amps) != 2:
             raise PreconditionViolated("cascade tracks exactly two outcomes")
-        total = sum(abs(c) ** 2 for c in amps)
-        if abs(total - 1.0) > ALIGN_EXACT:
-            raise InvalidAmplitude(
-                f"pointer amplitudes must be normalized, got sum {total!r}"
-            )
+        _check_pointer_amplitudes(amps)
         object.__setattr__(self, "amplitudes", amps)
         if not (0.0 <= self.loss_rate <= 1.0):
             raise PreconditionViolated(
@@ -278,7 +274,7 @@ def run_cascade(spec: CascadeSpec, seed: int = 0) -> CascadeResult:
     def generator() -> np.random.Generator:
         nonlocal rng
         if rng is None:
-            rng = np.random.default_rng(seed)
+            rng = _generator(seed)
         return rng
 
     def poisson(stage: StageSpec, what: str, parents: int, rate: float) -> int:

@@ -76,12 +76,21 @@ def encode_complex(z: complex) -> dict:
     return {"re": _float_out(z.real), "im": _float_out(z.imag)}
 
 
-def decode_complex(obj: Any) -> complex:
+def decode_complex(obj: Any, where: str = "number") -> complex:
+    """A number or ``{re, im}`` object of the field ``where`` as a complex."""
     if isinstance(obj, (int, float)):
-        return complex(obj)
+        try:
+            return complex(obj)
+        except OverflowError:
+            raise _outside_the_float_range(where) from None
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        return complex(_float_in(obj.get("re", 0.0)), _float_in(obj.get("im", 0.0)))
+        return complex(_float_in(obj.get("re", 0.0), where), _float_in(obj.get("im", 0.0), where))
     raise UsageError(f"expected a number or {{re, im}} object, got {obj!r}")
+
+
+def _outside_the_float_range(where: str) -> UsageError:
+    # the integer itself may run to thousands of digits, so it is not quoted
+    return UsageError(f"{where} holds an integer outside the float range")
 
 
 def _float_out(x: float) -> Union[float, str]:
@@ -93,14 +102,17 @@ def _float_out(x: float) -> Union[float, str]:
     return "inf" if x > 0 else "-inf"
 
 
-def _float_in(x: Any) -> float:
+def _float_in(x: Any, where: str = "number") -> float:
     if isinstance(x, str):
         try:
             return float(x)
         except ValueError:
             raise UsageError(f"not a number: {x!r}") from None
     if isinstance(x, (int, float)):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise _outside_the_float_range(where) from None
     raise UsageError(f"not a number: {x!r}")
 
 
@@ -130,7 +142,7 @@ def _encode_vector(v: FactorVector) -> list:
 def _decode_vector(obj: Any, where: str) -> FactorVector:
     if not isinstance(obj, list) or not obj:
         raise UsageError(f"{where} must be a non-empty list of complex entries")
-    return FactorVector(tuple(decode_complex(c) for c in obj))
+    return FactorVector(tuple(decode_complex(c, where) for c in obj))
 
 
 def _encode_tail(tail) -> dict:
@@ -184,19 +196,23 @@ def _decode_tail(obj: Any, where: str):
     dev_json = obj.get("deviation", [])
     if not isinstance(dev_json, list) or len(dev_json) not in (0, limit.dim):
         raise UsageError(f"{where}.deviation must match the limit dimension")
-    dev = tuple(decode_complex(c) for c in dev_json) or (0j,) * limit.dim
+    dev_where = f"{where}.deviation"
+    dev = tuple(decode_complex(c, dev_where) for c in dev_json) or (0j,) * limit.dim
     dim = obj.get("dim", limit.dim)
     if dim != limit.dim:
         raise ShapeMismatch(f"{where}: dim {dim} vs limit dim {limit.dim}")
     # huge entries give inf here where abs(c) ** 2 raises OverflowError; a
     # document without a scale then fails the declaration's finite-scale check
     dev_norm = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in dev))
+    for name in ("ratio", "p", "rank"):
+        if isinstance(obj.get(name), int):  # refuses, naming it, one past the float range
+            _float_in(obj[name], f"{where}.{name}")
     decay = DecaySpec(
         kind=obj.get("class", "eventually-constant"),
         ratio=obj.get("ratio"),
         p=obj.get("p"),
         rank=obj.get("rank", 0 if "class" not in obj else None),
-        scale=_float_in(obj["scale"]) if "scale" in obj else max(dev_norm, 0.0),
+        scale=_float_in(obj["scale"], f"{where}.scale") if "scale" in obj else max(dev_norm, 0.0),
     )
     # every family that reads its deviation weighs it by w(0) = 1 at site 0
     # and by w(n) <= 1 after, so the declaration holds exactly when the
@@ -259,7 +275,8 @@ def decode_state(obj: Any) -> Union[ProductState, CompositeState]:
             inner = decode_state(t["state"])
             if not isinstance(inner, ProductState):
                 raise UsageError(f"terms[{i}].state must be a product-state")
-            terms.append((decode_complex(t.get("coefficient", 1)), inner))
+            coefficient = decode_complex(t.get("coefficient", 1), f"terms[{i}].coefficient")
+            terms.append((coefficient, inner))
         return CompositeState(tuple(terms))
     raise UsageError(f"unknown state type {kind!r}")
 
@@ -274,7 +291,7 @@ def _decode_matrix(obj: Any, where: str) -> FactorOperator:
     d = math.isqrt(len(obj))
     if d * d != len(obj):
         raise ShapeMismatch(f"{where} has {len(obj)} entries, not a square count")
-    entries = [decode_complex(c) for c in obj]
+    entries = [decode_complex(c, where) for c in obj]
     return FactorOperator(np.array(entries, dtype=complex).reshape(d, d))
 
 
@@ -318,7 +335,10 @@ def decode_operator(obj: Any) -> FactoredOperator:
         if tail_json["kind"] == "identity":
             if "dim" not in tail_json:
                 raise UsageError(f"terms[{i}].tail needs a 'dim'")
-            tail = IdentityTail(int(tail_json["dim"]))
+            dim = tail_json["dim"]
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise UsageError(f"terms[{i}].tail.dim must be an integer, got {dim!r}")
+            tail = IdentityTail(dim)
         elif tail_json["kind"] == "constant":
             tail = ConstantOperatorTail(
                 _decode_matrix(tail_json.get("entries"), f"terms[{i}].tail.entries")
@@ -326,7 +346,11 @@ def decode_operator(obj: Any) -> FactoredOperator:
         else:
             raise UsageError(f"terms[{i}].tail.kind must be 'identity' or 'constant'")
         terms.append(
-            OperatorTerm(decode_complex(t.get("coefficient", 1)), prefix_ops, tail)
+            OperatorTerm(
+                decode_complex(t.get("coefficient", 1), f"terms[{i}].coefficient"),
+                prefix_ops,
+                tail,
+            )
         )
     return FactoredOperator(tuple(terms))
 
@@ -357,7 +381,7 @@ def decode_model(obj: Any) -> MeasurementModel:
     if label is not None and not isinstance(label, str):
         raise UsageError("label must be a string or null")
     return MeasurementModel(
-        tuple(decode_complex(c) for c in coeffs_json), tuple(branches), label=label
+        tuple(decode_complex(c, "coefficients") for c in coeffs_json), tuple(branches), label=label
     )
 
 
@@ -387,32 +411,32 @@ def decode_sequence(obj: Any) -> ComplexSequenceSpec:
     prefix_json = obj.get("prefix", [])
     if not isinstance(prefix_json, list):
         raise UsageError("prefix must be a list of complex entries")
-    prefix = tuple(decode_complex(c) for c in prefix_json)
+    prefix = tuple(decode_complex(c, "prefix") for c in prefix_json)
     tail_json = obj.get("tail", {"kind": "constant-value", "value": 1})
     if not isinstance(tail_json, dict) or "kind" not in tail_json:
         raise UsageError("tail must be an object with a 'kind' field")
     kind = tail_json["kind"]
     if kind in ("constant-value", "constant"):
-        tail = ConstantValue(decode_complex(tail_json.get("value", 1)))
+        tail = ConstantValue(decode_complex(tail_json.get("value", 1), "tail.value"))
     elif kind == "geometric-one-plus":
-        c = decode_complex(tail_json.get("coefficient", 1))
-        ratio = _float_in(tail_json.get("ratio", 0.5))
+        c = decode_complex(tail_json.get("coefficient", 1), "tail.coefficient")
+        ratio = _float_in(tail_json.get("ratio", 0.5), "tail.ratio")
         tail = ClosedFormTail(
             term_fn=lambda n: 1.0 + c * ratio ** n,
             klass="geometric-modulus",
             ratio=ratio,
         )
     elif kind == "p-series-one-plus":
-        c = decode_complex(tail_json.get("coefficient", 1))
-        p = _float_in(tail_json.get("p", 2.0))
+        c = decode_complex(tail_json.get("coefficient", 1), "tail.coefficient")
+        p = _float_in(tail_json.get("p", 2.0), "tail.p")
         tail = ClosedFormTail(
             term_fn=lambda n: 1.0 + c * float(n) ** (-p),
             klass="p-series-log-modulus",
             p=p,
         )
     elif kind == "phase-drift":
-        c = _float_in(tail_json.get("coefficient", 1.0))
-        p = _float_in(tail_json.get("p", 1.0))
+        c = _float_in(tail_json.get("coefficient", 1.0), "tail.coefficient")
+        p = _float_in(tail_json.get("p", 1.0), "tail.p")
         klass = "bounded-nonsummable-argument" if p <= 1.0 else "custom"
         tail = ClosedFormTail(
             term_fn=lambda n: cmath.exp(1j * c * float(n) ** (-p)),
@@ -480,5 +504,5 @@ def dumps(obj: Any, pretty: bool = False) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise UsageError(f"malformed JSON: {exc}") from None

@@ -16,7 +16,7 @@ from qsectors.operators import (
     IdentityTail,
     OperatorTerm,
 )
-from qsectors.serialize import decode_state, encode_state
+from qsectors.serialize import decode_state, encode_operator, encode_state
 
 
 def random_factor(rng: np.random.Generator, dim: int, unit: bool = True) -> q.FactorVector:
@@ -96,7 +96,7 @@ def child_env() -> dict[str, str]:
 # value of the wrong type, sign or size.  Decoding or reading one must fail
 # with a QsectorsError, or succeed; nothing else.
 
-MALFORMED_VALUES = ("x", "0.5", 3.5, -1, True, None, [], {}, 1e308)
+MALFORMED_VALUES = ("x", "0.5", 3.5, -1, True, None, [], {}, 1e308, 10**400)
 
 CANONICAL_DOCUMENTS = {
     cls: encode_state(decode_state({
@@ -140,3 +140,35 @@ BROKEN_SCALE_STATE = {
     "tail": {"kind": "parametric", "class": "geometric", "ratio": 0.5, "scale": 0.3,
              "limit": [0.6, 0.8], "deviation": [0.0, 3.0]},
 }
+
+
+# A canonical operator document with a prefix operator and both tail kinds,
+# and each of them with the coefficient, one matrix entry or the identity
+# tail's dim replaced by one of MALFORMED_VALUES.
+CANONICAL_OPERATOR = encode_operator(FactoredOperator((
+    OperatorTerm(0.5, (FactorOperator(np.array([[0.0, 1.0], [1.0, 0.0]])),), IdentityTail(2)),
+    OperatorTerm(0.5j, (), ConstantOperatorTail(FactorOperator(np.diag([1.0, -1.0])))),
+)))
+
+
+def _malformed_operators() -> dict[str, dict]:
+    out = {}
+    for k, value in enumerate(MALFORMED_VALUES):
+        for field, path in (
+            ("coefficient", (0, "coefficient")),
+            ("prefix-entry", (0, "prefix_ops", 0, 1)),
+            ("dim", (0, "tail", "dim")),
+            ("tail-entry", (1, "tail", "entries", 3)),
+        ):
+            mutated = copy.deepcopy(CANONICAL_OPERATOR)
+            node = mutated["terms"]
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = value
+            out[f"{field}-{k}"] = mutated
+    return out
+
+
+# id -> operator document; ids name the field and the value's index in
+# MALFORMED_VALUES
+MALFORMED_OPERATORS = _malformed_operators()

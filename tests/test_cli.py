@@ -14,7 +14,13 @@ from qsectors.cli import main
 from qsectors.serialize import decode_model, dumps, encode_model, encode_operator, encode_state, loads
 from qsectors.states import WALK_BUDGET
 
-from support import BROKEN_SCALE_STATE, CANONICAL_DOCUMENTS, MALFORMED_DOCUMENTS, child_env
+from support import (
+    BROKEN_SCALE_STATE,
+    CANONICAL_DOCUMENTS,
+    MALFORMED_DOCUMENTS,
+    MALFORMED_OPERATORS,
+    child_env,
+)
 
 QUIET = q.make_product_state((), q.ConstantTail(q.FactorVector((1.0, 0.0))))
 KICKED = q.make_product_state((), q.ConstantTail(q.FactorVector((0.8, 0.6))))
@@ -606,28 +612,92 @@ def test_malformed_documents_exit_with_a_json_error(capsys, files, case):
             assert "code" in json.loads(err)
 
 
-# Arguments past a budget or the float range: each subcommand either answers
-# (exit 0) or refuses with one JSON error line (exit 3) before it allocates
-# anything at the oversized value.  Documents are named by placeholder.
-OVERSIZED_ARGUMENTS = {
-    "qnd-sim-two-huge-stages": (0, ("qnd-sim", "--stages", "a:fixed:1e200,b:fixed:1e200")),
-    "qnd-sim-one-huge-stage": (0, ("qnd-sim", "--stages", "a:fixed:1e300")),
-    "overlap-sweep-past-the-float-range": (
-        0, ("overlap-sweep", "STATE", "STATE", "--max", str(10**400), "--step", str(10**399))
+@pytest.mark.parametrize("case", sorted(MALFORMED_OPERATORS))
+def test_malformed_operators_exit_with_a_json_error(capsys, files, case):
+    op, state = files("op.json", MALFORMED_OPERATORS[case]), files("s.json", encode_state(QUIET))
+    code, _, err = run(capsys, "expectation-sweep", op, state, "--max", "8")
+    assert code in (0, 2, 3)
+    if code:
+        assert "code" in json.loads(err)
+
+
+HUGE = 10**400  # a JSON integer literal with 401 digits
+HUGE_DOCUMENTS = {
+    "state": (
+        ("sector-test", "DOC", "STATE"),
+        {"prefix": [[HUGE, 0.0]], "tail": {"kind": "constant", "vector": [1.0, 0.0]}},
+        "prefix[0]",
     ),
-    "sample-count": (3, ("sample", "MODEL", "--count", str(WALK_BUDGET + 1))),
-    "overlap-sweep-max": (3, ("overlap-sweep", "STATE", "STATE", "--max", str(WALK_BUDGET + 1))),
-    "decohere-max": (3, ("decohere", "MODEL", "--max", str(WALK_BUDGET + 1))),
-    "product-classify-budget": (3, ("product-classify", "SEQUENCE", "--budget", str(2**21 + 1))),
+    "model": (
+        ("sample", "DOC", "--count", "3"),
+        {**encode_model(q.MeasurementModel((0.6, 0.8), (QUIET, KICKED))), "coefficients": [HUGE]},
+        "coefficients",
+    ),
+    "sequence": (
+        ("product-classify", "DOC"), {"tail": {"kind": "p-series-one-plus", "p": HUGE}}, "tail.p"
+    ),
+    "operator": (
+        ("expectation-sweep", "DOC", "STATE", "--max", "4"),
+        MALFORMED_OPERATORS["tail-entry-9"],
+        "terms[1].tail.entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_DOCUMENTS))
+def test_integers_past_the_float_range_exit_2_naming_the_field(capsys, files, case):
+    argv, document, field = HUGE_DOCUMENTS[case]
+    documents = {"DOC": files("doc.json", document), "STATE": files("s.json", encode_state(QUIET))}
+    code, out, err = run(capsys, *(documents.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["code"] == "usage-error"
+    assert payload["message"] == f"{field} holds an integer outside the float range"
+
+
+# Arguments past a budget or the float range, or outside what a subcommand
+# accepts: each subcommand either answers (exit 0) or refuses with one JSON
+# error line of the given code (exit 2 or 3) before it allocates anything at
+# the oversized value or writes any output.  Documents are named by
+# placeholder.
+BUDGET = "dimension-budget-exceeded"
+OVERSIZED_ARGUMENTS = {
+    "qnd-sim-two-huge-stages": (0, None, ("qnd-sim", "--stages", "a:fixed:1e200,b:fixed:1e200")),
+    "qnd-sim-one-huge-stage": (0, None, ("qnd-sim", "--stages", "a:fixed:1e300")),
+    "overlap-sweep-past-the-float-range": (
+        0, None, ("overlap-sweep", "STATE", "STATE", "--max", str(10**400), "--step", str(10**399))
+    ),
+    "sample-count": (3, BUDGET, ("sample", "MODEL", "--count", str(WALK_BUDGET + 1))),
+    "overlap-sweep-max": (
+        3, BUDGET, ("overlap-sweep", "STATE", "STATE", "--max", str(WALK_BUDGET + 1))
+    ),
+    "decohere-max": (3, BUDGET, ("decohere", "MODEL", "--max", str(WALK_BUDGET + 1))),
+    "product-classify-budget": (
+        3, BUDGET, ("product-classify", "SEQUENCE", "--budget", str(2**21 + 1))
+    ),
     "spin-sweep-n-max": (
-        3, ("spin-sweep", "--xi", "1/2", "--n-max", str(WALK_BUDGET + 1), "--step", "1")
+        3, BUDGET, ("spin-sweep", "--xi", "1/2", "--n-max", str(WALK_BUDGET + 1), "--step", "1")
+    ),
+    "sample-negative-seed": (
+        2, "usage-error", ("sample", "MODEL", "--count", "3", "--seed", "-1")
+    ),
+    "qnd-sim-negative-seed": (
+        3, "precondition-violated", ("qnd-sim", "--stages", "a:poisson:3", "--seed", "-1")
+    ),
+    # an all-fixed cascade draws nothing, so any seed is accepted
+    "qnd-sim-fixed-negative-seed": (0, None, ("qnd-sim", "--stages", "a:fixed:3", "--seed", "-1")),
+    "decohere-infinite-eps": (
+        3, "precondition-violated", ("decohere", "MODEL", "--max", "3", "--eps", "inf")
+    ),
+    "qnd-sim-nan-weights": (
+        3, "invalid-amplitude", ("qnd-sim", "--weights", "nan,nan", "--stages", "a:fixed:0")
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERSIZED_ARGUMENTS))
 def test_oversized_arguments_answer_or_refuse_up_front(capsys, files, case):
-    expected, argv = OVERSIZED_ARGUMENTS[case]
+    expected, error_code, argv = OVERSIZED_ARGUMENTS[case]
     documents = {
         "MODEL": files("model.json", encode_model(q.MeasurementModel((0.6, 0.8), (QUIET, KICKED)))),
         "STATE": files("state.json", encode_state(QUIET)),
@@ -646,6 +716,6 @@ def test_oversized_arguments_answer_or_refuse_up_front(capsys, files, case):
     if code:
         assert out == ""
         (line,) = err.splitlines()
-        assert json.loads(line)["code"] == "dimension-budget-exceeded"
+        assert json.loads(line)["code"] == error_code
         # a list or array of WALK_BUDGET entries alone would take 16 MB
         assert peak < 4 * 2**20

@@ -42,6 +42,34 @@ class TestMeasurementModel:
                 (0.9, 0.9), (pointer_branch(1.0), pointer_branch(0.5))
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])
+    def test_non_finite_amplitudes_are_refused_before_the_sum(self, bad):
+        # a NaN sum would pass the normalization check, so finiteness comes first
+        with pytest.raises(q.InvalidAmplitude, match=r"^non-finite pointer amplitude "):
+            q.MeasurementModel((bad, 0.5), (pointer_branch(1.0), pointer_branch(0.5)))
+
+    def test_unnormalized_amplitudes_keep_their_message(self):
+        with pytest.raises(
+            q.InvalidAmplitude, match=r"^pointer amplitudes must be normalized, got sum 1\.62"
+        ):
+            q.MeasurementModel((0.9, 0.9), (pointer_branch(1.0), pointer_branch(0.5)))
+
+    def test_rejects_a_branch_that_is_not_nontrivial_convergent(self):
+        # unit prefix and limit, but a zero tail factor at site 0 that the
+        # declared bound still allows: the norm product converges to 0
+        def fn(n):
+            return q.FactorVector((0.0, 0.0)) if n == 0 else E0
+
+        zero_first = q.ProductState(
+            (), q.ParametricTail(2, fn, E0, q.DecaySpec("geometric", ratio=0.5, scale=1.0))
+        )
+        assert zero_first.sequence_class.kind == "ConvergentSequence"
+        with pytest.raises(
+            q.PreconditionViolated,
+            match="^branch 0 classifies as ConvergentSequence; branches must be non-trivial",
+        ):
+            q.MeasurementModel((2**-0.5, 2**-0.5), (zero_first, pointer_branch(0.5)))
+
     def test_rejects_same_sector_branches(self):
         # branches differing only on a finite prefix share a sector
         a = pointer_branch(1.0)
@@ -458,6 +486,19 @@ class TestDecoherenceHorizon:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("seed", [-1, -2, -(2**70)])
+    def test_a_negative_seed_is_refused_before_drawing(self, seed):
+        m = two_outcome_model()
+        for n in (0, 3):
+            with pytest.raises(q.PreconditionViolated, match=f"^seed must be >= 0, got {seed}$"):
+                q.sample_outcomes(m, n, seed=seed)
+        with pytest.raises(q.PreconditionViolated):
+            q.sample_outcome(m, seed=seed)
+
+    def test_seed_zero_draws(self):
+        m = two_outcome_model()
+        assert q.sample_outcomes(m, 5, seed=0).tobytes() == q.sample_outcomes(m, 5, 0).tobytes()
+
     def test_deterministic_for_fixed_seed(self):
         m = two_outcome_model(weights=(0.3, math.sqrt(0.91)))
         a = q.sample_outcomes(m, 10_000, seed=42)

@@ -135,6 +135,16 @@ class TestCompositeOverlap:
         v = q.composite_overlap(constant_state(), constant_state(), 3)
         assert v == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [10, 64, 65, 100])
+    def test_terms_that_cancel_read_zero_on_both_sides_of_the_switch(self, n):
+        # the weighted pair products cancel exactly: 0 with log modulus -inf,
+        # from the direct sum up to DIRECT_LIMIT and the shifted log form past it
+        tilted = constant_state(tail_vec=q.FactorVector((0.8, 0.6)))
+        ket = q.CompositeState(((1.0, tilted), (-1.0, tilted)))
+        sweep = q.overlap_sweep(constant_state(), ket, [n])
+        assert (sweep.values, sweep.log_modulus) == ((0j,), (-math.inf,))
+        assert q.composite_overlap(constant_state(), ket, n) == 0j
+
 
 class TestOverlapSweep:
     def test_requires_cuts(self):
@@ -180,6 +190,12 @@ class TestOverlapSweep:
         with pytest.raises(q.PreconditionViolated):
             q.OverlapSweep((1, 2), (1.0,), (0.0, 0.0))
 
+    @pytest.mark.parametrize("truncations", [(2, 1), (3, 3), (1, 5, 4)])
+    def test_truncations_must_increase(self, truncations):
+        k = len(truncations)
+        with pytest.raises(q.PreconditionViolated, match="^truncations must be strictly increasing$"):
+            q.OverlapSweep(truncations, (1.0,) * k, (0.0,) * k)
+
 
 class TestAsymptoticOverlap:
     def test_same_sector_converges_to_declared_value(self):
@@ -211,6 +227,89 @@ class TestAsymptoticOverlap:
         tilted = constant_state(prefix=(q.FactorVector((0.6, 0.8)),))
         value = q.asymptotic_overlap(tilted, constant_state())
         assert value == pytest.approx(0.6)
+
+    # one tail per declared class the combined tail tag reads; each limit is
+    # E0, so every pair shares a sector and the overlap product is walked
+    @staticmethod
+    def _tail_state(fn, decay, prefix=()):
+        return q.ProductState(prefix, q.ParametricTail(2, fn, E0, decay))
+
+    def test_a_custom_certified_tail_takes_the_numeric_verdict(self):
+        s = self._tail_state(
+            lambda n: q.FactorVector((1.0, 0.3 * 0.5**n)).normalized(),
+            q.DecaySpec("custom-certified", scale=0.6),
+        )
+        assert overlaps._combined_tail_class(s, constant_state()) == {"klass": "custom"}
+        # <E0|b_n> = (1 + 0.09 * 4**-n) ** -1/2
+        with mpmath.workdps(40):
+            want = mpmath.nprod(lambda n: (1 + 0.09 * mpmath.mpf(4) ** -n) ** -0.5, [0, mpmath.inf])
+        assert abs(q.asymptotic_overlap(s, constant_state()) - complex(want)) < 1e-13
+
+    @pytest.mark.parametrize("prefix_len, rank", [(0, 1), (0, 16), (3, 5)])
+    def test_eventually_constant_tails_take_the_eventually_one_verdict(self, prefix_len, rank):
+        # the onset stays within 16 sites of the prefix
+        tilt = q.FactorVector((0.8, 0.6))
+        s = self._tail_state(
+            lambda n: tilt if n < rank else E0,
+            q.DecaySpec("eventually-constant", rank=rank, scale=0.7),
+            prefix=(E0,) * prefix_len,
+        )
+        other = self._tail_state(lambda n: E0, q.DecaySpec("eventually-constant", rank=2, scale=0.0))
+        assert overlaps._combined_tail_class(s, other) == {"klass": "eventually-one"}
+        value = q.asymptotic_overlap(s, other)
+        assert value == pytest.approx(0.8 ** (rank - prefix_len), rel=1e-14)
+        assert value == q.truncated_overlap(s, other, rank + 16)
+
+    def test_p_series_tails_take_the_smaller_p(self):
+        steep = self._tail_state(
+            lambda n: q.FactorVector((1.0, 0.3 * (n + 1) ** -3.0)).normalized(),
+            q.DecaySpec("p-series", p=3.0, scale=0.6),
+        )
+        slow = self._tail_state(
+            lambda n: q.FactorVector((1.0, 0.2 * (n + 1) ** -2.0)).normalized(),
+            q.DecaySpec("p-series", p=2.0, scale=0.4),
+        )
+        assert overlaps._combined_tail_class(steep, slow) == {"klass": "p-series-log-modulus", "p": 2.0}
+        assert overlaps._combined_tail_class(steep, constant_state()) == {
+            "klass": "p-series-log-modulus", "p": 3.0
+        }
+
+        def bracket(m):  # <steep_n|slow_n> with m = n + 1
+            a, b = 0.3 * m**-3, 0.2 * m**-2
+            return (1 + a * b) / mpmath.sqrt((1 + a * a) * (1 + b * b))
+
+        with mpmath.workdps(40):
+            want = mpmath.nprod(bracket, [1, mpmath.inf])
+        got = q.asymptotic_overlap(steep, slow)
+        assert abs(got - complex(want)) < 1e-10
+        # the walk read far out agrees too
+        assert abs(got - q.truncated_overlap(steep, slow, 20_000)) < 1e-10
+
+    def test_a_rotating_tail_declared_summable_quasi_converges_to_zero(self):
+        # each factor is e^{0.01 i} E0: the moduli are 1, the phase sum runs
+        # away, and the custom-certified declaration is wrong
+        spin = q.FactorVector((cmath.exp(0.01j), 0.0))
+        s = self._tail_state(lambda n: spin, q.DecaySpec("custom-certified", scale=0.1))
+        assert q.same_sector(constant_state(), s).kind == "SameSector"
+        verdict = q.classify_product(
+            q.ComplexSequenceSpec(
+                tail=q.ClosedFormTail(lambda n: q.factor_overlap(E0, spin), "custom")
+            )
+        )
+        assert verdict.kind == "QuasiConvergesToZero"
+        assert q.asymptotic_overlap(constant_state(), s) == 0j
+
+    def test_a_tail_that_breaks_its_declaration_is_inconclusive(self):
+        # declared geometric with ratio 0.3, but the deviation falls like 1/n:
+        # past ratio**n underflow the product walk answers Inconclusive
+        s = self._tail_state(
+            lambda n: q.FactorVector((1.0, 0.3 / (n + 1))).normalized(),
+            q.DecaySpec("geometric", ratio=0.3, scale=0.6),
+        )
+        with pytest.raises(q.InconclusiveSector) as err:
+            q.asymptotic_overlap(s, constant_state())
+        assert err.value.message == "overlap product did not settle within budget"
+        assert err.value.context == {"verdict": "Inconclusive"}
 
 
 # -- block stretch ----------------------------------------------------------

@@ -64,6 +64,20 @@ class TestSpecValidation:
         q.classify_product(s, budget=WALK_BUDGET // 1024)
         assert len(calls) == WALK_BUDGET // 1024
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+    def test_tol_must_be_positive_and_finite_before_any_term_is_read(self, tol):
+        s = q.ComplexSequenceSpec(tail=q.ClosedFormTail(term_fn=_unread, klass="custom"))
+        with pytest.raises(q.PreconditionViolated, match="^tol must be a positive finite number$"):
+            q.classify_product(s, tol=tol)
+
+    def test_verdict_kind_and_value_are_checked(self):
+        with pytest.raises(q.PreconditionViolated, match="^unknown verdict kind 'Converges'$"):
+            q.ConvergenceVerdict("Converges", 1.0)
+        with pytest.raises(q.PreconditionViolated, match="^ConvergesTo requires a value$"):
+            q.ConvergenceVerdict("ConvergesTo")
+        assert q.ConvergenceVerdict("ConvergesTo", 0j).value == 0j
+        assert q.ConvergenceVerdict("Diverges").value is None
+
     def test_every_tail_class_has_one_walked_classifier(self):
         # one table: a class cannot be declared without the classifier that
         # walks it, and an undeclared tail goes to the numeric one
@@ -281,6 +295,30 @@ class TestBrokenDeclarations:
         assert v.diagnostics.notes == (
             "declared geometric but a log term stays nonzero past ratio**n underflow",
         )
+
+    @pytest.mark.parametrize(
+        "fn, declared",
+        [
+            (lambda n: 1 + 0.5 / n, {"klass": "geometric-modulus", "ratio": 0.3}),
+            (lambda n: 2.0, {"klass": "geometric-modulus", "ratio": 0.999999}),
+            (lambda n: 1.0 + 1e-9, {"klass": "p-series-log-modulus", "p": 200.0}),
+            (lambda n: 2.0, {"klass": "p-series-log-modulus", "p": 2.0}),
+        ],
+    )
+    def test_a_broken_declaration_reports_every_term_walked(self, fn, declared):
+        # the exit is taken in the hook or after the walk; either way the
+        # diagnostics hold the log form of every term up to the last one read
+        prefix = (2.0, 0.5j)
+        v = q.classify_product(q.ComplexSequenceSpec(prefix, q.ClosedFormTail(fn, **declared)), 3000)
+        last_n = v.diagnostics.terms_examined
+        log_mod = arg = 0.0
+        for z in (*prefix, *(complex(fn(n)) for n in range(3, last_n + 1))):
+            log_mod += math.log(abs(z))
+            arg += math.atan2(z.imag, z.real)
+        assert (v.kind, v.value) == ("Inconclusive", None)
+        assert (v.diagnostics.log_modulus_sum, v.diagnostics.argument_drift) == (log_mod, arg)
+        acc = products._Accumulator(log_mod, arg)
+        assert v.diagnostics.samples == ((2, 1j), (last_n, acc.value()))
 
     def test_zero_log_terms_past_underflow_skip_the_bound(self):
         v = self.classify(lambda n: 1.001 if n <= 600 else 1.0, klass="geometric-modulus", ratio=0.3)
@@ -554,25 +592,22 @@ def test_non_finite_tail_term_message():
 # it to the last bit.
 
 
-def _reference_walk(seq, acc, start, stop, step=None, readings=None):
+def _reference_walk(seq, acc, start, stop, step=None):
     """``_walk_tail`` through ``seq.term_at``, one call per term."""
     log, atan2 = math.log, math.atan2
     log_mod, arg = acc.log_mod, acc.arg
-    due = readings.due if readings is not None else stop + 1
     n = start - 1
-    for n in range(start, stop + 1):
-        z = seq.term_at(n)
-        if z == 0:
-            raise products._ZeroTerm(n)
-        log_mod += log(abs(z))
-        arg += atan2(z.imag, z.real)
-        if n >= due:
-            acc.log_mod, acc.arg = log_mod, arg
-            readings.record(n, acc)
-            due = readings.due
-        if step is not None and step(n, z):
-            break
-    acc.log_mod, acc.arg = log_mod, arg
+    try:
+        for n in range(start, stop + 1):
+            z = seq.term_at(n)
+            if z == 0:
+                raise products._ZeroTerm(n)
+            log_mod += log(abs(z))
+            arg += atan2(z.imag, z.real)
+            if step is not None and step(n, z):
+                break
+    finally:
+        acc.log_mod, acc.arg = log_mod, arg
     return n
 
 
@@ -583,18 +618,17 @@ def _reference_p_series(seq, prefix_prod, acc, start, budget, tol):
     log_sum = 0j
     window = deque(maxlen=8)
     sizes = deque(maxlen=8)
-    broken = False
 
     def step(n, z):
-        nonlocal log_sum, broken
+        nonlocal log_sum
         ell = cmath.log(z)
         log_sum += ell
         try:
             c_n = ell * (n**p)
         except OverflowError:
             if ell:
-                broken = True
-                return True
+                note = f"declared p={p:g} but a log term stays nonzero past n**p overflow"
+                raise products._Broken(n, note) from None
             c_n = 0j
         window.append(c_n)
         if p > 1.0:
@@ -603,18 +637,16 @@ def _reference_p_series(seq, prefix_prod, acc, start, budget, tol):
                 return max(sizes) * n ** (1.0 - p) / (p - 1.0) < tol
         return False
 
-    readings = None if p > 1.0 else products._NumericReadings(acc, prefix_prod, start, budget)
-    last_n = products._walk_tail(seq, acc, start, budget, step, readings)
-    if broken:
-        note = f"declared p={p:g} but a log term stays nonzero past n**p overflow"
-        return products._broken(acc, start, prefix_prod, last_n, note)
+    if p > 1.0:
+        last_n = products._walk_tail(seq, acc, start, budget, step)
+    else:
+        last_n, readings = budget, products._walk_read(seq, prefix_prod, acc, start, budget, step)
     c_est = sum(window) / len(window) if window else 0j
     if p > 1.0:
         correction = c_est * (last_n + 0.5) ** (1.0 - p) / (p - 1.0)
         value = products._declared_value(prefix_prod, log_sum + correction)
         if value is None:
-            note = f"declared p={p:g} > 1 but the log sum overflows"
-            return products._broken(acc, start, prefix_prod, last_n, note)
+            raise products._Broken(last_n, f"declared p={p:g} > 1 but the log sum overflows")
         acc.log_mod += correction.real
         acc.arg += correction.imag
         samples = ((start - 1, prefix_prod), (last_n, value))
@@ -786,6 +818,96 @@ class TestLeanWalk:
 
         want = next((n for n in range(start, stop + 1) if overflows(n)), stop + 1)
         assert products._first_power_overflow(p, start, stop) == want
+
+
+# -- the stretched numeric readings against the per-term protocol ------------
+#
+# ``products._walk_read`` takes the numeric verdict's readings between walk
+# stretches.  ``_ReferenceReadings`` is the per-term protocol it replaced: the
+# walk calls ``record`` after every term at or past ``due``.  Both must read
+# the same floats at the same terms.
+
+
+class _ReferenceReadings:
+    def __init__(self, acc, prefix_prod, start, budget):
+        self.half_mark = start + (budget - start) // 2
+        self.half_log = acc.log_mod
+        self.half_arg = acc.arg
+        self.samples = [(start - 1, prefix_prod)]
+        self.next_sample = max(start, 1)
+        self.due = min(self.half_mark, self.next_sample)
+
+    def record(self, n, acc):
+        if n == self.half_mark:
+            self.half_log = acc.log_mod
+            self.half_arg = acc.arg
+        if n >= self.next_sample:
+            self.samples.append((n, acc.value()))
+            self.next_sample *= 2
+        self.due = self.next_sample if n >= self.half_mark else min(
+            self.half_mark, self.next_sample
+        )
+
+
+def _reference_readings(seq, prefix_prod, acc, start, budget):
+    """The walk with the per-term reading check, through ``seq.term_at``."""
+    readings = _ReferenceReadings(acc, prefix_prod, start, budget)
+    log_mod, arg = acc.log_mod, acc.arg
+    for n in range(start, budget + 1):
+        z = seq.term_at(n)
+        log_mod += math.log(abs(z))
+        arg += math.atan2(z.imag, z.real)
+        if n >= readings.due:
+            acc.log_mod, acc.arg = log_mod, arg
+            readings.record(n, acc)
+    acc.log_mod, acc.arg = log_mod, arg
+    return (readings.half_log, readings.half_arg), readings.samples
+
+
+class TestStretchedReadings:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefix_len=st.integers(0, 70),
+        span=st.integers(0, 3000),
+        c=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        family=st.sampled_from(sorted(FAMILIES)),
+        a=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_readings_match_the_per_term_protocol(self, prefix_len, span, c, family, a):
+        fn = (lambda f: lambda n: f(n) or 0.5)(FAMILIES[family](c, a))  # no zero terms
+        seq = _closed(fn, "custom", (1.5,) * prefix_len)
+        start, budget = prefix_len + 1, prefix_len + 1 + span
+        prefix_prod = 1.5**prefix_len
+        accs = [products._Accumulator(prefix_len * math.log(1.5)) for _ in range(2)]
+        got = products._walk_read(seq, prefix_prod, accs[0], start, budget)
+        want = _reference_readings(seq, prefix_prod, accs[1], start, budget)
+        assert repr(got) == repr(want)
+        assert (accs[0].log_mod, accs[0].arg) == (accs[1].log_mod, accs[1].arg)
+
+    @pytest.mark.parametrize("start", [1, 2, 5, 64])
+    def test_a_one_term_walk_reads_its_only_term(self, start):
+        seq = _closed(lambda n: 1.25j, "custom", (2.0,) * (start - 1))
+        acc = products._Accumulator()
+        half, samples = products._walk_read(seq, 7.0, acc, start, start)
+        assert half == (math.log(1.25), math.pi / 2)
+        assert samples == [(start - 1, 7.0), (start, acc.value())]
+
+    def test_every_term_goes_through_the_step_once(self):
+        seen = []
+        seq = _closed(lambda n: 1.0 + 1e-3 / n, "custom", (2.0,) * 2)
+        products._walk_read(seq, 4.0, products._Accumulator(), 3, 777, lambda n, z: seen.append(n))
+        assert seen == list(range(3, 778))
+
+    def test_a_step_that_raises_leaves_its_terms_folded_in(self):
+        def step(n, z):
+            if n == 9:
+                raise products._Broken(n, "stop")
+
+        seq = _closed(lambda n: 2.0, "custom")
+        acc = products._Accumulator()
+        with pytest.raises(products._Broken):
+            products._walk_read(seq, 1.0, acc, 1, 100, step)
+        assert acc.log_mod == sum(math.log(2.0) for _ in range(9))
 
 
 # -- repeated terms past the float range ---------------------------------------

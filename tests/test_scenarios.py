@@ -65,6 +65,19 @@ class TestSpinChainOverlaps:
         with pytest.raises(q.NonIntegralFraction):
             sc.sweep([3, 5])
 
+    def test_counts_below_one_empty_or_out_of_order_are_rejected(self):
+        sc = q.SpinChainScenario(Fraction(2, 3))
+        for bad in (0, -3):
+            with pytest.raises(q.PreconditionViolated, match="^site count must be >= 1$"):
+                sc.closed_overlap(bad)
+            with pytest.raises(q.PreconditionViolated, match="^site count must be >= 1$"):
+                sc.closed_probability(bad)
+        with pytest.raises(q.PreconditionViolated, match="^at least one site count is required$"):
+            sc.sweep([])
+        for counts in ([6, 3], [3, 3]):
+            with pytest.raises(q.PreconditionViolated, match="^site counts must be strictly incr"):
+                sc.sweep(counts)
+
     def test_blocking_matches_per_site_chain(self):
         # two blocks of (+ + up) must equal six independent sites
         sc = q.SpinChainScenario(Fraction(2, 3))
@@ -117,10 +130,40 @@ class TestStageAndCascadeSpecs:
             q.CascadeSpec(stages=stage, fidelity=1.0)
         with pytest.raises(q.InvalidAmplitude):
             q.CascadeSpec(stages=stage, amplitudes=(0.9, 0.9))
+        with pytest.raises(q.PreconditionViolated, match="^cascade tracks exactly two outcomes$"):
+            q.CascadeSpec(stages=stage, amplitudes=(0.6, 0.8, 0.0))
         with pytest.raises(q.PreconditionViolated):
             q.CascadeSpec(stages=stage, loss_rate=1.5)
         with pytest.raises(q.PreconditionViolated):
             q.CascadeSpec(stages=stage, dark_rate=-0.5)
+
+
+    @pytest.mark.parametrize(
+        "amplitudes", [(math.nan, math.nan), (math.inf, 0.0), (0.6, complex(0.8, math.nan))]
+    )
+    def test_non_finite_amplitudes_are_refused_as_a_model_refuses_them(self, amplitudes):
+        # a NaN sum passes the normalization check, so finiteness comes first
+        stage = (q.StageSpec("s", "fixed", 0),)
+        with pytest.raises(q.InvalidAmplitude, match="^non-finite pointer amplitude ") as spec_err:
+            q.CascadeSpec(stages=stage, amplitudes=amplitudes)
+        with pytest.raises(q.InvalidAmplitude) as model_err:
+            q.MeasurementModel(amplitudes, _branches())
+        assert str(spec_err.value) == str(model_err.value)
+
+    def test_unnormalized_amplitudes_read_as_a_model_reads_them(self):
+        stage = (q.StageSpec("s", "fixed", 0),)
+        with pytest.raises(q.InvalidAmplitude) as spec_err:
+            q.CascadeSpec(stages=stage, amplitudes=(0.9, 0.9))
+        with pytest.raises(q.InvalidAmplitude) as model_err:
+            q.MeasurementModel((0.9, 0.9), _branches())
+        assert str(spec_err.value) == str(model_err.value)
+        assert str(spec_err.value).startswith("pointer amplitudes must be normalized, got sum 1.62")
+
+
+def _branches():
+    quiet = q.make_product_state((), q.ConstantTail(q.FactorVector((1.0, 0.0))))
+    kicked = q.make_product_state((), q.ConstantTail(q.FactorVector((0.8, 0.6))))
+    return (quiet, kicked)
 
 
 class TestRunCascade:
@@ -171,7 +214,23 @@ class TestRunCascade:
     def test_noiseless_fixed_cascade_ignores_seed(self):
         a = q.run_cascade(q.default_cascade(), seed=1)
         b = q.run_cascade(q.default_cascade(), seed=99)
-        assert a.stages == b.stages
+        c = q.run_cascade(q.default_cascade(), seed=-1)
+        assert a.stages == b.stages == c.stages
+
+    @pytest.mark.parametrize(
+        "stages, loss, dark",
+        [
+            ((q.StageSpec("a", "poisson", 3.0),), 0.0, 0.0),
+            ((q.StageSpec("a", "fixed", 3),), 0.5, 0.0),
+            ((q.StageSpec("a", "fixed", 3),), 0.0, 0.5),
+            ((q.StageSpec("a", "fixed", 3), q.StageSpec("b", "poisson", 2.0)), 0.0, 0.0),
+        ],
+    )
+    def test_a_cascade_that_draws_refuses_a_negative_seed(self, stages, loss, dark):
+        spec = q.CascadeSpec(stages=stages, loss_rate=loss, dark_rate=dark)
+        with pytest.raises(q.PreconditionViolated, match="^seed must be >= 0, got -3$"):
+            q.run_cascade(spec, seed=-3)
+        assert q.run_cascade(spec, seed=0).total_records >= 0
 
     def test_poisson_stages_are_seed_deterministic(self):
         spec = q.CascadeSpec(

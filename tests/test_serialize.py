@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from qsectors.serialize import (
     loads,
 )
 
-from support import BROKEN_SCALE_STATE, MALFORMED_DOCUMENTS
+from support import BROKEN_SCALE_STATE, MALFORMED_DOCUMENTS, MALFORMED_OPERATORS
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -559,3 +560,111 @@ def test_malformed_documents_fail_with_a_package_error(case):
         decode_state(doc)
     except q.QsectorsError:
         pass
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_OPERATORS))
+def test_malformed_operators_fail_with_a_package_error(case):
+    try:
+        decode_operator(MALFORMED_OPERATORS[case])
+    except q.QsectorsError:
+        pass
+
+
+# -- numbers outside the float range -----------------------------------------
+
+HUGE = 10**400  # a JSON integer literal with 401 digits
+UNIT_TAIL = {"kind": "constant", "vector": [1.0, 0.0]}
+
+
+def _parametric(**fields):
+    return {"tail": {"kind": "parametric", "limit": [1.0, 0.0], "deviation": [0.0, 0.1], **fields}}
+
+
+# id -> (decoder, document, the field the refusal names)
+HUGE_NUMBERS = {
+    "state-prefix": (decode_state, {"prefix": [[HUGE, 0.0]], "tail": UNIT_TAIL}, "prefix[0]"),
+    "state-prefix-re": (
+        decode_state, {"prefix": [[{"re": HUGE}, 0.0]], "tail": UNIT_TAIL}, "prefix[0]"
+    ),
+    "state-vector-im": (
+        decode_state, {"tail": {"kind": "constant", "vector": [0.0, {"im": -HUGE}]}}, "tail.vector"
+    ),
+    "state-limit": (
+        decode_state, {"tail": {"kind": "parametric", "limit": [HUGE, 0.0]}}, "tail.limit"
+    ),
+    "state-deviation": (
+        decode_state, _parametric(**{"class": "geometric", "ratio": 0.5, "deviation": [0.0, HUGE]}),
+        "tail.deviation",
+    ),
+    "state-scale": (
+        decode_state, _parametric(**{"class": "geometric", "ratio": 0.5, "scale": HUGE}),
+        "tail.scale",
+    ),
+    "state-ratio": (
+        decode_state, _parametric(**{"class": "geometric", "ratio": HUGE}), "tail.ratio"
+    ),
+    "state-p": (decode_state, _parametric(**{"class": "p-series", "p": HUGE}), "tail.p"),
+    "state-rank": (decode_state, _parametric(rank=HUGE), "tail.rank"),
+    "composite-coefficient": (
+        decode_state,
+        {"type": "composite-state", "terms": [{"coefficient": HUGE, "state": {"tail": UNIT_TAIL}}]},
+        "terms[0].coefficient",
+    ),
+    "model-coefficient": (
+        decode_model,
+        {"coefficients": [HUGE, 0.0], "branches": [{"tail": UNIT_TAIL}, {"tail": UNIT_TAIL}]},
+        "coefficients",
+    ),
+    "sequence-prefix": (decode_sequence, {"prefix": [0.5, HUGE]}, "prefix"),
+    "sequence-value": (
+        decode_sequence, {"tail": {"kind": "constant-value", "value": HUGE}}, "tail.value"
+    ),
+    "sequence-coefficient": (
+        decode_sequence, {"tail": {"kind": "geometric-one-plus", "coefficient": HUGE}},
+        "tail.coefficient",
+    ),
+    "sequence-ratio": (
+        decode_sequence, {"tail": {"kind": "geometric-one-plus", "ratio": HUGE}}, "tail.ratio"
+    ),
+    "sequence-p": (decode_sequence, {"tail": {"kind": "p-series-one-plus", "p": HUGE}}, "tail.p"),
+    "sequence-phase-coefficient": (
+        decode_sequence, {"tail": {"kind": "phase-drift", "coefficient": -HUGE}}, "tail.coefficient"
+    ),
+    "operator-coefficient": (
+        decode_operator, MALFORMED_OPERATORS["coefficient-9"], "terms[0].coefficient"
+    ),
+    "operator-prefix-entry": (
+        decode_operator, MALFORMED_OPERATORS["prefix-entry-9"], "terms[0].prefix_ops[0]"
+    ),
+    "operator-tail-entry": (
+        decode_operator, MALFORMED_OPERATORS["tail-entry-9"], "terms[1].tail.entries"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_NUMBERS))
+def test_integers_past_the_float_range_are_refused_by_field(case):
+    decode, doc, field = HUGE_NUMBERS[case]
+    want = f"{field} holds an integer outside the float range"
+    with pytest.raises(q.UsageError, match=f"^{re.escape(want)}$"):
+        decode(loads(dumps(doc)))
+
+
+def test_an_integer_past_the_digit_limit_is_malformed_json():
+    with pytest.raises(q.UsageError, match="^malformed JSON: "):
+        loads('{"prefix": [1' + "0" * 5000 + "]}")
+
+
+# JSON's 1e400 reads as math.inf
+@pytest.mark.parametrize("dim", ["x", "2", 2.5, 2.0, True, None, [2], math.inf])
+def test_an_identity_dim_must_be_a_json_integer(dim):
+    want = f"terms[0].tail.dim must be an integer, got {dim!r}"
+    with pytest.raises(q.UsageError, match=re.escape(want)):
+        decode_operator({"terms": [{"tail": {"kind": "identity", "dim": dim}}]})
+
+
+def test_an_identity_dim_reads_a_json_integer():
+    op = decode_operator(loads('{"terms": [{"tail": {"kind": "identity", "dim": 3}}]}'))
+    assert op.terms[0].tail.dim == 3
+    with pytest.raises(q.UsageError, match="needs a 'dim'"):
+        decode_operator({"terms": [{"tail": {"kind": "identity"}}]})
