@@ -154,14 +154,17 @@ class OperatorTerm:
 
     def image_rows(self, lo: int, f: np.ndarray, out: np.ndarray) -> None:
         """Write the images of the factor rows ``f`` of the sites [lo, lo +
-        len(f)) into ``out``: the tail operator over every row, then each
-        prefix operator over its own row."""
+        len(f)) into ``out``: the stacked prefix operators over their rows,
+        then the tail over the rest.  Both are batched matrix-vector
+        products, so each row has the bits of ``image_at``."""
+        ops = self.prefix_ops[lo : lo + len(f)]
+        k = len(ops)
+        if ops:
+            np.matmul(np.stack([u.matrix for u in ops]), f[:k, :, None], out=out[:k, :, None])
         if isinstance(self.tail, ConstantOperatorTail):
-            np.matmul(f, self.tail.operator.matrix.T, out=out)
+            np.matmul(self.tail.operator.matrix, f[k:, :, None], out=out[k:, :, None])
         else:
-            out[:] = f
-        for site in range(lo, min(lo + len(f), len(self.prefix_ops))):
-            out[site - lo] = self.prefix_ops[site].matrix @ f[site - lo]
+            out[k:] = f[k:]
 
 
 @dataclass(frozen=True)

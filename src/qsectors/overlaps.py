@@ -211,17 +211,6 @@ def _bracket_blocks(
         yield start, stop, forms, zeros
 
 
-def _push_sites(steps, repeats, start: int, stop: int) -> None:
-    """Advance every pair over sites [start, stop), one site at a time: the
-    pairs in ``steps`` bracket the site, those in ``repeats`` push their
-    run's bracket.  Every pair takes a site before any takes the next."""
-    for site in range(start, stop):
-        for bra_at, ket_at, push in steps:
-            push(factor_overlap(bra_at(site), ket_at(site)))
-        for g, push in repeats:
-            push(g)
-
-
 class _Walker:
     """One walk over (bra term, ket term) pairs, advanced to a cut on demand:
     ``read(cut)`` gives (value, log-modulus) of each readout sum_k c_k
@@ -235,12 +224,11 @@ class _Walker:
     when that lies past DIRECT_LIMIT.  A pair's log form there is a running
     sum (a seeded cumsum), so a cut inside a block reads a column.  Other
     sites are bracketed one at a time; cuts <= DIRECT_LIMIT read their
-    direct product, which with blocks is all they update.  Two ``_Terms``
-    sides bracket those sites in one stacked block too, pushed in site order
-    (their rows are the factors, so the brackets keep their bits); operator
-    images go one site at a time, since a batched matmul does not keep the
-    bits of ``apply_to``.  Blocked or not, ``check`` counts the sites past
-    the shortest explicit prefix against WALK_BUDGET.
+    direct product, which with blocks is all they update; with blocks those
+    sites go in one stacked block too, pushed in site order (rows hold the
+    bits of the factors and images, so the brackets keep theirs).  Blocked or
+    not, ``check`` counts the sites past the shortest explicit prefix against
+    WALK_BUDGET.
 
     From its first run start (``_pair_runs``) on, a pair is in a run: it
     brackets G once at the run's start a and keeps its log form there, and
@@ -272,7 +260,6 @@ class _Walker:
         self.accs = [products._Accumulator() for _ in self.keys]
         self.sources = [(bra.sources[a], ket.sources[b]) for a, b in self.keys]
         self.steps = self.pair_steps = [(*s, acc.push) for s, acc in zip(self.sources, self.accs)]
-        self.direct_steps = [(*s, acc.push_direct) for s, acc in zip(self.sources, self.accs)]
         self.repeats: list = []  # (G, push_direct) of the pairs in a run
         # pair -> (start, end, G, log form at start) of its run at ``site``
         self.runs: dict[int, tuple[int, float, complex, products._Accumulator]] = {}
@@ -286,11 +273,7 @@ class _Walker:
         self.block: tuple = ()  # (start, running log forms, zeros) of the last block
         # generators: no block is bracketed before it is needed
         self.blocks = _bracket_blocks(bra, ket, self.keys, 0, min(self.blocked, last_cut))
-        self.direct_blocks = None
-        if self.blocked and isinstance(bra, _Terms) and isinstance(ket, _Terms):
-            self.direct_blocks = _stacked_blocks(
-                bra, ket, self.keys, 0, min(DIRECT_LIMIT, last_cut)
-            )
+        self.direct_blocks = _stacked_blocks(bra, ket, self.keys, 0, min(DIRECT_LIMIT, last_cut))
         self.direct_columns: list[list[complex]] = []  # brackets per site, from 0
 
     def check(self, cut: float) -> None:
@@ -319,16 +302,13 @@ class _Walker:
 
     def _push_direct(self, cut: int) -> None:
         """Push the sites [direct_at, cut) into every pair's direct product."""
-        if self.direct_blocks is None:
-            _push_sites(self.direct_steps, (), self.direct_at, cut)
-        else:
-            while len(self.direct_columns) < cut:
-                _, _, g = next(self.direct_blocks)
-                self.direct_columns += g.T.tolist()
-            pushes = [push for *_, push in self.direct_steps]
-            for column in self.direct_columns[self.direct_at : cut]:
-                for push, z in zip(pushes, column):
-                    push(z)
+        while len(self.direct_columns) < cut:
+            _, _, g = next(self.direct_blocks)
+            self.direct_columns += g.T.tolist()
+        pushes = [acc.push_direct for acc in self.accs]
+        for column in self.direct_columns[self.direct_at : cut]:
+            for push, z in zip(pushes, column):
+                push(z)
         self.direct_at = max(self.direct_at, cut)
 
     def _log_forms(self, cut: int) -> list[products._Accumulator]:
@@ -356,9 +336,10 @@ class _Walker:
 
     def _advance(self, stop: float) -> None:
         """Bring the walk to site ``stop``; the last block may end past it.
-        Pairs in a run push nothing, except into their direct product on the
-        way to a cut <= DIRECT_LIMIT, so once every pair is in a run the walk
-        moves from run start to run start."""
+        Past blocks every pair takes a site before any takes the next.  Pairs
+        in a run push nothing, except into their direct product on the way to
+        a cut <= DIRECT_LIMIT, so once every pair is in a run the walk moves
+        from run start to run start."""
         if self.site == self.next_event:
             self._arrive()
         while self.site < stop:
@@ -368,7 +349,11 @@ class _Walker:
                 end = min(stop, self.next_event)
                 repeats = self.repeats if stop <= DIRECT_LIMIT else ()
                 if self.steps or repeats:
-                    _push_sites(self.steps, repeats, self.site, end)
+                    for site in range(self.site, end):
+                        for bra_at, ket_at, push in self.steps:
+                            push(factor_overlap(bra_at(site), ket_at(site)))
+                        for g, push in repeats:
+                            push(g)
                 self.site = end
             if self.site == self.next_event:
                 self._arrive()

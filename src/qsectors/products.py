@@ -27,7 +27,7 @@ from .errors import (
     PreconditionViolated,
     UndeclaredTailClass,
 )
-from .states import ALIGN_EXACT, WALK_BUDGET
+from .states import ALIGN_EXACT, WALK_BUDGET, _check_declared
 
 __all__ = [
     "ConstantValue",
@@ -86,11 +86,13 @@ class ClosedFormTail:
     def __post_init__(self) -> None:
         if self.klass not in TAIL_CLASSES:
             raise UndeclaredTailClass(f"unknown tail class {self.klass!r}")
+        _check_declared("tail", "ratio", self.ratio)
+        _check_declared("tail", "p", self.p)
         if self.klass == "geometric-modulus":
             if self.ratio is None or not 0.0 <= self.ratio < 1.0:
                 raise UndeclaredTailClass("geometric-modulus needs 0 <= ratio < 1")
         if self.klass == "p-series-log-modulus":
-            if self.p is None or self.p <= 0.0:
+            if self.p is None or not self.p > 0.0:  # NaN too
                 raise UndeclaredTailClass("p-series-log-modulus needs p > 0")
 
 

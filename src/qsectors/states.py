@@ -13,6 +13,7 @@ factors into the prefix never changes which vector lives at a given site.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -167,6 +168,16 @@ def _stacked_brackets(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
 _DECAY_KINDS = ("eventually-constant", "geometric", "p-series", "custom-certified")
 
 
+def _check_declared(owner: str, name: str, value: object, kind: type = Real) -> None:
+    """Refuse a given declared constant that is a bool, not a ``kind``, or an
+    int past the float range (unquoted: it may run to thousands of digits)."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+        what = "an int" if kind is int else "a real number"
+        raise UndeclaredTailClass(f"{owner} {name} must be {what}, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise UndeclaredTailClass(f"{owner} {name} lies outside the float range")
+
+
 @dataclass(frozen=True)
 class DecaySpec:
     """Declared decay class of ``factor_fn(n) - limit`` for a parametric tail.
@@ -188,12 +199,9 @@ class DecaySpec:
     def __post_init__(self) -> None:
         if self.kind not in _DECAY_KINDS:
             raise UndeclaredTailClass(f"unknown decay class {self.kind!r}")
-        for name, kind, what in (
-            ("ratio", Real, "a real number"), ("p", Real, "a real number"), ("rank", int, "an int")
-        ):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise UndeclaredTailClass(f"decay {name} must be {what}, got {value!r}")
+        _check_declared("decay", "ratio", self.ratio)
+        _check_declared("decay", "p", self.p)
+        _check_declared("decay", "rank", self.rank, int)
         if not (math.isfinite(self.scale) and self.scale >= 0.0):
             raise UndeclaredTailClass("decay scale must be finite and nonnegative")
         if self.kind == "geometric":

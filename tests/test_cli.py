@@ -95,6 +95,17 @@ class TestProductClassify:
         assert payload["code"] == "dimension-budget-exceeded"
         assert payload["context"] == {"terms": 10**9, "budget": WALK_BUDGET}
 
+    def test_a_nan_p_exits_3_before_any_term_is_read(self, capsys, files):
+        seq = files(
+            "seq.json",
+            {"tail": {"kind": "p-series-one-plus", "coefficient": 0.3, "p": "nan"}},
+        )
+        code, out, err = run(capsys, "product-classify", seq)
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["code"] == "undeclared-tail-class"
+        assert payload["message"] == "p-series-log-modulus needs p > 0"
+
     def test_malformed_json(self, capsys, files):
         bad = files("bad.json", "{oops")
         code, _, err = run(capsys, "product-classify", bad)
@@ -692,13 +703,43 @@ OVERSIZED_ARGUMENTS = {
     "qnd-sim-nan-weights": (
         3, "invalid-amplitude", ("qnd-sim", "--weights", "nan,nan", "--stages", "a:fixed:0")
     ),
+    "overlap-sweep-unwritable-out": (
+        2, "io-error", ("overlap-sweep", "STATE", "STATE", "--cuts", "1,2", "--out", "UNWRITABLE")
+    ),
+    "overlap-sweep-non-integer-cuts": (
+        2, "usage-error", ("overlap-sweep", "STATE", "STATE", "--cuts", "1,x")
+    ),
+    "overlap-sweep-step-0": (
+        2, "usage-error", ("overlap-sweep", "STATE", "STATE", "--max", "5", "--step", "0")
+    ),
+    "overlap-sweep-empty-cuts": (2, "usage-error", ("overlap-sweep", "STATE", "STATE", "--cuts", "")),
+    "overlap-sweep-no-count": (2, "usage-error", ("overlap-sweep", "STATE", "STATE", "--max", "0")),
+    "overlap-sweep-decreasing-cuts": (
+        2, "usage-error", ("overlap-sweep", "STATE", "STATE", "--cuts", "3,2")
+    ),
+    "decohere-one-index-pair": (2, "usage-error", ("decohere", "MODEL", "--max", "3", "--pair", "0")),
+    "spin-sweep-step-0": (
+        2, "usage-error", ("spin-sweep", "--xi", "1/2", "--n-max", "4", "--step", "0")
+    ),
+    "spin-sweep-no-count": (
+        2, "usage-error", ("spin-sweep", "--xi", "1/2", "--n-max", "1", "--step", "2")
+    ),
+    "qnd-sim-stage-not-a-number": (2, "usage-error", ("qnd-sim", "--stages", "a:fixed:x")),
+    "qnd-sim-weights-not-numbers": (
+        2, "usage-error", ("qnd-sim", "--weights", "a,b", "--stages", "a:fixed:0")
+    ),
+    "qnd-sim-one-weight": (2, "usage-error", ("qnd-sim", "--weights", "1", "--stages", "a:fixed:0")),
+    "qnd-sim-negative-weight": (
+        2, "usage-error", ("qnd-sim", "--weights", "1.5,-0.5", "--stages", "a:fixed:0")
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERSIZED_ARGUMENTS))
-def test_oversized_arguments_answer_or_refuse_up_front(capsys, files, case):
+def test_oversized_arguments_answer_or_refuse_up_front(capsys, files, tmp_path, case):
     expected, error_code, argv = OVERSIZED_ARGUMENTS[case]
     documents = {
+        "UNWRITABLE": str(tmp_path / "no-such-directory" / "out.csv"),
         "MODEL": files("model.json", encode_model(q.MeasurementModel((0.6, 0.8), (QUIET, KICKED)))),
         "STATE": files("state.json", encode_state(QUIET)),
         "SEQUENCE": files(

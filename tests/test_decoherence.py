@@ -548,3 +548,19 @@ class TestCollapse:
     def test_collapsed_model_samples_that_outcome_only(self):
         c = q.collapse(two_outcome_model(), 1)
         assert set(np.unique(q.sample_outcomes(c, 1000, seed=0))) == {1}
+
+
+# -- refusals -----------------------------------------------------------------
+
+DECOHERENCE_REFUSALS = {
+    "density-negative-truncation": lambda: q.truncated_density(two_outcome_model(), -1),
+    "sample-negative-count": lambda: q.sample_outcomes(two_outcome_model(), -1, seed=0),
+    "density-matrix-not-square": lambda: q.TruncatedDensityMatrix(np.full((2, 3), 1 / 3), 1),
+    "density-matrix-flat": lambda: q.TruncatedDensityMatrix(np.array([0.5, 0.5]), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOHERENCE_REFUSALS))
+def test_negative_counts_and_non_square_matrices_are_refused(case):
+    with pytest.raises(q.PreconditionViolated):
+        DECOHERENCE_REFUSALS[case]()

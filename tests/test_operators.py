@@ -295,22 +295,23 @@ class TestTermImages:
                     want = u.apply_to(f)
                     assert np.array(image.amplitudes).tobytes() == np.array(want.amplitudes).tobytes()
 
-    @pytest.mark.parametrize("lo", [0, 2, 8, 12])
-    def test_image_rows_keep_the_bits_of_one_tail_matmul_and_per_site_prefix(self, lo):
-        rng = np.random.default_rng(lo)
-        f = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-        for t in self.terms(rng):
-            # the tail operator over the block as one matmul, then each prefix
-            # operator over its own row
-            if isinstance(t.tail, q.ConstantOperatorTail):
-                want = f @ t.tail.operator.matrix.T
-            else:
-                want = f.copy()
-            for site in range(lo, min(lo + len(f), len(t.prefix_ops))):
-                want[site - lo] = t.prefix_ops[site].matrix @ f[site - lo]
-            out = np.empty_like(f)
-            t.image_rows(lo, f, out)
-            assert out.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_image_rows_keep_the_bits_of_image_at(self, d):
+        # blocks from 0, 2 and 8 start before or inside the 3- and 10-site
+        # prefix operators and may end inside them; those from 12 start past
+        rng = np.random.default_rng(d)
+        ops = [q.FactorOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+               for _ in range(11)]
+        for prefix in ((), ops[:3], ops[:10]):
+            for tail in (q.IdentityTail(d), q.ConstantOperatorTail(ops[10])):
+                t = q.OperatorTerm(1.0, prefix, tail)
+                for lo, sites in ((0, 2), (0, 40), (2, 5), (8, 6), (12, 30)):
+                    f = rng.normal(size=(sites, d)) + 1j * rng.normal(size=(sites, d))
+                    out = np.empty_like(f)
+                    t.image_rows(lo, f, out)
+                    for k, row in enumerate(f):
+                        want = t.image_at(lo + k, q.FactorVector(tuple(row.tolist())))
+                        assert out[k].tobytes() == np.array(want.amplitudes).tobytes()
 
 
 class TestSectorAction:
@@ -386,7 +387,21 @@ class TestExpectationSweep:
         rng = np.random.default_rng(seed)
         op = random_operator(rng, dim=3, n_terms=4, max_prefix=3)
         s = random_product_state(rng, dim=3, max_prefix=5, parametric=parametric)
-        cuts = [1, 2, 7, 64, 65, 150]
+        self.assert_same_bits(op, s, [1, 2, 7, 64, 65, 150])
+
+    @pytest.mark.parametrize("parametric", [False, True])
+    @pytest.mark.parametrize("seed", [5, 10, 13])
+    def test_bit_identical_to_overlap_sweep_of_image_in_blocks(self, seed, parametric):
+        # these seeds draw explicit prefixes of 91, 326 and 278 sites and
+        # constant tail operators, so images are bracketed in blocks
+        rng = np.random.default_rng(seed)
+        op = random_operator(rng, dim=3, n_terms=4, max_prefix=120)
+        s = random_product_state(rng, dim=3, max_prefix=400, parametric=parametric)
+        assert s.prefix_len > 64
+        self.assert_same_bits(op, s, [1, 2, 7, 64, 65, 100, 150, 300, 401, 450])
+
+    @staticmethod
+    def assert_same_bits(op, s, cuts):
         got = q.expectation_sweep(op, s, cuts)
         want = q.overlap_sweep(s, q.apply_operator(op, s), cuts)
         assert got.truncations == want.truncations
@@ -481,3 +496,41 @@ class TestEvolve:
         )
         with pytest.raises(q.DimensionBudgetExceeded):
             q.evolve(h, big, 1.0, truncation=2)
+
+
+# -- refusals and skipped terms -------------------------------------------------
+
+TERM_REFUSALS = {
+    "infinite-coefficient": (
+        q.InvalidAmplitude, lambda: q.OperatorTerm(math.inf, (), q.IdentityTail(2))
+    ),
+    "nan-coefficient": (
+        q.InvalidAmplitude, lambda: q.OperatorTerm(complex(0.0, math.nan), (), q.IdentityTail(2))
+    ),
+    "matrix-tail": (q.ShapeMismatch, lambda: q.OperatorTerm(1.0, (), q.FactorOperator(PAULI_X))),
+    "dim-tail": (q.ShapeMismatch, lambda: q.OperatorTerm(1.0, (), 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TERM_REFUSALS))
+def test_operator_terms_refuse_bad_coefficients_and_tails(case):
+    error, build = TERM_REFUSALS[case]
+    with pytest.raises(error):
+        build()
+
+
+def test_sector_action_skips_a_term_whose_prefix_operator_annihilates_a_factor():
+    # the first term's projector zeroes the first factor E0, so its rotating
+    # tail, which alone would leave the sector, never counts
+    c, s = math.cos(0.25), math.sin(0.25)
+    onto_e1 = q.FactorOperator(((0.0, 0.0), (0.0, 1.0)))
+    rotation = q.ConstantOperatorTail(q.FactorOperator(((c, -s), (s, c))))
+    op = q.FactoredOperator((
+        q.OperatorTerm(1.0, (onto_e1,), rotation),
+        q.OperatorTerm(1.0, (), q.IdentityTail(2)),
+    ))
+    v = q.sector_action(op, constant_state())
+    assert v.kind == "PreservesSector"
+    assert [r["term"] for r in v.witness["terms"]] == [1]
+    alone = q.FactoredOperator((q.OperatorTerm(1.0, (), rotation),))
+    assert q.sector_action(alone, constant_state()).kind == "LeavesSector"

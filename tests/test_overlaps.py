@@ -514,6 +514,8 @@ class TestBlockStretch:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_expectation_sweep_matches_the_image_sweep(self, seed, monkeypatch):
+        # image rows keep the bits of apply_to, so both walks bracket the same
+        # numbers on the same path
         rng = np.random.default_rng(seed)
         d, length = int(rng.integers(1, 6)), int(rng.integers(200, 400))
         s = q.make_product_state(
@@ -525,21 +527,10 @@ class TestBlockStretch:
         used = _uses_blocks(monkeypatch)
         got = q.expectation_sweep(op, s, cuts)
         assert used
-        image = q.apply_operator(op, s)
-        want = q.overlap_sweep(s, image, cuts)
-        mass = _log_mass(_site_brackets(s.as_composite(), image, cuts[-1]))[0]
-        per_term = [
-            (abs(c), q.overlap_sweep(s, t, cuts).log_modulus) for c, t in image.terms
-        ]
-        for k, n in enumerate(cuts):
-            if n <= overlaps.DIRECT_LIMIT:
-                assert repr(got.values[k]) == repr(want.values[k])
-                continue
-            scale = sum(
-                c * math.exp(logs[k]) * max(1.0, mass[t, n - 1])
-                for t, (c, logs) in enumerate(per_term)
-            )
-            assert abs(got.values[k] - want.values[k]) <= 1e-12 * scale
+        want = q.overlap_sweep(s, q.apply_operator(op, s), cuts)
+        for k in range(len(cuts)):
+            assert repr(got.values[k]) == repr(want.values[k])
+            assert repr(got.log_modulus[k]) == repr(want.log_modulus[k])
 
 
 # -- readouts depend only on the cut -------------------------------------------

@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import math
+import re
 from collections import deque
 from unittest import mock
 
@@ -44,6 +45,41 @@ class TestSpecValidation:
             q.ClosedFormTail(term_fn=lambda n: 1.0, klass="geometric-modulus", ratio=1.5)
         with pytest.raises(q.UndeclaredTailClass):
             q.ClosedFormTail(term_fn=lambda n: 1.0, klass="p-series-log-modulus")
+
+    @pytest.mark.parametrize(
+        "klass, fields, message",
+        [
+            # bools, NaN and non-reals are refused as DecaySpec refuses them
+            ("p-series-log-modulus", {"p": True}, "tail p must be a real number, got True"),
+            ("p-series-log-modulus", {"p": math.nan}, "p-series-log-modulus needs p > 0"),
+            ("geometric-modulus", {"ratio": False}, "tail ratio must be a real number, got False"),
+            ("geometric-modulus", {"ratio": "0.5"}, "tail ratio must be a real number, got '0.5'"),
+            ("custom", {"p": [2.0]}, "tail p must be a real number, got [2.0]"),
+            ("p-series-log-modulus", {"p": 10**400}, "tail p lies outside the float range"),
+            ("geometric-modulus", {"ratio": -(10**400)}, "tail ratio lies outside the float range"),
+            # valid types keep their messages
+            ("geometric-modulus", {"ratio": 1.5}, "geometric-modulus needs 0 <= ratio < 1"),
+            ("geometric-modulus", {"ratio": math.nan}, "geometric-modulus needs 0 <= ratio < 1"),
+            ("p-series-log-modulus", {"p": -1}, "p-series-log-modulus needs p > 0"),
+        ],
+    )
+    def test_declared_numbers_are_checked_as_decay_specs_check_them(self, klass, fields, message):
+        with pytest.raises(q.UndeclaredTailClass, match=f"^{re.escape(message)}$"):
+            q.ClosedFormTail(term_fn=lambda n: 1.0, klass=klass, **fields)
+
+    def test_int_declarations_read_as_their_floats(self):
+        for klass, fields, fn in (
+            ("p-series-log-modulus", {"p": 2}, lambda n: 1.0 + 0.3 / (n * n)),
+            ("geometric-modulus", {"ratio": 0}, lambda n: 1.0),
+        ):
+            floats = {k: float(v) for k, v in fields.items()}
+            got, want = (
+                q.classify_product(q.ComplexSequenceSpec(
+                    tail=q.ClosedFormTail(term_fn=fn, klass=klass, **declared)
+                ))
+                for declared in (fields, floats)
+            )
+            assert (got.kind, repr(got.value)) == (want.kind, repr(want.value))
 
     def test_budget_must_cover_prefix(self):
         s = q.ComplexSequenceSpec(prefix=(1.0,) * 10)

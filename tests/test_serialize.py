@@ -668,3 +668,89 @@ def test_an_identity_dim_reads_a_json_integer():
     assert op.terms[0].tail.dim == 3
     with pytest.raises(q.UsageError, match="needs a 'dim'"):
         decode_operator({"terms": [{"tail": {"kind": "identity"}}]})
+
+
+# -- structural refusals ------------------------------------------------------
+
+_UNIT_STATE = {"tail": UNIT_TAIL}
+_COMPOSITE = {"type": "composite-state", "terms": [{"state": _UNIT_STATE}]}
+_IDENTITY = {"kind": "identity", "dim": 2}
+
+# id -> (decoder, document, the start of the refusal's message)
+STRUCTURAL_REFUSALS = {
+    "state-tail-not-an-object": (decode_state, {"tail": 3}, "tail must be an object"),
+    "state-tail-without-kind": (decode_state, {"tail": {}}, "tail must be an object"),
+    "state-prefix-not-a-list": (
+        decode_state, {"prefix": {}, "tail": UNIT_TAIL}, "prefix must be a list"
+    ),
+    "state-label-not-a-string": (
+        decode_state, {"tail": UNIT_TAIL, "label": 3}, "label must be a string"
+    ),
+    "composite-term-not-an-object": (
+        decode_state, {"type": "composite-state", "terms": [3]}, "terms[0] must be an object"
+    ),
+    "composite-term-without-state": (
+        decode_state, {"type": "composite-state", "terms": [{"coefficient": 1}]},
+        "terms[0] must be an object",
+    ),
+    "composite-term-of-a-composite": (
+        decode_state, {"type": "composite-state", "terms": [{"state": _COMPOSITE}]},
+        "terms[0].state must be a product-state",
+    ),
+    "operator-prefix-op-not-a-list": (
+        decode_operator, {"terms": [{"prefix_ops": [3], "tail": _IDENTITY}]},
+        "terms[0].prefix_ops[0] must be a flat",
+    ),
+    "operator-prefix-op-empty": (
+        decode_operator, {"terms": [{"prefix_ops": [[]], "tail": _IDENTITY}]},
+        "terms[0].prefix_ops[0] must be a flat",
+    ),
+    "operator-not-an-object": (decode_operator, [], "operator document must be"),
+    "operator-of-another-type": (
+        decode_operator, {"type": "measurement-model"}, "operator document must be"
+    ),
+    "operator-term-not-an-object": (decode_operator, {"terms": [3]}, "terms[0] must be an object"),
+    "operator-prefix-ops-not-a-list": (
+        decode_operator, {"terms": [{"prefix_ops": {}, "tail": _IDENTITY}]},
+        "terms[0].prefix_ops must be a list",
+    ),
+    "operator-tail-not-an-object": (
+        decode_operator, {"terms": [{"tail": 3}]}, "terms[0].tail must be an object"
+    ),
+    "operator-tail-without-kind": (
+        decode_operator, {"terms": [{"tail": {"dim": 2}}]}, "terms[0].tail must be an object"
+    ),
+    "model-not-an-object": (decode_model, [], "model document must be"),
+    "model-of-another-type": (decode_model, {"type": "product-state"}, "model document must be"),
+    "model-coefficients-not-a-list": (
+        decode_model, {"coefficients": 3, "branches": []}, "model needs"
+    ),
+    "model-without-branches": (decode_model, {"coefficients": [1.0]}, "model needs"),
+    "model-branch-of-a-composite": (
+        decode_model, {"coefficients": [1.0, 0.0], "branches": [_COMPOSITE, _UNIT_STATE]},
+        "branches[0] must be a product-state",
+    ),
+    "model-label-not-a-string": (
+        decode_model,
+        {"coefficients": [1.0, 0.0], "branches": [_UNIT_STATE, _UNIT_STATE], "label": 3},
+        "label must be a string",
+    ),
+    "sequence-not-an-object": (decode_sequence, [], "sequence document must be"),
+    "sequence-prefix-not-a-list": (decode_sequence, {"prefix": 3}, "prefix must be a list"),
+    "sequence-tail-not-an-object": (decode_sequence, {"tail": 3}, "tail must be an object"),
+    "sequence-tail-without-kind": (
+        decode_sequence, {"tail": {"value": 1}}, "tail must be an object"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL_REFUSALS))
+def test_documents_of_the_wrong_shape_are_refused_naming_the_part(case):
+    decode, doc, want = STRUCTURAL_REFUSALS[case]
+    with pytest.raises(q.UsageError, match=f"^{re.escape(want)}"):
+        decode(loads(dumps(doc)))
+
+
+def test_jsonable_reads_numpy_floats_that_are_not_python_floats():
+    assert jsonable(np.float32(0.5)) == 0.5
+    assert jsonable([np.float32(math.inf), np.float16(math.nan)]) == ["inf", "nan"]

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import qsectors as q
 from qsectors.states import _CanonicalFamily
-from support import random_factor, random_product_state
+from support import MALFORMED_VALUES, random_factor, random_product_state
 
 import numpy as np
 
@@ -80,6 +81,24 @@ class TestDecaySpec:
     def test_declaration_numbers_are_numbers(self, kind, fields):
         with pytest.raises(q.UndeclaredTailClass):
             q.DecaySpec(kind, **fields)
+
+    @pytest.mark.parametrize("value", MALFORMED_VALUES, ids=range(len(MALFORMED_VALUES)))
+    @pytest.mark.parametrize("name", ["ratio", "p", "rank"])
+    @pytest.mark.parametrize(
+        "kind", ["geometric", "p-series", "eventually-constant", "custom-certified"]
+    )
+    def test_malformed_declarations_are_refused_or_bounded(self, kind, name, value):
+        fields = {"ratio": 0.5, "p": 2.0, "rank": 3, name: value}
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            with pytest.raises(q.UndeclaredTailClass, match=f"^decay {name} lies outside"):
+                q.DecaySpec(kind, scale=0.3, **fields)
+            return
+        try:
+            d = q.DecaySpec(kind, scale=0.3, **fields)
+        except q.UndeclaredTailClass:
+            return
+        # an accepted declaration answers its bounds in floats
+        assert d.bound(1) >= 0.0 and d.series_bound(1) >= 0.0
 
     def test_numpy_floats_and_ints_are_numbers(self):
         assert q.DecaySpec("geometric", ratio=np.float64(0.5)).ratio == 0.5
@@ -648,3 +667,45 @@ class TestStateRows:
             s.rows(0, 12)
         with pytest.raises(q.ShapeMismatch):
             tail.shifted(2).rows(9, 10)
+
+
+# -- refusals -----------------------------------------------------------------
+
+_E0 = q.FactorVector((1.0, 0.0))
+_UNIT = q.make_product_state((), q.ConstantTail(_E0))
+
+STATE_REFUSALS = {
+    "distance-to-across-dims": (
+        q.ShapeMismatch, lambda: _E0.distance_to(q.FactorVector((1.0, 0.0, 0.0)))
+    ),
+    "basis-index-past-dim": (q.IndexOutOfRange, lambda: q.basis_vector(2, 2)),
+    "basis-index-negative": (q.IndexOutOfRange, lambda: q.basis_vector(2, -1)),
+    "parametric-without-decay-spec": (
+        q.UndeclaredTailClass,
+        lambda: q.ParametricTail(2, lambda n: _E0, _E0, "geometric"),
+    ),
+    "parametric-limit-of-another-dim": (
+        q.ShapeMismatch,
+        lambda: q.ParametricTail(
+            3, lambda n: _E0, _E0, q.DecaySpec("geometric", ratio=0.5)
+        ),
+    ),
+    "prefix-entry-not-a-factor": (
+        q.InvalidAmplitude, lambda: q.ProductState(((1.0, 0.0),), q.ConstantTail(_E0))
+    ),
+    "tail-not-a-tail": (q.UndeclaredTailClass, lambda: q.ProductState((), _E0)),
+    "composite-infinite-coefficient": (
+        q.InvalidAmplitude, lambda: q.CompositeState(((math.inf, _UNIT),))
+    ),
+    "composite-term-not-a-product-state": (
+        q.InvalidAmplitude, lambda: q.CompositeState(((1.0, _UNIT.as_composite()),))
+    ),
+    "distance-negative-truncation": (q.PreconditionViolated, lambda: q.distance(_UNIT, _UNIT, -1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATE_REFUSALS))
+def test_mismatched_or_mistyped_state_parts_are_refused(case):
+    error, build = STATE_REFUSALS[case]
+    with pytest.raises(error):
+        build()
