@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,6 +33,7 @@ from .states import (
     ProductState,
     _dim_runs,
     _first_dim_mismatch,
+    _run_at,
     factor_overlap,
 )
 
@@ -152,19 +154,45 @@ class OperatorTerm:
         u = self.op_at(site)
         return f if u is None else u.apply_to(f)
 
+    @cached_property
+    def dim_runs(self) -> tuple[tuple[int, int], ...]:
+        """(end, dim) of each maximal run of prefix operators sharing one dim."""
+        return _dim_runs(u.dim for u in self.prefix_ops)
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, ...]:
+        """The prefix operators as one read-only (sites, dim, dim) complex
+        array per run of ``dim_runs``.  Built on first use and kept for the
+        life of the term, at 16 bytes per matrix entry; not pickled."""
+        runs, start = [], 0
+        for end, _ in self.dim_runs:
+            matrices = np.stack([u.matrix for u in self.prefix_ops[start:end]])
+            matrices.setflags(write=False)
+            runs.append(matrices)
+            start = end
+        return tuple(runs)
+
     def image_rows(self, lo: int, f: np.ndarray, out: np.ndarray) -> None:
         """Write the images of the factor rows ``f`` of the sites [lo, lo +
-        len(f)) into ``out``: the stacked prefix operators over their rows,
-        then the tail over the rest.  Both are batched matrix-vector
-        products, so each row has the bits of ``image_at``."""
-        ops = self.prefix_ops[lo : lo + len(f)]
-        k = len(ops)
-        if ops:
-            np.matmul(np.stack([u.matrix for u in ops]), f[:k, :, None], out=out[:k, :, None])
+        len(f)), which share one dim, into ``out``: the stacked prefix
+        operators over their rows, then the tail over the rest.  Both are
+        batched matrix-vector products, so each row has the bits of
+        ``image_at``."""
+        k = min(len(f), max(0, len(self.prefix_ops) - lo))
+        if k:
+            run, start = _run_at(self.dim_runs, lo)
+            ops = self.stacked[run][lo - start : lo - start + k]
+            np.matmul(ops, f[:k, :, None], out=out[:k, :, None])
+        if k == len(f):
+            return  # the tail may have another dim
         if isinstance(self.tail, ConstantOperatorTail):
             np.matmul(self.tail.operator.matrix, f[k:, :, None], out=out[k:, :, None])
         else:
             out[k:] = f[k:]
+
+    def __getstate__(self) -> dict:
+        # the cached stacks are rebuilt on demand, so pickles stay the same
+        return {k: v for k, v in self.__dict__.items() if k not in ("dim_runs", "stacked")}
 
 
 @dataclass(frozen=True)
@@ -233,8 +261,9 @@ class FactoredOperator:
 
 
 def _check_op_state_dims(op: FactoredOperator, state: ProductState) -> None:
-    op_runs = _dim_runs(u.dim for u in op.terms[0].prefix_ops)
-    mismatch = _first_dim_mismatch(op_runs, op.tail_dim, state.dim_runs, state.tail_dim)
+    mismatch = _first_dim_mismatch(
+        op.terms[0].dim_runs, op.tail_dim, state.dim_runs, state.tail_dim
+    )
     if mismatch is None:
         return
     site, op_dim, state_dim = mismatch

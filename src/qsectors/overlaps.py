@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +36,7 @@ from .states import (
     FactorVector,
     ProductState,
     _prefix_brackets,
+    _run_at,
     _stacked_brackets,
     ensure_same_shape,
     factor_overlap,
@@ -97,6 +96,7 @@ class _Terms:
         closed = all(s.tail.closed_rows for s in self.states)
         self.stackable = math.inf if closed else self.explicit
         self.runs = [s.run_starts for s in self.states]
+        self._stacks: dict[int, np.ndarray] = {}
         self._rows: tuple = (None, None)
 
     def dim_at(self, site: int) -> int:
@@ -106,16 +106,37 @@ class _Terms:
         """First site in (start, stop) whose dim differs from the dim at
         ``start``, or ``stop``."""
         runs = self.states[0].dim_runs
-        k = bisect_right(runs, start, key=itemgetter(0))
+        k, _ = _run_at(runs, start)
         return min(stop, runs[k][0]) if k < len(runs) else stop
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """(terms, sites, dim) amplitudes of the sites [lo, hi), which share
-        one dim (``ProductState.rows``).  The last block is kept, so a side
-        that serves as both bra and ket is stacked once."""
+        one dim (``ProductState.rows``).
+
+        Inside the explicit prefix they are a view of the side's stack of
+        that dim run, built on first use and kept for the life of the side,
+        one walk: a one-term side reads its state's ``stacked`` through a
+        leading axis, a wider side holds a copy of its terms' ``stacked``
+        arrays up to ``explicit``, no more memory than those.  Rows that
+        reach into a tail are stacked per block; the last block is kept, so
+        a side that serves as both bra and ket is stacked once."""
+        if hi <= self.explicit:
+            k, start = _run_at(self.states[0].dim_runs, lo)
+            return self._stack(k, start)[:, lo - start : hi - start]
         if self._rows[0] != (lo, hi):
             self._rows = ((lo, hi), np.stack([s.rows(lo, hi) for s in self.states]))
         return self._rows[1]
+
+    def _stack(self, k: int, start: int) -> np.ndarray:
+        """(terms, sites, dim) stack of dim run ``k`` of the explicit prefix,
+        which starts at ``start``; every term has the same dim runs there."""
+        if k not in self._stacks:
+            if len(self.states) == 1:
+                self._stacks[k] = self.states[0].stacked[k][None]
+            else:
+                sites = min(self.states[0].dim_runs[k][0], self.explicit) - start
+                self._stacks[k] = np.stack([s.stacked[k][:sites] for s in self.states])
+        return self._stacks[k]
 
 
 # One readout of a walk: (c_k, bra term index, ket term index) per product.
@@ -148,19 +169,25 @@ def _check_cuts(truncations: Sequence[int]) -> list[int]:
 
 
 def _combine(
-    pairs: Sequence[tuple[complex, products._Accumulator]], truncation: int
+    readout: Sequence[tuple[complex, int]],
+    forms: Sequence[complex],
+    zeros: Sequence[bool],
+    truncation: int,
 ) -> tuple[complex, float]:
-    """(value, log-modulus) of a coefficient-weighted sum of pair products."""
+    """(value, log-modulus) of a coefficient-weighted sum of pair products:
+    ``readout`` holds (coefficient, pair) and pair k's product is zero where
+    ``zeros[k]``, else ``forms[k]``: the product itself up to DIRECT_LIMIT
+    factors, past it its log form log|p| + i arg p."""
     if truncation <= DIRECT_LIMIT:
-        total = sum(coeff * acc.direct if not acc.zero else 0j for coeff, acc in pairs)
+        total = sum([coeff * forms[k] if not zeros[k] else 0j for coeff, k in readout])
         log_mod = math.log(abs(total)) if total != 0 else -math.inf
         return total, log_mod
-    live = [(coeff, acc) for coeff, acc in pairs if not acc.zero]
+    live = [(coeff, forms[k]) for coeff, k in readout if not zeros[k]]
     if not live:
         return 0j, -math.inf
-    shift = max(acc.log_mod for _, acc in live)
+    shift = max([form.real for _, form in live])
     reduced = sum(
-        coeff * cmath.exp(complex(acc.log_mod - shift, acc.arg)) for coeff, acc in live
+        [coeff * cmath.exp(complex(form.real - shift, form.imag)) for coeff, form in live]
     )
     if reduced == 0:
         return 0j, -math.inf
@@ -179,8 +206,10 @@ def _stacked_blocks(
     in ``keys``.  One einsum brackets every term pair of a block; a block
     keeps one dim, read from the bra side, about BLOCK_AMPLITUDES amplitudes
     per side and in its brackets, and at most TAIL_BLOCK_SITES sites past
-    the shortest explicit prefix."""
+    the shortest explicit prefix.  Where ``keys`` are every pair in row-major
+    order, g is a view of the einsum's output; else the pairs are gathered."""
     n_bra, n_ket = len(bra.sources), len(ket.sources)
+    every_pair = len(keys) == n_bra * n_ket  # keys are sorted and distinct
     bra_idx, ket_idx = (np.array(ix) for ix in zip(*keys))
     explicit = min(bra.explicit, ket.explicit)
     start = lo
@@ -194,20 +223,22 @@ def _stacked_blocks(
         )
         stop = bra.run_end(start, stop)
         g = _stacked_brackets(bra.rows(start, stop), ket.rows(start, stop))
-        yield start, stop, g[bra_idx, ket_idx]
+        yield start, stop, g.reshape(n_bra * n_ket, -1) if every_pair else g[bra_idx, ket_idx]
         start = stop
 
 
 def _bracket_blocks(
     bra: _Terms, ket: _Terms, keys: Sequence[tuple[int, int]], lo: int, hi: int
 ):
-    """``_stacked_blocks`` with each g given as (log|g| + i angle g, g == 0)."""
+    """``_stacked_blocks`` with each g given as (log|g| + i atan2 g, g == 0),
+    the log form 0 where g is."""
     for start, stop, g in _stacked_blocks(bra, ket, keys, lo, hi):
         mod = np.abs(g)
         zeros = mod == 0
-        forms = np.zeros_like(g)
+        forms = np.empty_like(g)
         np.log(mod, out=forms.real, where=~zeros)
-        forms.imag = np.angle(g)
+        np.arctan2(g.imag, g.real, out=forms.imag)
+        forms[zeros] = 0
         yield start, stop, forms, zeros
 
 
@@ -297,8 +328,11 @@ class _Walker:
             self._push_direct(cut)
         else:
             self._advance(cut)
-        accs = self.accs if cut <= DIRECT_LIMIT else self._log_forms(cut)
-        return [_combine([(c, accs[k]) for c, k in readout], cut) for readout in self.readouts]
+        if cut <= DIRECT_LIMIT:
+            forms, zeros = [acc.direct for acc in self.accs], [acc.zero for acc in self.accs]
+        else:
+            forms, zeros = self._log_forms(cut)
+        return [_combine(readout, forms, zeros, cut) for readout in self.readouts]
 
     def _push_direct(self, cut: int) -> None:
         """Push the sites [direct_at, cut) into every pair's direct product."""
@@ -311,28 +345,34 @@ class _Walker:
                 push(z)
         self.direct_at = max(self.direct_at, cut)
 
-    def _log_forms(self, cut: int) -> list[products._Accumulator]:
-        """Every pair's log form at ``cut``, which the walk has reached: in
-        closed form inside its run, else as walked, read off the last block
-        when the cut lies inside it."""
-        walked = self.accs if cut == self.site else None
+    def _log_forms(self, cut: int) -> tuple[list[complex], list[bool]]:
+        """Every pair's log form and zero flag at ``cut``, which the walk has
+        reached: in closed form inside its run, else as walked."""
         if not self.runs:
-            return walked or self._block_column(cut)
-        out = []
+            return self._column(cut)
+        column = None
+        forms, zeros = [], []
         for k in range(len(self.accs)):
             run = self.runs.get(k)
             if run is not None and run[0] <= cut:
                 start, _, g, at = run
-                out.append(at.repeated(g, cut - start))
+                acc = at.repeated(g, cut - start)
+                forms.append(complex(acc.log_mod, acc.arg))
+                zeros.append(acc.zero)
             else:
-                walked = walked or self._block_column(cut)
-                out.append(walked[k])
-        return out
+                column = column or self._column(cut)
+                forms.append(column[0][k])
+                zeros.append(column[1][k])
+        return forms, zeros
 
-    def _block_column(self, cut: int) -> list[products._Accumulator]:
+    def _column(self, cut: int) -> tuple[list[complex], list[bool]]:
+        """Every pair's log form and zero flag as walked to ``cut``: the
+        walk's own at its site, else a column of the last block."""
+        if cut == self.site:
+            accs = self.accs
+            return [complex(acc.log_mod, acc.arg) for acc in accs], [acc.zero for acc in accs]
         start, forms, zeros = self.block
-        column = zip(forms[:, cut - start - 1].tolist(), zeros[:, cut - start - 1].tolist())
-        return [products._Accumulator(f.real, f.imag, zero) for f, zero in column]
+        return forms[:, cut - start - 1].tolist(), zeros[:, cut - start - 1].tolist()
 
     def _advance(self, stop: float) -> None:
         """Bring the walk to site ``stop``; the last block may end past it.

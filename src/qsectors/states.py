@@ -237,13 +237,22 @@ class DecaySpec:
             return self
         if self.kind == "eventually-constant":
             return replace(self, rank=self.rank + sites)
-        if self.kind == "p-series":
-            # (n - sites + 1)**-p <= (sites + 1)**p * (n + 1)**-p for n >= sites
-            return replace(self, scale=self.scale * (sites + 1) ** self.p)
-        if self.ratio > 0.0:
-            return replace(self, scale=self.scale / self.ratio**sites)
-        # ratio 0 bounds only the first factor; every later one is the limit
-        return DecaySpec("eventually-constant", rank=sites + 1, scale=self.scale)
+        if self.kind == "geometric" and self.ratio == 0.0:
+            # ratio 0 bounds only the first factor; every later one is the limit
+            return DecaySpec("eventually-constant", rank=sites + 1, scale=self.scale)
+        try:
+            if self.kind == "p-series":
+                # (n - sites + 1)**-p <= (sites + 1)**p * (n + 1)**-p for n >= sites
+                scale = self.scale * (sites + 1) ** self.p
+            else:
+                scale = self.scale / self.ratio**sites
+        except (OverflowError, ZeroDivisionError):  # a power past the float range
+            scale = math.nan
+        if not math.isfinite(scale):
+            raise UndeclaredTailClass(
+                f"decay scale shifted {sites} sites lies outside the float range"
+            )
+        return replace(self, scale=scale)
 
     def series_bound(self, start: int) -> float:
         """Upper bound on the summed distances over sites n >= start."""
@@ -545,8 +554,7 @@ class ProductState:
         p = len(self.prefix)
         if lo >= p:
             return self.tail.rows(lo, hi)
-        k = bisect_right(self.dim_runs, lo, key=itemgetter(0))
-        start = self.dim_runs[k - 1][0] if k else 0
+        k, start = _run_at(self.dim_runs, lo)
         view = self.stacked[k][lo - start : hi - start]
         return view if hi <= p else np.concatenate([view, self.tail.rows(p, hi)])
 
@@ -658,6 +666,13 @@ def _dim_runs(dims: Iterable[int]) -> tuple[tuple[int, int], ...]:
         end += sum(1 for _ in run)
         runs.append((end, dim))
     return tuple(runs)
+
+
+def _run_at(runs: Sequence[tuple[int, int]], site: int) -> tuple[int, int]:
+    """(index, start) of the run of ``runs`` (``_dim_runs``) that holds
+    ``site``."""
+    k = bisect_right(runs, site, key=itemgetter(0))
+    return k, runs[k - 1][0] if k else 0
 
 
 def _first_dim_mismatch(

@@ -1,5 +1,7 @@
 import cmath
 import math
+import pickle
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -295,23 +297,69 @@ class TestTermImages:
                     want = u.apply_to(f)
                     assert np.array(image.amplitudes).tobytes() == np.array(want.amplitudes).tobytes()
 
+    # (lo, sites) of each block.  Over the 3- and 10-site prefix operators,
+    # blocks from 0, 2 and 8 start before or inside them and may end inside
+    # them; those from 12 start past.  The mixed prefix has dims d, e, d over
+    # [0, 4), [4, 9), [9, 12) and blocks keep one dim: before the change,
+    # inside the changed run, and past it into the tail.
+    BLOCKS = ((0, 2), (0, 40), (2, 5), (8, 6), (12, 30))
+    MIXED_BLOCKS = ((0, 4), (1, 2), (4, 5), (5, 3), (8, 1), (9, 3), (10, 8), (12, 30))
+
+    @staticmethod
+    def mixed_prefix(rng, d):
+        e = d % 16 + 1
+        return [q.FactorOperator(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                for n in [d] * 4 + [e] * 5 + [d] * 3]
+
     @pytest.mark.parametrize("d", range(1, 17))
-    def test_image_rows_keep_the_bits_of_image_at(self, d):
-        # blocks from 0, 2 and 8 start before or inside the 3- and 10-site
-        # prefix operators and may end inside them; those from 12 start past
+    def test_image_rows_keep_the_bits_of_image_at(self, d, monkeypatch):
+        real = q.OperatorTerm.__dict__["stacked"].func
+        built = []
+
+        def spy(term):
+            built.append(term)
+            return real(term)
+
+        prop = cached_property(spy)
+        prop.__set_name__(q.OperatorTerm, "stacked")
+        monkeypatch.setattr(q.OperatorTerm, "stacked", prop)
         rng = np.random.default_rng(d)
         ops = [q.FactorOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
                for _ in range(11)]
-        for prefix in ((), ops[:3], ops[:10]):
+        mixed = self.mixed_prefix(rng, d)
+        for prefix, blocks in (((), self.BLOCKS), (ops[:3], self.BLOCKS),
+                               (ops[:10], self.BLOCKS), (mixed, self.MIXED_BLOCKS)):
             for tail in (q.IdentityTail(d), q.ConstantOperatorTail(ops[10])):
                 t = q.OperatorTerm(1.0, prefix, tail)
-                for lo, sites in ((0, 2), (0, 40), (2, 5), (8, 6), (12, 30)):
-                    f = rng.normal(size=(sites, d)) + 1j * rng.normal(size=(sites, d))
-                    out = np.empty_like(f)
-                    t.image_rows(lo, f, out)
-                    for k, row in enumerate(f):
-                        want = t.image_at(lo + k, q.FactorVector(tuple(row.tolist())))
-                        assert out[k].tobytes() == np.array(want.amplitudes).tobytes()
+                built.clear()
+                for _ in range(2):  # the second pass reads the operators the first stacked
+                    for lo, sites in blocks:
+                        dim = t.dim_at(lo)
+                        f = rng.normal(size=(sites, dim)) + 1j * rng.normal(size=(sites, dim))
+                        out = np.empty_like(f)
+                        t.image_rows(lo, f, out)
+                        for k, row in enumerate(f):
+                            want = t.image_at(lo + k, q.FactorVector(tuple(row.tolist())))
+                            assert out[k].tobytes() == np.array(want.amplitudes).tobytes()
+                assert built == ([t] if prefix else [])
+
+    def test_stacked_operators_leave_the_term_as_it_is(self):
+        rng = np.random.default_rng(3)
+        tail = q.ConstantOperatorTail(q.FactorOperator(rng.normal(size=(2, 2))))
+        t = q.OperatorTerm(0.5 - 1j, self.mixed_prefix(rng, 2), tail)
+        twin = q.OperatorTerm(t.coefficient, t.prefix_ops, t.tail)
+        before = (hash(t), repr(t), pickle.dumps(t))
+        f = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        out = np.empty_like(f)
+        t.image_rows(4, f, out)
+        assert "stacked" in vars(t) and "stacked" not in vars(twin)
+        assert all(not m.flags.writeable for m in t.stacked)
+        assert t == twin and (hash(t), repr(t), pickle.dumps(t)) == before
+        back = pickle.loads(before[2])
+        assert repr(back) == repr(t) and "stacked" not in vars(back)
+        again = np.empty_like(f)
+        back.image_rows(4, f, again)
+        assert again.tobytes() == out.tobytes()
 
 
 class TestSectorAction:
@@ -399,6 +447,22 @@ class TestExpectationSweep:
         s = random_product_state(rng, dim=3, max_prefix=400, parametric=parametric)
         assert s.prefix_len > 64
         self.assert_same_bits(op, s, [1, 2, 7, 64, 65, 100, 150, 300, 401, 450])
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_bit_identical_to_overlap_sweep_of_image_across_a_dim_change(self, constant):
+        # blocks of the middle dim end where the prefix operators do, so no
+        # row of theirs meets the tail operator, which has the other dim
+        rng = np.random.default_rng(8)
+        dims = [2] * 80 + [3] * 30 + [2] * 40
+        s = q.ProductState(tuple(random_factor(rng, d) for d in dims), q.ConstantTail(E0))
+        terms = []
+        for n_ops in (110, 130):
+            ops = tuple(q.FactorOperator(rng.normal(size=(d, d)) + 0j) for d in dims[:n_ops])
+            u = q.FactorOperator(rng.normal(size=(2, 2)) + 0j)
+            tail = q.ConstantOperatorTail(u) if constant else q.IdentityTail(2)
+            terms.append(q.OperatorTerm(complex(rng.normal(), 1.0), ops, tail))
+        cuts = [1, 64, 65, 100, 110, 111, 150, 200]
+        self.assert_same_bits(q.FactoredOperator(tuple(terms)), s, cuts)
 
     @staticmethod
     def assert_same_bits(op, s, cuts):

@@ -1413,3 +1413,129 @@ class TestCutsPastTheFloatRange:
         q.overlap_sweep(a, b, [10, 10**300])
         with pytest.raises(q.DimensionBudgetExceeded):
             q.overlap_sweep(a, b, [10, 10**400])
+
+
+# -- the block walk's bits, frozen ---------------------------------------------
+#
+# Readouts of the stacked block walk over explicit prefixes past DIRECT_LIMIT,
+# frozen as reprs: composites with a dim change inside the prefix, sweeps with
+# cuts at or below 64, inside blocks and at block ends, the density's
+# above-diagonal gather with an exactly-zero bracket, and images of prefix
+# operators of mixed dims.  How the walk stacks rows, hands back its Gram
+# blocks and reads their columns must leave every bit as it is.  With
+# BLOCK_AMPLITUDES = 2**9 the sweeps' 6 x 5 term pairs take 17-site blocks,
+# which end at 68 and 85 from site 0.
+
+WALK_DIMS = [4] * 200 + [2] * 40 + [3] * 60 + [2] * 140
+
+
+def _frozen_composite(rng, lengths, dims=WALK_DIMS):
+    """One term per prefix length in ``lengths``, near shared rows over ``dims``."""
+    base = _unit_rows(rng, dims)
+    terms = [_block_term(rng, base, n, dims[-1], False) for n in lengths]
+    coeffs = rng.normal(size=len(terms)) + 1j * rng.normal(size=len(terms))
+    return q.CompositeState(tuple(zip(coeffs.tolist(), terms)))
+
+
+def _frozen_density_model():
+    """Four branches over 150 sites of dim 3; branches 0 and 1 are orthogonal
+    at site 100, so that bracket is exactly 0."""
+    rng = np.random.default_rng(41)
+    branches = []
+    for k in range(4):
+        prefix = [q.FactorVector(tuple(v.tolist())) for v in _unit_rows(rng, [3] * 150)]
+        if k < 2:
+            prefix[100] = q.basis_vector(3, k)
+        (limit,) = _unit_rows(rng, [3])
+        tail = q.ConstantTail(q.FactorVector(tuple(limit.tolist())))
+        branches.append(q.ProductState(tuple(prefix), tail))
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    amps /= np.linalg.norm(amps)
+    return q.MeasurementModel(tuple(amps.tolist()), tuple(branches))
+
+
+def _frozen_operator_case(seed, dims, terms):
+    """A 210-site state over ``dims`` and an operator with one term per
+    (prefix operator count, tail kind) of ``terms``, near the identity."""
+    rng = np.random.default_rng(seed)
+    prefix = tuple(q.FactorVector(tuple(v.tolist())) for v in _unit_rows(rng, dims[:210]))
+    (limit,) = _unit_rows(rng, [2])
+    state = q.ProductState(prefix, q.ConstantTail(q.FactorVector(tuple(limit.tolist()))))
+
+    def near_identity(d):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return FactorOperator(np.eye(d) + 0.1 * g)
+
+    op_terms = []
+    for n_ops, constant in terms:
+        ops = tuple(near_identity(d) for d in dims[:n_ops])
+        tail = ConstantOperatorTail(near_identity(2)) if constant else IdentityTail(2)
+        op_terms.append(OperatorTerm(complex(rng.normal(), rng.normal()), ops, tail))
+    return FactoredOperator(tuple(op_terms)), state
+
+
+def _columns(sweep):
+    return sweep.values, sweep.log_modulus
+
+
+def _frozen_walk_cases():
+    """name -> a function that reads the case's readouts."""
+    rng = np.random.default_rng(37)
+    wide_bra = _frozen_composite(rng, [300] * 5, [3] * 300)
+    wide_ket = _frozen_composite(rng, [300] * 4, [3] * 300)
+    mixed_bra = _frozen_composite(rng, [420, 440, 430])
+    mixed_ket = _frozen_composite(rng, [440, 425])
+    sweep_bra = _frozen_composite(rng, [400] * 6)
+    sweep_ket = _frozen_composite(rng, [400, 410, 405, 400, 420])
+    sweep_cuts = [1, 30, 64, 65, 67, 68, 69, 84, 85, 86, 199, 200, 201, 399, 400, 401, 450]
+    model = _frozen_density_model()
+    # terms must agree on dims, so where the prefix dims leave the tail's,
+    # every term's prefix operators cross the change
+    op, state = _frozen_operator_case(43, [2] * 240, [(0, True), (120, False), (180, True)])
+    mixed_op, mixed_state = _frozen_operator_case(
+        47, [2] * 100 + [3] * 60 + [2] * 80, [(160, False), (175, False), (230, False)]
+    )
+    op_cuts = [1, 40, 64, 65, 100, 101, 119, 120, 121, 159, 160, 161, 175, 176, 180, 181,
+               209, 210, 211, 230, 231, 300]
+    return {
+        "composite-wide": lambda: [
+            q.composite_overlap(wide_bra, wide_ket, n) for n in (65, 250, 300, 320)
+        ],
+        "distance-wide": lambda: [q.distance(wide_bra, wide_ket, n) for n in (250, 320)],
+        "composite-dim-change": lambda: [
+            q.composite_overlap(mixed_bra, mixed_ket, n) for n in (210, 260, 420, 430)
+        ],
+        "distance-dim-change": lambda: [q.distance(mixed_bra, mixed_ket, n) for n in (210, 420)],
+        "sweep": lambda: _columns(q.overlap_sweep(sweep_bra, sweep_ket, sweep_cuts)),
+        "density": lambda: [
+            q.truncated_density(model, n).matrix.tolist() for n in (50, 99, 100, 101, 150, 200)
+        ],
+        "expectation": lambda: _columns(q.expectation_sweep(op, state, op_cuts)),
+        "expectation-dim-change": lambda: _columns(
+            q.expectation_sweep(mixed_op, mixed_state, op_cuts)
+        ),
+    }
+
+
+FROZEN_WALK_CASES = _frozen_walk_cases()
+
+# repr of each case's readouts, frozen from the walk that stacked each block's
+# rows anew and read each cut through one accumulator per pair
+FROZEN_WALK = {
+    'composite-dim-change': '[(2.1745715586529373e-81-6.946106367902705e-82j), (6.408639213585987e-93+1.044665734633128e-93j), (9.827844233016826e-131-1.1281731362333396e-130j), (1.0235665196894825e-132-2.257119326553584e-133j)]',
+    'composite-wide': '[(3.189339061949757e-20-2.914717157019545e-20j), (-5.720087115166837e-75-9.644559442531841e-75j), (3.364280444913816e-89+3.7039853048907203e-90j), (5.1625901394579016e-93-5.724323863332301e-93j)]',
+    'density': '[[[(0.04258143757285204+0j), (-5.1431207101010566e-18-3.1100725081168645e-18j), (-8.489615822322475e-17+1.1922262117194706e-16j), (-3.747687633014235e-18-1.3423613367109418e-18j)], [(-5.1431207101010566e-18+3.1100725081168645e-18j), (0.2841413994471253+0j), (1.2896894044722112e-15-1.2676349656662634e-15j), (-3.3728117912143033e-21-3.19358300551915e-22j)], [(-8.489615822322475e-17-1.1922262117194706e-16j), (1.2896894044722112e-15+1.2676349656662634e-15j), (0.520467857910364+0j), (2.1778433293939752e-16-3.019391357930198e-17j)], [(-3.747687633014235e-18+1.3423613367109418e-18j), (-3.3728117912143033e-21+3.19358300551915e-22j), (2.1778433293939752e-16+3.019391357930198e-17j), (0.15280930506965865+0j)]], [[(0.04258143757285204+0j), (1.4113217274375035e-34+7.065135934393735e-35j), (-6.239985139895201e-30+1.8306996490421097e-29j), (1.8439214952378082e-34+1.8682593670057864e-34j)], [(1.4113217274375035e-34-7.065135934393735e-35j), (0.2841413994471253+0j), (5.46810075906369e-33-8.462962843510912e-33j), (-3.4289227254997506e-39-9.097007396914381e-39j)], [(-6.239985139895201e-30-1.8306996490421097e-29j), (5.46810075906369e-33+8.462962843510912e-33j), (0.520467857910364+0j), (-3.7088292625062424e-31+8.542498586003855e-31j)], [(1.8439214952378082e-34-1.8682593670057864e-34j), (-3.4289227254997506e-39+9.097007396914381e-39j), (-3.7088292625062424e-31-8.542498586003855e-31j), (0.15280930506965865+0j)]], [[(0.04258143757285204+0j), (7.693207221722979e-35+3.5287598045804874e-35j), (-6.665934791864124e-30-7.102337473789812e-31j), (1.3817978921689084e-34-1.3322992264884535e-35j)], [(7.693207221722979e-35-3.5287598045804874e-35j), (0.2841413994471253+0j), (4.2876230921875594e-33-3.0162293054968716e-33j), (-8.336525871184277e-39-1.6566100309338035e-39j)], [(-6.665934791864124e-30+7.102337473789812e-31j), (4.2876230921875594e-33+3.0162293054968716e-33j), (0.520467857910364+0j), (5.8859307301608805e-31+4.981942601282852e-31j)], [(1.3817978921689084e-34+1.3322992264884535e-35j), (-8.336525871184277e-39+1.6566100309338035e-39j), (5.8859307301608805e-31-4.981942601282852e-31j), (0.15280930506965865+0j)]], [[(0.04258143757285204+0j), -0j, (-4.76990768393809e-30-2.4215402884104038e-30j), (-3.5972838619576873e-35-8.290466368171259e-35j)], [0j, (0.2841413994471253+0j), (2.5838952109968465e-33+5.008966441396058e-34j), (-2.720951134096896e-39-7.112513416000939e-41j)], [(-4.76990768393809e-30+2.4215402884104038e-30j), (2.5838952109968465e-33-5.008966441396058e-34j), (0.520467857910364+0j), (2.935566985730493e-32-5.795556769675501e-31j)], [(-3.5972838619576873e-35+8.290466368171259e-35j), (-2.720951134096896e-39+7.112513416000939e-41j), (2.935566985730493e-32+5.795556769675501e-31j), (0.15280930506965865+0j)]], [[(0.04258143757285204+0j), -0j, (-1.5071323540127353e-45-2.227229230624961e-45j), (-2.655374379089216e-51-5.75841461906716e-51j)], [0j, (0.2841413994471253+0j), (1.29264404438956e-44+1.291312183774748e-44j), (-3.300614710862985e-54+1.081658114828605e-54j)], [(-1.5071323540127353e-45+2.227229230624961e-45j), (1.29264404438956e-44-1.291312183774748e-44j), (0.520467857910364+0j), (-1.2778563694768612e-47-5.493048674875418e-48j)], [(-2.655374379089216e-51+5.75841461906716e-51j), (-3.300614710862985e-54-1.081658114828605e-54j), (-1.2778563694768612e-47+5.493048674875418e-48j), (0.15280930506965865+0j)]], [[(0.04258143757285204+0j), -0j, (1.331724570612287e-49-2.6233936040440696e-49j), (3.322379428791986e-57-6.130720282916646e-57j)], [0j, (0.2841413994471253+0j), (1.0316429538325889e-63-1.2147658915013449e-63j), (-6.453553543889684e-75-1.4929846568256582e-74j)], [(1.331724570612287e-49+2.6233936040440696e-49j), (1.0316429538325889e-63+1.2147658915013449e-63j), (0.520467857910364+0j), (-3.4725747931012535e-53-5.877174722290645e-53j)], [(3.322379428791986e-57+6.130720282916646e-57j), (-6.453553543889684e-75+1.4929846568256582e-74j), (-3.4725747931012535e-53+5.877174722290645e-53j), (0.15280930506965865+0j)]]]',
+    'distance-dim-change': '[23.174465430901613, 23.17437876697164]',
+    'distance-wide': '[18.5339711214991, 18.605116757849352]',
+    'expectation': '(((-3.1988877505608184+0.6194899259771351j), (28.84527739162481-5.8907851255943j), (-7.138928419591349-105.00340738189264j), (-19.981729572424246-109.53571085659692j), (87.03325135060601+777.1099691814816j), (208.87658905974362+774.2043660103466j), (2381.1831012907583-71.5120127300628j), (2489.0050506051566-360.19632847032824j), (2793.971586488573-419.19725132955836j), (-13459.430190694211-20178.62257058731j), (-15801.966941870505-21995.252468501738j), (-18420.592515076856-24310.120820970842j), (-78041.01107946337+20300.2016956971j), (-74223.90518457467+29356.38418461583j), (-73153.92916018868+70473.27859281901j), (-80247.49589810966+81429.91896438514j), (371964.908670406-40222.19442580261j), (410616.29988655547-58579.134489770935j), (427962.78232383693-127302.26748572638j), (-1806357.9448366263-95958.81298482127j), (-1938183.7414821251+183189.4032336357j), (199145807.53730035-206807819.72977525j)), (1.1812117904299637, 3.3823760867415285, 4.656298631921663, 4.712618665495494, 6.66181442246608, 6.686966976288077, 7.775803505858412, 7.830001405852695, 7.946350005399075, 10.096401895454438, 10.206664504054782, 10.325508945439953, 11.297726093036886, 11.28750999369183, 11.528576937528177, 11.646811515160135, 12.832367401565833, 12.935488461225116, 13.00918404618306, 14.408232220236549, 14.481708682481228, 19.4753539864481))',
+    'expectation-dim-change': '(((1.484886936071113-0.3295654335317481j), (1.4244915182354567-0.3196528476596847j), (1.183492685733094-0.5738013258755335j), (0.9311368238670457-0.6538027267539724j), (0.46055322479163724-0.8565453393424016j), (0.6559101014612726-0.618103238977021j), (-0.16329462972031167-1.4539821246487932j), (-0.08368783002256493-0.9932194729474286j), (-0.06487114502943063-1.0543327727104248j), (-0.385435680582121-1.535914959522144j), (-0.6642489796579361-1.7841772515655878j), (-0.8753181655460949-2.0221745751323787j), (0.28714770936397344-3.3004180765038016j), (0.21848039324062465-3.2713856336491927j), (0.17434822821247248-3.273290017791965j), (0.15560697565417836-3.327839711158048j), (0.4948257570213568-3.1238727206401253j), (0.48755544691170005-3.1807500096597057j), (0.45458885509104335-3.2218797678229723j), (0.5712708668129287-3.023367845574129j), (0.5712708668129287-3.023367845574129j), (0.5712708668129287-3.023367845574129j)), (0.41938132398485306, 0.3783787359522148, 0.27403263952510587, 0.12905213650750935, -0.027873075133562297, -0.10396144080093439, 0.3805732487927429, -0.0032663587366258406, 0.0547974066574638, 0.459662148330058, 0.6438602668507026, 0.7900428504600312, 1.1978196963204155, 1.1874388141252004, 1.187212114457648, 1.2034153740443305, 1.1514641822633802, 1.168728998369162, 1.1798209855984905, 1.123911501639006, 1.123911501639006, 1.123911501639006))',
+    'sweep': '(((6.324139217198143+8.904362530477139j), (-3.948389315060795e-13+9.09564721273918e-13j), (-9.510181049436232e-27-5.4573835961208834e-27j), (2.7022908706570926e-27-3.748670987068051e-27j), (2.9160931975309103e-28+5.768781384603326e-28j), (1.9562621148967838e-29+2.0602704838275845e-28j), (-6.113909370239166e-29-5.901127882426084e-29j), (9.79136645431082e-35-1.7364138276735762e-34j), (-1.8766697978043928e-35+8.702726447758888e-35j), (-3.2387310480930647e-35-7.883891385637269e-36j), (3.007684451054964e-76-2.4093566032848304e-77j), (-1.2702892794380203e-77+9.029652147974482e-77j), (-1.2764598934294058e-76+2.60876880822824e-77j), (1.7683318378903047e-119-2.1038440426553492e-119j), (-4.224551785326089e-120+3.042092701449289e-119j), (-3.226469526924992e-119-9.798548679385687e-120j), (-1.8226508833598835e-120-1.0438695223397156e-122j)), (2.3907469328487334, -27.639489545047738, -59.77510844916466, -60.63915666314737, -62.60614454758704, -63.74505761289591, -64.6352255270537, -77.59802652579172, -78.40411564239076, -79.38651331992166, -173.89209827983422, -175.0887395643455, -174.73191628721537, -272.9966432393132, -272.8855297694247, -272.79212718645385, -275.7099027884186))',
+}
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+@pytest.mark.parametrize("name", sorted(FROZEN_WALK_CASES))
+def test_block_walk_bits_are_frozen(name, small_blocks, monkeypatch):
+    if small_blocks:
+        monkeypatch.setattr(overlaps, "BLOCK_AMPLITUDES", 2**9)
+    assert repr(FROZEN_WALK_CASES[name]()) == FROZEN_WALK[name]

@@ -126,6 +126,36 @@ class TestDecaySpec:
     def test_non_summable_p_series_bound(self):
         assert q.DecaySpec("p-series", p=1.0).series_bound(3) == math.inf
 
+    # (kind, declared field, shift, the shifted scale or None where it leaves
+    # the float range): a power that overflows, one that underflows to a zero
+    # divisor, a quotient past the range, and shifts whose scale stays finite
+    SHIFTS = {
+        "p-series-power-overflows": ("p-series", {"p": 60.0}, 10**6, None),
+        "p-series-huge-p": ("p-series", {"p": 1e308}, 3, None),
+        "p-series-huge-shift": ("p-series", {"p": 2.0}, 10**400, None),
+        "p-series-in-range": ("p-series", {"p": 2.0}, 10**6, 0.3 * (10**6 + 1) ** 2.0),
+        "geometric-power-underflows": ("geometric", {"ratio": 0.5}, 1100, None),
+        "geometric-quotient-overflows": ("geometric", {"ratio": 0.5}, 1050, None),
+        "geometric-huge-shift": ("geometric", {"ratio": 0.5}, 10**400, None),
+        "geometric-in-range": ("geometric", {"ratio": 0.5}, 1000, 0.3 / 0.5**1000),
+        "geometric-slow-in-range": ("geometric", {"ratio": 0.999}, 10**5, 0.3 / 0.999**10**5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHIFTS))
+    def test_shifted_scales_past_the_float_range_are_refused(self, case):
+        kind, fields, sites, scale = self.SHIFTS[case]
+        spec = q.DecaySpec(kind, scale=0.3, **fields)
+        tail = q.ParametricTail(1, lambda n: q.FactorVector((1.0,)), q.FactorVector((1.0,)), spec)
+        for shift in (spec.shifted, lambda sites: tail.shifted(sites).decay):
+            if scale is None:
+                with pytest.raises(
+                    q.UndeclaredTailClass,
+                    match=f"^decay scale shifted {sites} sites lies outside the float range$",
+                ):
+                    shift(sites)
+            else:
+                assert shift(sites) == q.DecaySpec(kind, scale=scale, **fields)
+
 
 class TestShiftedDeclarations:
     SPECS = [
