@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidAmplitude, PreconditionViolated
-from .overlaps import DIRECT_LIMIT, _sides, _Terms, _walk, _Walker
+from .overlaps import _sides, _Terms, _walk, _Walker
 from .sectors import same_sector
 from .states import (
     ALIGN_EXACT,
@@ -158,6 +158,8 @@ class TruncatedDensityMatrix:
 
     def coherence(self, i: int, j: int) -> float:
         """Modulus of the (i, j) off-diagonal element."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexOutOfRange(f"outcomes ({i}, {j}) out of range for {self.dim} outcomes")
         if i == j:
             raise PreconditionViolated("coherence is defined for distinct outcomes")
         return float(abs(self.matrix[i, j]))
@@ -207,14 +209,14 @@ def _pair_horizon(
     the decay certificates prove the modulus never drops that far.
 
     The cuts N = 0, 1, ... are read off one walk over the pair, the walk
-    ``truncated_overlap`` makes, so the two agree at exact ties too.  Inside
-    a run of the pair, with bracket G, every cut past DIRECT_LIMIT reads in
-    closed form: where |G| < 1, N is solved from the log form and G and, if
-    it falls inside the run, checked at N - 1 and N; otherwise the walk goes
-    on at the run's end.  Only the last run, which never ends, can prove
-    that the modulus stays put.  ``budget`` bounds the sites read one at a
-    time past the prefixes; parametric tails check their certificate every
-    ``_HORIZON_CHECK_EVERY`` sites there.
+    ``truncated_overlap`` makes, so the two agree at exact ties too.  From
+    the first cut inside a run of the pair, with bracket G, where |G| < 1, N
+    is solved from the log form and G and, if it falls inside the run,
+    checked at N - 1 and N; otherwise the walk goes on at the run's end.
+    Only the last run, which never ends, can prove that the modulus stays
+    put.  ``budget`` bounds the sites read one at a time past the prefixes;
+    parametric tails check their certificate every ``_HORIZON_CHECK_EVERY``
+    sites there.
     """
     walk = _Walker(*_sides(bra, ket))
     log_base = math.log(base) if base > 0.0 else -math.inf
@@ -233,24 +235,23 @@ def _pair_horizon(
             return n
         cur = log_base + log_mod
         run = walk.runs.get(0)
-        if run is not None:
-            _, end, g, _ = run
+        if run is not None and run[0] <= n:  # a block may end at a later run
+            _, end, g = run
             if end == math.inf and abs(g) >= 1.0 - ALIGN_EXACT:
                 return math.inf
-            if n >= DIRECT_LIMIT:
-                # first N with cur + (N - n) * log|G| < log_eps; inside the
-                # run every readout is closed in form, so the reads cost O(1)
-                if abs(g) < 1.0:
-                    steps = math.floor((log_eps - cur) / math.log(abs(g))) + 1 if g != 0 else 1
-                    if n + max(1, steps) <= end:
-                        last, n = n, n + max(1, steps)
-                        while n - 1 > last and below(n - 1):
-                            n -= 1
-                        while not below(n):
-                            n += 1
-                        return n
-                n = end
-                continue
+            # first N with cur + (N - n) * log|G| < log_eps; every read
+            # inside the run starts from the run's start
+            if abs(g) < 1.0:
+                steps = math.floor((log_eps - cur) / math.log(abs(g))) + 1 if g != 0 else 1
+                if n + max(1, steps) <= end:
+                    last, n = n, n + max(1, steps)
+                    while n - 1 > last and below(n - 1):
+                        n -= 1
+                    while not below(n):
+                        n += 1
+                    return n
+            n = end
+            continue
         elif n >= stop:
             raise PreconditionViolated(
                 "decoherence horizon undecided within budget",

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionBudgetExceeded,
+    IndexOutOfRange,
     InvalidAmplitude,
     NonFactorizableGenerator,
     NonHermitianGenerator,
@@ -138,6 +139,8 @@ class OperatorTerm:
     def op_at(self, site: int) -> FactorOperator | None:
         """Operator at a site; None means identity (no-op)."""
         if site < len(self.prefix_ops):
+            if site < 0:
+                raise IndexOutOfRange(f"negative site {site}")
             return self.prefix_ops[site]
         if isinstance(self.tail, ConstantOperatorTail):
             return self.tail.operator
@@ -145,7 +148,7 @@ class OperatorTerm:
 
     def dim_at(self, site: int) -> int:
         if site < len(self.prefix_ops):
-            return self.prefix_ops[site].dim
+            return self.op_at(site).dim  # refuses a negative site
         return self.tail.dim
 
     def image_at(self, site: int, f: FactorVector) -> FactorVector:

@@ -20,6 +20,7 @@ so a readout depends only on its cut.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -256,18 +257,19 @@ class _Walker:
     sum (a seeded cumsum), so a cut inside a block reads a column.  Other
     sites are bracketed one at a time; cuts <= DIRECT_LIMIT read their
     direct product, which with blocks is all they update; with blocks those
-    sites go in one stacked block too, pushed in site order (rows hold the
-    bits of the factors and images, so the brackets keep theirs).  Blocked or
-    not, ``check`` counts the sites past the shortest explicit prefix against
-    WALK_BUDGET.
+    sites go in one stacked block too, and each pair folds its row of it in
+    site order (rows hold the bits of the factors and images, so the brackets
+    keep theirs).  Blocked or not, ``check`` counts the sites past the
+    shortest explicit prefix against WALK_BUDGET.
 
     From its first run start (``_pair_runs``) on, a pair is in a run: it
-    brackets G once at the run's start a and keeps its log form there, and
-    reads cut n > DIRECT_LIMIT inside the run as that log form plus
-    (n - a) * (log|G|, atan2 G); it crosses a finite run in that one step.
-    On the way to a cut <= DIRECT_LIMIT it pushes G into its direct product
-    once per site, which keeps the bits of the site-by-site walk.  Cuts must
-    not decrease, except within every pair's run or the last block.
+    brackets G once at the run's start a, where its accumulator stays, and
+    reads every cut n inside the run from there: up to DIRECT_LIMIT as its
+    direct product times G once per site, the multiplications of the
+    site-by-site walk, past it as its log form plus (n - a) * (log|G|,
+    atan2 G).  It crosses a finite run in that one step, so once every pair
+    is in a run the walk moves from run start to run start.  Cuts must not
+    decrease, except within every pair's run or the last block.
     """
 
     def __init__(
@@ -282,8 +284,8 @@ class _Walker:
         self.readouts = [[(c, index[a, b]) for c, a, b in readout] for readout in readouts]
         term_runs = [(bra.runs[a], ket.runs[b]) for a, b in self.keys]
         merged = {key: _pair_runs(*key) for key in set(term_runs)}  # few kinds, many pairs
-        self.starts = [merged[key] for key in term_runs]
-        self.firsts = [starts[0] if starts else math.inf for starts in self.starts]
+        pair_runs = [merged[key] for key in term_runs]
+        self.firsts = [starts[0] if starts else math.inf for starts in pair_runs]
         self.last_first = max(self.firsts)
         self.explicit = min(bra.explicit, ket.explicit)
         stackable = min(bra.stackable, ket.stackable, min(self.firsts))
@@ -291,13 +293,12 @@ class _Walker:
         self.accs = [products._Accumulator() for _ in self.keys]
         self.sources = [(bra.sources[a], ket.sources[b]) for a, b in self.keys]
         self.steps = self.pair_steps = [(*s, acc.push) for s, acc in zip(self.sources, self.accs)]
-        self.repeats: list = []  # (G, push_direct) of the pairs in a run
-        # pair -> (start, end, G, log form at start) of its run at ``site``
-        self.runs: dict[int, tuple[int, float, complex, products._Accumulator]] = {}
-        self.events: dict[int, list[int]] = {}  # run start -> its pairs, until reached
-        for k, starts in enumerate(self.starts):
-            for start in starts:
-                self.events.setdefault(start, []).append(k)
+        # pair -> (start, end, G) of its run at ``site``; its accumulator holds sites [0, start)
+        self.runs: dict[int, tuple[int, float, complex]] = {}
+        self.events: dict[int, list[tuple[int, float]]] = {}  # run start -> (pair, run end)
+        for k, starts in enumerate(pair_runs):
+            for start, end in zip(starts, starts[1:] + (math.inf,)):
+                self.events.setdefault(start, []).append((k, end))
         self.next_event = min(self.events, default=math.inf)
         self.site = 0  # the walk holds sites [0, site)
         self.direct_at = 0  # with blocks, ``direct`` holds sites [0, direct_at)
@@ -305,7 +306,7 @@ class _Walker:
         # generators: no block is bracketed before it is needed
         self.blocks = _bracket_blocks(bra, ket, self.keys, 0, min(self.blocked, last_cut))
         self.direct_blocks = _stacked_blocks(bra, ket, self.keys, 0, min(DIRECT_LIMIT, last_cut))
-        self.direct_columns: list[list[complex]] = []  # brackets per site, from 0
+        self.direct_rows: list[list[complex]] = [[] for _ in self.keys]  # brackets from site 0
 
     def check(self, cut: float) -> None:
         """Refuse a read of ``cut`` that brackets more than WALK_BUDGET term
@@ -325,49 +326,53 @@ class _Walker:
     def read(self, cut: int) -> list[tuple[complex, float]]:
         self.check(cut)
         if cut <= DIRECT_LIMIT and self.blocked:
-            self._push_direct(cut)
+            self._fold_direct(cut)
         else:
             self._advance(cut)
-        if cut <= DIRECT_LIMIT:
-            forms, zeros = [acc.direct for acc in self.accs], [acc.zero for acc in self.accs]
-        else:
-            forms, zeros = self._log_forms(cut)
+        forms, zeros = self._forms(cut)
         return [_combine(readout, forms, zeros, cut) for readout in self.readouts]
 
-    def _push_direct(self, cut: int) -> None:
-        """Push the sites [direct_at, cut) into every pair's direct product."""
-        while len(self.direct_columns) < cut:
+    def _fold_direct(self, cut: int) -> None:
+        """Fold the sites [direct_at, cut) into every pair's direct product."""
+        while len(self.direct_rows[0]) < cut:
             _, _, g = next(self.direct_blocks)
-            self.direct_columns += g.T.tolist()
-        pushes = [acc.push_direct for acc in self.accs]
-        for column in self.direct_columns[self.direct_at : cut]:
-            for push, z in zip(pushes, column):
-                push(z)
+            for row, block in zip(self.direct_rows, g.tolist()):
+                row += block
+        for acc, row in zip(self.accs, self.direct_rows):
+            brackets = row[self.direct_at : cut]
+            acc.zero = acc.zero or 0 in brackets  # a zero product's direct is never read
+            acc.direct = math.prod(brackets, start=acc.direct)
         self.direct_at = max(self.direct_at, cut)
 
-    def _log_forms(self, cut: int) -> tuple[list[complex], list[bool]]:
-        """Every pair's log form and zero flag at ``cut``, which the walk has
-        reached: in closed form inside its run, else as walked."""
+    def _forms(self, cut: int) -> tuple[list[complex], list[bool]]:
+        """Every pair's ``_combine`` form and zero flag at ``cut``, which the
+        walk has reached: from its run's start inside its run, else as walked."""
         if not self.runs:
             return self._column(cut)
         column = None
         forms, zeros = [], []
-        for k in range(len(self.accs)):
+        for k, acc in enumerate(self.accs):
             run = self.runs.get(k)
             if run is not None and run[0] <= cut:
-                start, _, g, at = run
-                acc = at.repeated(g, cut - start)
-                forms.append(complex(acc.log_mod, acc.arg))
-                zeros.append(acc.zero)
+                start, _, g = run
+                if cut <= DIRECT_LIMIT:
+                    form = math.prod(itertools.repeat(g, cut - start), start=acc.direct)
+                    zero = acc.zero or (cut > start and g == 0)
+                else:
+                    at = acc.repeated(g, cut - start)
+                    form, zero = complex(at.log_mod, at.arg), at.zero
             else:
                 column = column or self._column(cut)
-                forms.append(column[0][k])
-                zeros.append(column[1][k])
+                form, zero = column[0][k], column[1][k]
+            forms.append(form)
+            zeros.append(zero)
         return forms, zeros
 
     def _column(self, cut: int) -> tuple[list[complex], list[bool]]:
-        """Every pair's log form and zero flag as walked to ``cut``: the
+        """Every pair's form and zero flag as walked to ``cut``: the
         walk's own at its site, else a column of the last block."""
+        if cut <= DIRECT_LIMIT:
+            return [acc.direct for acc in self.accs], [acc.zero for acc in self.accs]
         if cut == self.site:
             accs = self.accs
             return [complex(acc.log_mod, acc.arg) for acc in accs], [acc.zero for acc in accs]
@@ -376,10 +381,8 @@ class _Walker:
 
     def _advance(self, stop: float) -> None:
         """Bring the walk to site ``stop``; the last block may end past it.
-        Past blocks every pair takes a site before any takes the next.  Pairs
-        in a run push nothing, except into their direct product on the way to
-        a cut <= DIRECT_LIMIT, so once every pair is in a run the walk moves
-        from run start to run start."""
+        Past blocks every pair takes a site before any takes the next; pairs
+        in a run take none."""
         if self.site == self.next_event:
             self._arrive()
         while self.site < stop:
@@ -387,36 +390,32 @@ class _Walker:
                 self._fold_block()
             else:
                 end = min(stop, self.next_event)
-                repeats = self.repeats if stop <= DIRECT_LIMIT else ()
-                if self.steps or repeats:
+                if self.steps:
                     for site in range(self.site, end):
                         for bra_at, ket_at, push in self.steps:
                             push(factor_overlap(bra_at(site), ket_at(site)))
-                        for g, push in repeats:
-                            push(g)
                 self.site = end
             if self.site == self.next_event:
                 self._arrive()
 
     def _arrive(self) -> None:
         """Start the runs that begin at this site: a pair in a run crosses to
-        its end in one step, then brackets the new run's G here."""
+        its end in one step, its direct product only up to DIRECT_LIMIT, then
+        brackets the new run's G here."""
         starting = self.events.pop(self.site)
         self.next_event = min(self.events, default=math.inf)
-        for k in starting:
+        for k, end in starting:
             acc = self.accs[k]
             if k in self.runs:
-                start, _, g, at = self.runs[k]
-                crossed = at.repeated(g, self.site - start)
+                start, _, g = self.runs[k]
+                count = self.site - start
+                if self.site <= DIRECT_LIMIT:
+                    acc.direct = math.prod(itertools.repeat(g, count), start=acc.direct)
+                crossed = acc.repeated(g, count)
                 acc.log_mod, acc.arg, acc.zero = crossed.log_mod, crossed.arg, crossed.zero
-            starts = self.starts[k]
-            later = starts.index(self.site) + 1
-            end = starts[later] if later < len(starts) else math.inf
             bra_at, ket_at = self.sources[k]
-            g = factor_overlap(bra_at(self.site), ket_at(self.site))
-            self.runs[k] = (self.site, end, g, products._Accumulator(acc.log_mod, acc.arg, acc.zero))
+            self.runs[k] = (self.site, end, factor_overlap(bra_at(self.site), ket_at(self.site)))
         self.steps = [s for k, s in enumerate(self.pair_steps) if k not in self.runs]
-        self.repeats = [(g, self.accs[k].push_direct) for k, (_, _, g, _) in self.runs.items()]
 
     def _fold_block(self) -> None:
         """Bracket the next block and fold it into each pair's log form."""

@@ -188,20 +188,14 @@ class _Accumulator:
         self.zero = zero
 
     def push(self, z: complex) -> None:
-        self.push_direct(z)
-        if not self.zero:
-            self.log_mod += math.log(abs(z))
-            self.arg += math.atan2(z.imag, z.real)
-
-    def push_direct(self, z: complex) -> None:
-        """``push`` for the direct product alone, for terms whose log form
-        is folded in elsewhere."""
         if self.zero:
             return
         if z == 0:
             self.zero = True
             return
         self.direct *= z
+        self.log_mod += math.log(abs(z))
+        self.arg += math.atan2(z.imag, z.real)
 
     def repeated(self, z: complex, count: int) -> "_Accumulator":
         """A copy with ``count`` more terms ``z`` folded into the log form in

@@ -517,7 +517,7 @@ class ProductState:
 
     def dim_at(self, site: int) -> int:
         if site < len(self.prefix):
-            return self.prefix[site].dim
+            return self.factor_at(site).dim  # refuses a negative site
         return self.tail.dim
 
     def factor_at(self, site: int) -> FactorVector:

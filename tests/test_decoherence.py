@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -200,6 +201,24 @@ class TestTruncatedDensity:
         rho = q.truncated_density(two_outcome_model(), 3)
         with pytest.raises(q.PreconditionViolated):
             rho.coherence(1, 1)
+
+    @pytest.mark.parametrize(
+        "i, j, error",
+        [
+            (-1, 1, q.IndexOutOfRange),
+            (0, -2, q.IndexOutOfRange),
+            (0, 2, q.IndexOutOfRange),
+            (2, 1, q.IndexOutOfRange),
+            (5, 5, q.IndexOutOfRange),
+            (0, 0, q.PreconditionViolated),
+            (1, 1, q.PreconditionViolated),
+        ],
+    )
+    def test_coherence_refuses_outcomes_outside_the_matrix(self, i, j, error):
+        rho = q.truncated_density(two_outcome_model(), 3)
+        with pytest.raises(error):
+            rho.coherence(i, j)
+        assert rho.coherence(0, 1) == rho.coherence(1, 0) == abs(rho.matrix[0, 1])
 
     def test_purity_falls_toward_mixture(self):
         m = two_outcome_model(eta=0.9)
@@ -472,6 +491,79 @@ class TestDecoherenceHorizon:
             tail = q.ParametricTail(2, lambda n: family(n), b1.tail.limit, b1.tail.decay)
             plain = q.MeasurementModel((2**-0.5, 2**-0.5), (b0, q.ProductState(b1.prefix, tail)))
             assert q.decoherence_horizon(plain, eps) == h
+
+    @staticmethod
+    def _skewed(prefix_len, tail):
+        """A branch of ``prefix_len`` sites (0.6, 0.8) and then ``tail``."""
+        return q.make_product_state((q.FactorVector((0.6, 0.8)),) * prefix_len, q.ConstantTail(tail))
+
+    @staticmethod
+    def _stepped(model, eps):
+        """The first cut N < 4000 with |c0| |c1| |<b1|b0>_N| < eps, one cut
+        at a time, or inf."""
+        base = abs(model.coefficients[0]) * abs(model.coefficients[1])
+        b0, b1 = model.branches
+        cuts = (n for n in range(4000) if base * abs(q.truncated_overlap(b1, b0, n)) < eps)
+        return next(cuts, math.inf)
+
+    @pytest.mark.parametrize(
+        "prefix_len, eps, tail",
+        [
+            (0, 1e-2, (0.9, 0.19**0.5)),
+            (0, 0.4, (0.9, 0.19**0.5)),
+            (3, 1e-2, (0.9, 0.19**0.5)),
+            (10, 1e-4, (0.9 * cmath.exp(0.7j), 0.19**0.5)),
+            (20, 1e-3, (0.9, 0.19**0.5)),
+            (40, 1e-10, (0.9, 0.19**0.5)),
+            (7, 1e-4, (0.0, 1.0)),
+        ],
+    )
+    def test_horizons_below_64_solve_the_run_from_its_first_cut(
+        self, prefix_len, eps, tail, monkeypatch
+    ):
+        from qsectors import overlaps
+
+        m = q.MeasurementModel(
+            (2**-0.5, 2**-0.5), (pointer_branch(1.0), self._skewed(prefix_len, q.FactorVector(tail)))
+        )
+        reads = []
+        real = overlaps._Walker.read
+        monkeypatch.setattr(overlaps._Walker, "read", lambda w, cut: reads.append(cut) or real(w, cut))
+        h = q.decoherence_horizon(m, eps)
+        monkeypatch.undo()
+        assert h < overlaps.DIRECT_LIMIT
+        assert h == self._stepped(m, eps)
+        # one read per cut up to the prefix end, then a few in the run
+        assert len(reads) <= prefix_len + 4
+
+    @pytest.mark.parametrize(
+        "tail",
+        [(cmath.exp(0.3j), 0.0), (0.9, 0.19**0.5), (0.999, (1 - 0.999**2) ** 0.5), "rank"],
+    )
+    @pytest.mark.parametrize("eps", [1e-20, 1e-24])
+    def test_a_block_past_the_horizon_does_not_start_the_run_early(self, tail, eps):
+        # the block walk brackets all 100 prefix sites at cut 65, so the walk
+        # already holds the run from 100 while the horizon (89) lies before it
+        if tail == "rank":
+            # one vector up to rank 300, then the limit: runs from 100 and 300
+            moved, limit = (0.999, (1 - 0.999**2) ** 0.5), (0.5, 0.75**0.5)
+            branch = decode_state({
+                "type": "product-state",
+                "prefix": [[0.6, 0.8]] * 100,
+                "tail": {
+                    "kind": "parametric",
+                    "class": "eventually-constant",
+                    "rank": 300,
+                    "limit": list(limit),
+                    "deviation": [a - b for a, b in zip(moved, limit)],
+                },
+            })
+        else:
+            branch = self._skewed(100, q.FactorVector(tail))
+        m = q.MeasurementModel((2**-0.5, 2**-0.5), (pointer_branch(1.0), branch))
+        h = q.decoherence_horizon(m, eps)
+        assert h == self._stepped(m, eps)
+        assert (h < 100) == (eps == 1e-20)
 
     def test_eps_and_pair_validation(self):
         m = two_outcome_model()

@@ -598,3 +598,33 @@ def test_sector_action_skips_a_term_whose_prefix_operator_annihilates_a_factor()
     assert [r["term"] for r in v.witness["terms"]] == [1]
     alone = q.FactoredOperator((q.OperatorTerm(1.0, (), rotation),))
     assert q.sector_action(alone, constant_state()).kind == "LeavesSector"
+
+
+def _site_readers():
+    """name -> (reader of one site, its answer at site 0): the state and
+    operator lookups that take a site."""
+    x, z = q.FactorOperator(PAULI_X), q.FactorOperator(PAULI_Z)
+    state = constant_state((E1, PLUS))
+    term = q.OperatorTerm(1.0, (x, z), q.ConstantOperatorTail(z))
+    bare = q.OperatorTerm(1.0, (), q.IdentityTail(2))
+    return {
+        "state-factor-at": (state.factor_at, E1),
+        "state-dim-at": (state.dim_at, 2),
+        "bare-state-dim-at": (constant_state().dim_at, 2),
+        "term-op-at": (term.op_at, x),
+        "term-dim-at": (term.dim_at, 2),
+        "term-image-at": (lambda site: term.image_at(site, E0), E1),
+        "bare-term-op-at": (bare.op_at, None),
+        "bare-term-dim-at": (bare.dim_at, 2),
+        "bare-term-image-at": (lambda site: bare.image_at(site, E0), E0),
+        "operator-dim-at": (q.FactoredOperator((term,)).dim_at, 2),
+    }
+
+
+@pytest.mark.parametrize("site", [-1, -2, -3, -10**6])
+@pytest.mark.parametrize("name", sorted(_site_readers()))
+def test_negative_sites_are_refused_not_wrapped(name, site):
+    read, at_zero = _site_readers()[name]
+    with pytest.raises(q.IndexOutOfRange, match=f"negative site {site}"):
+        read(site)
+    assert read(0) == at_zero

@@ -1080,6 +1080,99 @@ class TestRunsBeforeRank:
                 assert cmath.isclose(got, plain, rel_tol=1e-9, abs_tol=0.0)
 
 
+# -- one readout inside a run --------------------------------------------------
+#
+# A pair in a run reads every cut from the run's start: up to DIRECT_LIMIT as
+# its direct product there times G once per site, so a sweep, a walk per cut
+# and the site-by-site walk agree bit for bit, and a read that goes back
+# inside every pair's run reads what a fresh walk reads.
+
+
+def _decoded_constant(rng, prefix_len, vector):
+    return decode_state({
+        "type": "product-state",
+        "prefix": [_vector_doc(random_factor(rng, vector.dim)) for _ in range(prefix_len)],
+        "tail": {"kind": "constant", "vector": _vector_doc(vector)},
+    })
+
+
+def _short_run_cases():
+    """name -> (bra, ket): pairs whose runs start below DIRECT_LIMIT."""
+    rng = np.random.default_rng(2031)
+    u, w, v = (random_factor(rng, 3) for _ in range(3))
+    e0, e1 = q.basis_vector(3, 0), q.basis_vector(3, 1)
+    return {
+        "constant-no-prefix": (_decoded_constant(rng, 0, u), _decoded_constant(rng, 0, w)),
+        "constant": (_decoded_constant(rng, 7, u), _decoded_constant(rng, 40, w)),
+        "rank-0": (_canonical(rng, 5, 0, u), _decoded_constant(rng, 12, w)),
+        "rank-60": (_canonical(rng, 3, 60, u), _decoded_constant(rng, 20, w)),
+        "rank-within-prefix": (_canonical(rng, 40, 25, u), _canonical(rng, 9, 33, w)),
+        "zero-bracket": (_canonical(rng, 4, 50, e0, moved=e1), _decoded_constant(rng, 2, e0)),
+        "unit-phase": (
+            _decoded_constant(rng, 1, q.FactorVector((_phase(0.3), 0j, 0j))),
+            _canonical(rng, 6, 30, e0),
+        ),
+        "mixed-composite": (
+            q.CompositeState((
+                (0.6 + 0.2j, _canonical(rng, 2, 45, u)),
+                (-0.3 + 0.1j, _geometric(rng, 3, v)),
+                (0.2j, _decoded_constant(rng, 0, w)),
+            )),
+            q.CompositeState((
+                (0.5 + 0j, _decoded_constant(rng, 11, v)),
+                (0.1 - 0.7j, _plain(_canonical(rng, 1, 38, w))),
+            )),
+        ),
+        "all-run-composite": (
+            q.CompositeState((
+                (0.8 + 0j, _canonical(rng, 6, 52, u)), (0.3 - 0.5j, _decoded_constant(rng, 17, v))
+            )),
+            q.CompositeState((
+                (0.4j, _decoded_constant(rng, 3, w)), (0.9 + 0j, _canonical(rng, 0, 9, v))
+            )),
+        ),
+    }
+
+
+SHORT_RUN_CASES = _short_run_cases()
+SHORT_CUTS = list(range(1, 81))
+
+
+def _last_run_start(*sides):
+    return max(
+        max(s.run_starts, default=math.inf) for side in sides for _, s in overlaps._as_terms(side)
+    )
+
+
+class TestOneReadoutInARun:
+    def test_cases_start_their_runs_below_64(self):
+        for bra, ket in SHORT_RUN_CASES.values():
+            walker = overlaps._Walker(*overlaps._sides(bra, ket))
+            assert min(walker.firsts) <= 40 and walker.blocked == 0
+
+    @pytest.mark.parametrize("name", sorted(SHORT_RUN_CASES))
+    def test_sweep_walks_per_cut_and_the_site_by_site_walk_agree(self, name, monkeypatch):
+        bra, ket = SHORT_RUN_CASES[name]
+        sweep = q.overlap_sweep(bra, ket, SHORT_CUTS)
+        for n, value in zip(SHORT_CUTS, sweep.values):
+            assert repr(q.composite_overlap(bra, ket, n)) == repr(value)
+        direct = [n for n in SHORT_CUTS if n <= overlaps.DIRECT_LIMIT]
+        want = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, direct)
+        assert repr(_sweep_pairs(sweep)[: len(direct)]) == repr(_sweep_pairs(want))
+
+    @pytest.mark.parametrize(
+        "name", sorted(k for k in SHORT_RUN_CASES if k != "mixed-composite")
+    )
+    def test_reads_back_inside_every_run_keep_the_bits_of_a_fresh_walk(self, name):
+        bra, ket = SHORT_RUN_CASES[name]
+        last = _last_run_start(bra, ket)
+        assert last < overlaps.DIRECT_LIMIT
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        for n in [80, 64, *range(63, last - 1, -1)]:
+            fresh = overlaps._Walker(*overlaps._sides(bra, ket)).read(n)
+            assert repr(walker.read(n)) == repr(fresh)
+
+
 def _count_brackets(monkeypatch):
     calls = []
     real = overlaps.factor_overlap
