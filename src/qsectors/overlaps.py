@@ -269,7 +269,9 @@ class _Walker:
     site-by-site walk, past it as its log form plus (n - a) * (log|G|,
     atan2 G).  It crosses a finite run in that one step, so once every pair
     is in a run the walk moves from run start to run start.  Cuts must not
-    decrease, except within every pair's run or the last block.
+    decrease, except within every pair's run or within the last block past
+    DIRECT_LIMIT: a blocked walk folds its direct products forward only, so
+    it refuses a cut <= DIRECT_LIMIT below one it has read.
     """
 
     def __init__(
@@ -326,6 +328,10 @@ class _Walker:
     def read(self, cut: int) -> list[tuple[complex, float]]:
         self.check(cut)
         if cut <= DIRECT_LIMIT and self.blocked:
+            if cut < max(self.direct_at, self.site):
+                raise PreconditionViolated(
+                    f"a blocked walk cannot read back to cut {cut} <= {DIRECT_LIMIT}"
+                )
             self._fold_direct(cut)
         else:
             self._advance(cut)
@@ -342,7 +348,7 @@ class _Walker:
             brackets = row[self.direct_at : cut]
             acc.zero = acc.zero or 0 in brackets  # a zero product's direct is never read
             acc.direct = math.prod(brackets, start=acc.direct)
-        self.direct_at = max(self.direct_at, cut)
+        self.direct_at = cut
 
     def _forms(self, cut: int) -> tuple[list[complex], list[bool]]:
         """Every pair's ``_combine`` form and zero flag at ``cut``, which the

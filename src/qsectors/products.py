@@ -237,7 +237,8 @@ class _ZeroTerm(Exception):
 
 class _Broken(Exception):
     """Raised as ``_Broken(last_n, note)`` where the tail breaks its declared
-    class; ``classify_product`` answers it with ``_broken``."""
+    class or the product's value lies past the float range;
+    ``classify_product`` answers it with ``_broken``."""
 
 
 def _verdict(
@@ -305,7 +306,8 @@ def classify_product(
         return _zero_product(len(seq.prefix), "prefix")
     prefix_prod = acc.direct
     if prefix_prod == 0 or not cmath.isfinite(prefix_prod):
-        # the direct product under- or overflowed; the log form did not
+        # the direct product under- or overflowed; samples read the clamped
+        # log form, and ``_product_value`` takes values from the log form
         prefix_prod = acc.value()
 
     tail = seq.tail
@@ -339,7 +341,9 @@ def _classify_constant_tail(
     if abs(mod_dev) > ALIGN_EXACT:
         kind, value = ("ConvergesTo", 0j) if mod_dev < 0.0 else ("Diverges", None)
     elif abs(arg) <= ALIGN_EXACT:
-        kind, value = "ConvergesTo", prefix_prod
+        kind, value = "ConvergesTo", _product_value(acc, prefix_prod)
+        if value is None:
+            return _broken(acc, n0 + 1, prefix_prod, n0 + 1, _PAST_RANGE)
     else:
         kind, value = "QuasiConvergesToZero", 0j
     samples = ((n0, prefix_prod), (n0 + 1, prefix_prod * z))
@@ -363,20 +367,31 @@ def _walk_tail(
     ``_ZeroTerm``, so no classifier sees either.  The log form is written
     back also when ``step`` raises, so it holds every term folded in.  Only
     the log form is kept: ``acc.direct`` still holds the prefix product and
-    ``acc.zero`` stays false.  Returns the last term index read."""
+    ``acc.zero`` stays false.  Returns the last term index read.
+
+    A term equal to exactly 1 goes straight to ``step``.  Its fold would add
+    log(1.0) = +0.0 and atan2(+-0.0, 1.0) = +-0.0, and that changes neither
+    sum: both start at +0.0 in ``classify_product``'s ``_Accumulator`` and,
+    under round-to-nearest, a sum is -0.0 only when both operands are -0.0,
+    so neither sum is ever -0.0, and a zero added to a sum that is not -0.0
+    leaves its bits."""
     term_fn = seq.tail.term_fn
+    exact, one = complex, 1 + 0j
     log, atan2, isfinite = math.log, math.atan2, cmath.isfinite
     log_mod, arg = acc.log_mod, acc.arg
     n = start - 1
     try:
         for n in range(start, stop + 1):
-            z = complex(term_fn(n))
-            if not isfinite(z):
-                _coerce_term(z, f"at term {n}")  # raises
-            if z == 0:
-                raise _ZeroTerm(n)
-            log_mod += log(abs(z))
-            arg += atan2(z.imag, z.real)
+            z = term_fn(n)
+            if type(z) is not exact:
+                z = exact(z)
+            if z != one:
+                if not isfinite(z):
+                    _coerce_term(z, f"at term {n}")  # raises
+                if z == 0:
+                    raise _ZeroTerm(n)
+                log_mod += log(abs(z))
+                arg += atan2(z.imag, z.real)
             if step is not None and step(n, z):
                 break
     finally:
@@ -425,11 +440,32 @@ def _declared_value(prefix_prod: complex, log_sum: complex) -> complex | None:
         return None
 
 
+def _product_value(acc: _Accumulator, direct: complex | None = None) -> complex | None:
+    """Value of a converging product whose terms are all folded into the log
+    form of ``acc``.  ``direct`` is the same product multiplied out from the
+    prefix product; it is the value where both it and the prefix's direct
+    product ``acc.direct`` are finite and nonzero.  Otherwise the value is
+    exp of the log form, unclamped, or None where that lies past the float
+    range."""
+    if direct is not None and acc.direct and direct:
+        if cmath.isfinite(acc.direct) and cmath.isfinite(direct):
+            return direct
+    try:
+        return cmath.exp(complex(acc.log_mod, acc.arg))
+    except OverflowError:
+        return None
+
+
+# note of a product that converges to a value the float range cannot hold
+_PAST_RANGE = "the product converges, but its value lies past the float range"
+
+
 def _broken(
     acc: _Accumulator, start: int, prefix_prod: complex, last_n: int, note: str
 ) -> ConvergenceVerdict:
-    """Inconclusive verdict for a tail whose terms break its declared class;
-    its sample is the walked product, through the clamped exp."""
+    """Inconclusive verdict for a tail whose terms break its declared class,
+    or for a product whose value the float range cannot hold; its sample is
+    the walked product, through the clamped exp."""
     samples = ((start - 1, prefix_prod), (last_n, acc.value()))
     return _verdict("Inconclusive", None, acc, last_n, samples, note)
 
@@ -456,9 +492,13 @@ def _classify_eventually_one(
         return False
 
     last_n = _walk_tail(seq, acc, start, budget, step)
-    samples = ((start - 1, prefix_prod), (last_n, prod))
     if run >= needed_ones:
-        return _verdict("ConvergesTo", prod, acc, last_n, samples)
+        value = _product_value(acc, prod)
+        if value is None:
+            raise _Broken(last_n, _PAST_RANGE)
+        samples = ((start - 1, prefix_prod), (last_n, value))
+        return _verdict("ConvergesTo", value, acc, last_n, samples)
+    samples = ((start - 1, prefix_prod), (last_n, prod))
     note = "declared eventually-one but terms kept differing within budget"
     return _verdict("Inconclusive", None, acc, last_n, samples, note)
 
@@ -496,6 +536,9 @@ def _classify_geometric(
     value = _declared_value(prefix_prod, log_sum)
     if value is None:
         raise _Broken(last_n, "declared geometric but the log sum overflows")
+    value = _product_value(acc, value)
+    if value is None:
+        raise _Broken(last_n, _PAST_RANGE)
     samples = ((start - 1, prefix_prod), (last_n, value))
     note = f"geometric log-modulus tail bound below {tol:g}"
     return _verdict("ConvergesTo", value, acc, last_n, samples, note)
@@ -582,6 +625,9 @@ def _classify_p_series(
             raise _Broken(last_n, f"declared p={p:g} > 1 but the log sum overflows")
         acc.log_mod += correction.real
         acc.arg += correction.imag
+        value = _product_value(acc, value)
+        if value is None:
+            raise _Broken(last_n, _PAST_RANGE)
         samples = ((start - 1, prefix_prod), (last_n, value))
         note = f"p-series tail corrected by {abs(correction):.3e}"
         return _verdict("ConvergesTo", value, acc, last_n, samples, note)
@@ -638,6 +684,7 @@ def _numeric_verdict(
     samples = (*samples, (last_n, acc.value()))
     drift = abs(acc.arg - half_arg)
     kind, value = "Inconclusive", None
+    note = "numeric verdict from partial products"
     if acc.log_mod < -LOG_RUNAWAY and acc.log_mod < half_log - 1.0:
         kind, value = "ConvergesTo", 0j
     elif acc.log_mod > LOG_RUNAWAY and acc.log_mod > half_log + 1.0:
@@ -649,8 +696,11 @@ def _numeric_verdict(
             if drift > QUASI_DRIFT:
                 kind, value = "QuasiConvergesToZero", 0j
             elif drift <= _ARG_STABLE:
-                kind, value = "ConvergesTo", acc.value()
-    note = "numeric verdict from partial products"
+                value = _product_value(acc)
+                if value is None:
+                    note = _PAST_RANGE
+                else:
+                    kind = "ConvergesTo"
     return _verdict(kind, value, acc, last_n, samples, note, drift)
 
 

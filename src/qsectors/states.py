@@ -439,19 +439,33 @@ class _CanonicalFamily:
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The factors of sites [lo, hi) as one (hi - lo, dim) complex array,
         row k equal to ``self(max(lo + k, 0)).amplitudes`` bit for bit.
-        Weights come from ``_weight`` in Python; w * deviation is formed as
-        ``_weighted`` forms it, the complex product (w + 0j) * d, so even the
-        signs of underflowed zeros agree.  A non-finite amplitude raises as
-        ``FactorVector`` does, at the first one in site order."""
-        weights = [self._weight(n if n > 0 else 0) for n in range(lo, hi)]
-        w = np.array([0.0 if x is None else x for x in weights])[:, None]
+        Weights are built in one Python list per decay kind with ``_weight``'s
+        own float operations (``ratio**n``, ``(n + 1) ** -p``), so they keep
+        its bits; w * deviation is formed as ``_weighted`` forms it, the
+        complex product (w + 0j) * d, so even the signs of underflowed zeros
+        agree.  A non-finite amplitude raises as ``FactorVector`` does, at the
+        first one in site order."""
+        sites = range(lo, hi) if lo >= 0 else [max(n, 0) for n in range(lo, hi)]
+        kind, past_rank = self.decay.kind, None
+        if kind == "geometric":
+            ratio = self.decay.ratio
+            weights = [ratio**n for n in sites]
+        elif kind == "p-series":
+            p = self.decay.p
+            weights = [(n + 1) ** -p for n in sites]
+        else:
+            rank = self.decay.rank or 0
+            past_rank = [n >= rank for n in sites]
+            weights = [0.0 if past else 1.0 for past in past_rank]
+        w = np.array(weights)[:, None]
         limit = np.array(self.limit.amplitudes, dtype=complex)
         dev = np.array(self.deviation, dtype=complex)
         out = np.empty((hi - lo, len(limit)), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # Python floats do not warn
             out.real = limit.real + (w * dev.real - 0.0 * dev.imag)
             out.imag = limit.imag + (w * dev.imag + 0.0 * dev.real)
-        out[[x is None for x in weights]] = limit
+        if past_rank is not None:
+            out[past_rank] = limit
         finite = np.isfinite(out)
         if not finite.all():
             raise InvalidAmplitude(f"non-finite amplitude {complex(out[~finite][0])!r}")

@@ -106,6 +106,18 @@ class TestProductClassify:
         assert payload["code"] == "undeclared-tail-class"
         assert payload["message"] == "p-series-log-modulus needs p > 0"
 
+    @pytest.mark.parametrize(
+        "tail", [{"kind": "constant-value", "value": 1}, {"kind": "geometric-one-plus", "ratio": 0.5}]
+    )
+    def test_a_value_past_the_float_range_is_inconclusive(self, capsys, files, tail):
+        # the product is about 1e400: no clamped value, no inf
+        seq = files("seq.json", {"prefix": [1e200, 1e200], "tail": tail})
+        code, out, err = run(capsys, "product-classify", seq)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["kind"] == "Inconclusive" and doc["value"] is None
+        assert "lies past the float range" in out and "inf" not in out
+
     def test_malformed_json(self, capsys, files):
         bad = files("bad.json", "{oops")
         code, _, err = run(capsys, "product-classify", bad)

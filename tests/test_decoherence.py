@@ -565,6 +565,22 @@ class TestDecoherenceHorizon:
         assert h == self._stepped(m, eps)
         assert (h < 100) == (eps == 1e-20)
 
+    def test_a_solve_that_lands_on_a_tie_steps_forward(self, monkeypatch):
+        # eps is the coherence at cut 220 exactly, so 220 is not below it:
+        # the closed-form solve lands there and the search steps on to 221
+        from qsectors import overlaps
+
+        m = q.MeasurementModel((2**-0.5, 2**-0.5), (pointer_branch(1.0), pointer_branch(0.2937672263985205)))
+        b0, b1 = m.branches
+        eps = abs(m.coefficients[0]) * abs(m.coefficients[1]) * abs(q.truncated_overlap(b1, b0, 220))
+        reads = []
+        real = overlaps._Walker.read
+        monkeypatch.setattr(overlaps._Walker, "read", lambda w, cut: reads.append(cut) or real(w, cut))
+        h = q.decoherence_horizon(m, eps)
+        monkeypatch.undo()
+        assert h == self._stepped(m, eps) == 221
+        assert reads == [0, 219, 220, 221]
+
     def test_eps_and_pair_validation(self):
         m = two_outcome_model()
         with pytest.raises(q.PreconditionViolated):

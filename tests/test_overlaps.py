@@ -532,6 +532,33 @@ class TestBlockStretch:
             assert repr(got.values[k]) == repr(want.values[k])
             assert repr(got.log_modulus[k]) == repr(want.log_modulus[k])
 
+    def test_a_blocked_walk_refuses_to_read_back_to_a_short_cut(self):
+        # direct products fold forward only: read at 40, a read at 30 would
+        # return the product at 40
+        rng = np.random.default_rng(20)
+        bra, ket = (
+            q.ProductState(
+                tuple(random_factor(rng, 2) for _ in range(200)), q.ConstantTail(random_factor(rng, 2))
+            )
+            for _ in range(2)
+        )
+
+        def fresh(n):
+            return repr(overlaps._Walker(*overlaps._sides(bra, ket)).read(n))
+
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        assert walker.blocked == 200
+        assert repr(walker.read(40)) == repr(walker.read(40)) == fresh(40)
+        for back in (39, 30, 1):
+            with pytest.raises(q.PreconditionViolated, match=f"read back to cut {back} <= 64"):
+                walker.read(back)
+        assert repr(walker.read(64)) == fresh(64)
+        assert repr(walker.read(150)) == fresh(150)
+        with pytest.raises(q.PreconditionViolated):
+            walker.read(64)
+        # past 64 a read still goes back within the last block
+        assert repr(walker.read(100)) == fresh(100)
+
 
 # -- readouts depend only on the cut -------------------------------------------
 #

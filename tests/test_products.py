@@ -2,9 +2,11 @@ import cmath
 import contextlib
 import math
 import re
+import sys
 from collections import deque
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -619,6 +621,73 @@ def test_non_finite_tail_term_message():
     assert str(err.value) == "non-finite term (inf+0j) at term 5"
 
 
+# -- values past the float range -----------------------------------------------
+#
+# A converging product's value comes from the direct product where that and
+# the prefix's direct product stay in the float range, else from the log
+# form; a log form past the range is Inconclusive, never a clamped value.
+
+
+def _ones_after(k, z):
+    return lambda n: z if n <= k else 1.0
+
+
+PAST_RANGE_CASES = {
+    "constant": q.ComplexSequenceSpec((1e200, 1e200), q.ConstantValue(1)),
+    "geometric": _closed(lambda n: 1.0 + 0.5**n, "geometric-modulus", (1e200, 1e200), ratio=0.5),
+    "p-series": _closed(lambda n: 1.0 + n**-2.0, "p-series-log-modulus", (1e200, 1e200), p=2.0),
+    "eventually-one": _closed(_ones_after(3, 1e200), "eventually-one"),
+    "eventually-one-prefix": _closed(_ones_after(3, 1.0 + 0.5j), "eventually-one", (1e200, 1e200)),
+    "numeric": _closed(lambda n: 1.0 + 0.5**n, "custom", (1e200, 1e200)),
+    "numeric-one-term": _closed(lambda n: 1.0, "custom", (1e200,) * 4),
+}
+
+
+class TestValuesPastTheFloatRange:
+    @pytest.mark.parametrize("name", sorted(PAST_RANGE_CASES))
+    def test_a_value_past_the_range_is_inconclusive(self, name):
+        v = q.classify_product(PAST_RANGE_CASES[name], budget=3000)
+        assert v.kind == "Inconclusive" and v.value is None
+        assert v.diagnostics.notes == (products._PAST_RANGE,)
+        assert v.diagnostics.log_modulus_sum > math.log(sys.float_info.max)
+        text = serialize.dumps(serialize.encode_verdict(v))
+        assert "inf" not in text and "nan" not in text
+
+    def test_the_constant_tail_reports_the_prefix_log_form(self):
+        v = q.classify_product(PAST_RANGE_CASES["constant"])
+        assert v.diagnostics.log_modulus_sum == 2 * math.log(1e200)
+        assert v.diagnostics.terms_examined == 3
+
+    @pytest.mark.parametrize(
+        "seq, want",
+        [
+            # the direct prefix product overflows, the product does not
+            (q.ComplexSequenceSpec((1e200, 1e200, 1e-300), q.ConstantValue(1)), 1e100),
+            (q.ComplexSequenceSpec((1e200, 1e200, 1e-95), q.ConstantValue(1.0)), 1e305),
+            # tails from term 4 on: the full products over the first three factors
+            (_closed(lambda n: 1.0 + 0.5**n, "custom", (1e200, 1e200, 1e-95)),
+             1e305 * PROD_ONE_PLUS_HALF_POW / (1.5 * 1.25 * 1.125)),
+            (_closed(lambda n: 1.0 + 0.5**n, "geometric-modulus", (1e200, 1e200, 1e-300), ratio=0.5),
+             1e100 * PROD_ONE_PLUS_HALF_POW / (1.5 * 1.25 * 1.125)),
+            # the direct prefix product underflows, the product does not
+            (_closed(_ones_after(4, 1e200), "eventually-one", (1e-200, 1e-200)), 1.0),
+            (_closed(lambda n: 1.0 + n**-2.0, "p-series-log-modulus", (1e-200, 1e-200, 1e300), p=2.0),
+             1e-100 * SINH_PI_OVER_PI / (2.0 * 1.25 * (1.0 + 1.0 / 9.0))),
+            # the direct product overflows in the tail only
+            (_closed(lambda n: {2: 1e10, 3: 1e-10}.get(n, 1.0), "eventually-one", (1e300,)), 1e300),
+        ],
+    )
+    def test_a_value_inside_the_range_comes_from_the_log_form(self, seq, want):
+        v = q.classify_product(seq, budget=20_000, tol=1e-10)
+        assert v.kind == "ConvergesTo"
+        assert abs(v.value - want) <= 1e-9 * abs(want)
+
+    def test_a_direct_product_in_range_keeps_its_bits(self):
+        seq = _closed(_ones_after(4, 1.0 + 0.5j), "eventually-one", (1e200, 1e-200))
+        v = q.classify_product(seq)
+        assert repr(v.value) == repr(1e200 * 1e-200 * (1.0 + 0.5j) * (1.0 + 0.5j))
+
+
 # -- the lean walk against the per-term reference -----------------------------
 #
 # ``products._walk_tail`` calls ``term_fn`` itself, and the p-series rule runs
@@ -754,6 +823,20 @@ DECLARED = {
     "custom": st.just({}),
 }
 FAULTS = st.sampled_from([0j, 1.0, -0.5, 2.0 + 0.5j, 1e-200, 1e200, math.inf, math.nan])
+# every form in which a callback may return an exact 1; the walk skips the
+# fold of each, and the step must still see each as the complex 1
+ONES = [1, 1.0, True, 1 + 0j, complex(1.0, -0.0), np.complex128(1)]
+
+
+def _stretch_marks(start, budget):
+    """Where ``_walk_read``'s stretches end: the half mark and the doubling
+    sample counts."""
+    marks = {start + (budget - start) // 2}
+    mark = start
+    while mark <= budget:
+        marks.add(mark)
+        mark *= 2
+    return sorted(marks)
 
 
 @st.composite
@@ -766,7 +849,17 @@ def walked_sequences(draw):
     fn = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))](c, draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])))
     prefix = tuple(draw(st.lists(st.sampled_from([0.5, 2.0, 1j, -1.0, 1e-200]), max_size=5)))
     budget = draw(st.integers(len(prefix) + 1, len(prefix) + 2500))
-    fault_at = draw(st.none() | st.integers(len(prefix) + 1, budget))
+    start = len(prefix) + 1
+    for _ in range(draw(st.integers(0, 3))):
+        # a run of exact ones, often across a stretch end
+        if draw(st.booleans()):
+            at = draw(st.sampled_from(_stretch_marks(start, budget))) - draw(st.integers(0, 20))
+        else:
+            at = draw(st.integers(start, budget))
+        length = draw(st.integers(1, 300))
+        one = draw(st.sampled_from(ONES))
+        fn = (lambda f, lo, hi, z: lambda n: z if lo <= n < hi else f(n))(fn, at, at + length, one)
+    fault_at = draw(st.none() | st.integers(start, budget))
     if fault_at is not None:
         fault = draw(FAULTS)
         fn = (lambda f, k, z: lambda n: z if n == k else f(n))(fn, fault_at, fault)
@@ -776,7 +869,7 @@ def walked_sequences(draw):
 
 
 class TestLeanWalk:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(walked_sequences())
     def test_every_class_matches_the_reference(self, case):
         _, seq, kwargs = case
@@ -801,6 +894,35 @@ class TestLeanWalk:
                 q.classify_product(seq, budget=500)
             errors.append((type(err.value), str(err.value)))
         assert errors[0] == errors[1] == (q.InvalidAmplitude, f"non-finite term {bad!r} at term 37")
+
+    @pytest.mark.parametrize("one", ONES, ids=repr)
+    @pytest.mark.parametrize("klass", products.TAIL_CLASSES)
+    def test_exact_ones_in_every_form_match_the_reference(self, klass, one):
+        # ones between ordinary terms, behind a prefix whose angle is -0.0
+        seq = _closed(
+            lambda n: one if n % 5 else 1.0 - 1e-3j * n**-2.0, klass, (0.5, complex(1.0, -0.0)),
+            **_declared(klass),
+        )
+        for budget in (2, 3, 40, 500, 3000):
+            lean, ref = _both(seq, budget=budget)
+            assert lean == ref
+
+    @pytest.mark.parametrize("one", ONES, ids=repr)
+    def test_the_step_sees_each_one_as_the_complex_one(self, one):
+        seen = []
+        acc = products._Accumulator()
+        last = products._walk_tail(_closed(lambda n: one, "custom"), acc, 1, 50, lambda n, z: seen.append(z))
+        assert last == 50 and len(seen) == 50
+        assert all(type(z) is complex and z == 1 for z in seen)
+        assert repr((acc.log_mod, acc.arg, acc.direct, acc.zero)) == "(0.0, 0.0, (1+0j), False)"
+
+    @pytest.mark.parametrize("one", ONES, ids=repr)
+    def test_faults_among_ones_exit_as_the_reference_does(self, one):
+        for fault, at in ((0j, 9), (math.inf, 9), (0j, 64), (complex(math.nan, 0.0), 65)):
+            seq = _closed(lambda n: fault if n == at else one, "custom", (2.0,))
+            lean, ref = _both(seq, budget=200)
+            assert lean == ref
+            assert f"at term {at}'" in lean or f"terms_examined={at}," in lean
 
     def test_a_rule_that_stops_runs_the_exact_check(self):
         # the screen passes from the first checked term on, and the exact

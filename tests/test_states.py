@@ -1,6 +1,7 @@
 import math
 import pickle
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,37 @@ class TestShiftedDeclarations:
         # moved 2 sites later, the family's run before rank starts at the
         # prefix end and its limit at 9 + 2
         assert q.ProductState((limit,) * 3, tail.shifted(2)).run_starts == (3, 11)
+
+    @pytest.mark.parametrize(
+        "decay", [q.DecaySpec("geometric", ratio=0.5), q.DecaySpec("p-series", p=1.5)],
+        ids=["geometric", "p-series"],
+    )
+    def test_family_rows_build_their_weights_without_weight(self, decay, monkeypatch):
+        family = _CanonicalFamily(q.FactorVector((0.6, 0.8)), (0.1 + 0.2j, -0.3), decay)
+        monkeypatch.setattr(_CanonicalFamily, "_weight", mock.Mock(side_effect=AssertionError))
+        assert family.rows(-3, 200).shape == (203, 2)
+
+    @pytest.mark.parametrize(
+        "decay, lo, hi",
+        [
+            # ratio**n is subnormal from n = 1023 and 0 from n = 1075
+            (q.DecaySpec("geometric", ratio=0.5), 1015, 1085),
+            (q.DecaySpec("geometric", ratio=0.0), -4, 6),
+            # (n + 1)**-200 is subnormal from n = 34 and 0 from n = 41
+            (q.DecaySpec("p-series", p=200.0), 25, 50),
+            (q.DecaySpec("p-series", p=0.75), -7, 30),
+            (q.DecaySpec("eventually-constant", rank=3), -2, 9),
+            (q.DecaySpec("custom-certified", scale=0.5), -2, 9),
+        ],
+        ids=lambda x: x.kind if isinstance(x, q.DecaySpec) else str(x),
+    )
+    def test_family_rows_are_the_factors_where_weights_underflow(self, decay, lo, hi):
+        # signed zeros and subnormals, so any rounding shows in the bytes
+        limit = q.FactorVector((0.6, -0.0, 0.8j, complex(-0.0, -0.0)))
+        deviation = (complex(0.1, -0.0), complex(-3e-310, 0.2), complex(0.0, -1e-300), complex(0.0, -3e-320))
+        family = _CanonicalFamily(limit, deviation, decay)
+        want = np.array([family(max(n, 0)).amplitudes for n in range(lo, hi)], dtype=complex)
+        assert family.rows(lo, hi).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("a, b", [(0, 0), (1, 2), (3, 0), (2, 5)])
