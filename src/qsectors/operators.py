@@ -93,7 +93,7 @@ class FactorOperator:
         if vec.dim != self.dim:
             raise ShapeMismatch(f"operator dim {self.dim} vs factor dim {vec.dim}")
         out = self.matrix @ np.asarray(vec.amplitudes, dtype=complex)
-        return FactorVector(tuple(complex(c) for c in out))
+        return FactorVector(tuple(out.tolist()))
 
 
 def identity_operator(dim: int) -> FactorOperator:

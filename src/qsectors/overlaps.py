@@ -427,8 +427,10 @@ class _Walker:
         """Bracket the next block and fold it into each pair's log form."""
         start, self.site, forms, zeros = next(self.blocks)
         # running sums seeded with each pair's log form so far: a column is
-        # the site-by-site sum, bit for bit (a complex sum adds the log
-        # moduli and the angles apart)
+        # the sequential sum of the block's own per-site forms (a complex sum
+        # adds the log moduli and the angles apart).  numpy's abs, log and
+        # arctan2 may round otherwise than the site-by-site walk's abs,
+        # math.log and math.atan2, so the two agree within rounding only.
         forms[:, 0] += [complex(acc.log_mod, acc.arg) for acc in self.accs]
         zeros[:, 0] |= [acc.zero for acc in self.accs]
         np.cumsum(forms, axis=1, out=forms)

@@ -431,11 +431,18 @@ def _walk_read(
     return half, samples
 
 
-def _declared_value(prefix_prod: complex, log_sum: complex) -> complex | None:
-    """``prefix_prod * exp(log_sum)``, or None where the exp overflows: a
-    log sum that large breaks the declared class, whose logs are summable."""
+def _declared_value(prefix_prod: complex, log_sum: complex, log_form: complex) -> complex | None:
+    """``prefix_prod * exp(log_sum)``, with ``log_sum`` the tail's.  Where
+    that exp overflows, exp of ``log_form``, the product's log form with the
+    prefix in it, as ``_product_value`` reads it: the prefix may bring the
+    product back into range.  None where both overflow: a log sum that large
+    breaks the declared class, whose logs are summable."""
     try:
         return prefix_prod * cmath.exp(log_sum)
+    except OverflowError:
+        pass
+    try:
+        return cmath.exp(log_form)
     except OverflowError:
         return None
 
@@ -498,7 +505,8 @@ def _classify_eventually_one(
             raise _Broken(last_n, _PAST_RANGE)
         samples = ((start - 1, prefix_prod), (last_n, value))
         return _verdict("ConvergesTo", value, acc, last_n, samples)
-    samples = ((start - 1, prefix_prod), (last_n, prod))
+    # the running product may have overflowed; the clamped log form cannot
+    samples = ((start - 1, prefix_prod), (last_n, acc.value()))
     note = "declared eventually-one but terms kept differing within budget"
     return _verdict("Inconclusive", None, acc, last_n, samples, note)
 
@@ -533,7 +541,7 @@ def _classify_geometric(
         return remaining < tol
 
     last_n = _walk_tail(seq, acc, start, budget, step)
-    value = _declared_value(prefix_prod, log_sum)
+    value = _declared_value(prefix_prod, log_sum, complex(acc.log_mod, acc.arg))
     if value is None:
         raise _Broken(last_n, "declared geometric but the log sum overflows")
     value = _product_value(acc, value)
@@ -620,11 +628,11 @@ def _classify_p_series(
         # midpoint integral correction for the unevaluated tail, folded into
         # the log form the diagnostics report
         correction = c_est * (last_n + 0.5) ** (1.0 - p) / (p - 1.0)
-        value = _declared_value(prefix_prod, log_sum + correction)
+        log_form = complex(acc.log_mod, acc.arg) + correction
+        value = _declared_value(prefix_prod, log_sum + correction, log_form)
         if value is None:
             raise _Broken(last_n, f"declared p={p:g} > 1 but the log sum overflows")
-        acc.log_mod += correction.real
-        acc.arg += correction.imag
+        acc.log_mod, acc.arg = log_form.real, log_form.imag
         value = _product_value(acc, value)
         if value is None:
             raise _Broken(last_n, _PAST_RANGE)

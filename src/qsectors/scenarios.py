@@ -51,7 +51,7 @@ def _blocked_rotation(p: int, q: int) -> FactorVector:
     """Kronecker fold of p plus-spins followed by q - p up-spins."""
     factors = [_PLUS] * p + [_UP] * (q - p)
     folded = reduce(np.kron, factors)
-    return FactorVector(tuple(complex(c) for c in folded))
+    return FactorVector(tuple(folded.tolist()))
 
 
 @dataclass(frozen=True)

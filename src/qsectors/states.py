@@ -12,14 +12,15 @@ factors into the prefix never changes which vector lives at a given site.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, groupby
 from numbers import Real
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 import numpy as np
@@ -85,22 +86,41 @@ def _as_complex_tuple(values: Iterable[complex]) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class FactorVector:
-    """One factor-space vector: a finite tuple of complex amplitudes."""
+    """One factor-space vector: a finite tuple of complex amplitudes.
+
+    ``norm_sq`` is computed on first read and kept for the life of the
+    vector; it is not pickled."""
 
     amplitudes: tuple[complex, ...]
-    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        amps = _as_complex_tuple(self.amplitudes)
+        # Two C-level passes convert and check the amplitudes.  Where either
+        # fails, _as_complex_tuple goes through them one at a time, so the
+        # error is the one of the first bad amplitude.  A generator is read
+        # into a tuple first, so that it can be gone through twice.
+        values = tuple(self.amplitudes)
+        try:
+            amps = tuple(map(complex, values))
+        except (TypeError, ValueError, OverflowError):
+            amps = None
+        if amps is None or not all(map(cmath.isfinite, amps)):
+            amps = _as_complex_tuple(values)
         if not amps:
             raise InvalidAmplitude("factor vector needs at least one amplitude")
         object.__setattr__(self, "amplitudes", amps)
+
+    @cached_property
+    def norm_sq(self) -> float:
         # added left to right on every Python version (3.12's float sum
         # compensates); _row_norms adds the columns of a block in this order
         norm_sq = 0.0
-        for c in amps:
+        for c in self.amplitudes:
             norm_sq += c.real * c.real + c.imag * c.imag
-        object.__setattr__(self, "norm_sq", norm_sq)
+        return norm_sq
+
+    def __getstate__(self) -> dict:
+        # the cached norm is recomputed on demand, so pickles stay the same
+        return {k: v for k, v in self.__dict__.items() if k != "norm_sq"}
 
     @property
     def dim(self) -> int:
@@ -133,16 +153,14 @@ class FactorVector:
 def basis_vector(dim: int, index: int) -> FactorVector:
     if not 0 <= index < dim:
         raise IndexOutOfRange(f"basis index {index} outside dim {dim}")
-    return FactorVector(tuple(1.0 + 0j if k == index else 0j for k in range(dim)))
+    return FactorVector((0j,) * index + (1.0 + 0j,) + (0j,) * (dim - index - 1))
 
 
 def factor_overlap(bra: FactorVector, ket: FactorVector) -> complex:
     """<bra|ket> with the bra conjugated."""
     if bra.dim != ket.dim:
         raise ShapeMismatch(f"factor dims differ: {bra.dim} vs {ket.dim}")
-    return sum(
-        a.conjugate() * b for a, b in zip(bra.amplitudes, ket.amplitudes)
-    )
+    return sum(map(mul, map(complex.conjugate, bra.amplitudes), ket.amplitudes))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -415,9 +433,7 @@ class _CanonicalFamily:
         # complex * complex, not float * complex: CPython 3.14 multiplies a
         # float into a complex without the 0 * x terms, which moves zero signs
         w = complex(weight)
-        return FactorVector(
-            tuple(a + w * d for a, d in zip(self.limit.amplitudes, self.deviation))
-        )
+        return FactorVector(tuple(map(add, self.limit.amplitudes, map(w.__mul__, self.deviation))))
 
     def _weight(self, n: int) -> float | None:
         """w of site n >= 0, or None where the factor is the limit itself."""

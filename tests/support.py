@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,11 @@ from qsectors.operators import (
     OperatorTerm,
 )
 from qsectors.serialize import decode_state, encode_operator, encode_state
+
+
+def complex_bits(values) -> bytes:
+    """The bytes of a sequence of complex numbers, signs of zero included."""
+    return b"".join(struct.pack("<dd", c.real, c.imag) for c in values)
 
 
 def random_factor(rng: np.random.Generator, dim: int, unit: bool = True) -> q.FactorVector:

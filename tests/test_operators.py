@@ -1,10 +1,13 @@
 import cmath
 import math
 import pickle
+import re
 from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsectors as q
 from qsectors.oracle import (
@@ -14,7 +17,7 @@ from qsectors.oracle import (
     densify_operator,
 )
 
-from support import random_factor, random_operator, random_product_state
+from support import complex_bits, random_factor, random_operator, random_product_state
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -48,6 +51,10 @@ def global_op(matrix, dim=2, coefficient=1.0):
     )
 
 
+_finite = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+_complex = st.builds(complex, _finite, _finite)
+
+
 class TestFactorOperator:
     def test_rejects_non_square(self):
         with pytest.raises(q.ShapeMismatch):
@@ -74,6 +81,26 @@ class TestFactorOperator:
         assert out.amplitudes == (0.0, 1.0)
         with pytest.raises(q.ShapeMismatch):
             q.FactorOperator(PAULI_X).apply_to(q.basis_vector(3, 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 16).flatmap(lambda d: st.tuples(
+        st.lists(_complex, min_size=d * d, max_size=d * d),
+        st.lists(_complex, min_size=d, max_size=d),
+    )))
+    def test_apply_to_matches_the_generator(self, case):
+        entries, amplitudes = case
+        m = np.array(entries, dtype=complex).reshape(len(amplitudes), -1)
+        u, f = q.FactorOperator(m), q.FactorVector(amplitudes)
+        out = u.matrix @ np.asarray(f.amplitudes, dtype=complex)
+        try:
+            want = q.FactorVector(tuple(complex(c) for c in out))
+        except q.InvalidAmplitude as exc:  # an entry past the float range
+            with pytest.raises(q.InvalidAmplitude, match=f"^{re.escape(str(exc))}$"):
+                u.apply_to(f)
+            return
+        got = u.apply_to(f)
+        assert all(type(c) is complex for c in got.amplitudes)
+        assert complex_bits(got.amplitudes) == complex_bits(want.amplitudes)
 
     def test_matrix_is_read_only(self):
         u = q.FactorOperator(PAULI_X)

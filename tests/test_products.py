@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import json
 import math
 import re
 import sys
@@ -325,6 +326,33 @@ class TestBrokenDeclarations:
         assert (v.kind, v.value) == ("Inconclusive", None)
         assert v.diagnostics.notes == ("declared geometric but the log sum overflows",)
 
+    @pytest.mark.parametrize(
+        "declared, last_n",
+        [({"klass": "geometric-modulus", "ratio": 0.5}, 45), ({"klass": "p-series-log-modulus", "p": 2.0}, 34)],
+    )
+    def test_a_prefix_brings_an_overflowing_tail_back_into_range(self, declared, last_n):
+        # the tail's log sum alone is 800, past exp's range; with the
+        # prefix's log(1e-300) the product's is 109.22
+        tail = q.ClosedFormTail(term_fn=lambda n: cmath.exp(400.0) if n in (2, 3) else 1.0, **declared)
+        v = q.classify_product(q.ComplexSequenceSpec(prefix=(1e-300,), tail=tail))
+        log_sum = math.log(1e-300) + 800.0
+        assert v.kind == "ConvergesTo"
+        assert v.value == cmath.exp(complex(v.diagnostics.log_modulus_sum, 0.0))
+        assert v.value.real == pytest.approx(math.exp(log_sum), rel=1e-12)
+        assert v.diagnostics.log_modulus_sum == pytest.approx(log_sum, rel=1e-14)
+        assert v.diagnostics.samples == ((1, 1e-300 + 0j), (last_n, v.value))
+        assert v.diagnostics.terms_examined == last_n
+
+    def test_an_eventually_one_sample_stays_finite(self):
+        v = self.classify(lambda n: 1e200, klass="eventually-one")
+        assert (v.kind, v.value) == ("Inconclusive", None)
+        (first, one), (last_n, sample) = v.diagnostics.samples
+        assert (first, one) == (0, 1 + 0j)
+        # the running product overflows at n = 2 and holds inf * 0 = nan from
+        # n = 3 on; the sample is exp of the log form, clamped at 700
+        assert last_n == 3000 and sample == cmath.exp(700.0)
+        assert "nan" not in json.dumps(serialize.encode_verdict(v))
+
     def test_geometric_terms_past_underflow_are_inconclusive(self):
         v = self.classify(lambda n: 1 + 0.5 / n, klass="geometric-modulus", ratio=0.3)
         assert (v.kind, v.value) == ("Inconclusive", None)
@@ -567,7 +595,8 @@ FROZEN = {
     'declared-quasi-probe-cap': "ConvergenceVerdict(kind='QuasiConvergesToZero', value=0j, diagnostics=ProductDiagnostics(samples=((10000, (-0.9348968243033432-0.3549196076684464j)),), log_modulus_sum=0.0, argument_drift=9.787606036044348, terms_examined=10000, notes=('declared bounded-nonsummable-argument: modulus product converges, argument sums are unbounded',)))",
     'declared-quasi-zero': "ConvergenceVerdict(kind='ConvergesTo', value=0j, diagnostics=ProductDiagnostics(samples=((7, 0j),), log_modulus_sum=-inf, argument_drift=0.0, terms_examined=7, notes=('zero tail term short-circuits the product',)))",
     'eventually-one-first-zero': "ConvergenceVerdict(kind='ConvergesTo', value=0j, diagnostics=ProductDiagnostics(samples=((2, 0j),), log_modulus_sum=-inf, argument_drift=0.0, terms_examined=2, notes=('zero tail term short-circuits the product',)))",
-    'eventually-one-inconclusive': "ConvergenceVerdict(kind='Inconclusive', value=None, diagnostics=ProductDiagnostics(samples=((0, (1+0j)), (2000, (2000.9999999999898+0j))), log_modulus_sum=7.601402334583738, argument_drift=0.0, terms_examined=2000, notes=('declared eventually-one but terms kept differing within budget',)))",
+    # its last sample is the clamped log form since the running product could overflow
+    'eventually-one-inconclusive': "ConvergenceVerdict(kind='Inconclusive', value=None, diagnostics=ProductDiagnostics(samples=((0, (1+0j)), (2000, (2001.0000000000089+0j))), log_modulus_sum=7.601402334583738, argument_drift=0.0, terms_examined=2000, notes=('declared eventually-one but terms kept differing within budget',)))",
     'eventually-one-last-zero': "ConvergenceVerdict(kind='ConvergesTo', value=0j, diagnostics=ProductDiagnostics(samples=((2000, 0j),), log_modulus_sum=-inf, argument_drift=0.0, terms_examined=2000, notes=('zero tail term short-circuits the product',)))",
     'eventually-one-settles': "ConvergenceVerdict(kind='ConvergesTo', value=(0.375+0.5j), diagnostics=ProductDiagnostics(samples=((1, (0.5+0j)), (23, (0.375+0.5j))), log_modulus_sum=-0.4700036292457354, argument_drift=0.9272952180016122, terms_examined=23, notes=()))",
     'eventually-one-zero': "ConvergenceVerdict(kind='ConvergesTo', value=0j, diagnostics=ProductDiagnostics(samples=((5, 0j),), log_modulus_sum=-inf, argument_drift=0.0, terms_examined=5, notes=('zero tail term short-circuits the product',)))",
@@ -749,7 +778,8 @@ def _reference_p_series(seq, prefix_prod, acc, start, budget, tol):
     c_est = sum(window) / len(window) if window else 0j
     if p > 1.0:
         correction = c_est * (last_n + 0.5) ** (1.0 - p) / (p - 1.0)
-        value = products._declared_value(prefix_prod, log_sum + correction)
+        log_form = complex(acc.log_mod, acc.arg) + correction
+        value = products._declared_value(prefix_prod, log_sum + correction, log_form)
         if value is None:
             raise products._Broken(last_n, f"declared p={p:g} > 1 but the log sum overflows")
         acc.log_mod += correction.real

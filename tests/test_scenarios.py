@@ -4,9 +4,13 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsectors as q
 from qsectors.oracle import dense_overlap, densify
+from qsectors.scenarios import _PLUS, _UP, _blocked_rotation
+from support import complex_bits
 
 UP = np.array([1.0, 0.0])
 PLUS = np.array([2**-0.5, 2**-0.5])
@@ -347,3 +351,26 @@ class TestRunCascade:
             set(r) >= {"stage", "kind", "parameter", "count", "cumulative_records"}
             for r in rows
         )
+
+
+class TestBlockedRotation:
+    """The rotated block's amplitudes come from one ``tolist``; they keep the
+    bits of the per-amplitude ``complex`` loop it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 16).flatmap(lambda q_: st.tuples(st.integers(0, q_), st.just(q_))))
+    def test_matches_the_generator(self, case):
+        p, period = case
+        folded = reduce(np.kron, [_PLUS] * p + [_UP] * (period - p))
+        want = tuple(complex(c) for c in folded)
+        got = _blocked_rotation(p, period).amplitudes
+        assert all(type(c) is complex for c in got)
+        assert complex_bits(got) == complex_bits(want)
+
+    @pytest.mark.parametrize("p", [0, 1, 8, 16])
+    def test_the_largest_blocks(self, p):
+        folded = reduce(np.kron, [_PLUS] * p + [_UP] * (16 - p))
+        got = _blocked_rotation(p, 16).amplitudes
+        assert len(got) == 65_536
+        assert complex_bits(got) == complex_bits(tuple(complex(c) for c in folded))
+        assert got[0].real == pytest.approx(2.0 ** (-p / 2), rel=1e-14)

@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import pickle
+import re
+import struct
 import sys
 from unittest import mock
 
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 import qsectors as q
 from qsectors.states import _CanonicalFamily
-from support import MALFORMED_VALUES, random_factor, random_product_state
+from support import MALFORMED_VALUES, complex_bits, random_factor, random_product_state
 
 import numpy as np
 
@@ -22,8 +25,9 @@ class TestFactorVector:
         assert v.norm_sq == 25.0
 
     def test_rejects_empty(self):
-        with pytest.raises(q.InvalidAmplitude):
-            q.FactorVector(())
+        for values in ((), [], np.array([], dtype=complex), iter(())):
+            with pytest.raises(q.InvalidAmplitude, match="^factor vector needs at least one amplitude$"):
+                q.FactorVector(values)
 
     def test_rejects_non_finite(self):
         with pytest.raises(q.InvalidAmplitude):
@@ -54,6 +58,187 @@ class TestFactorOverlapFn:
     def test_dim_mismatch(self):
         with pytest.raises(q.ShapeMismatch):
             q.factor_overlap(q.basis_vector(2, 0), q.basis_vector(3, 0))
+
+
+# -- per-site layers against the formulas they replaced ----------------------
+#
+# FactorVector converts and checks its amplitudes in C-level passes, computes
+# its norm on first read, and factor_overlap, basis_vector and the canonical
+# family's weighted vectors use map and tuple repetition.  Each keeps the bits
+# of the per-amplitude Python loop or generator it replaced; those are kept
+# here as the reference.
+
+
+def _loop_amplitudes(values):
+    out = []
+    for v in values:
+        c = complex(v)
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise q.InvalidAmplitude(f"non-finite amplitude {c!r}")
+        out.append(c)
+    return tuple(out)
+
+
+def _loop_norm_sq(amplitudes):
+    norm_sq = 0.0
+    for c in amplitudes:
+        norm_sq += c.real * c.real + c.imag * c.imag
+    return norm_sq
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_complex = st.builds(complex, _finite, _finite)
+
+
+class TestFactorVectorPasses:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.6, 0.8j),
+            [3, -4],
+            (True, False),
+            np.array([0.6 + 0.1j, -0.0, 0.8j]),
+            np.array([1.0, -2.5]),
+            np.array([3, 4], dtype=np.int64),
+            (np.float64(0.25), np.complex128(-0.5j), np.int32(2), np.bool_(True)),
+            (complex(-0.0, -0.0), -0.0, 5e-324, 1e200),
+            tuple(np.random.default_rng(1).normal(size=65_536).tolist()),
+        ],
+        ids=["tuple", "list", "bools", "numpy-complex", "numpy-float", "numpy-int",
+             "numpy-scalars", "signed-zeros", "dim-65536"],
+    )
+    def test_amplitudes_match_the_loop(self, values):
+        v = q.FactorVector(values)
+        assert all(type(c) is complex for c in v.amplitudes)
+        assert complex_bits(v.amplitudes) == complex_bits(_loop_amplitudes(values))
+
+    def test_a_generator_is_read_once(self):
+        v = q.FactorVector(x / 4 for x in range(3))
+        assert v.amplitudes == (0j, 0.25 + 0j, 0.5 + 0j)
+        with pytest.raises(q.InvalidAmplitude, match=r"^non-finite amplitude \(inf\+0j\)$"):
+            q.FactorVector(x for x in (1.0, math.inf, "x"))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1.0, math.inf, math.nan),
+            (0.5, complex(0.0, math.nan), -math.inf),
+            (np.float64(1.0), np.float64(-np.inf)),
+            (1.0, math.inf, "x"),
+            (math.nan, None),
+            (0.5, "x", math.inf),
+            (0.5, None),
+            (1.0, 10**400),
+            ([1.0],),
+            ((), 1.0),
+        ],
+    )
+    def test_the_first_bad_amplitude_raises_as_the_loop_does(self, values):
+        want = _raised(_loop_amplitudes, values)
+        assert want is not None
+        assert _raised(q.FactorVector, values) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_complex, min_size=1, max_size=20))
+    def test_norm_sq_matches_the_loop(self, values):
+        v = q.FactorVector(values)
+        assert struct.pack("<d", v.norm_sq) == struct.pack("<d", _loop_norm_sq(v.amplitudes))
+
+    @pytest.mark.parametrize(
+        "values, norm_sq",
+        [
+            ((1e200, 1.0), math.inf),
+            ((complex(1e200, 1e200),), math.inf),
+            ((5e-324, complex(0.0, 5e-324)), 0.0),
+            ((1e-160, 1e-160j), (1e-160 * 1e-160) * 2),  # subnormal squares
+            # each tie rounds to even, so a compensated sum (fsum, or sum
+            # from Python 3.12 on) gives 1 + 2**-52
+            ((1.0, complex(2**-27, 2**-27), complex(2**-27, 2**-27)), 1.0),
+        ],
+    )
+    def test_norm_sq_edges(self, values, norm_sq):
+        v = q.FactorVector(values)  # a norm past the float range is no error
+        assert v.norm_sq == norm_sq == _loop_norm_sq(v.amplitudes)
+        assert v.norm == math.sqrt(norm_sq)
+
+    def test_the_norm_is_computed_once_on_first_read(self):
+        v = q.FactorVector((3.0, 4.0))
+        assert "norm_sq" not in vars(v)
+        assert v.norm == 5.0
+        assert vars(v)["norm_sq"] == 25.0
+        assert v.norm_sq is v.norm_sq
+
+    def test_equality_hash_repr_and_replace(self):
+        a, b = q.FactorVector((3.0, 4j)), q.FactorVector([3, 4j])
+        b.norm_sq
+        assert a == b and hash(a) == hash(b) == hash(((3 + 0j, 4j),))
+        assert repr(a) == repr(b) == "FactorVector(amplitudes=((3+0j), 4j))"
+        assert [f.name for f in dataclasses.fields(a)] == ["amplitudes"]
+        c = dataclasses.replace(b, amplitudes=(1, 0))
+        assert c == q.basis_vector(2, 0) and c.norm_sq == 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.amplitudes = (1.0,)
+
+    def test_pickles_do_not_change_when_the_norm_is_read(self):
+        v = q.FactorVector((0.6, 0.8j))
+        before = pickle.dumps(v)
+        assert v.norm_sq == _loop_norm_sq(v.amplitudes)
+        assert pickle.dumps(v) == before
+        back = pickle.loads(before)
+        assert back == v and "norm_sq" not in vars(back)
+        assert back.norm_sq == v.norm_sq
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda d: st.tuples(*[st.lists(_complex, min_size=d, max_size=d)] * 2)
+    ))
+    def test_factor_overlap_matches_the_generator_sum(self, pair):
+        bra, ket = (q.FactorVector(v) for v in pair)
+        want = sum(a.conjugate() * b for a, b in zip(bra.amplitudes, ket.amplitudes))
+        assert complex_bits([q.factor_overlap(bra, ket)]) == complex_bits([want])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.tuples(*[st.lists(_complex, min_size=d, max_size=d)] * 2)
+        ),
+        st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0.5, 1e-300]) | st.floats(0.0, 1.0),
+    )
+    def test_weighted_matches_the_generator(self, pair, weight):
+        limit, deviation = q.FactorVector(pair[0]), tuple(pair[1])
+        family = _CanonicalFamily(limit, deviation, q.DecaySpec("p-series", p=2.0))
+        w = complex(weight)
+        try:
+            want = _loop_amplitudes(a + w * d for a, d in zip(limit.amplitudes, deviation))
+        except q.InvalidAmplitude as exc:
+            with pytest.raises(q.InvalidAmplitude, match=f"^{re.escape(str(exc))}$"):
+                family._weighted(weight)
+            return
+        assert complex_bits(family._weighted(weight).amplitudes) == complex_bits(want)
+
+    def test_weighted_keeps_zero_signs(self):
+        limit = q.FactorVector((-0.0, complex(-0.0, -0.0), 0.0, 0.5))
+        deviation = (complex(-0.0, 0.0), -0.0, complex(0.0, -0.0), -1e-300)
+        family = _CanonicalFamily(limit, deviation, q.DecaySpec("geometric", ratio=0.5))
+        for weight in (0.0, 1.0, 1e-30, 0.5**1074):
+            w = complex(weight)
+            want = tuple(a + w * d for a, d in zip(limit.amplitudes, deviation))
+            assert complex_bits(family._weighted(weight).amplitudes) == complex_bits(want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 16, 64, 65_536])
+    def test_basis_vector_matches_the_generator(self, dim):
+        for index in sorted({0, 1 % dim, dim // 2, dim - 1}):
+            want = tuple(1.0 + 0j if k == index else 0j for k in range(dim))
+            got = q.basis_vector(dim, index).amplitudes
+            assert complex_bits(got) == complex_bits(want)
 
 
 class TestDecaySpec:
