@@ -10,13 +10,14 @@ threshold, entirely in log space.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidAmplitude, PreconditionViolated
-from .overlaps import _sides, _Terms, _walk, _Walker
+from .overlaps import DIRECT_LIMIT, _cut, _sides, _Terms, _walk, _Walker
 from .sectors import same_sector
 from .states import (
     ALIGN_EXACT,
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 _HORIZON_CHECK_EVERY = 4096
+# log-space slack of the horizon's block screen (``_screen``)
+_SCREEN_MARGIN = 1e-9
 
 
 def _check_pointer_amplitudes(coeffs: tuple[complex, ...]) -> None:
@@ -177,6 +180,7 @@ def truncated_density(model: MeasurementModel, truncation: int) -> TruncatedDens
     Hermitian by construction rather than by rounding luck.  One walk
     brackets all branches, reading out the m(m-1)/2 pairs above the diagonal.
     """
+    truncation = _cut(truncation)
     if truncation < 0:
         raise PreconditionViolated("truncation must be >= 0")
     m = model.n_outcomes
@@ -209,20 +213,24 @@ def _pair_horizon(
     the decay certificates prove the modulus never drops that far.
 
     The cuts N = 0, 1, ... are read off one walk over the pair, the walk
-    ``truncated_overlap`` makes, so the two agree at exact ties too.  From
+    ``truncated_overlap`` makes, so the two agree at exact ties too.  Past
+    DIRECT_LIMIT, in the block stretch, the cuts are screened a block at a
+    time (``_screen``) and read from the first that can meet eps.  From
     the first cut inside a run of the pair, with bracket G, where |G| < 1, N
     is solved from the log form and G and, if it falls inside the run,
     checked at N - 1 and N; otherwise the walk goes on at the run's end.
     Only the last run, which never ends, can prove that the modulus stays
     put.  ``budget`` bounds the sites read one at a time past the prefixes;
     parametric tails check their certificate every ``_HORIZON_CHECK_EVERY``
-    sites there.
+    sites there.  Screening skips no cut where any of these may end the
+    search, so each lands at the cut a read of every cut would.
     """
     walk = _Walker(*_sides(bra, ket))
     log_base = math.log(base) if base > 0.0 else -math.inf
     log_eps = math.log(eps)
     span = max(bra.prefix_len, ket.prefix_len)
     stop = max(span, budget)
+    screened = eps >= sys.float_info.min
 
     def below(cut: int) -> bool:
         ((value, _),) = walk.read(cut)
@@ -230,13 +238,18 @@ def _pair_horizon(
 
     n = 0
     while True:
+        if screened and DIRECT_LIMIT < n < walk.blocked:
+            # the next certificate check, at a multiple past the prefixes
+            certified = -(-max(n, span + 1) // _HORIZON_CHECK_EVERY) * _HORIZON_CHECK_EVERY
+            hi = min(walk.blocked, stop, certified, walk.refused_from())
+            n = _screen(walk, n, hi, log_eps - log_base)
         ((value, log_mod),) = walk.read(n)
         if base * abs(value) < eps:
             return n
         cur = log_base + log_mod
         run = walk.runs.get(0)
         if run is not None and run[0] <= n:  # a block may end at a later run
-            _, end, g = run
+            _, end, g, _ = run
             if end == math.inf and abs(g) >= 1.0 - ALIGN_EXACT:
                 return math.inf
             # first N with cur + (N - n) * log|G| < log_eps; every read
@@ -266,6 +279,23 @@ def _pair_horizon(
         ):
             return math.inf
         n += 1
+
+
+def _screen(walk: _Walker, lo: int, hi: int, bound: float) -> int:
+    """The first cut in [lo, hi), a stretch of ``walk``'s blocks, whose one
+    pair can meet base * |value| < eps there, ``bound`` being log(eps / base);
+    else hi.
+
+    A cut can meet it where its product is zero or its log modulus, capped
+    at 700 as ``_combine`` caps the value it reads, lies below
+    ``bound + _SCREEN_MARGIN``.  For a normal eps, |value| is exp of that
+    log modulus within a few ulps, far inside the margin, so no cut where
+    the predicate holds is passed over."""
+    for first, logs, zeros in walk.log_columns(lo, hi):
+        met = zeros[0] | (np.minimum(logs[0], 700.0) < bound + _SCREEN_MARGIN)
+        if met.any():
+            return first + int(met.argmax())
+    return hi
 
 
 def decoherence_horizon(

@@ -19,9 +19,11 @@ so a readout depends only on its cut.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -160,8 +162,21 @@ def _sides(
     return bra_side, ket_side, [readout]
 
 
+def _cut(truncation: int) -> int:
+    """``truncation`` as an int, read with ``operator.index``: ints and numpy
+    integers pass, bools and anything else (floats among them) are refused."""
+    if not isinstance(truncation, bool):
+        try:
+            return operator.index(truncation)
+        except TypeError:
+            pass
+    raise PreconditionViolated(f"truncation {truncation!r} is not an integer")
+
+
 def _check_cuts(truncations: Sequence[int]) -> list[int]:
     cuts = list(truncations)
+    if not all(type(n) is int for n in cuts):  # else each is read by ``_cut``
+        cuts = [_cut(n) for n in cuts]
     if not cuts:
         raise PreconditionViolated("at least one truncation is required")
     if any(n < 1 for n in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
@@ -179,17 +194,27 @@ def _combine(
     ``readout`` holds (coefficient, pair) and pair k's product is zero where
     ``zeros[k]``, else ``forms[k]``: the product itself up to DIRECT_LIMIT
     factors, past it its log form log|p| + i arg p."""
+    # plain loops rather than comprehensions: the operations CPython 3.11's
+    # sum() and max() of a list make, in their order, with no frame per list
     if truncation <= DIRECT_LIMIT:
-        total = sum([coeff * forms[k] if not zeros[k] else 0j for coeff, k in readout])
+        total = 0
+        for coeff, k in readout:
+            total = total + (coeff * forms[k] if not zeros[k] else 0j)
         log_mod = math.log(abs(total)) if total != 0 else -math.inf
         return total, log_mod
-    live = [(coeff, forms[k]) for coeff, k in readout if not zeros[k]]
+    live = []
+    shift = None
+    for coeff, k in readout:
+        if not zeros[k]:
+            form = forms[k]
+            live.append((coeff, form))
+            if shift is None or form.real > shift:
+                shift = form.real
     if not live:
         return 0j, -math.inf
-    shift = max([form.real for _, form in live])
-    reduced = sum(
-        [coeff * cmath.exp(complex(form.real - shift, form.imag)) for coeff, form in live]
-    )
+    reduced = 0
+    for coeff, form in live:
+        reduced = reduced + coeff * cmath.exp(complex(form.real - shift, form.imag))
     if reduced == 0:
         return 0j, -math.inf
     log_mod = shift + math.log(abs(reduced))
@@ -244,9 +269,10 @@ def _bracket_blocks(
 
 
 class _Walker:
-    """One walk over (bra term, ket term) pairs, advanced to a cut on demand:
-    ``read(cut)`` gives (value, log-modulus) of each readout sum_k c_k
-    prod_{site<cut} <bra_a(site)|ket_b(site)>.  Which path brackets a site
+    """One walk over (bra term, ket term) pairs, advanced to its cuts on
+    demand: ``reads(cuts)`` gives (value, log-modulus) of each readout sum_k
+    c_k prod_{site<cut} <bra_a(site)|ket_b(site)> at each of a sorted list of
+    cuts, and ``read(cut)`` is its one-cut case.  Which path brackets a site
     depends on the sides alone, so a readout depends only on its cut.
 
     The sites before the block end go in stacked blocks, no further than
@@ -254,24 +280,29 @@ class _Walker:
     (``stackable``: the explicit prefixes, or for ever where every tail
     has closed rows) or the first run start of any pair, whichever comes first,
     when that lies past DIRECT_LIMIT.  A pair's log form there is a running
-    sum (a seeded cumsum), so a cut inside a block reads a column.  Other
-    sites are bracketed one at a time; cuts <= DIRECT_LIMIT read their
-    direct product, which with blocks is all they update; with blocks those
-    sites go in one stacked block too, and each pair folds its row of it in
-    site order (rows hold the bits of the factors and images, so the brackets
-    keep theirs).  Blocked or not, ``check`` counts the sites past the
-    shortest explicit prefix against WALK_BUDGET.
+    sum (a seeded cumsum), so a cut inside a block reads a column, and the
+    cuts inside one block read theirs with one gather (``log_columns`` hands
+    the columns' log moduli to the horizon's screen).  Other sites are
+    bracketed one at a time; cuts <= DIRECT_LIMIT read their direct product,
+    which with blocks is all they update; with blocks those sites go in one
+    stacked block too, and each pair folds its row of it in site order (rows
+    hold the bits of the factors and images, so the brackets keep theirs).
+    Blocked or not, ``check`` counts the sites past the shortest explicit
+    prefix against WALK_BUDGET, once per ``reads``, for its last cut.
 
     From its first run start (``_pair_runs``) on, a pair is in a run: it
-    brackets G once at the run's start a, where its accumulator stays, and
-    reads every cut n inside the run from there: up to DIRECT_LIMIT as its
-    direct product times G once per site, the multiplications of the
-    site-by-site walk, past it as its log form plus (n - a) * (log|G|,
-    atan2 G).  It crosses a finite run in that one step, so once every pair
-    is in a run the walk moves from run start to run start.  Cuts must not
-    decrease, except within every pair's run or within the last block past
-    DIRECT_LIMIT: a blocked walk folds its direct products forward only, so
-    it refuses a cut <= DIRECT_LIMIT below one it has read.
+    brackets G once at the run's start a, where its accumulator stays, takes
+    (log|G|, atan2 G) there, and reads every cut n inside the run from
+    there: up to DIRECT_LIMIT as its direct product times G once per site,
+    the multiplications of the site-by-site walk, past it as its log form
+    plus (n - a) * (log|G|, atan2 G).  It crosses a finite run in that one
+    step, so once every pair is in a run the walk moves from run start to run
+    start, and the cuts before the next run start cost that product each.
+    Every cut then goes through ``_combine`` once, so a cut read with
+    others keeps the bits it has read alone.  Cuts must not decrease, except
+    within every pair's run or within the last block past DIRECT_LIMIT: a
+    blocked walk folds its direct products forward only, so it refuses a
+    cut <= DIRECT_LIMIT below one it has read.
     """
 
     def __init__(
@@ -295,8 +326,9 @@ class _Walker:
         self.accs = [products._Accumulator() for _ in self.keys]
         self.sources = [(bra.sources[a], ket.sources[b]) for a, b in self.keys]
         self.steps = self.pair_steps = [(*s, acc.push) for s, acc in zip(self.sources, self.accs)]
-        # pair -> (start, end, G) of its run at ``site``; its accumulator holds sites [0, start)
-        self.runs: dict[int, tuple[int, float, complex]] = {}
+        # pair -> (start, end, G, _log_steps(G)) of its run at ``site``; its
+        # accumulator holds sites [0, start)
+        self.runs: dict[int, tuple[int, float, complex, tuple | None]] = {}
         self.events: dict[int, list[tuple[int, float]]] = {}  # run start -> (pair, run end)
         for k, starts in enumerate(pair_runs):
             for start, end in zip(starts, starts[1:] + (math.inf,)):
@@ -325,18 +357,101 @@ class _Walker:
                 budget=WALK_BUDGET,
             )
 
+    def refused_from(self) -> int:
+        """The first cut that ``check`` refuses among those before every
+        pair's first run start."""
+        return self.explicit + WALK_BUDGET // len(self.keys) + 1
+
     def read(self, cut: int) -> list[tuple[complex, float]]:
-        self.check(cut)
-        if cut <= DIRECT_LIMIT and self.blocked:
-            if cut < max(self.direct_at, self.site):
-                raise PreconditionViolated(
-                    f"a blocked walk cannot read back to cut {cut} <= {DIRECT_LIMIT}"
-                )
-            self._fold_direct(cut)
+        """``reads`` of the one cut."""
+        (values,) = self.reads([cut])
+        return values
+
+    def reads(self, cuts: Sequence[int]) -> list[list[tuple[complex, float]]]:
+        """(value, log-modulus) of each readout at each of ``cuts``, which do
+        not decrease: one list per cut.  The budget is checked against the
+        last cut before any site is bracketed."""
+        self.check(cuts[-1])
+        out = []
+        i = 0
+        while i < len(cuts):
+            cut = cuts[i]
+            if cut <= DIRECT_LIMIT and self.blocked:
+                if cut < max(self.direct_at, self.site):
+                    raise PreconditionViolated(
+                        f"a blocked walk cannot read back to cut {cut} <= {DIRECT_LIMIT}"
+                    )
+                self._fold_direct(cut)
+            else:
+                self._advance(cut)
+            j, columns = self._columns(cuts, i)
+            for cut, (forms, zeros) in zip(cuts[i:j], columns):
+                out.append([_combine(readout, forms, zeros, cut) for readout in self.readouts])
+            i = j
+        return out
+
+    def _columns(self, cuts: Sequence[int], i: int) -> tuple[int, list]:
+        """(j, every pair's forms and zero flags at each of cuts[i:j]) for
+        the cut ``cuts[i]``, which the walk has reached, and the cuts after it
+        that read the same way: inside every pair's run, or inside the last
+        block."""
+        cut = cuts[i]
+        if cut > DIRECT_LIMIT and self.site == cut and len(self.runs) == len(self.accs):
+            j = bisect.bisect_left(cuts, self.next_event, i)
+            self.site = cuts[j - 1]  # where reading them one at a time leaves the walk
+            return j, self._run_columns(cuts[i:j])
+        if cut > DIRECT_LIMIT and self.block:
+            start, forms, zeros = self.block
+            stop = start + forms.shape[1]
+            if start < cut <= stop:  # no run starts before the block stretch ends
+                j = bisect.bisect_right(cuts, stop, i)
+                at = [c - start - 1 for c in cuts[i:j]]
+                return j, list(zip(forms[:, at].T.tolist(), zeros[:, at].T.tolist()))
+        return i + 1, [self._forms(cut)]
+
+    def _run_columns(self, cuts: Sequence[int]) -> list[tuple[Sequence[complex], list[bool]]]:
+        """Every pair's form and zero flag at each cut past DIRECT_LIMIT
+        inside every pair's run, read from the run's start: the log form
+        there plus ``jump``'s count * (log|G|, atan2 G).  Where every count
+        is >= 1, every product stays nonzero and every form in range, that
+        is one multiply and add per part; else each cut goes through
+        ``_forms`` and ``jump``, which zero or refuse at the cut a lone read
+        would."""
+        runs = [(acc, *self.runs[k]) for k, acc in enumerate(self.accs)]
+        by_pair = []
+        for acc, start, _, g, steps in runs:
+            if acc.zero or steps is None or cuts[0] == start:
+                break
+            (log_step, arg_step), log_mod, arg = steps, acc.log_mod, acc.arg
+            try:
+                logs = [log_mod + (cut - start) * log_step for cut in cuts]
+                args = [arg + (cut - start) * arg_step for cut in cuts]
+            except OverflowError:  # a count past the float range
+                break
+            if not all(map(math.isfinite, (logs[0], logs[-1], args[0], args[-1]))):
+                break  # counts are increasing, so the ends bound every form
+            by_pair.append(list(map(complex, logs, args)))
         else:
+            zeros = [False] * len(runs)
+            return [(forms, zeros) for forms in zip(*by_pair)]
+        return [self._forms(cut) for cut in cuts]
+
+    def log_columns(self, lo: int, hi: int):
+        """Yield (first cut, log moduli, zero flags) for consecutive stretches
+        of the cuts [lo, hi), each inside one block: (pairs, cuts) arrays of
+        the real parts and zero flags of every pair's columns there, the
+        numbers ``read`` passes to ``_combine`` at those cuts.  The cuts lie
+        past DIRECT_LIMIT and before ``blocked``, and ``check`` passes the
+        last; the blocks are folded as the stretches are read."""
+        cut = lo
+        while cut < hi:
             self._advance(cut)
-        forms, zeros = self._forms(cut)
-        return [_combine(readout, forms, zeros, cut) for readout in self.readouts]
+            start, forms, zeros = self.block
+            stop = min(hi, start + forms.shape[1] + 1)
+            yield cut, forms.real[:, cut - start - 1 : stop - start - 1], zeros[
+                :, cut - start - 1 : stop - start - 1
+            ]
+            cut = stop
 
     def _fold_direct(self, cut: int) -> None:
         """Fold the sites [direct_at, cut) into every pair's direct product."""
@@ -360,13 +475,13 @@ class _Walker:
         for k, acc in enumerate(self.accs):
             run = self.runs.get(k)
             if run is not None and run[0] <= cut:
-                start, _, g = run
+                start, _, g, steps = run
                 if cut <= DIRECT_LIMIT:
                     form = math.prod(itertools.repeat(g, cut - start), start=acc.direct)
                     zero = acc.zero or (cut > start and g == 0)
                 else:
-                    at = acc.repeated(g, cut - start)
-                    form, zero = complex(at.log_mod, at.arg), at.zero
+                    log_mod, arg, zero = acc.jump(g, steps, cut - start)
+                    form = complex(log_mod, arg)
             else:
                 column = column or self._column(cut)
                 form, zero = column[0][k], column[1][k]
@@ -413,14 +528,14 @@ class _Walker:
         for k, end in starting:
             acc = self.accs[k]
             if k in self.runs:
-                start, _, g = self.runs[k]
+                start, _, g, steps = self.runs[k]
                 count = self.site - start
                 if self.site <= DIRECT_LIMIT:
                     acc.direct = math.prod(itertools.repeat(g, count), start=acc.direct)
-                crossed = acc.repeated(g, count)
-                acc.log_mod, acc.arg, acc.zero = crossed.log_mod, crossed.arg, crossed.zero
+                acc.log_mod, acc.arg, acc.zero = acc.jump(g, steps, count)
             bra_at, ket_at = self.sources[k]
-            self.runs[k] = (self.site, end, factor_overlap(bra_at(self.site), ket_at(self.site)))
+            g = factor_overlap(bra_at(self.site), ket_at(self.site))
+            self.runs[k] = (self.site, end, g, products._log_steps(g))
         self.steps = [s for k, s in enumerate(self.pair_steps) if k not in self.runs]
 
     def _fold_block(self) -> None:
@@ -445,12 +560,11 @@ def _walk(
     bra: _Terms, ket: _Terms, readouts: Sequence[Readout], cuts: Sequence[int]
 ) -> list[list[tuple[complex, float]]]:
     """(value, log-modulus) of each readout at every cut, in one pass over
-    the sites; one list per readout with one entry per cut.  ``cuts``
-    increase, and the budget is checked against the last before any site is
-    bracketed."""
+    the sites and one ``_Walker.reads``; one list per readout with one entry
+    per cut.  ``cuts`` increase, and the budget is checked against the last
+    before any site is bracketed."""
     walker = _Walker(bra, ket, readouts, last_cut=cuts[-1])
-    walker.check(cuts[-1])
-    return [list(values) for values in zip(*(walker.read(cut) for cut in cuts))]
+    return [list(values) for values in zip(*walker.reads(cuts))]
 
 
 def composite_overlap(
@@ -461,6 +575,7 @@ def composite_overlap(
     """<bra|ket> at the cutoff, expanded over all term pairs: for two product
     states, the product of the first ``truncation`` per-factor overlaps
     <bra_k|ket_k>."""
+    truncation = _cut(truncation)
     if truncation < 0:
         raise PreconditionViolated(f"truncation {truncation} must be >= 0")
     (((value, _),),) = _walk(*_sides(bra, ket), [truncation])

@@ -170,6 +170,16 @@ def _scaled(count: int, step: float) -> float:
         return math.copysign(math.inf, step)
 
 
+def _log_steps(z: complex) -> tuple[float, float] | None:
+    """(log|z|, atan2 z), what one term z adds to a log form, for
+    ``_Accumulator.jump``; None where z is 0 or |z| overflows, which ``jump``
+    then meets as a single ``push`` does."""
+    try:
+        return (math.log(abs(z)), math.atan2(z.imag, z.real)) if z != 0 else None
+    except OverflowError:
+        return None
+
+
 class _Accumulator:
     """Running complex product, kept both directly and as log-modulus plus
     unwrapped argument.
@@ -197,30 +207,31 @@ class _Accumulator:
         self.log_mod += math.log(abs(z))
         self.arg += math.atan2(z.imag, z.real)
 
-    def repeated(self, z: complex, count: int) -> "_Accumulator":
-        """A copy with ``count`` more terms ``z`` folded into the log form in
-        one step, as ``_scaled`` count * log|z| and count * atan2(z).
-        ``direct`` is left behind, so only the log form reads the copy.  A
-        log modulus that leaves the float range below reads as the zero
-        product; a modulus or argument that leaves it otherwise cannot be
-        represented and is refused."""
-        out = _Accumulator(self.log_mod, self.arg, self.zero)
-        if count and not out.zero:
-            if z == 0:
-                out.zero = True
-                return out
-            out.log_mod += _scaled(count, math.log(abs(z)))
-            if out.log_mod == -math.inf:
-                out.zero = True
-                return out
-            out.arg += _scaled(count, math.atan2(z.imag, z.real))
-            if not (math.isfinite(out.log_mod) and math.isfinite(out.arg)):
-                raise DimensionBudgetExceeded(
-                    f"bracket {z!r} repeated past the float range: the product's "
-                    "modulus or phase cannot be represented",
-                    bracket=z,
-                )
-        return out
+    def jump(
+        self, z: complex, steps: tuple[float, float] | None, count: int
+    ) -> tuple[float, float, bool]:
+        """(log_mod, arg, zero) after ``count`` more terms ``z``, folded in
+        one step as ``_scaled`` count * log|z| and count * atan2(z); ``steps``
+        is ``_log_steps(z)``, computed once for a term read at many counts,
+        or None to compute it here.  A log modulus that leaves the float
+        range below reads as the zero product; a modulus or argument that
+        leaves it otherwise cannot be represented and is refused."""
+        if not count or self.zero:
+            return self.log_mod, self.arg, self.zero
+        if z == 0:
+            return self.log_mod, self.arg, True
+        log_step, arg_step = steps or (math.log(abs(z)), math.atan2(z.imag, z.real))
+        log_mod = self.log_mod + _scaled(count, log_step)
+        if log_mod == -math.inf:
+            return log_mod, self.arg, True
+        arg = self.arg + _scaled(count, arg_step)
+        if not (math.isfinite(log_mod) and math.isfinite(arg)):
+            raise DimensionBudgetExceeded(
+                f"bracket {z!r} repeated past the float range: the product's "
+                "modulus or phase cannot be represented",
+                bracket=z,
+            )
+        return log_mod, arg, False
 
     def value(self) -> complex:
         """exp of the log form."""

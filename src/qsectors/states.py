@@ -750,11 +750,12 @@ def distance(
     stack, so distance(a, b) equals distance(b, a) bit for bit and
     distance(a, a) is exactly 0.
     """
-    from .overlaps import _Terms, _walk
+    from .overlaps import _cut, _Terms, _walk
 
     ca = a.as_composite() if isinstance(a, ProductState) else a
     cb = b.as_composite() if isinstance(b, ProductState) else b
     ensure_same_shape(ca, cb)
+    truncation = _cut(truncation)
     if truncation < 0:
         raise PreconditionViolated(f"truncation {truncation} must be >= 0")
     terms = ca.terms + cb.terms

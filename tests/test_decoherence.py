@@ -1,12 +1,15 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qsectors as q
 from qsectors.oracle import dense_density, densify
-from qsectors.serialize import decode_state
+from qsectors.serialize import decode_state, encode_complex
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -226,6 +229,13 @@ class TestTruncatedDensity:
         late = q.truncated_density(m, 500).purity
         assert early > 0.9
         assert late == pytest.approx(0.5, abs=1e-12)
+
+
+    @pytest.mark.parametrize("cut", [10.5, 10.0, True, math.nan])
+    def test_a_truncation_that_is_not_an_int_is_refused(self, cut):
+        with pytest.raises(q.PreconditionViolated, match="is not an integer$"):
+            q.truncated_density(two_outcome_model(), cut)
+        assert q.truncated_density(two_outcome_model(), np.int64(10)).truncation == 10
 
 
 class TestDecoherenceHorizon:
@@ -581,6 +591,24 @@ class TestDecoherenceHorizon:
         assert h == self._stepped(m, eps) == 221
         assert reads == [0, 219, 220, 221]
 
+    def test_a_solve_that_lands_one_short_steps_forward_without_a_tie(self, monkeypatch):
+        # eps three ulps below the coherence at cut 460, no tie: the closed
+        # form puts 460 below eps, the readout does not, so the search steps on
+        from qsectors import overlaps
+
+        m = q.MeasurementModel((2**-0.5, 2**-0.5), (pointer_branch(1.0), pointer_branch(0.7397646661013878)))
+        b0, b1 = m.branches
+        eps = abs(m.coefficients[0]) * abs(m.coefficients[1]) * abs(q.truncated_overlap(b1, b0, 460))
+        for _ in range(3):
+            eps = math.nextafter(eps, 0.0)
+        reads = []
+        real = overlaps._Walker.read
+        monkeypatch.setattr(overlaps._Walker, "read", lambda w, cut: reads.append(cut) or real(w, cut))
+        h = q.decoherence_horizon(m, eps)
+        monkeypatch.undo()
+        assert h == self._stepped(m, eps) == 461
+        assert reads == [0, 459, 460, 461]
+
     def test_eps_and_pair_validation(self):
         m = two_outcome_model()
         with pytest.raises(q.PreconditionViolated):
@@ -591,6 +619,211 @@ class TestDecoherenceHorizon:
             q.decoherence_horizon(m, 1e-6, pair=(0, 2))
         with pytest.raises(q.PreconditionViolated):
             q.decoherence_horizon(m, 1e-6, pair=(1, 1))
+
+
+def _geometric_branch(prefix, ratio=0.99, limit=(0.995, 0.0998749217771909), deviation=(-0.05, 0.04)):
+    """A decoded branch: ``prefix``, then a geometric family toward ``limit``,
+    whose tail rows are closed, so the horizon's walk brackets it in blocks."""
+    return decode_state({
+        "type": "product-state",
+        "prefix": [[encode_complex(complex(c)) for c in v] for v in prefix],
+        "tail": {
+            "kind": "parametric",
+            "class": "geometric",
+            "ratio": ratio,
+            "scale": 1.0,
+            "limit": [encode_complex(complex(c)) for c in limit],
+            "deviation": [encode_complex(complex(c)) for c in deviation],
+        },
+    })
+
+
+def _near_e0(rng, n):
+    """n unit rows near E0, so a prefix's coherence wanders as it decays."""
+    rows = []
+    for _ in range(n):
+        v = np.array([1.0, 0.0]) + 0.3 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        rows.append(tuple((v / np.linalg.norm(v)).tolist()))
+    return rows
+
+
+def _screen_cases():
+    """name -> (quiet branch, recording branch)."""
+    rng = np.random.default_rng(77)
+    quiet = q.make_product_state((), q.ConstantTail(E0))
+    geometric = _geometric_branch(_near_e0(rng, 3))
+    family = geometric.tail.factor_fn
+    plain = q.ProductState(
+        geometric.prefix,
+        q.ParametricTail(2, lambda n: family(n), geometric.tail.limit, geometric.tail.decay),
+    )
+    prefixed = q.make_product_state(
+        [q.FactorVector(v) for v in _near_e0(rng, 150)],
+        q.ConstantTail(q.FactorVector((0.99, math.sqrt(1.0 - 0.99**2)))),
+    )
+    return {
+        "geometric": (quiet, geometric),
+        "geometric-long-prefix": (
+            q.make_product_state((E0,) * 200, q.ConstantTail(E0)),
+            _geometric_branch(_near_e0(rng, 200), ratio=0.999),
+        ),
+        "plain-lambda": (quiet, plain),
+        "prefix-blocks": (q.make_product_state((E0,) * 150, q.ConstantTail(E0)), prefixed),
+    }
+
+
+SCREEN_CASES = _screen_cases()
+
+
+def _nudged(value, nudge):
+    """``value`` moved |nudge| ulps toward 0 (nudge > 0) or away, or scaled
+    by 1 + nudge for a fractional nudge."""
+    if isinstance(nudge, float):
+        return value * (1.0 + nudge)
+    for _ in range(abs(nudge)):
+        value = math.nextafter(value, 0.0 if nudge > 0 else math.inf)
+    return value
+
+
+class TestHorizonScreen:
+    """Past DIRECT_LIMIT the horizon screens the block stretch's log moduli
+    and reads exactly from the first cut that can meet eps: it must land
+    where a read of every cut lands, at ties and near-ties too."""
+
+    @staticmethod
+    def _model(name):
+        b0, b1 = SCREEN_CASES[name]
+        return q.MeasurementModel((2**-0.5, 2**-0.5), (b0, b1))
+
+    @staticmethod
+    def _scan(model, eps, upto):
+        """First cut in 0..upto with |c0| |c1| |<b1|b0>_N| < eps, reading
+        every cut's readout, or None."""
+        b0, b1 = model.branches
+        base = abs(model.coefficients[0]) * abs(model.coefficients[1])
+        values = (q.truncated_overlap(b1, b0, 0),) + q.overlap_sweep(b1, b0, range(1, upto + 1)).values
+        return next((n for n, v in enumerate(values) if base * abs(v) < eps), None)
+
+    def test_cases_screen_blocks(self):
+        from qsectors import overlaps
+
+        blocked = {
+            name: overlaps._Walker(*overlaps._sides(b1, b0)).blocked
+            for name, (b0, b1) in SCREEN_CASES.items()
+        }
+        assert blocked == {
+            "geometric": math.inf,
+            "geometric-long-prefix": math.inf,
+            "plain-lambda": 0,
+            "prefix-blocks": 150,
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(SCREEN_CASES)),
+        st.integers(1, 2500),
+        st.sampled_from([0, 1, 2, 3, -1, -2, -3, 1e-10, -1e-10, 1e-6]),
+    )
+    def test_the_horizon_is_the_first_cut_a_scan_finds(self, name, target, nudge):
+        model = self._model(name)
+        b0, b1 = model.branches
+        base = abs(model.coefficients[0]) * abs(model.coefficients[1])
+        eps = _nudged(base * abs(q.truncated_overlap(b1, b0, target)), nudge)
+        assume(eps > 0.0)
+        h = q.decoherence_horizon(model, eps)
+        want = self._scan(model, eps, target + 1)
+        assert want is not None  # eps sits on or just past the target's coherence
+        assert h == want
+        assert base * abs(q.truncated_overlap(b1, b0, h)) < eps
+        assert h == 0 or base * abs(q.truncated_overlap(b1, b0, h - 1)) >= eps
+
+    @pytest.mark.parametrize("name", ["geometric", "geometric-long-prefix", "plain-lambda"])
+    def test_the_walk_budget_refuses_at_the_cut_a_read_of_every_cut_reaches(self, name, monkeypatch):
+        from qsectors import overlaps
+
+        monkeypatch.setattr(overlaps, "WALK_BUDGET", 700)
+        with pytest.raises(q.DimensionBudgetExceeded) as exc:
+            q.decoherence_horizon(self._model(name), 1e-300, budget=10**7)
+        # sites past the shortest prefix: the refusal comes at the first cut past the budget
+        assert exc.value.context == {"sites": 701, "budget": 700}
+
+    @pytest.mark.parametrize("name", ["geometric", "geometric-long-prefix", "plain-lambda"])
+    def test_the_horizon_budget_refuses_at_its_cut(self, name):
+        model = self._model(name)
+        b0, b1 = model.branches
+        with pytest.raises(q.PreconditionViolated) as exc:
+            q.decoherence_horizon(model, 1e-300, budget=1500)
+        cur = math.log(0.5) + q.overlap_sweep(b1, b0, [1500]).log_modulus[0]
+        assert exc.value.context == {"budget": 1500, "log_modulus": cur, "target": math.log(1e-300)}
+
+    def test_a_horizon_before_the_walk_budget_is_found(self, monkeypatch):
+        from qsectors import overlaps
+
+        model = self._model("geometric")
+        h = q.decoherence_horizon(model, 1e-5)
+        monkeypatch.setattr(overlaps, "WALK_BUDGET", h)
+        assert q.decoherence_horizon(model, 1e-5, budget=10**7) == h
+        monkeypatch.setattr(overlaps, "WALK_BUDGET", h - 1)
+        with pytest.raises(q.DimensionBudgetExceeded):
+            q.decoherence_horizon(model, 1e-5, budget=10**7)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-3])
+    def test_a_zero_bracket_in_a_block_ends_the_horizon_there(self, eps):
+        rows = _near_e0(np.random.default_rng(5), 120)
+        rows[100] = (0.0, 1.0)  # orthogonal to the quiet branch: every later cut reads 0
+        model = q.MeasurementModel(
+            (2**-0.5, 2**-0.5), (SCREEN_CASES["geometric"][0], _geometric_branch(rows))
+        )
+        h = q.decoherence_horizon(model, eps)
+        assert h == self._scan(model, eps, 101)
+        assert h == 101 or eps == 1e-3
+
+    def test_the_certificate_is_checked_at_its_cut(self, monkeypatch):
+        # a family toward a phase of E0: the coherence levels off, and the
+        # certificate at 4096 proves it stays above eps
+        from qsectors import overlaps
+
+        phase = (math.cos(0.3), math.sin(0.3))
+        branch = _geometric_branch((), ratio=0.99, limit=(complex(*phase), 0.0), deviation=(-0.05, 0.04))
+        model = q.MeasurementModel((2**-0.5, 2**-0.5), (SCREEN_CASES["geometric"][0], branch))
+        reads = []
+        real = overlaps._Walker.read
+        monkeypatch.setattr(overlaps._Walker, "read", lambda w, cut: reads.append(cut) or real(w, cut))
+        assert q.decoherence_horizon(model, 1e-6) == math.inf
+        assert reads[-1] == 4096
+
+    def test_a_subnormal_eps_reads_every_cut(self, monkeypatch):
+        # the screen's margin holds for a normal eps only; a subnormal one
+        # reads every cut, and still lands where the scan does
+        from qsectors import overlaps
+
+        model = q.MeasurementModel(
+            (2**-0.5, 2**-0.5),
+            (SCREEN_CASES["geometric"][0], _geometric_branch((), ratio=0.9, limit=(0.5, 0.75**0.5))),
+        )
+        b0, b1 = model.branches
+        eps = 0.5 * abs(q.truncated_overlap(b1, b0, 1020))
+        assert 0.0 < eps < sys.float_info.min
+        reads = []
+        real = overlaps._Walker.read
+        monkeypatch.setattr(overlaps._Walker, "read", lambda w, cut: reads.append(cut) or real(w, cut))
+        h = q.decoherence_horizon(model, eps)
+        monkeypatch.undo()
+        assert h == self._scan(model, eps, 1100)
+        assert len(reads) == h + 1
+
+    def test_the_screen_reads_few_cuts_exactly(self, monkeypatch):
+        from qsectors import overlaps
+
+        model = self._model("geometric")
+        reads = []
+        real = overlaps._Walker.read
+        monkeypatch.setattr(overlaps._Walker, "read", lambda w, cut: reads.append(cut) or real(w, cut))
+        h = q.decoherence_horizon(model, 1e-8)
+        monkeypatch.undo()
+        assert h > 2000
+        # cuts 0..64 one at a time, then the screen's first candidate
+        assert reads == list(range(overlaps.DIRECT_LIMIT + 1)) + [h]
 
 
 class TestSampling:

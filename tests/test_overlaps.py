@@ -197,6 +197,54 @@ class TestOverlapSweep:
             q.OverlapSweep(truncations, (1.0,) * k, (0.0,) * k)
 
 
+class TestIntegerCuts:
+    """Truncations are ints: ``operator.index`` reads each one, so numpy
+    integers become ints and bools, floats and NaN are refused."""
+
+    @staticmethod
+    def _pair():
+        return constant_state(tail_vec=q.FactorVector((0.6, 0.8))), constant_state()
+
+    @pytest.mark.parametrize("cuts", [[3, 100.5], [2.5, 100.0], [True, 5], [1, 2.0], [1, "2"]])
+    def test_a_sweep_refuses_cuts_that_are_not_ints(self, cuts):
+        a, b = self._pair()
+        with pytest.raises(q.PreconditionViolated, match="is not an integer$"):
+            q.overlap_sweep(a, b, cuts)
+
+    @pytest.mark.parametrize("cut", [math.nan, 100.5, 3.0, True, False, np.True_, None])
+    def test_a_single_cut_refuses_what_is_not_an_int(self, cut):
+        a, b = self._pair()
+        with pytest.raises(q.PreconditionViolated, match="is not an integer$"):
+            q.truncated_overlap(a, b, cut)
+        with pytest.raises(q.PreconditionViolated, match="is not an integer$"):
+            q.distance(a, b, cut)
+
+    def test_a_fractional_cut_no_longer_reads_a_fraction_of_a_run(self):
+        # a fractional cut used to read 97.5 steps of the run here
+        a, b = self._pair()
+        with pytest.raises(q.PreconditionViolated):
+            q.overlap_sweep(a, b, [3, 100.5])
+        assert q.overlap_sweep(a, b, [3, 100]).values[1] == q.truncated_overlap(a, b, 100)
+
+    def test_numpy_integers_become_ints(self):
+        a, b = self._pair()
+        sweep = q.overlap_sweep(a, b, [np.int64(3), np.uint8(70), np.int32(100)])
+        assert sweep.truncations == (3, 70, 100)
+        assert all(type(n) is int for n in sweep.truncations)
+        assert repr(sweep) == repr(q.overlap_sweep(a, b, [3, 70, 100]))
+        assert repr(q.truncated_overlap(a, b, np.int64(100))) == repr(sweep.values[2])
+        assert q.distance(a, b, np.int16(7)) == q.distance(a, b, 7)
+
+    def test_expectation_sweeps_read_their_cuts_alike(self):
+        a, _ = self._pair()
+        op = q.FactoredOperator((
+            OperatorTerm(1.0, (), ConstantOperatorTail(FactorOperator(((0.5, 0.0), (0.0, 1.0))))),
+        ))
+        with pytest.raises(q.PreconditionViolated, match="is not an integer$"):
+            q.expectation_sweep(op, a, [2, 7.5])
+        assert q.expectation_sweep(op, a, [np.int64(7)]).truncations == (7,)
+
+
 class TestAsymptoticOverlap:
     def test_same_sector_converges_to_declared_value(self):
         def fn(n):
@@ -1533,6 +1581,196 @@ class TestCutsPastTheFloatRange:
         q.overlap_sweep(a, b, [10, 10**300])
         with pytest.raises(q.DimensionBudgetExceeded):
             q.overlap_sweep(a, b, [10, 10**400])
+
+
+# -- many cuts in one read ---------------------------------------------------
+#
+# ``_Walker.reads`` reads a sorted list of cuts in one call: the cuts inside
+# every pair's run from each pair's (log|G|, atan2 G), the cuts inside one
+# block with one gather of its columns, and every cut through ``_combine``.
+# Each readout must keep the bits of a walk that reads its cut alone.
+
+
+def _many_cut_cases():
+    """name -> (bra, ket, cuts worth hitting: run starts, prefix ends, a
+    zero bracket's site)."""
+    rng = np.random.default_rng(424)
+    w = random_factor(rng, 2)
+    zeroed = _with_zero(_constant(rng, 90, _near(rng, w)), 70, E1)
+    cases = {
+        "constant": (_constant(rng, 3, _near(rng, w)), _constant(rng, 7, _near(rng, w)), (3, 7)),
+        "eventually-constant": (
+            _canonical(rng, 2, 150, _near(rng, w)), _constant(rng, 5, _near(rng, w)), (5, 150)
+        ),
+        "geometric": (
+            _constant(rng, 3, _near(rng, w)), _family(rng, "geometric", 5, _near(rng, w)), (5,)
+        ),
+        "p-series-shifted": (
+            _family(rng, "p-series", 80, _near(rng, w), SHIFT),
+            _constant(rng, 100, _near(rng, w)),
+            (80, 100, 150),
+        ),
+        "prefix-blocks": (
+            _constant(rng, 200, _near(rng, w)), _constant(rng, 230, _near(rng, w)), (200, 230)
+        ),
+        "composite-zero": (
+            q.CompositeState((
+                (0.6 + 0.2j, _constant(rng, 100, _near(rng, w))),
+                (-0.3 + 0.1j, _with_zero(_constant(rng, 95, _near(rng, w)), 70, E0)),
+            )),
+            q.CompositeState((
+                (0.5 + 0j, zeroed),
+                (0.1 - 0.7j, _canonical(rng, 85, 120, _near(rng, w))),
+            )),
+            (70, 71, 85, 90, 95, 100, 120),
+        ),
+    }
+    cases["geometric-composite"] = (*TAIL_BLOCK_CASES["composite"][:2], (7,))
+    return cases
+
+
+MANY_CUT_CASES = _many_cut_cases()
+# past DIRECT_LIMIT, past 32-site blocks and 4096-site tail blocks, past the float range
+MANY_CUT_MARKS = (1, 2, 31, 32, 33, 63, 64, 65, 66, 96, 97, 4100, 4101, 10**20, 10**400)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except q.QsectorsError as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def _many_cut_reads(draw):
+    name = draw(st.sampled_from(sorted(MANY_CUT_CASES)))
+    marks = sorted(set(MANY_CUT_MARKS) | {
+        c + d for c in MANY_CUT_CASES[name][2] for d in (-1, 0, 1) if c + d >= 1
+    })
+    cuts = draw(st.lists(
+        st.one_of(st.sampled_from(marks), st.integers(1, 5000)), min_size=1, max_size=10, unique=True
+    ))
+    return name, sorted(cuts), draw(st.booleans())
+
+
+class TestManyCutsInOneRead:
+    def test_cases_take_every_path(self):
+        walkers = {
+            name: overlaps._Walker(*overlaps._sides(bra, ket))
+            for name, (bra, ket, _) in MANY_CUT_CASES.items()
+        }
+        assert walkers["constant"].blocked == 0 and walkers["geometric"].blocked == math.inf
+        assert walkers["prefix-blocks"].blocked == 230
+        assert walkers["composite-zero"].blocked == 95
+        assert walkers["eventually-constant"].blocked == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(_many_cut_reads())
+    def test_a_sweep_keeps_the_bits_of_one_walk_per_cut(self, drawn):
+        name, cuts, small_blocks = drawn
+        bra, ket, _ = MANY_CUT_CASES[name]
+        with pytest.MonkeyPatch.context() as m:
+            if small_blocks:  # a one-pair walk of dim 2 takes 32-site blocks
+                m.setattr(overlaps, "BLOCK_AMPLITUDES", 2**6)
+            sweep = _outcome(q.overlap_sweep, bra, ket, cuts)
+            alone = [_outcome(q.overlap_sweep, bra, ket, [n]) for n in cuts]
+            values = [_outcome(q.truncated_overlap, bra, ket, n) for n in cuts]
+        refused = [a for a in alone if isinstance(a, str)]
+        if refused:
+            assert sweep == refused[0]
+            return
+        for k, single in enumerate(alone):
+            assert _sweep_bits(single) == repr(((sweep.values[k],), (sweep.log_modulus[k],)))
+            assert repr(values[k]) == repr(sweep.values[k])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["constant", "eventually-constant", "composite-zero"]),
+        st.lists(
+            st.one_of(st.integers(150, 10**6), st.sampled_from([150, 151, 10**20, 10**300, 10**400])),
+            min_size=1, max_size=8, unique=True,
+        ),
+    )
+    def test_run_columns_are_the_per_cut_forms(self, name, cuts):
+        # the closed form taken once per run against ``_forms``, which reads
+        # each cut through ``_Accumulator.jump``
+        bra, ket, _ = MANY_CUT_CASES[name]
+        cuts = sorted(cuts)
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        walker.read(cuts[0])
+        assert len(walker.runs) == len(walker.keys) and walker.next_event == math.inf
+
+        def columns(fn):
+            out = _outcome(fn)
+            return out if isinstance(out, str) else repr([(list(f), list(z)) for f, z in out])
+
+        assert columns(lambda: walker._run_columns(cuts)) == columns(
+            lambda: [walker._forms(cut) for cut in cuts]
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                st.complex_numbers(allow_nan=True, allow_infinity=True),
+                st.booleans(),
+            ),
+            min_size=1, max_size=6,
+        ),
+        st.sampled_from([0, 1, 64, 65, 10**6]),
+    )
+    def test_combine_makes_the_operations_of_sum_and_max(self, pairs, truncation):
+        # the list forms ``_combine`` had before its plain loops, kept as the reference
+        def reference(readout, forms, zeros, truncation):
+            if truncation <= overlaps.DIRECT_LIMIT:
+                total = sum([c * forms[k] if not zeros[k] else 0j for c, k in readout])
+                return total, math.log(abs(total)) if total != 0 else -math.inf
+            live = [(c, forms[k]) for c, k in readout if not zeros[k]]
+            if not live:
+                return 0j, -math.inf
+            shift = max([form.real for _, form in live])
+            reduced = sum([c * cmath.exp(complex(form.real - shift, form.imag)) for c, form in live])
+            if reduced == 0:
+                return 0j, -math.inf
+            log_mod = shift + math.log(abs(reduced))
+            value = reduced * math.exp(shift) if shift < 700.0 else cmath.exp(
+                complex(min(log_mod, 700.0), cmath.phase(reduced))
+            )
+            return value, log_mod
+
+        readout = [(c, k) for k, (c, _, _) in enumerate(pairs)]
+        forms = [f for _, f, _ in pairs]
+        zeros = [z for _, _, z in pairs]
+
+        def bits(fn):
+            try:
+                return repr(fn(readout, forms, zeros, truncation))
+            except (ValueError, OverflowError) as exc:
+                return type(exc).__name__
+
+        assert bits(overlaps._combine) == bits(reference)
+
+    @pytest.mark.parametrize("name", ["constant", "prefix-blocks", "geometric"])
+    def test_the_budget_is_checked_once_for_the_last_cut(self, name, monkeypatch):
+        bra, ket, _ = MANY_CUT_CASES[name]
+        checked = []
+        real = overlaps._Walker.check
+        monkeypatch.setattr(overlaps._Walker, "check", lambda w, cut: checked.append(cut) or real(w, cut))
+        cuts = [1, 64, 65, 100, 150, 229, 230, 231, 3000]
+        q.overlap_sweep(bra, ket, cuts)
+        assert checked == [3000]
+
+    @pytest.mark.parametrize("name", ["constant", "eventually-constant", "prefix-blocks"])
+    def test_cuts_in_a_run_or_a_block_take_no_per_cut_forms(self, name, monkeypatch):
+        bra, ket, _ = MANY_CUT_CASES[name]
+        read = []
+        real = overlaps._Walker._forms
+        monkeypatch.setattr(overlaps._Walker, "_forms", lambda w, cut: read.append(cut) or real(w, cut))
+        cuts = list(range(70, 2000, 7))
+        sweep = q.overlap_sweep(bra, ket, cuts)
+        # one per run start or block that a cut reaches first, not one per cut
+        assert len(read) <= 3 and len(sweep.values) == len(cuts)
 
 
 # -- the block walk's bits, frozen ---------------------------------------------

@@ -1102,12 +1102,18 @@ class TestStretchedReadings:
 
 
 class TestRepeatedPastTheFloatRange:
+    """``_Accumulator.jump``: ``count`` more terms z in one step, with its
+    (log|z|, atan2 z) computed there or passed in by ``_log_steps``."""
+
+    @staticmethod
+    def _jumps(z, count):
+        acc = products._Accumulator(0.25, -0.5)
+        return [acc.jump(z, steps, count) for steps in (None, products._log_steps(z))]
+
     def test_in_range_counts_keep_their_bits(self):
         for z, count in ((0.6, 10**300), (0.6 + 0.8j, 10**300), (0.9j, 65), (1e-300, 10**6)):
-            acc = products._Accumulator(0.25, -0.5).repeated(z, count)
-            assert (acc.log_mod, acc.arg, acc.zero) == (
-                0.25 + count * math.log(abs(z)), -0.5 + count * math.atan2(z.imag, z.real), False
-            )
+            want = (0.25 + count * math.log(abs(z)), -0.5 + count * math.atan2(z.imag, z.real), False)
+            assert self._jumps(z, count) == [want, want]
 
     @pytest.mark.parametrize(
         "z, count",
@@ -1118,17 +1124,31 @@ class TestRepeatedPastTheFloatRange:
         ],
     )
     def test_a_modulus_past_the_range_reads_zero(self, z, count):
-        acc = products._Accumulator(0.25, -0.5).repeated(z, count)
-        assert acc.zero and acc.value() == 0j
+        for log_mod, _, zero in self._jumps(z, count):
+            assert zero and log_mod == -math.inf
 
     def test_a_unit_bracket_keeps_its_log_form(self):
-        acc = products._Accumulator(0.25, -0.5).repeated(1.0, 10**400)
-        assert (acc.log_mod, acc.arg, acc.zero) == (0.25, -0.5, False)
+        assert self._jumps(1.0, 10**400) == [(0.25, -0.5, False)] * 2
+
+    def test_no_count_a_zero_product_or_a_zero_term(self):
+        acc = products._Accumulator(0.25, -0.5)
+        assert acc.jump(0j, None, 0) == (0.25, -0.5, False)
+        assert acc.jump(0j, products._log_steps(0j), 3) == (0.25, -0.5, True)
+        assert products._Accumulator(0.25, -0.5, zero=True).jump(0.6, None, 3) == (0.25, -0.5, True)
 
     @pytest.mark.parametrize("z", [1j, 0.6 + 0.8j, 1.5])
     def test_a_phase_or_growth_past_the_range_is_refused(self, z):
-        with pytest.raises(q.DimensionBudgetExceeded):
-            products._Accumulator().repeated(z, 10**400)
+        for steps in (None, products._log_steps(z)):
+            with pytest.raises(q.DimensionBudgetExceeded):
+                products._Accumulator().jump(z, steps, 10**400)
+
+    def test_a_modulus_past_the_float_range_raises_where_a_push_does(self):
+        z = complex(1.5e308, 1.5e308)  # |z| overflows
+        assert products._log_steps(z) is None
+        with pytest.raises(OverflowError):
+            products._Accumulator().push(z)
+        with pytest.raises(OverflowError):
+            products._Accumulator().jump(z, None, 3)
 
     def test_scaled(self):
         scaled = products._scaled
