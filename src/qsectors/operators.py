@@ -390,8 +390,9 @@ def expectation_sweep(
     """<state|op|state> restricted to the first N factors, per cutoff.
 
     Each term is bracketed against its image U_t f, so no image is built
-    past the last cut: site by site, each factor f fetched once, or over
-    the state's stacked prefix rows in the block stretch.
+    past the last cut: in the block stretch over the state's rows (its
+    stacked prefix, and a tail with closed rows), else site by site, each
+    factor f fetched once.
     """
     cuts = _check_cuts(truncations)
     _check_op_state_dims(op, state)
@@ -412,20 +413,22 @@ class _Images:
     term per operator term.  Every term's tail operator is constant, so an
     image stays one vector wherever the factor does past the prefix
     operators: its runs are the factor's, each start moved to at least
-    ``len(prefix_ops)``."""
+    ``len(prefix_ops)``.  Image rows reach as far as the factor rows do
+    (``stackable``): the explicit prefix, and past it a tail with closed
+    rows, so a decoded family's images are bracketed in blocks too."""
 
     def __init__(self, terms: Sequence[OperatorTerm], state: _Terms) -> None:
         self.terms = terms
         self.state = state
-        # images are stacked over the explicit prefix only
-        self.explicit = self.stackable = state.explicit
+        self.explicit, self.stackable = state.explicit, state.stackable
         (runs,) = state.runs
         self.runs = [tuple(sorted({max(s, len(t.prefix_ops)) for s in runs})) for t in terms]
         factor = state.sources[0]
         self.sources = [lambda site, t=t: t.image_at(site, factor(site)) for t in terms]
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """(terms, sites, dim) image rows of the explicit sites [lo, hi)."""
+        """(terms, sites, dim) image rows of the sites [lo, hi), from the
+        state side's rows of them (``_Terms.rows``)."""
         f = self.state.rows(lo, hi)[0]
         out = np.empty((len(self.terms),) + f.shape, dtype=complex)
         for img, t in zip(out, self.terms):

@@ -24,7 +24,7 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable, Sequence
 
 import numpy as np
@@ -300,9 +300,10 @@ class _Walker:
     start, and the cuts before the next run start cost that product each.
     Every cut then goes through ``_combine`` once, so a cut read with
     others keeps the bits it has read alone.  Cuts must not decrease, except
-    within every pair's run or within the last block past DIRECT_LIMIT: a
-    blocked walk folds its direct products forward only, so it refuses a
-    cut <= DIRECT_LIMIT below one it has read.
+    within every pair's run or within the last block past DIRECT_LIMIT; any
+    other earlier cut is refused (``PreconditionViolated``).  A blocked walk
+    folds its direct products forward only, so that holds at cuts <=
+    DIRECT_LIMIT too.
     """
 
     def __init__(
@@ -491,14 +492,22 @@ class _Walker:
 
     def _column(self, cut: int) -> tuple[list[complex], list[bool]]:
         """Every pair's form and zero flag as walked to ``cut``: the
-        walk's own at its site, else a column of the last block."""
+        walk's own at its site (up to DIRECT_LIMIT, a blocked walk's where
+        it has folded its direct products), else a column of the last
+        block.  Any other cut lies behind the walk, and is refused."""
+        accs = self.accs
         if cut <= DIRECT_LIMIT:
-            return [acc.direct for acc in self.accs], [acc.zero for acc in self.accs]
-        if cut == self.site:
-            accs = self.accs
+            if cut == (self.direct_at if self.blocked else self.site):
+                return [acc.direct for acc in accs], [acc.zero for acc in accs]
+        elif cut == self.site:
             return [complex(acc.log_mod, acc.arg) for acc in accs], [acc.zero for acc in accs]
-        start, forms, zeros = self.block
-        return forms[:, cut - start - 1].tolist(), zeros[:, cut - start - 1].tolist()
+        elif self.block:
+            start, forms, zeros = self.block
+            if start < cut <= start + forms.shape[1]:
+                return forms[:, cut - start - 1].tolist(), zeros[:, cut - start - 1].tolist()
+        raise PreconditionViolated(
+            f"the walk is at site {self.site} and cannot read back to cut {cut}"
+        )
 
     def _advance(self, stop: float) -> None:
         """Bring the walk to site ``stop``; the last block may end past it.
@@ -585,31 +594,88 @@ def composite_overlap(
 truncated_overlap = composite_overlap
 
 
-@dataclass(frozen=True)
 class OverlapSweep:
     """Overlap values recorded at increasing truncations.
 
-    ``log_modulus`` stays meaningful long after ``values`` underflow."""
+    ``log_modulus`` stays meaningful long after ``values`` underflow.  The
+    two columns are kept as complex128 and float64 arrays, 24 bytes a cut,
+    and read back as tuples of Python complex and float numbers with the
+    same bits; ``truncations`` is a tuple of ints, which may lie past the
+    float range.  A sweep is immutable, and compares, hashes and pickles by
+    its three columns."""
 
-    truncations: tuple[int, ...]
-    values: tuple[complex, ...]
-    log_modulus: tuple[float, ...]
+    __slots__ = ("truncations", "_values", "_log_modulus")
 
-    def __post_init__(self) -> None:
-        if not (len(self.truncations) == len(self.values) == len(self.log_modulus)):
+    def __init__(
+        self,
+        truncations: Sequence[int],
+        values: Sequence[complex],
+        log_modulus: Sequence[float],
+    ) -> None:
+        cuts = tuple(truncations)
+        if not all(type(n) is int for n in cuts):  # else each is read by ``_cut``
+            cuts = tuple(map(_cut, cuts))
+        try:
+            columns = np.array(values, dtype=complex), np.array(log_modulus, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise PreconditionViolated(f"sweep columns must be numbers: {exc}") from None
+        if not (columns[0].ndim == columns[1].ndim == 1):
+            raise PreconditionViolated("sweep columns must be flat")
+        if not (len(cuts) == len(columns[0]) == len(columns[1])):
             raise PreconditionViolated("sweep columns must have equal lengths")
-        if any(b <= a for a, b in zip(self.truncations, self.truncations[1:])):
+        if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise PreconditionViolated("truncations must be strictly increasing")
+        for column in columns:
+            column.setflags(write=False)
+        object.__setattr__(self, "truncations", cuts)
+        object.__setattr__(self, "_values", columns[0])
+        object.__setattr__(self, "_log_modulus", columns[1])
+
+    @property
+    def values(self) -> tuple[complex, ...]:
+        return tuple(self._values.tolist())
+
+    @property
+    def log_modulus(self) -> tuple[float, ...]:
+        return tuple(self._log_modulus.tolist())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"OverlapSweep(truncations={self.truncations!r}, "
+            f"values={self.values!r}, log_modulus={self.log_modulus!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.truncations == other.truncations
+            and np.array_equal(self._values, other._values)
+            and np.array_equal(self._log_modulus, other._log_modulus)
+        )
+
+    def __hash__(self) -> int:
+        # a NaN hashes by its identity and the columns are read anew on each
+        # call, so the bytes are hashed, with -0.0 made 0.0 as == reads it
+        columns = (self._values + 0).tobytes(), (self._log_modulus + 0).tobytes()
+        return hash((self.truncations, *columns))
+
+    def __reduce__(self) -> tuple:
+        return OverlapSweep, (self.truncations, self._values, self._log_modulus)
 
     def first_below(self, eps: float) -> int | None:
-        """Smallest recorded truncation with overlap modulus < eps."""
+        """Smallest recorded truncation with overlap modulus < eps; a NaN
+        log modulus is never below."""
         if not (eps > 0.0):
             raise PreconditionViolated("eps must be positive")
-        threshold = math.log(eps)
-        for n, log_mod in zip(self.truncations, self.log_modulus):
-            if log_mod < threshold:
-                return n
-        return None
+        below = np.flatnonzero(self._log_modulus < math.log(eps))
+        return self.truncations[below[0]] if len(below) else None
 
 
 def overlap_sweep(
@@ -626,8 +692,7 @@ def _sweep(
     bra: _Terms, ket: _Terms, readouts: Sequence[Readout], cuts: list[int]
 ) -> OverlapSweep:
     (walked,) = _walk(bra, ket, readouts, cuts)
-    values, logs = zip(*walked)
-    return OverlapSweep(tuple(cuts), values, logs)
+    return OverlapSweep(cuts, [v for v, _ in walked], [log for _, log in walked])
 
 
 def _combined_tail_class(a: ProductState, b: ProductState) -> dict:

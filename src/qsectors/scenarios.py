@@ -127,7 +127,8 @@ class SpinChainScenario:
             raise PreconditionViolated("site counts must be strictly increasing")
         a, b = self.states()
         blocked = overlap_sweep(a, b, [n // self.period for n in counts])
-        return OverlapSweep(tuple(counts), blocked.values, blocked.log_modulus)
+        # the blocked sweep's columns, relabelled by spin count
+        return OverlapSweep(counts, blocked._values, blocked._log_modulus)
 
     def sector_verdict(self) -> SectorVerdict:
         a, b = self.states()

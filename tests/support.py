@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import os
 import struct
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import qsectors as q
+from qsectors import overlaps
 from qsectors.operators import (
     ConstantOperatorTail,
     FactoredOperator,
@@ -17,7 +19,7 @@ from qsectors.operators import (
     IdentityTail,
     OperatorTerm,
 )
-from qsectors.serialize import decode_state, encode_operator, encode_state
+from qsectors.serialize import decode_state, encode_complex, encode_operator, encode_state
 
 
 def complex_bits(values) -> bytes:
@@ -178,3 +180,104 @@ def _malformed_operators() -> dict[str, dict]:
 # id -> operator document; ids name the field and the value's index in
 # MALFORMED_VALUES
 MALFORMED_OPERATORS = _malformed_operators()
+
+
+# -- walks compared with the site-by-site walk ---------------------------------
+#
+# ``site_by_site`` turns runs and closed tail rows off, so past the explicit
+# prefixes every site is bracketed one at a time.  Cuts <= DIRECT_LIMIT keep
+# that walk's bits, and later cuts agree with it within the rounding room of
+# its per-site sums (``assert_walks_agree``).
+
+# name -> (decay class, declared constants) of a decoded canonical family
+TAIL_FAMILIES = {
+    "geometric": ("geometric", {"ratio": 0.995}),
+    "p-series": ("p-series", {"p": 1.3}),
+    "rank-inside": ("eventually-constant", {"rank": 150}),
+    "rank-past": ("eventually-constant", {"rank": 10**6}),
+}
+
+
+def near(rng: np.random.Generator, w: q.FactorVector, eps: float = 0.05) -> q.FactorVector:
+    v = np.array(w.amplitudes) + eps * np.array(random_factor(rng, w.dim).amplitudes)
+    return q.FactorVector(tuple((v / np.linalg.norm(v)).tolist()))
+
+
+def decoded_family(rng, name, prefix_len, limit, shift=0):
+    """A decoded state whose tail is the ``TAIL_FAMILIES[name]`` family
+    around ``limit``, with a deviation of norm 0.1, moved ``shift`` sites."""
+    cls, declared = TAIL_FAMILIES[name]
+    deviation = 0.1 * np.array(random_factor(rng, limit.dim).amplitudes)
+
+    def doc(v):
+        return [encode_complex(complex(c)) for c in v]
+
+    state = decode_state({
+        "type": "product-state",
+        "prefix": [doc(random_factor(rng, limit.dim).amplitudes) for _ in range(prefix_len)],
+        "tail": {
+            "kind": "parametric",
+            "class": cls,
+            "scale": 1.0,
+            "limit": doc(limit.amplitudes),
+            "deviation": doc(deviation),
+            **declared,
+        },
+    })
+    return q.ProductState(state.prefix, state.tail.shifted(shift)) if shift else state
+
+
+def site_brackets(bra, ket, n):
+    """(bra terms, ket terms, sites) brackets of the first n sites."""
+    out = []
+    for site in range(n):
+        rows_b = np.array([s.factor_at(site).amplitudes for _, s in bra.terms])
+        rows_k = np.array([s.factor_at(site).amplitudes for _, s in ket.terms])
+        out.append(np.conj(rows_b) @ rows_k.T)
+    return np.stack(out, axis=-1)
+
+
+def log_mass(g):
+    """Running sum over sites of |log|g|| + |angle g|, up to the first zero."""
+    mod = np.abs(g)
+    live = np.cumprod(mod > 0, axis=-1).astype(bool)
+    logs = np.abs(np.log(np.where(live, mod, 1.0)))
+    return np.cumsum(logs + np.where(live, np.abs(np.angle(g)), 0.0), axis=-1)
+
+
+def site_by_site(monkeypatch, fn, *args):
+    """``fn(*args)`` with no runs and no closed tail rows: past the explicit
+    prefixes, every site is bracketed one at a time."""
+    with monkeypatch.context() as m:
+        m.setattr(q.ProductState, "run_starts", property(lambda state: ()))
+        m.setattr(q.ConstantTail, "closed_rows", False)
+        m.setattr(q.ParametricTail, "closed_rows", False)
+        return fn(*args)
+
+
+def rounding_room(bra, ket, n):
+    """(1e-12 of the largest pair's log mass at n, log of sum_k |c_k| |g_k(n)|):
+    a sum of n logs or angles rounds at about 1e-16 of its mass."""
+    bra_c = bra if isinstance(bra, q.CompositeState) else bra.as_composite()
+    ket_c = ket if isinstance(ket, q.CompositeState) else ket.as_composite()
+    g = site_brackets(bra_c, ket_c, n)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(g)).sum(axis=-1)
+    coeffs = np.outer([abs(c) for c, _ in bra_c.terms], [abs(c) for c, _ in ket_c.terms])
+    return 1e-12 * max(1.0, log_mass(g)[..., -1].max()), np.logaddexp.reduce(
+        (np.log(coeffs) + logs).ravel()
+    )
+
+
+def assert_walks_agree(bra, ket, got, want, cuts):
+    """(value, log-modulus) per cut: bits kept at cuts <= DIRECT_LIMIT; past
+    it, agreement within the rounding room of the per-site sums."""
+    for n, (v1, l1), (v2, l2) in zip(cuts, got, want):
+        if n <= overlaps.DIRECT_LIMIT:
+            assert repr((v1, l1)) == repr((v2, l2))
+        elif l2 == -math.inf:
+            assert (v1, l1) == (0j, -math.inf)
+        else:
+            room, log_scale = rounding_room(bra, ket, n)
+            assert abs(l1 - l2) <= room * math.exp(log_scale - l2)
+            assert abs(v1 - v2) <= room * math.exp(log_scale)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
+from qsectors import operators, overlaps
 from qsectors.oracle import (
     dense_expectation,
     dense_overlap,
@@ -17,7 +18,16 @@ from qsectors.oracle import (
     densify_operator,
 )
 
-from support import complex_bits, random_factor, random_operator, random_product_state
+from support import (
+    assert_walks_agree,
+    complex_bits,
+    decoded_family,
+    near,
+    random_factor,
+    random_operator,
+    random_product_state,
+    site_by_site,
+)
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -445,6 +455,11 @@ class TestSectorAction:
 
 
 class TestExpectationSweep:
+    # The bit-identity tests below hold where the sites past 64 are explicit
+    # prefix sites or plain callbacks (``random_product_state``'s parametric
+    # tails), which both sweeps walk the same way; decoded tails are
+    # compared with the site-by-site walk in TestBlockWalkedImages.
+
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -511,6 +526,143 @@ class TestExpectationSweep:
         )
         for n, v in zip(sweep.truncations, sweep.values):
             assert abs(v - 0.5**n) < 1e-14
+
+
+# -- operator images in the block stretch -------------------------------------
+#
+# A decoded tail (a canonical family) has closed rows, so its operator images
+# are bracketed in blocks as far as the state's own rows reach: up to the
+# first run start of a pair, or the last cut.  Cuts <= DIRECT_LIMIT keep the
+# bits of the site-by-site walk; later cuts agree with it within the rounding
+# room of its per-site sums.
+
+IMAGE_CUTS = [1, 5, 63, 64, 65, 66, 71, 100, 151, 700]
+
+# (prefix operator count, constant tail operator) per term, one operator each
+# for 1 to 4 terms; prefixes of 66 to 120 operators cross site 64
+IMAGE_TERMS = (
+    ((70, True),),
+    ((0, True), (90, False)),
+    ((3, False), (66, True), (120, True)),
+    ((0, False), (80, True), (5, True), (100, False)),
+)
+
+
+def _image_operator(rng, terms, dims, tail_dim=2):
+    """One term per (prefix operator count, constant tail) of ``terms``, the
+    prefix operators over ``dims`` and then ``tail_dim``, near the identity."""
+
+    def near_identity(d):
+        return q.FactorOperator(np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
+
+    out = []
+    for n_ops, constant in terms:
+        ops = tuple(near_identity(dims[k] if k < len(dims) else tail_dim) for k in range(n_ops))
+        tail = q.ConstantOperatorTail(near_identity(tail_dim)) if constant else q.IdentityTail(tail_dim)
+        out.append(q.OperatorTerm(complex(rng.normal(), rng.normal()), ops, tail))
+    return q.FactoredOperator(tuple(out))
+
+
+def _image_cases():
+    """name -> (op, state): each decoded family, plain and moved 70 sites,
+    under two of IMAGE_TERMS, so every family meets 1 to 4 terms; and a state
+    whose prefix dims change under operators that cross the change."""
+    rng = np.random.default_rng(31)
+    w = random_factor(rng, 2)
+    cases, i = {}, 0
+    for family in ("geometric", "p-series", "rank-inside"):
+        for shift in (0, 70):
+            state = decoded_family(rng, family, 4, near(rng, w), shift)
+            for k in (i % 4, (i + 2) % 4):
+                op = _image_operator(rng, IMAGE_TERMS[k], [2] * 4)
+                cases[f"{family}{'-shifted' if shift else ''}-{k + 1}-terms"] = (op, state)
+            i += 1
+    dims = [2] * 40 + [3] * 40 + [2] * 10
+    family = decoded_family(rng, "geometric", 0, near(rng, w))
+    prefix = tuple(random_factor(rng, d) for d in dims)
+    cases["dim-change"] = (
+        _image_operator(rng, ((85, True), (100, False)), dims),
+        q.ProductState(prefix, family.tail),
+    )
+    return cases
+
+
+IMAGE_CASES = _image_cases()
+
+
+def _count_images(monkeypatch):
+    """The site of every ``image_at`` call."""
+    sites = []
+    real = q.OperatorTerm.image_at
+
+    def counting(term, site, f):
+        sites.append(site)
+        return real(term, site, f)
+
+    monkeypatch.setattr(q.OperatorTerm, "image_at", counting)
+    return sites
+
+
+def _blocks_past_64(name):
+    """Whether the block stretch of the case reaches past DIRECT_LIMIT.  An
+    eventually-constant family's pairs start their runs at the prefix end or
+    where a term's prefix operators end; the block stretch ends at the first
+    of them, so when that lies at or below DIRECT_LIMIT the pairs still
+    outside a run go site by site, as they do in an overlap sweep."""
+    op, state = IMAGE_CASES[name]
+    if not state.run_starts:
+        return True
+    return min(max(state.run_starts[0], len(t.prefix_ops)) for t in op.terms) > overlaps.DIRECT_LIMIT
+
+
+def _pairs(sweep):
+    return list(zip(sweep.values, sweep.log_modulus))
+
+
+class TestBlockWalkedImages:
+    @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+    def test_agrees_with_the_site_by_site_walk(self, name, monkeypatch):
+        op, state = IMAGE_CASES[name]
+        cuts = sorted(IMAGE_CUTS + ([80, 81, 85, 86, 90, 91] if name == "dim-change" else []))
+        got = q.expectation_sweep(op, state, cuts)
+        want = site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
+        image = q.apply_operator(op, state)
+        assert_walks_agree(state, image, _pairs(got), _pairs(want), cuts)
+
+    @pytest.mark.parametrize("name", sorted(n for n in IMAGE_CASES if _blocks_past_64(n)))
+    def test_no_image_is_built_site_by_site_past_64(self, name, monkeypatch):
+        """Past DIRECT_LIMIT an image is built only where a pair's run starts."""
+        op, state = IMAGE_CASES[name]
+        side = overlaps._Terms([state])
+        images = operators._Images(op.terms, side)
+        assert images.stackable == math.inf
+        run_starts = set().union(*images.runs)
+        sites = _count_images(monkeypatch)
+        q.expectation_sweep(op, state, IMAGE_CUTS)
+        assert {n for n in sites if n >= overlaps.DIRECT_LIMIT} <= run_starts
+        assert len(sites) <= len(op.terms) * len(run_starts)
+
+    def test_a_plain_callback_keeps_its_images_site_by_site(self, monkeypatch):
+        op, state = IMAGE_CASES["p-series-shifted-2-terms"]
+        tail = state.tail
+        plain = q.ProductState(
+            state.prefix,
+            q.ParametricTail(tail.dim, tail.factor_fn.__call__, tail.limit, tail.decay, tail.shift),
+        )
+        sites = _count_images(monkeypatch)
+        q.expectation_sweep(op, plain, IMAGE_CUTS)
+        past = [n for n in sites if n >= overlaps.DIRECT_LIMIT]
+        assert len(past) == len(op.terms) * (IMAGE_CUTS[-1] - overlaps.DIRECT_LIMIT)
+
+    @pytest.mark.parametrize("name", ["geometric-1-terms", "p-series-shifted-4-terms",
+                                      "rank-inside-3-terms", "dim-change"])
+    def test_small_cuts_match_the_dense_oracle(self, name):
+        op, state = IMAGE_CASES[name]
+        cuts = [1, 2, 5]
+        sweep = q.expectation_sweep(op, state, cuts + [700])
+        for n, v in zip(cuts, sweep.values):
+            want = dense_expectation(densify_operator(op, n), densify(state, n))
+            assert abs(v - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestEvolve:

@@ -1,5 +1,9 @@
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
+import struct
 import time
 from fractions import Fraction
 
@@ -23,7 +27,19 @@ from qsectors.oracle import dense_overlap, densify
 from qsectors.serialize import decode_state, encode_complex
 from qsectors.states import _CanonicalFamily
 
-from support import random_factor, random_operator, random_product_state
+from support import (
+    TAIL_FAMILIES,
+    assert_walks_agree,
+    complex_bits,
+    decoded_family,
+    log_mass,
+    near,
+    random_factor,
+    random_operator,
+    random_product_state,
+    site_brackets,
+    site_by_site,
+)
 
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
@@ -195,6 +211,186 @@ class TestOverlapSweep:
         k = len(truncations)
         with pytest.raises(q.PreconditionViolated, match="^truncations must be strictly increasing$"):
             q.OverlapSweep(truncations, (1.0,) * k, (0.0,) * k)
+
+
+# -- compact sweep columns ------------------------------------------------------
+#
+# ``OverlapSweep`` keeps its values and log moduli as numpy columns.  Its
+# public surface is compared here with the frozen dataclass of tuples it used
+# to be, kept below as it was.
+
+
+@dataclasses.dataclass(frozen=True)
+class _TupleSweep:
+    truncations: tuple
+    values: tuple
+    log_modulus: tuple
+
+    def __post_init__(self):
+        if not (len(self.truncations) == len(self.values) == len(self.log_modulus)):
+            raise q.PreconditionViolated("sweep columns must have equal lengths")
+        if any(b <= a for a, b in zip(self.truncations, self.truncations[1:])):
+            raise q.PreconditionViolated("truncations must be strictly increasing")
+
+    def first_below(self, eps):
+        if not (eps > 0.0):
+            raise q.PreconditionViolated("eps must be positive")
+        threshold = math.log(eps)
+        for n, log_mod in zip(self.truncations, self.log_modulus):
+            if log_mod < threshold:
+                return n
+        return None
+
+
+def _both(*columns):
+    return q.OverlapSweep(*columns), _TupleSweep(*columns)
+
+
+NAN = float("nan")
+EDGE_VALUES = (
+    -0.0 + 0j, complex(0.0, -0.0), complex(-0.0, -0.0), complex(math.inf, -math.inf),
+    complex(NAN, 1.0), complex(5e-324, -5e-324), complex(2.2250738585072014e-308, 1e-310),
+    complex(1e308, -1e-300), 1j,
+)
+EDGE_LOGS = (-0.0, 0.0, math.inf, -math.inf, NAN, 5e-324, -5e-324, -1e300, 709.78)
+EDGE_CUTS = (1, 2, 64, 65, 10**15, 2**63, 10**20, 10**300, 10**400)
+
+
+def _float_bits(values):
+    return b"".join(struct.pack("<d", x) for x in values)
+
+
+class TestCompactSweep:
+    def test_columns_read_back_with_their_bits(self):
+        sweep = q.OverlapSweep(EDGE_CUTS, EDGE_VALUES, EDGE_LOGS)
+        assert sweep.truncations == EDGE_CUTS
+        assert all(type(n) is int for n in sweep.truncations)
+        assert all(type(z) is complex for z in sweep.values)
+        assert all(type(x) is float for x in sweep.log_modulus)
+        assert complex_bits(sweep.values) == complex_bits(EDGE_VALUES)
+        assert _float_bits(sweep.log_modulus) == _float_bits(EDGE_LOGS)
+        assert sweep._values.dtype == np.complex128 and sweep._log_modulus.dtype == np.float64
+
+    def test_repr_is_the_dataclass_repr(self):
+        new, old = _both(EDGE_CUTS, EDGE_VALUES, EDGE_LOGS)
+        assert repr(new) == repr(old).replace("_TupleSweep", "OverlapSweep", 1)
+        assert repr(q.OverlapSweep((), (), ())) == "OverlapSweep(truncations=(), values=(), log_modulus=())"
+
+    def test_keywords_and_columns_of_any_sequence(self):
+        sweep = q.OverlapSweep(truncations=[1, 3], values=np.array([0.5j, 1.0]), log_modulus=(0, -1))
+        assert repr(sweep) == repr(q.OverlapSweep((1, 3), (0.5j, 1 + 0j), (0.0, -1.0)))
+
+    def test_equality_and_hash_follow_the_dataclass(self):
+        base = ((1, 2, 3), (0.5 + 0j, -0.25j, 1e-300 + 0j), (-0.7, -1.4, -690.0))
+        others = [
+            base,
+            ((1, 2, 3), (0.5 + 0j, -0.25j, 1e-300 + 0j), (-0.7, -1.4, -690.0)),
+            ((1, 2, 3), (complex(0.5, -0.0), complex(-0.0, -0.25), 1e-300 + 0j), (-0.7, -1.4, -690.0)),
+            ((1, 2, 4), base[1], base[2]),
+            ((1, 2, 3), (0.5 + 0j, -0.25j, 2e-300 + 0j), base[2]),
+            ((1, 2, 3), base[1], (-0.7, -1.4, math.nextafter(-690.0, 0.0))),
+            ((1, 2), base[1][:2], base[2][:2]),
+            ((1, 2, 3), base[1], (-0.7, NAN, -690.0)),
+        ]
+        new, old = _both(*base)
+        for columns in others:
+            new2, old2 = _both(*columns)
+            assert (new == new2) is (old == old2)
+            assert (new != new2) is (old != old2)
+            if new == new2:
+                assert hash(new) == hash(new2)
+        assert new != old and new != base
+
+    def test_a_sweep_with_nan_hashes_the_same_each_time(self):
+        new, old = _both((1, 2), (complex(NAN, 0.0), 1j), (NAN, 0.0))
+        assert new == new and old == old
+        assert hash(new) == hash(new) and new in {new}
+        # as floats do, two NaNs that are not one object compare unequal
+        twin, old_twin = _both((1, 2), (complex(float("nan"), 0.0), 1j), (float("nan"), 0.0))
+        assert new != twin and old != old_twin
+
+    def test_pickles_and_copies_keep_the_columns(self):
+        sweep = q.OverlapSweep(EDGE_CUTS, EDGE_VALUES, EDGE_LOGS)
+        for back in (pickle.loads(pickle.dumps(sweep)), copy.copy(sweep), copy.deepcopy(sweep)):
+            assert type(back) is q.OverlapSweep
+            assert repr(back) == repr(sweep)
+            assert complex_bits(back.values) == complex_bits(EDGE_VALUES)
+            assert _float_bits(back.log_modulus) == _float_bits(EDGE_LOGS)
+            assert not back._values.flags.writeable
+        plain = q.OverlapSweep((1, 5), (0.5j, 1 + 0j), (-0.7, 0.0))
+        assert pickle.loads(pickle.dumps(plain)) == plain
+
+    @pytest.mark.parametrize("name", ["truncations", "values", "log_modulus", "_values", "other"])
+    def test_immutable(self, name):
+        new, old = _both((1, 2), (1j, 0.5 + 0j), (0.0, -0.7))
+        for sweep in (new, old):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sweep, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(sweep, name)
+        assert not new._values.flags.writeable and not new._log_modulus.flags.writeable
+        with pytest.raises(ValueError):
+            new._log_modulus[0] = 1.0
+        assert repr(new) == repr(old).replace("_TupleSweep", "OverlapSweep", 1)
+
+    @pytest.mark.parametrize("eps", [
+        1e-300, 0.3, 0.5, math.nextafter(0.5, 1.0), 1.0, 1.5, 1e308, math.inf, 5e-324, 10**400,
+    ])
+    def test_first_below_agrees(self, eps):
+        logs = (math.log(0.5), NAN, -math.inf, -0.0, math.log(0.25), 700.0, NAN, -1e300)
+        cuts = tuple(range(3, 3 + 4 * len(logs), 4))
+        values = (1j,) * len(logs)
+        new, old = _both(cuts, values, logs)
+        assert new.first_below(eps) == old.first_below(eps)
+        for k in range(len(logs)):  # each suffix, so each entry is the first one read
+            new, old = _both(cuts[k:], values[k:], logs[k:])
+            assert new.first_below(eps) == old.first_below(eps)
+        assert q.OverlapSweep((), (), ()).first_below(eps) is None
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, NAN, -math.inf])
+    def test_first_below_refuses_a_bad_eps(self, eps):
+        for sweep in _both((1,), (1j,), (0.0,)):
+            with pytest.raises(q.PreconditionViolated, match="^eps must be positive$"):
+                sweep.first_below(eps)
+
+    @pytest.mark.parametrize("cuts", [(1.5, 2.5), (1, 2.0), (True, 2), ("1", 2), (None, 2)])
+    def test_refuses_cuts_that_are_not_ints(self, cuts):
+        with pytest.raises(q.PreconditionViolated, match="is not an integer"):
+            q.OverlapSweep(cuts, (1.0, 0.5), (0.0, -0.69))
+
+    def test_numpy_int_cuts_become_ints(self):
+        sweep = q.OverlapSweep(np.array([1, 7]), (1j, 1j), (0.0, 0.0))
+        assert sweep.truncations == (1, 7) and all(type(n) is int for n in sweep.truncations)
+        assert sweep == q.OverlapSweep((np.int32(1), np.uint8(7)), (1j, 1j), (0.0, 0.0))
+
+    @pytest.mark.parametrize("values, logs", [
+        (("x", 1j), (0.0, 0.0)),
+        ((1j, 1j), (0.0, 1j)),
+        (((1j,), (1j,)), (0.0, 0.0)),
+        ((1j, 1j), ((0.0,), (0.0,))),
+        ((1j, 10**400), (0.0, 0.0)),
+        ((1j, 1j), (0.0, -(10**400))),
+    ])
+    def test_refuses_columns_that_are_not_numbers(self, values, logs):
+        with pytest.raises(q.PreconditionViolated, match="^sweep columns must be"):
+            q.OverlapSweep((1, 2), values, logs)
+
+    def test_a_thousand_cut_sweep_keeps_under_40_bytes_a_cut(self):
+        """Two numpy columns (24 B a cut) and the tuple of cuts (8 B a cut,
+        sharing the caller's ints); the dataclass of tuples kept about 78."""
+        import tracemalloc
+
+        a, b = constant_state(), constant_state(tail_vec=q.FactorVector((0.8, 0.6)))
+        cuts = list(range(1000, 1_001_000, 1000))
+        tracemalloc.start()
+        try:
+            sweep = q.overlap_sweep(a, b, cuts)
+            held = tracemalloc.get_traced_memory()[0]
+            del sweep
+            kept = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 40 * len(cuts)
 
 
 class TestIntegerCuts:
@@ -451,24 +647,6 @@ def _block_case(seed):
     return bra_c, ket_c, cuts
 
 
-def _site_brackets(bra, ket, n):
-    """(bra terms, ket terms, sites) brackets of the first n sites."""
-    out = []
-    for site in range(n):
-        rows_b = np.array([s.factor_at(site).amplitudes for _, s in bra.terms])
-        rows_k = np.array([s.factor_at(site).amplitudes for _, s in ket.terms])
-        out.append(np.conj(rows_b) @ rows_k.T)
-    return np.stack(out, axis=-1)
-
-
-def _log_mass(g):
-    """Running sum over sites of |log|g|| + |angle g|, up to the first zero."""
-    mod = np.abs(g)
-    live = np.cumprod(mod > 0, axis=-1).astype(bool)
-    logs = np.abs(np.log(np.where(live, mod, 1.0)))
-    return np.cumsum(logs + np.where(live, np.abs(np.angle(g)), 0.0), axis=-1)
-
-
 def _pair_walk(bra, ket, cuts, block):
     """(value, log-modulus) per cut of every term pair and of the composite."""
     bra_side, ket_side, (readout,) = overlaps._sides(bra, ket)
@@ -503,7 +681,7 @@ class TestBlockStretch:
         got = _pair_walk(bra, ket, cuts, block=True)
         assert used
         want = _pair_walk(bra, ket, cuts, block=False)
-        mass = _log_mass(_site_brackets(bra, ket, cuts[-1]))
+        mass = log_mass(site_brackets(bra, ket, cuts[-1]))
         for k, n in enumerate(cuts):
             if n <= overlaps.DIRECT_LIMIT:
                 assert repr([r[k] for r in got]) == repr([r[k] for r in want])
@@ -607,6 +785,45 @@ class TestBlockStretch:
         # past 64 a read still goes back within the last block
         assert repr(walker.read(100)) == fresh(100)
 
+
+    def test_a_blocked_walk_refuses_to_read_back_before_its_last_block(self, monkeypatch):
+        # a one-pair walk of dim 2 takes 32-site blocks: read at 250, it holds
+        # the block [224, 256), so cuts 225..256 read back and 224 or less do not
+        monkeypatch.setattr(overlaps, "BLOCK_AMPLITUDES", 2**6)
+        rng = np.random.default_rng(24)
+        bra, ket = (
+            q.ProductState(
+                tuple(random_factor(rng, 2) for _ in range(300)), q.ConstantTail(random_factor(rng, 2))
+            )
+            for _ in range(2)
+        )
+
+        def fresh(n):
+            return repr(overlaps._Walker(*overlaps._sides(bra, ket)).read(n))
+
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        assert walker.blocked == 300
+        assert repr(walker.read(250)) == fresh(250)
+        for back in (200, 224, 100, 65):
+            with pytest.raises(q.PreconditionViolated, match=f"cannot read back to cut {back}$"):
+                walker.read(back)
+        assert repr(walker.read(225)) == fresh(225)
+        assert repr(walker.read(256)) == fresh(256)
+
+    def test_a_site_by_site_walk_refuses_to_read_back_outside_a_run(self):
+        # a plain callback tail goes one site at a time: the walk holds only
+        # the products at its own site
+        rng = np.random.default_rng(25)
+        w = random_factor(rng, 2)
+        bra, ket = _geometric(rng, 3, w), _geometric(rng, 5, w)
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        assert walker.blocked == 0 and not walker.events
+        ((at_100, _),) = walker.read(100)
+        assert repr(at_100) == repr(q.truncated_overlap(bra, ket, 100))
+        for back in (99, 64, 10):
+            with pytest.raises(q.PreconditionViolated, match=f"cannot read back to cut {back}$"):
+                walker.read(back)
+        assert walker.read(100) == [(at_100, walker.accs[0].log_mod)]
 
 # -- readouts depend only on the cut -------------------------------------------
 #
@@ -798,44 +1015,6 @@ def _cuts_for(j):
     return sorted(set(JUMP_CUTS) | {j} - {0})
 
 
-def _site_by_site(monkeypatch, fn, *args):
-    """``fn(*args)`` with no runs and no closed tail rows: past the explicit
-    prefixes, every site is bracketed one at a time."""
-    with monkeypatch.context() as m:
-        m.setattr(q.ProductState, "run_starts", property(lambda state: ()))
-        m.setattr(q.ConstantTail, "closed_rows", False)
-        m.setattr(q.ParametricTail, "closed_rows", False)
-        return fn(*args)
-
-
-def _rounding_room(bra, ket, n):
-    """(1e-12 of the largest pair's log mass at n, log of sum_k |c_k| |g_k(n)|):
-    a sum of n logs or angles rounds at about 1e-16 of its mass."""
-    bra_c = bra if isinstance(bra, q.CompositeState) else bra.as_composite()
-    ket_c = ket if isinstance(ket, q.CompositeState) else ket.as_composite()
-    g = _site_brackets(bra_c, ket_c, n)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(g)).sum(axis=-1)
-    coeffs = np.outer([abs(c) for c, _ in bra_c.terms], [abs(c) for c, _ in ket_c.terms])
-    return 1e-12 * max(1.0, _log_mass(g)[..., -1].max()), np.logaddexp.reduce(
-        (np.log(coeffs) + logs).ravel()
-    )
-
-
-def _assert_jump_agrees(bra, ket, got, want, cuts):
-    """Bits kept at cuts <= DIRECT_LIMIT; past it, agreement within the
-    rounding room of the per-site sums."""
-    for n, (v1, l1), (v2, l2) in zip(cuts, got, want):
-        if n <= overlaps.DIRECT_LIMIT:
-            assert repr((v1, l1)) == repr((v2, l2))
-        elif l2 == -math.inf:
-            assert (v1, l1) == (0j, -math.inf)
-        else:
-            room, log_scale = _rounding_room(bra, ket, n)
-            assert abs(l1 - l2) <= room * math.exp(log_scale - l2)
-            assert abs(v1 - v2) <= room * math.exp(log_scale)
-
-
 def _sweep_pairs(sweep):
     return list(zip(sweep.values, sweep.log_modulus))
 
@@ -846,8 +1025,8 @@ class TestConstantTailJumps:
         bra, ket, j = JUMP_CASES[name]
         cuts = _cuts_for(j)
         got = q.overlap_sweep(bra, ket, cuts)
-        want = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts)
-        _assert_jump_agrees(bra, ket, _sweep_pairs(got), _sweep_pairs(want), cuts)
+        want = site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts)
+        assert_walks_agree(bra, ket, _sweep_pairs(got), _sweep_pairs(want), cuts)
 
     @pytest.mark.parametrize("name", sorted(JUMP_CASES))
     def test_sweep_readouts_match_single_cut_walks(self, name):
@@ -867,7 +1046,7 @@ class TestConstantTailJumps:
         bra, ket, j = JUMP_CASES[name]
         cuts = [n for n in JUMP_CUTS if n > max(j, overlaps.DIRECT_LIMIT)] + [10**5]
         jumped = q.overlap_sweep(bra, ket, cuts).log_modulus
-        summed = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts).log_modulus
+        summed = site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts).log_modulus
         # the walk's log form at j: per-site logs summed in site order
         at_j = 0.0
         for site in range(j):
@@ -905,8 +1084,8 @@ class TestConstantTailJumps:
         assert [(k, run[:2]) for k, run in walker.runs.items()] == [(0, (3, math.inf))]
         cuts = [1, 64, 65, 300]
         got = q.overlap_sweep(bra, ket, cuts)
-        want = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts)
-        _assert_jump_agrees(bra, ket, _sweep_pairs(got), _sweep_pairs(want), cuts)
+        want = site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts)
+        assert_walks_agree(bra, ket, _sweep_pairs(got), _sweep_pairs(want), cuts)
 
     @pytest.mark.parametrize("tail", ["constant", "identity"])
     def test_expectation_sweep(self, tail, monkeypatch):
@@ -924,16 +1103,16 @@ class TestConstantTailJumps:
         ))
         cuts = [4, 11, 16, 17, 64, 65, 900]
         got = q.expectation_sweep(op, state, cuts)
-        want = _site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
+        want = site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
         image = q.apply_operator(op, state)
-        _assert_jump_agrees(state, image, _sweep_pairs(got), _sweep_pairs(want), cuts)
+        assert_walks_agree(state, image, _sweep_pairs(got), _sweep_pairs(want), cuts)
 
     def test_sixteen_site_spin_blocks(self, monkeypatch):
         scenario = q.SpinChainScenario(Fraction(3, 16))
         counts = [16 * k for k in (1, 2, 40, 64, 65, 80)]
         got = scenario.sweep(counts)
-        want = _site_by_site(monkeypatch, scenario.sweep, counts)
-        _assert_jump_agrees(
+        want = site_by_site(monkeypatch, scenario.sweep, counts)
+        assert_walks_agree(
             *scenario.states(), _sweep_pairs(got), _sweep_pairs(want), [n // 16 for n in counts]
         )
         half_ln2 = 0.5 * math.log(2.0)
@@ -1079,8 +1258,8 @@ class TestRunsBeforeRank:
     def test_agrees_with_the_site_by_site_walk(self, name, monkeypatch):
         bra, ket, cuts = RUN_CASES[name]
         got = q.overlap_sweep(bra, ket, cuts)
-        want = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts)
-        _assert_jump_agrees(bra, ket, _sweep_pairs(got), _sweep_pairs(want), cuts)
+        want = site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts)
+        assert_walks_agree(bra, ket, _sweep_pairs(got), _sweep_pairs(want), cuts)
 
     @pytest.mark.parametrize("name", sorted(RUN_CASES))
     def test_sweep_readouts_match_single_cut_walks(self, name):
@@ -1095,7 +1274,7 @@ class TestRunsBeforeRank:
         p, rank = max(bra.prefix_len, ket.prefix_len), bra.tail.decay.rank
         cuts = [100, 149, 150, 151, 1000, 10**5]
         runs = q.overlap_sweep(bra, ket, cuts).log_modulus
-        summed = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts).log_modulus
+        summed = site_by_site(monkeypatch, q.overlap_sweep, bra, ket, cuts).log_modulus
         # the walk's log form at the prefix end: per-site logs in site order
         at_p = 0.0
         for site in range(p):
@@ -1136,10 +1315,10 @@ class TestRunsBeforeRank:
         cuts = [3, 5, 8, 19, 20, 21, 40, 41, 64, 65, 900]
         got = q.expectation_sweep(op, state, cuts)
         plain = q.expectation_sweep(op, _plain(state), cuts)
-        want = _site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
+        want = site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
         assert repr(_sweep_pairs(got)[:9]) == repr(_sweep_pairs(plain)[:9])
         image = q.apply_operator(op, state)
-        _assert_jump_agrees(state, image, _sweep_pairs(got), _sweep_pairs(want), cuts)
+        assert_walks_agree(state, image, _sweep_pairs(got), _sweep_pairs(want), cuts)
         for n, value in zip(cuts, got.values):
             assert repr(q.expectation_sweep(op, state, [n]).values) == repr((value,))
 
@@ -1232,7 +1411,7 @@ class TestOneReadoutInARun:
         for n, value in zip(SHORT_CUTS, sweep.values):
             assert repr(q.composite_overlap(bra, ket, n)) == repr(value)
         direct = [n for n in SHORT_CUTS if n <= overlaps.DIRECT_LIMIT]
-        want = _site_by_site(monkeypatch, q.overlap_sweep, bra, ket, direct)
+        want = site_by_site(monkeypatch, q.overlap_sweep, bra, ket, direct)
         assert repr(_sweep_pairs(sweep)[: len(direct)]) == repr(_sweep_pairs(want))
 
     @pytest.mark.parametrize(
@@ -1341,39 +1520,8 @@ class TestWalkWork:
 # over the same sides with the block stretch off: cuts <= DIRECT_LIMIT keep
 # its bits, later cuts agree within the rounding room of its sums.
 
-TAIL_FAMILIES = {
-    "geometric": ("geometric", {"ratio": 0.995}),
-    "p-series": ("p-series", {"p": 1.3}),
-    "rank-inside": ("eventually-constant", {"rank": 150}),
-    "rank-past": ("eventually-constant", {"rank": 10**6}),
-}
 TAIL_CUTS = [1, 20, 63, 64, 65, 70, 71, 150, 151, 4098, 4099, 4100, 4500]
 SHIFT = 70
-
-
-def _near(rng, w, eps=0.05):
-    v = np.array(w.amplitudes) + eps * np.array(random_factor(rng, w.dim).amplitudes)
-    return q.FactorVector(tuple((v / np.linalg.norm(v)).tolist()))
-
-
-def _family(rng, name, prefix_len, limit, shift=0):
-    """A decoded state whose tail is the ``TAIL_FAMILIES[name]`` family
-    around ``limit``, with a deviation of norm 0.1, moved ``shift`` sites."""
-    cls, declared = TAIL_FAMILIES[name]
-    deviation = 0.1 * np.array(random_factor(rng, limit.dim).amplitudes)
-    state = decode_state({
-        "type": "product-state",
-        "prefix": [_vector_doc(random_factor(rng, limit.dim)) for _ in range(prefix_len)],
-        "tail": {
-            "kind": "parametric",
-            "class": cls,
-            "scale": 1.0,
-            "limit": _vector_doc(limit),
-            "deviation": [encode_complex(complex(c)) for c in deviation],
-            **declared,
-        },
-    })
-    return q.ProductState(state.prefix, state.tail.shifted(shift)) if shift else state
 
 
 def _tail_block_cases():
@@ -1384,8 +1532,8 @@ def _tail_block_cases():
     for shift, moved in ((0, ""), (SHIFT, "-shifted")):
         for name in TAIL_FAMILIES:
             cases[f"constant-vs-{name}{moved}"] = (
-                _constant(rng, 3, _near(rng, w)),
-                _family(rng, name, 5, _near(rng, w), shift),
+                _constant(rng, 3, near(rng, w)),
+                decoded_family(rng, name, 5, near(rng, w), shift),
                 not name.startswith("rank"),
             )
         for a, b in (
@@ -1393,18 +1541,18 @@ def _tail_block_cases():
             ("rank-inside", "geometric"), ("rank-inside", "rank-past"),
         ):
             cases[f"{a}-vs-{b}{moved}"] = (
-                _family(rng, a, 2, _near(rng, w)),
-                _family(rng, b, 6, _near(rng, w), shift),
+                decoded_family(rng, a, 2, near(rng, w)),
+                decoded_family(rng, b, 6, near(rng, w), shift),
                 not (a.startswith("rank") and b.startswith("rank")),
             )
     cases["composite"] = (
         q.CompositeState((
-            (0.6 + 0.2j, _constant(rng, 3, _near(rng, w))),
-            (0.3j, _family(rng, "geometric", 4, _near(rng, w))),
+            (0.6 + 0.2j, _constant(rng, 3, near(rng, w))),
+            (0.3j, decoded_family(rng, "geometric", 4, near(rng, w))),
         )),
         q.CompositeState((
-            (0.5 + 0j, _family(rng, "p-series", 2, _near(rng, w), SHIFT)),
-            (0.1 - 0.7j, _family(rng, "geometric", 7, _near(rng, w), 3)),
+            (0.5 + 0j, decoded_family(rng, "p-series", 2, near(rng, w), SHIFT)),
+            (0.1 - 0.7j, decoded_family(rng, "geometric", 7, near(rng, w), 3)),
         )),
         True,
     )
@@ -1419,7 +1567,7 @@ class TestTailBlocks:
         rng = np.random.default_rng(2)
         w = random_factor(rng, 3)
         tails = [q.ConstantTail(w)] + [
-            _family(rng, name, 0, w, shift).tail
+            decoded_family(rng, name, 0, w, shift).tail
             for name in TAIL_FAMILIES for shift in (0, SHIFT)
         ]
         for tail in tails:
@@ -1427,7 +1575,7 @@ class TestTailBlocks:
             for lo, hi in ((0, 5), (60, 200), (149, 151)):
                 want = np.array([tail.factor_at(n).amplitudes for n in range(lo, hi)])
                 assert tail.rows(lo, hi).tobytes() == want.tobytes()
-        assert not _plain(_family(rng, "geometric", 0, w)).tail.closed_rows
+        assert not _plain(decoded_family(rng, "geometric", 0, w)).tail.closed_rows
         assert not _geometric(rng, 0, w).tail.closed_rows
 
     @pytest.mark.parametrize("name", sorted(TAIL_BLOCK_CASES))
@@ -1437,7 +1585,7 @@ class TestTailBlocks:
         (got, *_) = _pair_walk(bra, ket, TAIL_CUTS, block=True)
         assert used == [(0, TAIL_CUTS[-1] if blocks else 0)]
         (want, *_) = _pair_walk(bra, ket, TAIL_CUTS, block=False)
-        _assert_jump_agrees(bra, ket, got, want, TAIL_CUTS)
+        assert_walks_agree(bra, ket, got, want, TAIL_CUTS)
 
     @pytest.mark.parametrize(
         "name", ["constant-vs-p-series-shifted", "geometric-vs-geometric", "composite"]
@@ -1462,9 +1610,9 @@ class TestTailBlocks:
     def test_a_plain_lambda_keeps_its_side_on_the_site_loop(self, monkeypatch):
         rng = np.random.default_rng(17)
         w = random_factor(rng, 2)
-        family = _family(rng, "geometric", 3, _near(rng, w))
+        family = decoded_family(rng, "geometric", 3, near(rng, w))
         bra = q.CompositeState(((1.0, family), (0.5j, _geometric(rng, 2, w))))
-        ket = _family(rng, "p-series", 4, _near(rng, w))
+        ket = decoded_family(rng, "p-series", 4, near(rng, w))
         assert overlaps._Walker(*overlaps._sides(bra, ket)).blocked == 0
         assert overlaps._Walker(*overlaps._sides(_plain(family), ket)).blocked == 0
         cuts = [1, 64, 65, 300]
@@ -1475,8 +1623,8 @@ class TestTailBlocks:
     def test_budget_refusal_comes_before_any_bracket(self, monkeypatch):
         rng = np.random.default_rng(19)
         w = random_factor(rng, 2)
-        bra = _family(rng, "geometric", 3, _near(rng, w))
-        ket = _family(rng, "geometric", 5, _near(rng, w), SHIFT)
+        bra = decoded_family(rng, "geometric", 3, near(rng, w))
+        ket = decoded_family(rng, "geometric", 5, near(rng, w), SHIFT)
         calls = _count_brackets(monkeypatch)
         stacked = []
         real = overlaps._stacked_brackets
@@ -1488,18 +1636,22 @@ class TestTailBlocks:
         assert exc.value.context["sites"] == 10**7 - 3
         assert calls == [] and stacked == []
 
-    def test_expectation_sweep_keeps_its_bits(self, monkeypatch):
-        """Operator images stay on the explicit prefix: no tail rows."""
+    def test_expectation_sweep_blocks_its_images_past_the_prefix(self, monkeypatch):
+        """Operator images of a decoded tail are bracketed in tail blocks
+        too, up to the last cut."""
         rng = np.random.default_rng(23)
         w = random_factor(rng, 2)
-        state = _family(rng, "p-series", 100, _near(rng, w))
+        state = decoded_family(rng, "p-series", 100, near(rng, w))
         op = random_operator(rng, dim=2, n_terms=2, max_prefix=80)
         cuts = [1, 64, 65, 100, 101, 3000]
+        used = _uses_blocks(monkeypatch)
         got = q.expectation_sweep(op, state, cuts)
-        want = _site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
+        assert used == [(0, cuts[-1])]
+        want = site_by_site(monkeypatch, q.expectation_sweep, op, state, cuts)
         # runs play no part: a p-series state has none
         assert state.run_starts == ()
-        assert repr(got) == repr(want)
+        image = q.apply_operator(op, state)
+        assert_walks_agree(state, image, _sweep_pairs(got), _sweep_pairs(want), cuts)
 
     def test_a_long_tail_walk_holds_one_small_block(self, monkeypatch):
         """A decoded geometric pair at 3e4 sites peaks below 2 MB traced; with
@@ -1508,8 +1660,8 @@ class TestTailBlocks:
 
         rng = np.random.default_rng(29)
         w = random_factor(rng, 2)
-        bra = _family(rng, "geometric", 3, _near(rng, w))
-        ket = _family(rng, "geometric", 5, _near(rng, w))
+        bra = decoded_family(rng, "geometric", 3, near(rng, w))
+        ket = decoded_family(rng, "geometric", 5, near(rng, w))
         n = 3 * 10**4
         q.truncated_overlap(bra, ket, 100)
         used = _uses_blocks(monkeypatch)
@@ -1596,31 +1748,31 @@ def _many_cut_cases():
     zero bracket's site)."""
     rng = np.random.default_rng(424)
     w = random_factor(rng, 2)
-    zeroed = _with_zero(_constant(rng, 90, _near(rng, w)), 70, E1)
+    zeroed = _with_zero(_constant(rng, 90, near(rng, w)), 70, E1)
     cases = {
-        "constant": (_constant(rng, 3, _near(rng, w)), _constant(rng, 7, _near(rng, w)), (3, 7)),
+        "constant": (_constant(rng, 3, near(rng, w)), _constant(rng, 7, near(rng, w)), (3, 7)),
         "eventually-constant": (
-            _canonical(rng, 2, 150, _near(rng, w)), _constant(rng, 5, _near(rng, w)), (5, 150)
+            _canonical(rng, 2, 150, near(rng, w)), _constant(rng, 5, near(rng, w)), (5, 150)
         ),
         "geometric": (
-            _constant(rng, 3, _near(rng, w)), _family(rng, "geometric", 5, _near(rng, w)), (5,)
+            _constant(rng, 3, near(rng, w)), decoded_family(rng, "geometric", 5, near(rng, w)), (5,)
         ),
         "p-series-shifted": (
-            _family(rng, "p-series", 80, _near(rng, w), SHIFT),
-            _constant(rng, 100, _near(rng, w)),
+            decoded_family(rng, "p-series", 80, near(rng, w), SHIFT),
+            _constant(rng, 100, near(rng, w)),
             (80, 100, 150),
         ),
         "prefix-blocks": (
-            _constant(rng, 200, _near(rng, w)), _constant(rng, 230, _near(rng, w)), (200, 230)
+            _constant(rng, 200, near(rng, w)), _constant(rng, 230, near(rng, w)), (200, 230)
         ),
         "composite-zero": (
             q.CompositeState((
-                (0.6 + 0.2j, _constant(rng, 100, _near(rng, w))),
-                (-0.3 + 0.1j, _with_zero(_constant(rng, 95, _near(rng, w)), 70, E0)),
+                (0.6 + 0.2j, _constant(rng, 100, near(rng, w))),
+                (-0.3 + 0.1j, _with_zero(_constant(rng, 95, near(rng, w)), 70, E0)),
             )),
             q.CompositeState((
                 (0.5 + 0j, zeroed),
-                (0.1 - 0.7j, _canonical(rng, 85, 120, _near(rng, w))),
+                (0.1 - 0.7j, _canonical(rng, 85, 120, near(rng, w))),
             )),
             (70, 71, 85, 90, 95, 100, 120),
         ),
