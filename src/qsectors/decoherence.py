@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidAmplitude, PreconditionViolated
-from .overlaps import DIRECT_LIMIT, _cut, _sides, _Terms, _walk, _Walker
+from .overlaps import _cut, _sides, _Terms, _walk, _Walker
 from .sectors import same_sector
 from .states import (
     ALIGN_EXACT,
@@ -213,9 +213,9 @@ def _pair_horizon(
     the decay certificates prove the modulus never drops that far.
 
     The cuts N = 0, 1, ... are read off one walk over the pair, the walk
-    ``truncated_overlap`` makes, so the two agree at exact ties too.  Past
-    DIRECT_LIMIT, in the block stretch, the cuts are screened a block at a
-    time (``_screen``) and read from the first that can meet eps.  From
+    ``truncated_overlap`` makes, so the two agree at exact ties too.  In
+    the block stretch the cuts past 0 are screened a block at a time
+    (``_screen``) and read from the first that can meet eps.  From
     the first cut inside a run of the pair, with bracket G, where |G| < 1, N
     is solved from the log form and G and, if it falls inside the run,
     checked at N - 1 and N; otherwise the walk goes on at the run's end.
@@ -238,7 +238,7 @@ def _pair_horizon(
 
     n = 0
     while True:
-        if screened and DIRECT_LIMIT < n < walk.blocked:
+        if screened and 0 < n < walk.blocked:
             # the next certificate check, at a multiple past the prefixes
             certified = -(-max(n, span + 1) // _HORIZON_CHECK_EVERY) * _HORIZON_CHECK_EVERY
             hi = min(walk.blocked, stop, certified, walk.refused_from())
@@ -288,9 +288,9 @@ def _screen(walk: _Walker, lo: int, hi: int, bound: float) -> int:
 
     A cut can meet it where its product is zero or its log modulus, capped
     at 700 as ``_combine`` caps the value it reads, lies below
-    ``bound + _SCREEN_MARGIN``.  For a normal eps, |value| is exp of that
-    log modulus within a few ulps, far inside the margin, so no cut where
-    the predicate holds is passed over."""
+    ``bound + _SCREEN_MARGIN``.  For a normal eps, |value| (up to 64 cuts a
+    direct product) is within a few ulps of exp of that log modulus, far
+    inside the margin, so no cut where the predicate holds is passed over."""
     for first, logs, zeros in walk.log_columns(lo, hi):
         met = zeros[0] | (np.minimum(logs[0], 700.0) < bound + _SCREEN_MARGIN)
         if met.any():

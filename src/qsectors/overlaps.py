@@ -224,16 +224,18 @@ def _combine(
     return value, log_mod
 
 
-def _stacked_blocks(
+def _bracket_blocks(
     bra: _Terms, ket: _Terms, keys: Sequence[tuple[int, int]], lo: int, hi: int
 ):
-    """Yield (start, stop, g) for consecutive blocks of sites covering
-    [lo, hi), g the (pairs, sites) brackets of the (bra term, ket term) pairs
-    in ``keys``.  One einsum brackets every term pair of a block; a block
-    keeps one dim, read from the bra side, about BLOCK_AMPLITUDES amplitudes
-    per side and in its brackets, and at most TAIL_BLOCK_SITES sites past
-    the shortest explicit prefix.  Where ``keys`` are every pair in row-major
-    order, g is a view of the einsum's output; else the pairs are gathered."""
+    """Yield (start, stop, forms, zeros, g) for consecutive blocks of sites
+    covering [lo, hi), g the (pairs, sites) brackets of the (bra term, ket
+    term) pairs in ``keys``, forms their log forms log|g| + i atan2 g, 0
+    where g is, and zeros where g == 0.  One einsum brackets every term pair
+    of a block; a block keeps one dim, read from the bra side, about
+    BLOCK_AMPLITUDES amplitudes per side and in its brackets, and at most
+    TAIL_BLOCK_SITES sites past the shortest explicit prefix.  Where ``keys``
+    are every pair in row-major order, g is a view of the einsum's output;
+    else the pairs are gathered."""
     n_bra, n_ket = len(bra.sources), len(ket.sources)
     every_pair = len(keys) == n_bra * n_ket  # keys are sorted and distinct
     bra_idx, ket_idx = (np.array(ix) for ix in zip(*keys))
@@ -249,23 +251,15 @@ def _stacked_blocks(
         )
         stop = bra.run_end(start, stop)
         g = _stacked_brackets(bra.rows(start, stop), ket.rows(start, stop))
-        yield start, stop, g.reshape(n_bra * n_ket, -1) if every_pair else g[bra_idx, ket_idx]
-        start = stop
-
-
-def _bracket_blocks(
-    bra: _Terms, ket: _Terms, keys: Sequence[tuple[int, int]], lo: int, hi: int
-):
-    """``_stacked_blocks`` with each g given as (log|g| + i atan2 g, g == 0),
-    the log form 0 where g is."""
-    for start, stop, g in _stacked_blocks(bra, ket, keys, lo, hi):
+        g = g.reshape(n_bra * n_ket, -1) if every_pair else g[bra_idx, ket_idx]
         mod = np.abs(g)
         zeros = mod == 0
         forms = np.empty_like(g)
         np.log(mod, out=forms.real, where=~zeros)
         np.arctan2(g.imag, g.real, out=forms.imag)
         forms[zeros] = 0
-        yield start, stop, forms, zeros
+        yield start, stop, forms, zeros, g
+        start = stop
 
 
 class _Walker:
@@ -273,7 +267,9 @@ class _Walker:
     demand: ``reads(cuts)`` gives (value, log-modulus) of each readout sum_k
     c_k prod_{site<cut} <bra_a(site)|ket_b(site)> at each of a sorted list of
     cuts, and ``read(cut)`` is its one-cut case.  Which path brackets a site
-    depends on the sides alone, so a readout depends only on its cut.
+    depends on the sides alone, so a readout depends only on its cut, and
+    every cut goes through ``_combine`` once, so a cut read with others keeps
+    the bits it has read alone.
 
     The sites before the block end go in stacked blocks, no further than
     ``last_cut``: the block end is the shortest reach of the two sides' rows
@@ -282,28 +278,23 @@ class _Walker:
     when that lies past DIRECT_LIMIT.  A pair's log form there is a running
     sum (a seeded cumsum), so a cut inside a block reads a column, and the
     cuts inside one block read theirs with one gather (``log_columns`` hands
-    the columns' log moduli to the horizon's screen).  Other sites are
-    bracketed one at a time; cuts <= DIRECT_LIMIT read their direct product,
-    which with blocks is all they update; with blocks those sites go in one
-    stacked block too, and each pair folds its row of it in site order (rows
-    hold the bits of the factors and images, so the brackets keep theirs).
-    Blocked or not, ``check`` counts the sites past the shortest explicit
-    prefix against WALK_BUDGET, once per ``reads``, for its last cut.
+    the columns' log moduli to the horizon's screen).  From its first run
+    start (``_pair_runs``) on, a pair is in a run: it brackets G once at the
+    run's start a, where its accumulator stays, and reads a cut n past
+    DIRECT_LIMIT inside the run as its log form plus (n - a) * (log|G|,
+    atan2 G), so it crosses a finite run in one step.  Other sites are
+    bracketed one at a time.  ``check`` counts the sites past the shortest
+    explicit prefix against WALK_BUDGET, once per ``reads``, for its last cut.
 
-    From its first run start (``_pair_runs``) on, a pair is in a run: it
-    brackets G once at the run's start a, where its accumulator stays, takes
-    (log|G|, atan2 G) there, and reads every cut n inside the run from
-    there: up to DIRECT_LIMIT as its direct product times G once per site,
-    the multiplications of the site-by-site walk, past it as its log form
-    plus (n - a) * (log|G|, atan2 G).  It crosses a finite run in that one
-    step, so once every pair is in a run the walk moves from run start to run
-    start, and the cuts before the next run start cost that product each.
-    Every cut then goes through ``_combine`` once, so a cut read with
-    others keeps the bits it has read alone.  Cuts must not decrease, except
-    within every pair's run or within the last block past DIRECT_LIMIT; any
-    other earlier cut is refused (``PreconditionViolated``).  A blocked walk
-    folds its direct products forward only, so that holds at cuts <=
-    DIRECT_LIMIT too.
+    Each pair keeps one record of its direct products at cuts up to
+    DIRECT_LIMIT, multiplied in site order from 1, and of the first cut at
+    which its product is zero, appended by whichever path brackets a site:
+    a block's brackets (which keep the bits of the rows' factors and images),
+    the site-by-site loop's accumulator, a run's G once a site.  Cuts up to
+    DIRECT_LIMIT read the record, in any order once the walk has passed
+    them; later cuts must not decrease, except within every pair's run or
+    within the last block, and any other earlier cut is refused
+    (``PreconditionViolated``).
     """
 
     def __init__(
@@ -327,6 +318,10 @@ class _Walker:
         self.accs = [products._Accumulator() for _ in self.keys]
         self.sources = [(bra.sources[a], ket.sources[b]) for a, b in self.keys]
         self.steps = self.pair_steps = [(*s, acc.push) for s, acc in zip(self.sources, self.accs)]
+        # the record: each pair's direct products at cuts 0, 1, ... and the
+        # first cut at which its product is zero
+        self.direct = [[1.0 + 0j] for _ in self.keys]
+        self.zero_at = [math.inf] * len(self.keys)
         # pair -> (start, end, G, _log_steps(G)) of its run at ``site``; its
         # accumulator holds sites [0, start)
         self.runs: dict[int, tuple[int, float, complex, tuple | None]] = {}
@@ -336,12 +331,9 @@ class _Walker:
                 self.events.setdefault(start, []).append((k, end))
         self.next_event = min(self.events, default=math.inf)
         self.site = 0  # the walk holds sites [0, site)
-        self.direct_at = 0  # with blocks, ``direct`` holds sites [0, direct_at)
         self.block: tuple = ()  # (start, running log forms, zeros) of the last block
-        # generators: no block is bracketed before it is needed
+        # a generator: no block is bracketed before it is needed
         self.blocks = _bracket_blocks(bra, ket, self.keys, 0, min(self.blocked, last_cut))
-        self.direct_blocks = _stacked_blocks(bra, ket, self.keys, 0, min(DIRECT_LIMIT, last_cut))
-        self.direct_rows: list[list[complex]] = [[] for _ in self.keys]  # brackets from site 0
 
     def check(self, cut: float) -> None:
         """Refuse a read of ``cut`` that brackets more than WALK_BUDGET term
@@ -376,15 +368,7 @@ class _Walker:
         out = []
         i = 0
         while i < len(cuts):
-            cut = cuts[i]
-            if cut <= DIRECT_LIMIT and self.blocked:
-                if cut < max(self.direct_at, self.site):
-                    raise PreconditionViolated(
-                        f"a blocked walk cannot read back to cut {cut} <= {DIRECT_LIMIT}"
-                    )
-                self._fold_direct(cut)
-            else:
-                self._advance(cut)
+            self._advance(cuts[i])
             j, columns = self._columns(cuts, i)
             for cut, (forms, zeros) in zip(cuts[i:j], columns):
                 out.append([_combine(readout, forms, zeros, cut) for readout in self.readouts])
@@ -395,13 +379,15 @@ class _Walker:
         """(j, every pair's forms and zero flags at each of cuts[i:j]) for
         the cut ``cuts[i]``, which the walk has reached, and the cuts after it
         that read the same way: inside every pair's run, or inside the last
-        block."""
+        block.  A cut <= DIRECT_LIMIT reads the record."""
         cut = cuts[i]
-        if cut > DIRECT_LIMIT and self.site == cut and len(self.runs) == len(self.accs):
+        if cut <= DIRECT_LIMIT:
+            return i + 1, [([row[cut] for row in self.direct], [cut >= z for z in self.zero_at])]
+        if self.site == cut and len(self.runs) == len(self.accs):
             j = bisect.bisect_left(cuts, self.next_event, i)
             self.site = cuts[j - 1]  # where reading them one at a time leaves the walk
             return j, self._run_columns(cuts[i:j])
-        if cut > DIRECT_LIMIT and self.block:
+        if self.block:
             start, forms, zeros = self.block
             stop = start + forms.shape[1]
             if start < cut <= stop:  # no run starts before the block stretch ends
@@ -440,10 +426,9 @@ class _Walker:
     def log_columns(self, lo: int, hi: int):
         """Yield (first cut, log moduli, zero flags) for consecutive stretches
         of the cuts [lo, hi), each inside one block: (pairs, cuts) arrays of
-        the real parts and zero flags of every pair's columns there, the
-        numbers ``read`` passes to ``_combine`` at those cuts.  The cuts lie
-        past DIRECT_LIMIT and before ``blocked``, and ``check`` passes the
-        last; the blocks are folded as the stretches are read."""
+        the real parts and zero flags of every pair's block columns there,
+        folding the blocks as it goes.  The cuts lie in [1, blocked), and
+        ``check`` passes the last."""
         cut = lo
         while cut < hi:
             self._advance(cut)
@@ -454,21 +439,10 @@ class _Walker:
             ]
             cut = stop
 
-    def _fold_direct(self, cut: int) -> None:
-        """Fold the sites [direct_at, cut) into every pair's direct product."""
-        while len(self.direct_rows[0]) < cut:
-            _, _, g = next(self.direct_blocks)
-            for row, block in zip(self.direct_rows, g.tolist()):
-                row += block
-        for acc, row in zip(self.accs, self.direct_rows):
-            brackets = row[self.direct_at : cut]
-            acc.zero = acc.zero or 0 in brackets  # a zero product's direct is never read
-            acc.direct = math.prod(brackets, start=acc.direct)
-        self.direct_at = cut
-
     def _forms(self, cut: int) -> tuple[list[complex], list[bool]]:
-        """Every pair's ``_combine`` form and zero flag at ``cut``, which the
-        walk has reached: from its run's start inside its run, else as walked."""
+        """Every pair's ``_combine`` form and zero flag at ``cut``, past
+        DIRECT_LIMIT, which the walk has reached: from its run's start inside
+        its run, else as walked."""
         if not self.runs:
             return self._column(cut)
         column = None
@@ -477,12 +451,8 @@ class _Walker:
             run = self.runs.get(k)
             if run is not None and run[0] <= cut:
                 start, _, g, steps = run
-                if cut <= DIRECT_LIMIT:
-                    form = math.prod(itertools.repeat(g, cut - start), start=acc.direct)
-                    zero = acc.zero or (cut > start and g == 0)
-                else:
-                    log_mod, arg, zero = acc.jump(g, steps, cut - start)
-                    form = complex(log_mod, arg)
+                log_mod, arg, zero = acc.jump(g, steps, cut - start)
+                form = complex(log_mod, arg)
             else:
                 column = column or self._column(cut)
                 form, zero = column[0][k], column[1][k]
@@ -491,23 +461,28 @@ class _Walker:
         return forms, zeros
 
     def _column(self, cut: int) -> tuple[list[complex], list[bool]]:
-        """Every pair's form and zero flag as walked to ``cut``: the
-        walk's own at its site (up to DIRECT_LIMIT, a blocked walk's where
-        it has folded its direct products), else a column of the last
+        """Every pair's log form and zero flag as walked to ``cut``, past
+        DIRECT_LIMIT: the walk's own at its site, else a column of the last
         block.  Any other cut lies behind the walk, and is refused."""
         accs = self.accs
-        if cut <= DIRECT_LIMIT:
-            if cut == (self.direct_at if self.blocked else self.site):
-                return [acc.direct for acc in accs], [acc.zero for acc in accs]
-        elif cut == self.site:
+        if cut == self.site:
             return [complex(acc.log_mod, acc.arg) for acc in accs], [acc.zero for acc in accs]
-        elif self.block:
+        if self.block:
             start, forms, zeros = self.block
             if start < cut <= start + forms.shape[1]:
                 return forms[:, cut - start - 1].tolist(), zeros[:, cut - start - 1].tolist()
         raise PreconditionViolated(
             f"the walk is at site {self.site} and cannot read back to cut {cut}"
         )
+
+    def _record(self, k: int, brackets: list[complex]) -> None:
+        """Append pair k's direct products over ``brackets``, the brackets
+        of the sites after those its record holds, up to DIRECT_LIMIT."""
+        row = self.direct[k]
+        if self.zero_at[k] == math.inf and 0 in brackets:
+            self.zero_at[k] = len(row) + brackets.index(0)
+        # accumulate yields its initial product first, so it is popped here
+        row += itertools.accumulate(brackets, operator.mul, initial=row.pop())
 
     def _advance(self, stop: float) -> None:
         """Bring the walk to site ``stop``; the last block may end past it.
@@ -524,32 +499,43 @@ class _Walker:
                     for site in range(self.site, end):
                         for bra_at, ket_at, push in self.steps:
                             push(factor_overlap(bra_at(site), ket_at(site)))
+                        if site < DIRECT_LIMIT:
+                            self._record_accumulators(site + 1)
                 self.site = end
             if self.site == self.next_event:
                 self._arrive()
 
+    def _record_accumulators(self, cut: int) -> None:
+        """Append the product at ``cut`` of each pair outside a run."""
+        for k, acc in enumerate(self.accs):
+            if k not in self.runs:
+                self.direct[k].append(acc.direct)
+                if acc.zero and self.zero_at[k] == math.inf:
+                    self.zero_at[k] = cut
+
     def _arrive(self) -> None:
         """Start the runs that begin at this site: a pair in a run crosses to
-        its end in one step, its direct product only up to DIRECT_LIMIT, then
-        brackets the new run's G here."""
+        its end in one step, then brackets the new run's G here."""
         starting = self.events.pop(self.site)
         self.next_event = min(self.events, default=math.inf)
         for k, end in starting:
             acc = self.accs[k]
             if k in self.runs:
                 start, _, g, steps = self.runs[k]
-                count = self.site - start
-                if self.site <= DIRECT_LIMIT:
-                    acc.direct = math.prod(itertools.repeat(g, count), start=acc.direct)
-                acc.log_mod, acc.arg, acc.zero = acc.jump(g, steps, count)
+                acc.log_mod, acc.arg, acc.zero = acc.jump(g, steps, self.site - start)
             bra_at, ket_at = self.sources[k]
             g = factor_overlap(bra_at(self.site), ket_at(self.site))
             self.runs[k] = (self.site, end, g, products._log_steps(g))
+            self._record(k, [g] * (min(end, DIRECT_LIMIT) - self.site))  # [] past the limit
         self.steps = [s for k, s in enumerate(self.pair_steps) if k not in self.runs]
 
     def _fold_block(self) -> None:
-        """Bracket the next block and fold it into each pair's log form."""
-        start, self.site, forms, zeros = next(self.blocks)
+        """Bracket the next block, fold it into each pair's log form, and
+        append its brackets up to DIRECT_LIMIT to the record."""
+        start, self.site, forms, zeros, g = next(self.blocks)
+        if start < DIRECT_LIMIT:
+            for k, brackets in enumerate(g[:, : DIRECT_LIMIT - start].tolist()):
+                self._record(k, brackets)
         # running sums seeded with each pair's log form so far: a column is
         # the sequential sum of the block's own per-site forms (a complex sum
         # adds the log moduli and the angles apart).  numpy's abs, log and
@@ -594,6 +580,21 @@ def composite_overlap(
 truncated_overlap = composite_overlap
 
 
+def _sweep_column(column: Sequence, dtype: type) -> np.ndarray:
+    """``column`` as a new array of ``dtype``, refusing None, strings, bytes
+    and bools, which numpy would read as numbers; a numeric array, or exact
+    complex and float entries as the walks pass, skip the look at each one."""
+    try:
+        if not (isinstance(column, np.ndarray) and column.dtype.kind in "iufc"):
+            if not set(map(type, column)) <= {complex, float} and any(
+                isinstance(v, (str, bytes, bool, np.bool_, type(None))) for v in column
+            ):
+                raise TypeError("found None, a string, bytes or a bool")
+        return np.array(column, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionViolated(f"sweep columns must be numbers: {exc}") from None
+
+
 class OverlapSweep:
     """Overlap values recorded at increasing truncations.
 
@@ -615,10 +616,7 @@ class OverlapSweep:
         cuts = tuple(truncations)
         if not all(type(n) is int for n in cuts):  # else each is read by ``_cut``
             cuts = tuple(map(_cut, cuts))
-        try:
-            columns = np.array(values, dtype=complex), np.array(log_modulus, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise PreconditionViolated(f"sweep columns must be numbers: {exc}") from None
+        columns = _sweep_column(values, complex), _sweep_column(log_modulus, float)
         if not (columns[0].ndim == columns[1].ndim == 1):
             raise PreconditionViolated("sweep columns must be flat")
         if not (len(cuts) == len(columns[0]) == len(columns[1])):

@@ -184,9 +184,10 @@ class _Accumulator:
     """Running complex product, kept both directly and as log-modulus plus
     unwrapped argument.
 
-    Overlap readouts use the direct product up to ``overlaps.DIRECT_LIMIT``
-    terms and the log form past it, where the direct product may underflow;
-    the classifiers read the log form.  A zero term pins the product at 0.
+    The overlap walk records the direct product of its short cuts, and
+    ``classify_product`` reads the prefix product there; the log form serves
+    long products, where the direct one may underflow.  A zero term pins
+    the product at 0.
     """
 
     __slots__ = ("direct", "log_mod", "arg", "zero")

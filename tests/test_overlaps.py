@@ -375,6 +375,32 @@ class TestCompactSweep:
         with pytest.raises(q.PreconditionViolated, match="^sweep columns must be"):
             q.OverlapSweep((1, 2), values, logs)
 
+    @pytest.mark.parametrize("values, logs", [
+        ((1j, None), (0.0, 0.0)),
+        (("1", 1j), (0.0, 0.0)),
+        ((b"1", 1j), (0.0, 0.0)),
+        ((True, 1j), (0.0, 0.0)),
+        ((1j, np.bool_(False)), (0.0, 0.0)),
+        (np.array([1j, None], dtype=object), (0.0, 0.0)),
+        (np.array(["1", "1j"]), (0.0, 0.0)),
+        ((1j, 1j), (None, 0.0)),
+        ((1j, 1j), (0.0, "-1")),
+        ((1j, 1j), (b"0", 0.0)),
+        ((1j, 1j), (0.0, False)),
+        ((1j, 1j), np.array([True, False])),
+    ])
+    def test_refuses_entries_numpy_would_read_as_numbers(self, values, logs):
+        # np.array(..., dtype=complex) reads None as NaN and "1" as 1
+        with pytest.raises(q.PreconditionViolated, match="^sweep columns must be numbers: found"):
+            q.OverlapSweep((1, 2), values, logs)
+
+    def test_numbers_of_other_types_are_read(self):
+        sweep = q.OverlapSweep(
+            (1, 2, 3), [1, np.float32(0.5), Fraction(1, 4)], np.array([0, -1, -2], dtype=np.int8)
+        )
+        want = q.OverlapSweep((1, 2, 3), (1 + 0j, 0.5 + 0j, 0.25 + 0j), (0.0, -1.0, -2.0))
+        assert repr(sweep) == repr(want)
+
     def test_a_thousand_cut_sweep_keeps_under_40_bytes_a_cut(self):
         """Two numpy columns (24 B a cut) and the tuple of cuts (8 B a cut,
         sharing the caller's ints); the dataclass of tuples kept about 78."""
@@ -758,9 +784,9 @@ class TestBlockStretch:
             assert repr(got.values[k]) == repr(want.values[k])
             assert repr(got.log_modulus[k]) == repr(want.log_modulus[k])
 
-    def test_a_blocked_walk_refuses_to_read_back_to_a_short_cut(self):
-        # direct products fold forward only: read at 40, a read at 30 would
-        # return the product at 40
+    def test_a_blocked_walk_reads_back_to_a_short_cut(self):
+        # every pair's record holds its direct products at cuts <= 64: read
+        # at 40 or 150, a read at 30 returns the product at 30
         rng = np.random.default_rng(20)
         bra, ket = (
             q.ProductState(
@@ -776,12 +802,11 @@ class TestBlockStretch:
         assert walker.blocked == 200
         assert repr(walker.read(40)) == repr(walker.read(40)) == fresh(40)
         for back in (39, 30, 1):
-            with pytest.raises(q.PreconditionViolated, match=f"read back to cut {back} <= 64"):
-                walker.read(back)
-        assert repr(walker.read(64)) == fresh(64)
+            assert repr(walker.read(back)) == fresh(back) == _direct_read(bra, ket, back)
+        assert repr(walker.read(64)) == fresh(64) == _direct_read(bra, ket, 64)
         assert repr(walker.read(150)) == fresh(150)
-        with pytest.raises(q.PreconditionViolated):
-            walker.read(64)
+        for back in (64, 30):
+            assert repr(walker.read(back)) == fresh(back) == _direct_read(bra, ket, back)
         # past 64 a read still goes back within the last block
         assert repr(walker.read(100)) == fresh(100)
 
@@ -811,8 +836,8 @@ class TestBlockStretch:
         assert repr(walker.read(256)) == fresh(256)
 
     def test_a_site_by_site_walk_refuses_to_read_back_outside_a_run(self):
-        # a plain callback tail goes one site at a time: the walk holds only
-        # the products at its own site
+        # a plain callback tail goes one site at a time: past 64 the walk
+        # holds only the products at its own site, up to 64 its record
         rng = np.random.default_rng(25)
         w = random_factor(rng, 2)
         bra, ket = _geometric(rng, 3, w), _geometric(rng, 5, w)
@@ -820,9 +845,11 @@ class TestBlockStretch:
         assert walker.blocked == 0 and not walker.events
         ((at_100, _),) = walker.read(100)
         assert repr(at_100) == repr(q.truncated_overlap(bra, ket, 100))
-        for back in (99, 64, 10):
-            with pytest.raises(q.PreconditionViolated, match=f"cannot read back to cut {back}$"):
-                walker.read(back)
+        for back in (64, 10):
+            got = repr(walker.read(back))
+            assert got == _fresh_read(bra, ket, back) == _direct_read(bra, ket, back)
+        with pytest.raises(q.PreconditionViolated, match="cannot read back to cut 99$"):
+            walker.read(99)
         assert walker.read(100) == [(at_100, walker.accs[0].log_mod)]
 
 # -- readouts depend only on the cut -------------------------------------------
@@ -2049,3 +2076,152 @@ def test_block_walk_bits_are_frozen(name, small_blocks, monkeypatch):
     if small_blocks:
         monkeypatch.setattr(overlaps, "BLOCK_AMPLITUDES", 2**9)
     assert repr(FROZEN_WALK_CASES[name]()) == FROZEN_WALK[name]
+
+
+# -- one record of direct products per pair -------------------------------------
+#
+# Each pair's record holds its direct products at cuts <= DIRECT_LIMIT,
+# appended by whichever path brackets its sites: stacked blocks, the
+# site-by-site loop, or a run's bracket repeated from the run's start.  So
+# those cuts read in any order, between increasing cuts past it, the bits a
+# fresh walk reads, and a blocked walk brackets no site twice.
+
+
+def _record_cases():
+    """name -> (bra, ket): walks of each kind over the sites up to 64."""
+    rng = np.random.default_rng(2035)
+    u, v, w = (random_factor(rng, 2) for _ in range(3))
+    dims = [2] * 30 + [3] * 20 + [2] * 70  # the dim changes inside the prefixes
+    base = _unit_rows(rng, dims)
+    bra_terms = [_block_term(rng, base, n, 2, False) for n in (100, 104, 120)]
+    ket_terms = [_block_term(rng, base, n, 2, False) for n in (110, 101)]
+    # orthogonal at site 40 zeroes one pair there; a zero vector at site 12
+    # zeroes every pair of its term
+    bra_terms[0] = _with_zero(bra_terms[0], 40, q.basis_vector(3, 0))
+    ket_terms[1] = _with_zero(ket_terms[1], 40, q.basis_vector(3, 1))
+    bra_terms[2] = _with_zero(bra_terms[2], 12, q.FactorVector((0j, 0j)))
+
+    def composite(terms):
+        coeffs = rng.normal(size=len(terms)) + 1j * rng.normal(size=len(terms))
+        return q.CompositeState(tuple(zip(coeffs.tolist(), terms)))
+
+    # brackets past the float range make the direct product NaN before a zero
+    # bracket at site 2, so only the zero cut reads the products from cut 3 as 0
+    big = q.FactorVector((1e200 + 0j, 0j))
+    overflow = [(big, big, f) for f in (E0, E1)]
+
+    return {
+        "blocked-prefix": tuple(_block_term(rng, base, 100, 2, False) for _ in range(2)),
+        "blocked-prefix-callback-tail": tuple(
+            _block_term(rng, base, 90, 2, True) for _ in range(2)
+        ),
+        "blocked-geometric": (
+            decoded_family(rng, "geometric", 3, near(rng, w)),
+            decoded_family(rng, "geometric", 5, near(rng, w), SHIFT),
+        ),
+        "blocked-p-series": (
+            decoded_family(rng, "p-series", 0, near(rng, w)),
+            decoded_family(rng, "p-series", 2, near(rng, w)),
+        ),
+        "blocked-composite-zero": (composite(bra_terms), composite(ket_terms)),
+        "blocked-overflow-zero": tuple(
+            q.make_product_state(f + (E0,) * 100, q.ConstantTail(E0)) for f in overflow
+        ),
+        "site-by-site": (_geometric(rng, 3, w), _geometric(rng, 5, w)),
+        "site-by-site-overflow-zero": tuple(
+            q.ProductState(f, _geometric(rng, 0, E0).tail) for f in overflow
+        ),
+        "runs-constant": (_constant(rng, 3, u), _constant(rng, 7, v)),
+        "runs-decoded-rank": (_canonical(rng, 3, 30, u), _canonical(rng, 5, 45, v)),
+        "runs-composite-zero": (
+            composite([_constant(rng, 2, E0), _canonical(rng, 4, 20, u)]),
+            composite([_constant(rng, 3, E1), _constant(rng, 0, v)]),
+        ),
+        "runs-overflow-zero": tuple(
+            q.make_product_state(f[:2], q.ConstantTail(f[2])) for f in overflow
+        ),
+        "runs-and-site-by-site": (
+            composite([_canonical(rng, 2, 45, u), _geometric(rng, 3, v)]),
+            composite([_constant(rng, 11, v)]),
+        ),
+    }
+
+
+RECORD_CASES = _record_cases()
+
+
+def _fresh_read(bra, ket, n):
+    return repr(overlaps._Walker(*overlaps._sides(bra, ket)).read(n))
+
+
+def _direct_read(bra, ket, n):
+    """repr of the walk's readout at a cut n <= 64, built without the walk:
+    each term pair's ``factor_overlap`` brackets multiplied in site order
+    from 1, a pair with a zero bracket adding 0j, summed as ``_combine`` sums."""
+    total = 0
+    for cm, a in overlaps._as_terms(bra):
+        for cn, b in overlaps._as_terms(ket):
+            brackets = [q.factor_overlap(a.factor_at(s), b.factor_at(s)) for s in range(n)]
+            product = math.prod(brackets, start=1.0 + 0j)
+            total = total + (cm.conjugate() * cn * product if 0 not in brackets else 0j)
+    return repr([(total, math.log(abs(total)) if total != 0 else -math.inf)])
+
+
+class TestDirectRecord:
+    def test_cases_take_each_path(self):
+        for name, (bra, ket) in RECORD_CASES.items():
+            walker = overlaps._Walker(*overlaps._sides(bra, ket))
+            if name.startswith("blocked"):
+                assert walker.blocked > overlaps.DIRECT_LIMIT
+            else:
+                assert walker.blocked == 0
+                assert (min(walker.firsts) <= 11) is name.startswith("runs")
+            walker.read(overlaps.DIRECT_LIMIT)
+            zeros = [z for z in walker.zero_at if z <= overlaps.DIRECT_LIMIT]
+            assert bool(zeros) is name.endswith("zero")
+        assert {f.dim for f in RECORD_CASES["blocked-prefix"][0].prefix} == {2, 3}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(RECORD_CASES)),
+        st.lists(st.integers(0, 200), min_size=1, max_size=10),
+    )
+    def test_short_cuts_read_in_any_order_keep_the_bits_of_a_fresh_walk(self, name, drawn):
+        bra, ket = RECORD_CASES[name]
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        last = overlaps.DIRECT_LIMIT
+        for n in drawn:
+            if n > overlaps.DIRECT_LIMIT:  # cuts past 64 increase
+                n = last = n if n > last else last + n - overlaps.DIRECT_LIMIT
+            got = repr(walker.read(n))
+            assert got == _fresh_read(bra, ket, n)
+            if n <= overlaps.DIRECT_LIMIT:
+                assert got == _direct_read(bra, ket, n)
+
+    @pytest.mark.parametrize("name", sorted(RECORD_CASES))
+    def test_every_short_cut_read_backwards_is_the_direct_product(self, name):
+        bra, ket = RECORD_CASES[name]
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        walker.read(100)
+        for n in range(overlaps.DIRECT_LIMIT, -1, -1):
+            assert repr(walker.read(n)) == _direct_read(bra, ket, n)
+
+    @pytest.mark.parametrize("name", sorted(n for n in RECORD_CASES if n.startswith("blocked")))
+    def test_a_blocked_walk_brackets_each_site_below_its_last_cut_once(self, name, monkeypatch):
+        bra, ket = RECORD_CASES[name]
+        sites = []
+        real = overlaps._stacked_brackets
+        monkeypatch.setattr(
+            overlaps, "_stacked_brackets", lambda b, k: sites.append(b.shape[1]) or real(b, k)
+        )
+        cuts = [40, 10, 64, 1, 70, 30, 88]
+        walker = overlaps._Walker(*overlaps._sides(bra, ket), last_cut=cuts[-1])
+        got = [repr(walker.read(n)) for n in cuts]
+        assert sum(sites) == cuts[-1]
+        del sites[:]
+        sweep = q.overlap_sweep(bra, ket, sorted(cuts))
+        assert sum(sites) == cuts[-1]
+        monkeypatch.undo()
+        assert got == [_fresh_read(bra, ket, n) for n in cuts]
+        by_cut = dict(zip(sorted(cuts), zip(sweep.values, sweep.log_modulus)))
+        assert got == [repr([by_cut[n]]) for n in cuts]

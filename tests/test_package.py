@@ -8,6 +8,7 @@ import importlib
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +53,12 @@ def test_cli_import_loads_no_test_only_dependency():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_direct_limit_is_named_in_the_walk_only():
+    # where readouts switch from direct products to log forms is a decision
+    # of the walk in overlaps.py; decoherence and products read every cut
+    # through the walk, so neither names the limit
+    source = Path(qsectors.__file__).parent
+    naming = sorted(p.name for p in source.glob("*.py") if "DIRECT_LIMIT" in p.read_text("utf-8"))
+    assert naming == ["overlaps.py"]
