@@ -38,6 +38,7 @@ from .states import (
     ConstantTail,
     FactorVector,
     ProductState,
+    _paired_brackets,
     _prefix_brackets,
     _run_at,
     _stacked_brackets,
@@ -227,18 +228,16 @@ def _combine(
 def _bracket_blocks(
     bra: _Terms, ket: _Terms, keys: Sequence[tuple[int, int]], lo: int, hi: int
 ):
-    """Yield (start, stop, forms, zeros, g) for consecutive blocks of sites
-    covering [lo, hi), g the (pairs, sites) brackets of the (bra term, ket
-    term) pairs in ``keys``, forms their log forms log|g| + i atan2 g, 0
-    where g is, and zeros where g == 0.  One einsum brackets every term pair
-    of a block; a block keeps one dim, read from the bra side, about
+    """Yield (start, stop, g) for consecutive blocks of sites covering [lo,
+    hi), g the (pairs, sites) brackets of the (bra term, ket term) pairs in
+    ``keys``.  A block keeps one dim, read from the bra side, about
     BLOCK_AMPLITUDES amplitudes per side and in its brackets, and at most
     TAIL_BLOCK_SITES sites past the shortest explicit prefix.  Where ``keys``
-    are every pair in row-major order, g is a view of the einsum's output;
-    else the pairs are gathered."""
+    are every pair in row-major order, one einsum brackets them all and g is
+    a view of its output; else each bra term is bracketed with its own ket
+    terms alone (``_paired_brackets``)."""
     n_bra, n_ket = len(bra.sources), len(ket.sources)
     every_pair = len(keys) == n_bra * n_ket  # keys are sorted and distinct
-    bra_idx, ket_idx = (np.array(ix) for ix in zip(*keys))
     explicit = min(bra.explicit, ket.explicit)
     start = lo
     while start < hi:
@@ -250,16 +249,25 @@ def _bracket_blocks(
             max(start, explicit) + TAIL_BLOCK_SITES,
         )
         stop = bra.run_end(start, stop)
-        g = _stacked_brackets(bra.rows(start, stop), ket.rows(start, stop))
-        g = g.reshape(n_bra * n_ket, -1) if every_pair else g[bra_idx, ket_idx]
-        mod = np.abs(g)
-        zeros = mod == 0
-        forms = np.empty_like(g)
-        np.log(mod, out=forms.real, where=~zeros)
-        np.arctan2(g.imag, g.real, out=forms.imag)
-        forms[zeros] = 0
-        yield start, stop, forms, zeros, g
+        rows = bra.rows(start, stop), ket.rows(start, stop)
+        if every_pair:
+            g = _stacked_brackets(*rows).reshape(n_bra * n_ket, -1)
+        else:
+            g = _paired_brackets(*rows, keys)
+        yield start, stop, g
         start = stop
+
+
+def _log_forms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(forms, zeros) of brackets ``g``: their log forms log|g| + i atan2 g,
+    0 where g is, and zeros where g == 0."""
+    mod = np.abs(g)
+    zeros = mod == 0
+    forms = np.empty_like(g)
+    np.log(mod, out=forms.real, where=~zeros)
+    np.arctan2(g.imag, g.real, out=forms.imag)
+    forms[zeros] = 0
+    return forms, zeros
 
 
 class _Walker:
@@ -289,12 +297,16 @@ class _Walker:
     Each pair keeps one record of its direct products at cuts up to
     DIRECT_LIMIT, multiplied in site order from 1, and of the first cut at
     which its product is zero, appended by whichever path brackets a site:
-    a block's brackets (which keep the bits of the rows' factors and images),
-    the site-by-site loop's accumulator, a run's G once a site.  Cuts up to
-    DIRECT_LIMIT read the record, in any order once the walk has passed
-    them; later cuts must not decrease, except within every pair's run or
-    within the last block, and any other earlier cut is refused
-    (``PreconditionViolated``).
+    the site-by-site loop's accumulator and a run's G once a site as they
+    go, a blocked walk's brackets (which keep the bits of the rows' factors
+    and images) only when a cut up to DIRECT_LIMIT is read.  Until then it
+    keeps them raw, a copy of at most DIRECT_LIMIT columns (``raw``), and
+    that read multiplies them out only as far as its cut, so a walk read
+    only past DIRECT_LIMIT never does; one whose last cut is at most
+    DIRECT_LIMIT folds no log forms either.  Cuts up to DIRECT_LIMIT read
+    the record, in any order once the walk has passed them; later cuts must
+    not decrease, except within every pair's run or within the last block,
+    and any other earlier cut is refused (``PreconditionViolated``).
     """
 
     def __init__(
@@ -322,6 +334,10 @@ class _Walker:
         # first cut at which its product is zero
         self.direct = [[1.0 + 0j] for _ in self.keys]
         self.zero_at = [math.inf] * len(self.keys)
+        # a blocked walk's (pairs, sites) brackets of the sites below
+        # DIRECT_LIMIT, not yet multiplied out
+        self.raw = np.empty((len(self.keys), 0), dtype=complex)
+        self.last_cut = last_cut
         # pair -> (start, end, G, _log_steps(G)) of its run at ``site``; its
         # accumulator holds sites [0, start)
         self.runs: dict[int, tuple[int, float, complex, tuple | None]] = {}
@@ -379,9 +395,11 @@ class _Walker:
         """(j, every pair's forms and zero flags at each of cuts[i:j]) for
         the cut ``cuts[i]``, which the walk has reached, and the cuts after it
         that read the same way: inside every pair's run, or inside the last
-        block.  A cut <= DIRECT_LIMIT reads the record."""
+        block.  A cut <= DIRECT_LIMIT reads the record, multiplied out that
+        far first."""
         cut = cuts[i]
         if cut <= DIRECT_LIMIT:
+            self._multiply_out(cut)
             return i + 1, [([row[cut] for row in self.direct], [cut >= z for z in self.zero_at])]
         if self.site == cut and len(self.runs) == len(self.accs):
             j = bisect.bisect_left(cuts, self.next_event, i)
@@ -484,6 +502,14 @@ class _Walker:
         # accumulate yields its initial product first, so it is popped here
         row += itertools.accumulate(brackets, operator.mul, initial=row.pop())
 
+    def _multiply_out(self, cut: int) -> None:
+        """Append the raw brackets of the sites below ``cut`` that the record
+        does not hold yet, which a blocked walk alone keeps."""
+        held = len(self.direct[0]) - 1  # a blocked walk's rows are as long
+        if held < cut and self.blocked:
+            for k, brackets in enumerate(self.raw[:, held:cut].tolist()):
+                self._record(k, brackets)
+
     def _advance(self, stop: float) -> None:
         """Bring the walk to site ``stop``; the last block may end past it.
         Past blocks every pair takes a site before any takes the next; pairs
@@ -526,16 +552,20 @@ class _Walker:
             bra_at, ket_at = self.sources[k]
             g = factor_overlap(bra_at(self.site), ket_at(self.site))
             self.runs[k] = (self.site, end, g, products._log_steps(g))
-            self._record(k, [g] * (min(end, DIRECT_LIMIT) - self.site))  # [] past the limit
+            if self.site < DIRECT_LIMIT:
+                self._record(k, [g] * (min(end, DIRECT_LIMIT) - self.site))
         self.steps = [s for k, s in enumerate(self.pair_steps) if k not in self.runs]
 
     def _fold_block(self) -> None:
-        """Bracket the next block, fold it into each pair's log form, and
-        append its brackets up to DIRECT_LIMIT to the record."""
-        start, self.site, forms, zeros, g = next(self.blocks)
+        """Bracket the next block, keep a copy of its brackets below
+        DIRECT_LIMIT raw, and fold it into each pair's log form, which only
+        cuts past DIRECT_LIMIT read."""
+        start, self.site, g = next(self.blocks)
         if start < DIRECT_LIMIT:
-            for k, brackets in enumerate(g[:, : DIRECT_LIMIT - start].tolist()):
-                self._record(k, brackets)
+            self.raw = np.concatenate([self.raw, g[:, : DIRECT_LIMIT - start]], axis=1)
+        if self.last_cut <= DIRECT_LIMIT:
+            return
+        forms, zeros = _log_forms(g)
         # running sums seeded with each pair's log form so far: a column is
         # the sequential sum of the block's own per-site forms (a complex sum
         # adds the log moduli and the angles apart).  numpy's abs, log and

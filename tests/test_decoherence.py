@@ -11,6 +11,8 @@ import qsectors as q
 from qsectors.oracle import dense_density, densify
 from qsectors.serialize import decode_state, encode_complex
 
+from support import complex_bits, decoded_family, random_factor
+
 E0 = q.FactorVector((1.0, 0.0))
 E1 = q.FactorVector((0.0, 1.0))
 
@@ -139,6 +141,37 @@ class TestPremeasurementState:
         assert np.max(np.abs(dense - want)) < 1e-14
 
 
+# outcomes -> (tail, dim runs of the explicit prefix): every prefix reaches
+# past DIRECT_LIMIT sites, so the density walk brackets the branches in blocks
+BLOCK_MODELS = {
+    3: ("constant", [(70, 2)]),
+    4: ("constant", [(40, 2), (40, 3)]),
+    5: ("geometric", [(80, 2)]),
+    6: ("constant", [(66, 4)]),
+    7: ("p-series", [(72, 2)]),
+    8: ("constant", [(90, 3)]),
+}
+
+
+def _block_model(m):
+    """Measurement model with m branches of random unit factors over the
+    prefix dims of ``BLOCK_MODELS[m]``, with constant or decoded tails."""
+    rng = np.random.default_rng(100 + m)
+    tail, runs = BLOCK_MODELS[m]
+    dims = [d for sites, d in runs for _ in range(sites)]
+    branches = []
+    for _ in range(m):
+        limit = random_factor(rng, dims[-1])
+        if tail == "constant":
+            prefix = tuple(random_factor(rng, d) for d in dims)
+            branches.append(q.ProductState(prefix, q.ConstantTail(limit)))
+        else:
+            branches.append(decoded_family(rng, tail, len(dims), limit))
+    amps = rng.normal(size=m) + 1j * rng.normal(size=m)
+    amps /= np.linalg.norm(amps)
+    return q.MeasurementModel(tuple(amps.tolist()), tuple(branches))
+
+
 class TestTruncatedDensity:
     def test_diagonals_are_exact(self):
         rho = q.truncated_density(two_outcome_model(weights=(0.6, 0.8)), 50)
@@ -229,6 +262,44 @@ class TestTruncatedDensity:
         late = q.truncated_density(m, 500).purity
         assert early > 0.9
         assert late == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("m", sorted(BLOCK_MODELS))
+    def test_many_branches_on_the_block_path_match_pair_overlaps_bit_for_bit(
+        self, m, monkeypatch
+    ):
+        """m branches walked in blocks, reading only the pairs above the
+        diagonal (``_paired_brackets``): each off-diagonal has the bits of
+        c_i c_j* <b_j|b_i>_n from a walk of that pair alone, at cuts up to
+        DIRECT_LIMIT and past it."""
+        from qsectors import overlaps
+
+        model = _block_model(m)
+        branches, coeffs = model.branches, model.coefficients
+        assert overlaps._Walker(*overlaps._sides(branches[0], branches[1])).blocked > 64
+        paired = []
+        real = overlaps._paired_brackets
+        monkeypatch.setattr(
+            overlaps, "_paired_brackets", lambda *args: paired.append(1) or real(*args)
+        )
+        for n in (1, 2, 17, 40, 64, 65, 66, 79, 80, 81, 200):
+            del paired[:]
+            rho = q.truncated_density(model, n).matrix
+            assert paired
+            for i in range(m):
+                for j in range(i + 1, m):
+                    want = coeffs[i] * coeffs[j].conjugate() * q.truncated_overlap(
+                        branches[j], branches[i], n
+                    )
+                    assert complex_bits([rho[i, j]]) == complex_bits([want]), (n, i, j)
+                    assert complex_bits([rho[j, i]]) == complex_bits([want.conjugate()])
+
+    @pytest.mark.parametrize("m", sorted(BLOCK_MODELS))
+    def test_many_branches_match_dense_partial_trace(self, m):
+        model = _block_model(m)
+        for n in (1, 2, 3):
+            rho = q.truncated_density(model, n)
+            dense = dense_density(densify(q.premeasurement_state(model), n + 1), m)
+            assert np.max(np.abs(rho.matrix - dense)) < 1e-12
 
 
     @pytest.mark.parametrize("cut", [10.5, 10.0, True, math.nan])

@@ -866,8 +866,9 @@ def _sweep_bits(sweep):
 
 def _pair_terms(bra, ket, a, b, lo, hi):
     """(log|g| + i angle g, g == 0) bytes of pair (a, b) over sites [lo, hi)."""
-    blocks = list(overlaps._bracket_blocks(bra, ket, [(a, b)], lo, hi))
-    return [np.concatenate([block[k][0] for block in blocks]).tobytes() for k in (2, 3)]
+    blocks = overlaps._bracket_blocks(bra, ket, [(a, b)], lo, hi)
+    forms = [overlaps._log_forms(g[0]) for *_, g in blocks]
+    return [np.concatenate(column).tobytes() for column in zip(*forms)]
 
 
 class TestReadoutsDependOnlyOnTheCut:
@@ -2225,3 +2226,64 @@ class TestDirectRecord:
         assert got == [_fresh_read(bra, ket, n) for n in cuts]
         by_cut = dict(zip(sorted(cuts), zip(sweep.values, sweep.log_modulus)))
         assert got == [repr([by_cut[n]]) for n in cuts]
+
+    @pytest.mark.parametrize("name", sorted(n for n in RECORD_CASES if n.startswith("blocked")))
+    def test_a_blocked_walk_read_only_past_64_multiplies_out_no_record(self, name, monkeypatch):
+        bra, ket = RECORD_CASES[name]
+        calls = []
+        real = overlaps._Walker._record
+        monkeypatch.setattr(
+            overlaps._Walker, "_record", lambda w, *args: calls.append(1) or real(w, *args)
+        )
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        got = [repr(walker.read(n)) for n in (65, 70, 88)]
+        q.overlap_sweep(bra, ket, [65, 70, 88])
+        assert calls == []
+        monkeypatch.undo()
+        assert got == [_fresh_read(bra, ket, n) for n in (65, 70, 88)]
+
+    @pytest.mark.parametrize("name", sorted(n for n in RECORD_CASES if n.startswith("blocked")))
+    def test_short_reads_after_a_long_one_multiply_out_as_far_as_they_need(self, name):
+        bra, ket = RECORD_CASES[name]
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        walker.read(100)
+        assert [len(row) for row in walker.direct] == [1] * len(walker.keys)
+        assert repr(walker.read(40)) == _fresh_read(bra, ket, 40) == _direct_read(bra, ket, 40)
+        assert [len(row) for row in walker.direct] == [41] * len(walker.keys)
+        assert repr(walker.read(1)) == _fresh_read(bra, ket, 1) == _direct_read(bra, ket, 1)
+        assert repr(walker.read(64)) == _fresh_read(bra, ket, 64)
+
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    @pytest.mark.parametrize("name", sorted(n for n in RECORD_CASES if n.startswith("blocked")))
+    def test_kept_raw_brackets_are_a_short_copy(self, name, small_blocks, monkeypatch):
+        """The raw brackets of sites below 64 are copied out of each block's
+        einsum output, at most DIRECT_LIMIT columns of them, also when
+        several blocks lie below 64."""
+        if small_blocks:
+            monkeypatch.setattr(overlaps, "BLOCK_AMPLITUDES", 2**4)
+        bra, ket = RECORD_CASES[name]
+        outputs = []
+        real = overlaps._stacked_brackets
+        monkeypatch.setattr(
+            overlaps, "_stacked_brackets", lambda b, k: outputs.append(real(b, k)) or outputs[-1]
+        )
+        walker = overlaps._Walker(*overlaps._sides(bra, ket))
+        walker.read(100)
+        assert len(outputs) > 1 if small_blocks else outputs
+        assert walker.raw.shape == (len(walker.keys), overlaps.DIRECT_LIMIT)
+        assert not any(np.shares_memory(walker.raw, out) for out in outputs)
+        assert repr(walker.read(40)) == _direct_read(bra, ket, 40)
+
+    @pytest.mark.parametrize("name", sorted(n for n in RECORD_CASES if n.startswith("blocked")))
+    def test_a_blocked_walk_read_only_up_to_64_folds_no_log_forms(self, name, monkeypatch):
+        bra, ket = RECORD_CASES[name]
+        folded = []
+        real = overlaps._log_forms
+        monkeypatch.setattr(overlaps, "_log_forms", lambda g: folded.append(1) or real(g))
+        cuts = (1, 40, 64)
+        got = [repr(overlaps._Walker(*overlaps._sides(bra, ket), last_cut=n).read(n)) for n in cuts]
+        q.overlap_sweep(bra, ket, cuts)
+        assert folded == []
+        q.composite_overlap(bra, ket, 65)
+        assert folded
+        assert got == [_direct_read(bra, ket, n) for n in cuts]

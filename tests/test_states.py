@@ -650,7 +650,11 @@ class TestDistance:
 
 
 def test_stacked_brackets_match_factor_overlap_bits():
-    from qsectors.states import _stacked_brackets
+    """Both bracket kernels: every pair of two stacks, and the pairs of a
+    key subset, bra term by bra term (``_paired_brackets``): a random subset
+    of the grid, and the lower triangle of a side against itself, which the
+    density matrix reads."""
+    from qsectors.states import _paired_brackets, _stacked_brackets
 
     rng = np.random.default_rng(2024)
     for dim in range(1, 65):
@@ -669,6 +673,19 @@ def test_stacked_brackets_match_factor_overlap_bits():
         ])
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), f"dim {dim}"
+
+        grid = [(a, b) for a in range(n_bra) for b in range(n_ket)]
+        picked = rng.choice(len(grid), size=rng.integers(1, len(grid) + 1), replace=False)
+        keys = [grid[k] for k in sorted(picked)]
+        got = _paired_brackets(bra, ket, keys)
+        assert got.tobytes() == np.array([want[a, b] for a, b in keys]).tobytes(), f"dim {dim}"
+
+        side = rows[: max(n_bra, n_ket)]
+        keys = [(a, b) for a in range(len(side)) for b in range(a)]
+        if keys:
+            got = _paired_brackets(side, side, keys)
+            want = [[q.factor_overlap(vec[a][s], vec[b][s]) for s in range(sites)] for a, b in keys]
+            assert got.tobytes() == np.array(want).tobytes(), f"dim {dim}"
 
 
 def _runs_state(rng, runs, tail_dim=None):
