@@ -236,13 +236,6 @@ def _cmd_sample(args) -> int:
         raise UsageError("--count must be >= 0")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    # each sample costs a CSV row in memory, so the count is capped up front
-    if args.count > WALK_BUDGET:
-        raise DimensionBudgetExceeded(
-            f"{args.count} samples requested; the budget is {WALK_BUDGET}",
-            count=args.count,
-            budget=WALK_BUDGET,
-        )
     outcomes = sample_outcomes(model, args.count, args.seed)
     rows = [[int(v)] for v in outcomes]
     _write_text(args.out, _csv_text(("outcome",), rows))

@@ -16,14 +16,21 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidAmplitude, PreconditionViolated
-from .overlaps import _cut, _sides, _Terms, _walk, _Walker
+from .errors import (
+    DimensionBudgetExceeded,
+    IndexOutOfRange,
+    InvalidAmplitude,
+    PreconditionViolated,
+)
+from .overlaps import _sides, _Terms, _walk, _Walker
 from .sectors import same_sector
 from .states import (
     ALIGN_EXACT,
     ALIGN_GRAY,
+    WALK_BUDGET,
     CompositeState,
     ProductState,
+    _integer,
     _log_loss_bound,
     basis_vector,
     ensure_same_shape,
@@ -57,6 +64,7 @@ def _check_pointer_amplitudes(coeffs: tuple[complex, ...]) -> None:
 
 def _generator(seed: int) -> np.random.Generator:
     """The fixed-stream generator of ``seed``, which must be >= 0."""
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise PreconditionViolated(f"seed must be >= 0, got {seed!r}")
     return np.random.default_rng(seed)
@@ -161,6 +169,7 @@ class TruncatedDensityMatrix:
 
     def coherence(self, i: int, j: int) -> float:
         """Modulus of the (i, j) off-diagonal element."""
+        i, j = _integer(i, "outcome"), _integer(j, "outcome")
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexOutOfRange(f"outcomes ({i}, {j}) out of range for {self.dim} outcomes")
         if i == j:
@@ -180,7 +189,7 @@ def truncated_density(model: MeasurementModel, truncation: int) -> TruncatedDens
     Hermitian by construction rather than by rounding luck.  One walk
     brackets all branches, reading out the m(m-1)/2 pairs above the diagonal.
     """
-    truncation = _cut(truncation)
+    truncation = _integer(truncation, "truncation")
     if truncation < 0:
         raise PreconditionViolated("truncation must be >= 0")
     m = model.n_outcomes
@@ -313,7 +322,10 @@ def decoherence_horizon(
         raise PreconditionViolated(f"eps must be positive and finite, got {eps!r}")
     m = model.n_outcomes
     if pair is not None:
-        i, j = pair
+        outcomes = [_integer(k, "outcome") for k in pair]
+        if len(outcomes) != 2:
+            raise PreconditionViolated(f"pair {pair!r} must name two outcomes")
+        i, j = outcomes
         if not (0 <= i < m and 0 <= j < m):
             raise IndexOutOfRange(f"pair {pair!r} out of range for {m} outcomes")
         if i == j:
@@ -337,8 +349,14 @@ def sample_outcomes(model: MeasurementModel, n: int, seed: int) -> np.ndarray:
     Same seed, same platform, same bytes: a fixed-stream generator feeds an
     inverse-CDF lookup, so reruns are reproducible down to the array buffer.
     """
+    n = _integer(n, "sample count")
     if n < 0:
         raise PreconditionViolated("sample count must be >= 0")
+    # each sample costs 8 bytes of draws before any lookup, so the count is capped up front
+    if n > WALK_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"{n} samples requested; the budget is {WALK_BUDGET}", count=n, budget=WALK_BUDGET
+        )
     rng = _generator(seed)
     cdf = np.cumsum(model.probabilities)
     cdf[-1] = 1.0
@@ -355,6 +373,7 @@ def collapse(model: MeasurementModel, outcome: int) -> MeasurementModel:
 
     Collapsing twice onto the same outcome is a no-op by construction.
     """
+    outcome = _integer(outcome, "outcome")
     if not (0 <= outcome < model.n_outcomes):
         raise IndexOutOfRange(
             f"outcome {outcome} out of range for {model.n_outcomes} outcomes"

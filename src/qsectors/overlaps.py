@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 from dataclasses import FrozenInstanceError
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .states import (
     ConstantTail,
     FactorVector,
     ProductState,
+    _integer,
     _paired_brackets,
     _prefix_brackets,
     _run_at,
@@ -163,21 +164,10 @@ def _sides(
     return bra_side, ket_side, [readout]
 
 
-def _cut(truncation: int) -> int:
-    """``truncation`` as an int, read with ``operator.index``: ints and numpy
-    integers pass, bools and anything else (floats among them) are refused."""
-    if not isinstance(truncation, bool):
-        try:
-            return operator.index(truncation)
-        except TypeError:
-            pass
-    raise PreconditionViolated(f"truncation {truncation!r} is not an integer")
-
-
 def _check_cuts(truncations: Sequence[int]) -> list[int]:
     cuts = list(truncations)
-    if not all(type(n) is int for n in cuts):  # else each is read by ``_cut``
-        cuts = [_cut(n) for n in cuts]
+    if not all(type(n) is int for n in cuts):  # else each is read by ``_integer``
+        cuts = [_integer(n, "truncation") for n in cuts]
     if not cuts:
         raise PreconditionViolated("at least one truncation is required")
     if any(n < 1 for n in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
@@ -284,15 +274,13 @@ class _Walker:
     (``stackable``: the explicit prefixes, or for ever where every tail
     has closed rows) or the first run start of any pair, whichever comes first,
     when that lies past DIRECT_LIMIT.  A pair's log form there is a running
-    sum (a seeded cumsum), so a cut inside a block reads a column, and the
-    cuts inside one block read theirs with one gather (``log_columns`` hands
-    the columns' log moduli to the horizon's screen).  From its first run
-    start (``_pair_runs``) on, a pair is in a run: it brackets G once at the
-    run's start a, where its accumulator stays, and reads a cut n past
-    DIRECT_LIMIT inside the run as its log form plus (n - a) * (log|G|,
-    atan2 G), so it crosses a finite run in one step.  Other sites are
-    bracketed one at a time.  ``check`` counts the sites past the shortest
-    explicit prefix against WALK_BUDGET, once per ``reads``, for its last cut.
+    sum (a seeded cumsum), so a cut inside a block reads a column
+    (``log_columns`` hands the columns' log moduli to the horizon's screen).
+    From its first run start (``_pair_runs``) on, a pair is in a run: it
+    brackets G once at the run's start, where its accumulator stays, and
+    crosses the run in one step.  Other sites are bracketed one at a time.
+    ``check`` counts the sites past the shortest explicit prefix against
+    WALK_BUDGET, once per ``reads``, for its last cut.
 
     Each pair keeps one record of its direct products at cuts up to
     DIRECT_LIMIT, multiplied in site order from 1, and of the first cut at
@@ -300,13 +288,21 @@ class _Walker:
     the site-by-site loop's accumulator and a run's G once a site as they
     go, a blocked walk's brackets (which keep the bits of the rows' factors
     and images) only when a cut up to DIRECT_LIMIT is read.  Until then it
-    keeps them raw, a copy of at most DIRECT_LIMIT columns (``raw``), and
-    that read multiplies them out only as far as its cut, so a walk read
-    only past DIRECT_LIMIT never does; one whose last cut is at most
-    DIRECT_LIMIT folds no log forms either.  Cuts up to DIRECT_LIMIT read
-    the record, in any order once the walk has passed them; later cuts must
-    not decrease, except within every pair's run or within the last block,
-    and any other earlier cut is refused (``PreconditionViolated``).
+    keeps them raw, a copy of at most DIRECT_LIMIT columns (``raw``), so a
+    walk read only past DIRECT_LIMIT never multiplies them out; one whose
+    last cut is at most DIRECT_LIMIT folds no log forms either.
+
+    One reader, ``_columns``, reads every cut, each pair one way: a cut up
+    to DIRECT_LIMIT from the record, multiplied out that far first, in any
+    order once the walk has passed it; a later cut inside the pair's run from
+    the run's start, its log form plus count * (log|G|, atan2 G) by
+    ``_Accumulator.jumps``; any other from the walk's own form at its site or
+    a column of the last block.  It reads in one batch the cuts before the
+    next run start where every pair is in a run and the walk is at the
+    first, else the cuts inside the last block, with one gather.  Past
+    DIRECT_LIMIT, cuts must not decrease, except within every pair's run or
+    within the last block, and any other earlier cut is refused
+    (``PreconditionViolated``).
     """
 
     def __init__(
@@ -385,61 +381,63 @@ class _Walker:
         i = 0
         while i < len(cuts):
             self._advance(cuts[i])
-            j, columns = self._columns(cuts, i)
-            for cut, (forms, zeros) in zip(cuts[i:j], columns):
+            j, forms, zeros = self._columns(cuts, i)
+            for cut, forms, zeros in zip(cuts[i:j], forms, zeros):
                 out.append([_combine(readout, forms, zeros, cut) for readout in self.readouts])
             i = j
         return out
 
-    def _columns(self, cuts: Sequence[int], i: int) -> tuple[int, list]:
-        """(j, every pair's forms and zero flags at each of cuts[i:j]) for
-        the cut ``cuts[i]``, which the walk has reached, and the cuts after it
-        that read the same way: inside every pair's run, or inside the last
-        block.  A cut <= DIRECT_LIMIT reads the record, multiplied out that
-        far first."""
+    def _columns(self, cuts: Sequence[int], i: int) -> tuple[int, Iterable, Iterable]:
+        """(j, forms, zeros), a row of every pair's forms and one of its zero
+        flags at each of cuts[i:j]: ``cuts[i]``, which the walk has reached,
+        and the cuts after it that read the same way, as the class docstring
+        says.  Where a pair's jumps refuse, the cuts are read again one at a
+        time and pair by pair, so the batch raises what a lone read of its
+        first refused cut raises."""
         cut = cuts[i]
         if cut <= DIRECT_LIMIT:
-            self._multiply_out(cut)
-            return i + 1, [([row[cut] for row in self.direct], [cut >= z for z in self.zero_at])]
-        if self.site == cut and len(self.runs) == len(self.accs):
+            held = len(self.direct[0]) - 1  # a blocked walk's rows are as long
+            if held < cut and self.blocked:
+                for k, brackets in enumerate(self.raw[:, held:cut].tolist()):
+                    self._record(k, brackets)
+            return i + 1, [[row[cut] for row in self.direct]], [[cut >= z for z in self.zero_at]]
+        accs, j, walked = self.accs, i + 1, None
+        if self.site == cut and len(self.runs) == len(accs):
             j = bisect.bisect_left(cuts, self.next_event, i)
             self.site = cuts[j - 1]  # where reading them one at a time leaves the walk
-            return j, self._run_columns(cuts[i:j])
-        if self.block:
+        elif self.block and self.block[0] < cut <= self.block[0] + self.block[1].shape[1]:
             start, forms, zeros = self.block
-            stop = start + forms.shape[1]
-            if start < cut <= stop:  # no run starts before the block stretch ends
-                j = bisect.bisect_right(cuts, stop, i)
-                at = [c - start - 1 for c in cuts[i:j]]
-                return j, list(zip(forms[:, at].T.tolist(), zeros[:, at].T.tolist()))
-        return i + 1, [self._forms(cut)]
-
-    def _run_columns(self, cuts: Sequence[int]) -> list[tuple[Sequence[complex], list[bool]]]:
-        """Every pair's form and zero flag at each cut past DIRECT_LIMIT
-        inside every pair's run, read from the run's start: the log form
-        there plus ``jump``'s count * (log|G|, atan2 G).  Where every count
-        is >= 1, every product stays nonzero and every form in range, that
-        is one multiply and add per part; else each cut goes through
-        ``_forms`` and ``jump``, which zero or refuse at the cut a lone read
-        would."""
-        runs = [(acc, *self.runs[k]) for k, acc in enumerate(self.accs)]
-        by_pair = []
-        for acc, start, _, g, steps in runs:
-            if acc.zero or steps is None or cuts[0] == start:
-                break
-            (log_step, arg_step), log_mod, arg = steps, acc.log_mod, acc.arg
-            try:
-                logs = [log_mod + (cut - start) * log_step for cut in cuts]
-                args = [arg + (cut - start) * arg_step for cut in cuts]
-            except OverflowError:  # a count past the float range
-                break
-            if not all(map(math.isfinite, (logs[0], logs[-1], args[0], args[-1]))):
-                break  # counts are increasing, so the ends bound every form
-            by_pair.append(list(map(complex, logs, args)))
-        else:
-            zeros = [False] * len(runs)
-            return [(forms, zeros) for forms in zip(*by_pair)]
-        return [self._forms(cut) for cut in cuts]
+            j = bisect.bisect_right(cuts, start + forms.shape[1], i)
+            at = [c - start - 1 for c in cuts[i:j]]
+            walked = forms[:, at].T.tolist(), zeros[:, at].T.tolist()
+        elif cut == self.site:
+            walked = [[complex(a.log_mod, a.arg) for a in accs]], [[a.zero for a in accs]]
+        batch, n = cuts[i:j], len(accs)
+        jumped = []  # (pair, forms, zero flags) at each cut of the pairs inside their run
+        try:
+            for k in range(n) if walked is None else sorted(self.runs):
+                run = self.runs.get(k)
+                if run is not None and run[0] <= cut:
+                    start, _, g, steps = run
+                    logs, args, flags = zip(*accs[k].jumps(g, steps, [c - start for c in batch]))
+                    jumped.append((k, list(map(complex, logs, args)), flags))
+                elif walked is None:
+                    raise PreconditionViolated(
+                        f"the walk is at site {self.site} and cannot read back to cut {cut}"
+                    )
+        except (DimensionBudgetExceeded, OverflowError):
+            for c in batch:  # raise what a lone read of the first refused cut raises
+                for k, (start, _, g, steps) in sorted(self.runs.items()):
+                    if start <= cut:
+                        accs[k].jump(g, steps, c - start)
+            raise
+        if walked is None:  # every pair, in pair order
+            _, forms, zeros = zip(*jumped)
+            return j, zip(*forms), zip(*zeros)
+        for k, pair_forms, flags in jumped:
+            for row, zero_row, form, zero in zip(*walked, pair_forms, flags):
+                row[k], zero_row[k] = form, zero
+        return j, *walked
 
     def log_columns(self, lo: int, hi: int):
         """Yield (first cut, log moduli, zero flags) for consecutive stretches
@@ -457,42 +455,6 @@ class _Walker:
             ]
             cut = stop
 
-    def _forms(self, cut: int) -> tuple[list[complex], list[bool]]:
-        """Every pair's ``_combine`` form and zero flag at ``cut``, past
-        DIRECT_LIMIT, which the walk has reached: from its run's start inside
-        its run, else as walked."""
-        if not self.runs:
-            return self._column(cut)
-        column = None
-        forms, zeros = [], []
-        for k, acc in enumerate(self.accs):
-            run = self.runs.get(k)
-            if run is not None and run[0] <= cut:
-                start, _, g, steps = run
-                log_mod, arg, zero = acc.jump(g, steps, cut - start)
-                form = complex(log_mod, arg)
-            else:
-                column = column or self._column(cut)
-                form, zero = column[0][k], column[1][k]
-            forms.append(form)
-            zeros.append(zero)
-        return forms, zeros
-
-    def _column(self, cut: int) -> tuple[list[complex], list[bool]]:
-        """Every pair's log form and zero flag as walked to ``cut``, past
-        DIRECT_LIMIT: the walk's own at its site, else a column of the last
-        block.  Any other cut lies behind the walk, and is refused."""
-        accs = self.accs
-        if cut == self.site:
-            return [complex(acc.log_mod, acc.arg) for acc in accs], [acc.zero for acc in accs]
-        if self.block:
-            start, forms, zeros = self.block
-            if start < cut <= start + forms.shape[1]:
-                return forms[:, cut - start - 1].tolist(), zeros[:, cut - start - 1].tolist()
-        raise PreconditionViolated(
-            f"the walk is at site {self.site} and cannot read back to cut {cut}"
-        )
-
     def _record(self, k: int, brackets: list[complex]) -> None:
         """Append pair k's direct products over ``brackets``, the brackets
         of the sites after those its record holds, up to DIRECT_LIMIT."""
@@ -501,14 +463,6 @@ class _Walker:
             self.zero_at[k] = len(row) + brackets.index(0)
         # accumulate yields its initial product first, so it is popped here
         row += itertools.accumulate(brackets, operator.mul, initial=row.pop())
-
-    def _multiply_out(self, cut: int) -> None:
-        """Append the raw brackets of the sites below ``cut`` that the record
-        does not hold yet, which a blocked walk alone keeps."""
-        held = len(self.direct[0]) - 1  # a blocked walk's rows are as long
-        if held < cut and self.blocked:
-            for k, brackets in enumerate(self.raw[:, held:cut].tolist()):
-                self._record(k, brackets)
 
     def _advance(self, stop: float) -> None:
         """Bring the walk to site ``stop``; the last block may end past it.
@@ -600,7 +554,7 @@ def composite_overlap(
     """<bra|ket> at the cutoff, expanded over all term pairs: for two product
     states, the product of the first ``truncation`` per-factor overlaps
     <bra_k|ket_k>."""
-    truncation = _cut(truncation)
+    truncation = _integer(truncation, "truncation")
     if truncation < 0:
         raise PreconditionViolated(f"truncation {truncation} must be >= 0")
     (((value, _),),) = _walk(*_sides(bra, ket), [truncation])
@@ -644,8 +598,8 @@ class OverlapSweep:
         log_modulus: Sequence[float],
     ) -> None:
         cuts = tuple(truncations)
-        if not all(type(n) is int for n in cuts):  # else each is read by ``_cut``
-            cuts = tuple(map(_cut, cuts))
+        if not all(type(n) is int for n in cuts):  # else each is read by ``_integer``
+            cuts = tuple(_integer(n, "truncation") for n in cuts)
         columns = _sweep_column(values, complex), _sweep_column(log_modulus, float)
         if not (columns[0].ndim == columns[1].ndim == 1):
             raise PreconditionViolated("sweep columns must be flat")

@@ -18,7 +18,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import (
     DimensionBudgetExceeded,
@@ -172,8 +172,8 @@ def _scaled(count: int, step: float) -> float:
 
 def _log_steps(z: complex) -> tuple[float, float] | None:
     """(log|z|, atan2 z), what one term z adds to a log form, for
-    ``_Accumulator.jump``; None where z is 0 or |z| overflows, which ``jump``
-    then meets as a single ``push`` does."""
+    ``_Accumulator.jump`` and ``jumps``; None where z is 0 or |z| overflows,
+    which ``jump`` then meets as a single ``push`` does."""
     try:
         return (math.log(abs(z)), math.atan2(z.imag, z.real)) if z != 0 else None
     except OverflowError:
@@ -233,6 +233,25 @@ class _Accumulator:
                 bracket=z,
             )
         return log_mod, arg, False
+
+    def jumps(
+        self, z: complex, steps: tuple[float, float] | None, counts: Sequence[int]
+    ) -> list[tuple[float, float, bool]]:
+        """``[self.jump(z, steps, count) for count in counts]``, bit for bit
+        and refusals included, for increasing counts.  Where the first count
+        is >= 1, the product is not zero and the forms at both ends lie in
+        the float range, which then bounds every form, each count takes one
+        multiply and add per part; else each goes through ``jump``."""
+        if steps is not None and not self.zero and counts[0] >= 1:
+            (log_step, arg_step), log_mod, arg = steps, self.log_mod, self.arg
+            try:
+                out = [(log_mod + n * log_step, arg + n * arg_step, False) for n in counts]
+            except OverflowError:  # a count past the float range
+                pass
+            else:
+                if all(map(math.isfinite, out[0][:2] + out[-1][:2])):
+                    return out
+        return [self.jump(z, steps, count) for count in counts]
 
     def value(self) -> complex:
         """exp of the log form."""

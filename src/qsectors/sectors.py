@@ -27,6 +27,7 @@ from .states import (
     TailRule,
     _bracket_bound,
     _bracket_series_bound,
+    _integer,
     _prefix_brackets,
     _row_norms,
     ensure_same_shape,
@@ -240,6 +241,7 @@ def apply_finite_change(
         return state
     coerced: dict[int, FactorVector] = {}
     for site, vec in changes.items():
+        site = _integer(site, "change site")
         if site < 0:
             raise PreconditionViolated(f"change site {site} must be >= 0")
         v = vec if isinstance(vec, FactorVector) else FactorVector(tuple(vec))

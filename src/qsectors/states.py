@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, groupby
 from numbers import Real
-from operator import add, itemgetter, mul
+from operator import add, index, itemgetter, mul
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 import numpy as np
@@ -72,6 +72,18 @@ WALK_BUDGET = 2**21
 # short prefixes build and keep no arrays: for a state bracketed once,
 # stacking its prefix pays off only from a few dozen sites on.
 STACK_MIN = 64
+
+
+def _integer(value: int, name: str) -> int:
+    """``value`` as an int, read with ``operator.index``: ints and numpy
+    integers pass, bools and anything else (floats among them) are refused
+    as the argument ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise PreconditionViolated(f"{name} {value!r} is not an integer")
 
 
 def _as_complex_tuple(values: Iterable[complex]) -> tuple[complex, ...]:
@@ -769,12 +781,12 @@ def distance(
     stack, so distance(a, b) equals distance(b, a) bit for bit and
     distance(a, a) is exactly 0.
     """
-    from .overlaps import _cut, _Terms, _walk
+    from .overlaps import _Terms, _walk
 
     ca = a.as_composite() if isinstance(a, ProductState) else a
     cb = b.as_composite() if isinstance(b, ProductState) else b
     ensure_same_shape(ca, cb)
-    truncation = _cut(truncation)
+    truncation = _integer(truncation, "truncation")
     if truncation < 0:
         raise PreconditionViolated(f"truncation {truncation} must be >= 0")
     terms = ca.terms + cb.terms

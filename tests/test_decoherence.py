@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qsectors as q
 from qsectors.oracle import dense_density, densify
 from qsectors.serialize import decode_state, encode_complex
+from qsectors.states import WALK_BUDGET
 
 from support import complex_bits, decoded_family, random_factor
 
@@ -976,3 +977,73 @@ DECOHERENCE_REFUSALS = {
 def test_negative_counts_and_non_square_matrices_are_refused(case):
     with pytest.raises(q.PreconditionViolated):
         DECOHERENCE_REFUSALS[case]()
+
+
+# Integer arguments are read as truncations are: ints and numpy integers
+# pass, bools and floats are refused by name, before anything is drawn or
+# looked up.  A pair must name two outcomes.
+INTEGER_REFUSALS = {
+    "horizon-pair-float": (
+        lambda m: q.decoherence_horizon(m, 0.1, pair=(0.5, 1)), "outcome 0.5 is not an integer"
+    ),
+    "horizon-pair-bool": (
+        lambda m: q.decoherence_horizon(m, 0.1, pair=(True, 0)), "outcome True is not an integer"
+    ),
+    "horizon-pair-three": (
+        lambda m: q.decoherence_horizon(m, 0.1, pair=(0, 1, 2)), r"pair \(0, 1, 2\) must name two"
+    ),
+    "coherence-float": (
+        lambda m: q.truncated_density(m, 3).coherence(0.5, 1), "outcome 0.5 is not an integer"
+    ),
+    "coherence-bool": (
+        lambda m: q.truncated_density(m, 3).coherence(0, True), "outcome True is not an integer"
+    ),
+    "collapse-bool": (lambda m: q.collapse(m, True), "outcome True is not an integer"),
+    "collapse-float": (lambda m: q.collapse(m, 1.0), "outcome 1.0 is not an integer"),
+    "sample-count-float": (
+        lambda m: q.sample_outcomes(m, 2.5, 1), "sample count 2.5 is not an integer"
+    ),
+    "sample-count-bool": (
+        lambda m: q.sample_outcomes(m, True, 1), "sample count True is not an integer"
+    ),
+    "sample-seed-float": (lambda m: q.sample_outcome(m, 1.5), "seed 1.5 is not an integer"),
+    "sample-seed-bool": (lambda m: q.sample_outcomes(m, 2, True), "seed True is not an integer"),
+    "change-site-bool": (
+        lambda m: q.apply_finite_change(m.branches[0], {True: E0}), "change site True is not an"
+    ),
+    "change-site-float": (
+        lambda m: q.apply_finite_change(m.branches[0], {0.5: E0}), "change site 0.5 is not an"
+    ),
+    "density-truncation-float": (
+        lambda m: q.truncated_density(m, 2.5), "truncation 2.5 is not an integer"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_REFUSALS))
+def test_integer_arguments_refuse_bools_and_floats(case):
+    call, message = INTEGER_REFUSALS[case]
+    with pytest.raises(q.PreconditionViolated, match=message):
+        call(two_outcome_model())
+
+
+def test_numpy_integer_arguments_are_read_as_ints():
+    m = two_outcome_model()
+    one = np.int64(1)
+    assert q.collapse(m, one) == q.collapse(m, 1)
+    assert q.truncated_density(m, 3).coherence(np.int64(0), one) == q.truncated_density(
+        m, 3
+    ).coherence(0, 1)
+    assert q.sample_outcome(m, np.int64(5)) == q.sample_outcome(m, 5)
+    assert q.decoherence_horizon(m, 0.1, pair=(np.int64(0), one)) == q.decoherence_horizon(
+        m, 0.1, pair=(0, 1)
+    )
+    changed = q.apply_finite_change(m.branches[0], {np.int64(1): E1})
+    assert changed == q.apply_finite_change(m.branches[0], {1: E1})
+
+
+def test_the_sample_count_is_capped_before_anything_is_drawn():
+    with pytest.raises(q.DimensionBudgetExceeded) as info:
+        q.sample_outcomes(two_outcome_model(), WALK_BUDGET + 1, 0)
+    assert info.value.message == f"{WALK_BUDGET + 1} samples requested; the budget is {WALK_BUDGET}"
+    assert info.value.context == {"count": WALK_BUDGET + 1, "budget": WALK_BUDGET}

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import struct
+import sys
 import time
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
-from qsectors import operators, overlaps
+from qsectors import operators, overlaps, products
 from qsectors.decoherence import premeasurement_state
 from qsectors.operators import (
     ConstantOperatorTail,
@@ -1766,9 +1767,11 @@ class TestCutsPastTheFloatRange:
 # -- many cuts in one read ---------------------------------------------------
 #
 # ``_Walker.reads`` reads a sorted list of cuts in one call: the cuts inside
-# every pair's run from each pair's (log|G|, atan2 G), the cuts inside one
-# block with one gather of its columns, and every cut through ``_combine``.
-# Each readout must keep the bits of a walk that reads its cut alone.
+# every pair's run from each pair's (log|G|, atan2 G) by
+# ``_Accumulator.jumps``, the cuts inside one block with one gather of its
+# columns, and every cut through ``_combine``.  Each readout must keep the
+# bits of a walk that reads its cut alone, and a read must raise what a lone
+# read of its first refused cut raises.
 
 
 def _many_cut_cases():
@@ -1863,29 +1866,40 @@ class TestManyCutsInOneRead:
             assert _sweep_bits(single) == repr(((sweep.values[k],), (sweep.log_modulus[k],)))
             assert repr(values[k]) == repr(sweep.values[k])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from(["constant", "eventually-constant", "composite-zero"]),
+        st.one_of(
+            st.sampled_from([
+                0j, 0.6 + 0.3j, 1e-300, 1 + 0j, 1j, cmath.exp(1j), cmath.exp(1e-300j),
+                1.5 - 2j, complex(1.5e308, 1.5e308),
+            ]),
+            st.complex_numbers(allow_nan=False, allow_infinity=False),
+        ),
+        st.booleans(),
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, -0.0, -math.inf]), st.floats(-1e300, 1e300)),
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300)),
+            st.sampled_from([False, False, True]),
+        ),
         st.lists(
-            st.one_of(st.integers(150, 10**6), st.sampled_from([150, 151, 10**20, 10**300, 10**400])),
+            st.one_of(st.sampled_from([0, 1, 10**20, 10**300, 10**400]), st.integers(0, 10**6)),
             min_size=1, max_size=8, unique=True,
         ),
     )
-    def test_run_columns_are_the_per_cut_forms(self, name, cuts):
-        # the closed form taken once per run against ``_forms``, which reads
-        # each cut through ``_Accumulator.jump``
-        bra, ket, _ = MANY_CUT_CASES[name]
-        cuts = sorted(cuts)
-        walker = overlaps._Walker(*overlaps._sides(bra, ket))
-        walker.read(cuts[0])
-        assert len(walker.runs) == len(walker.keys) and walker.next_event == math.inf
+    def test_jumps_are_the_per_count_jumps(self, g, given_steps, acc, counts):
+        # the closed form a run's cuts take at once, against ``jump`` at each
+        # count: the same bits, or the same refusal
+        counts = sorted(counts)
+        steps = products._log_steps(g) if given_steps else None
 
-        def columns(fn):
-            out = _outcome(fn)
-            return out if isinstance(out, str) else repr([(list(f), list(z)) for f, z in out])
+        def outcome(fn):
+            try:
+                return repr(fn())
+            except (q.QsectorsError, OverflowError) as exc:
+                return type(exc).__name__, str(exc), repr(getattr(exc, "context", None))
 
-        assert columns(lambda: walker._run_columns(cuts)) == columns(
-            lambda: [walker._forms(cut) for cut in cuts]
+        assert outcome(lambda: products._Accumulator(*acc).jumps(g, steps, counts)) == outcome(
+            lambda: [products._Accumulator(*acc).jump(g, steps, c) for c in counts]
         )
 
     @settings(max_examples=200, deadline=None)
@@ -1944,13 +1958,52 @@ class TestManyCutsInOneRead:
     @pytest.mark.parametrize("name", ["constant", "eventually-constant", "prefix-blocks"])
     def test_cuts_in_a_run_or_a_block_take_no_per_cut_forms(self, name, monkeypatch):
         bra, ket, _ = MANY_CUT_CASES[name]
-        read = []
-        real = overlaps._Walker._forms
-        monkeypatch.setattr(overlaps._Walker, "_forms", lambda w, cut: read.append(cut) or real(w, cut))
+        callers = []
+        real = products._Accumulator.jump
+
+        def spy(acc, *args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(acc, *args)
+
+        monkeypatch.setattr(products._Accumulator, "jump", spy)
         cuts = list(range(70, 2000, 7))
         sweep = q.overlap_sweep(bra, ket, cuts)
-        # one per run start or block that a cut reaches first, not one per cut
-        assert len(read) <= 3 and len(sweep.values) == len(cuts)
+        # a pair that leaves one run for the next crosses it in one jump; no
+        # cut is read through a per-count jump
+        assert set(callers) <= {"_arrive"} and len(sweep.values) == len(cuts)
+
+    @pytest.mark.parametrize(
+        "terms, cuts",
+        [
+            pytest.param(
+                (cmath.exp(1e-300j), cmath.exp(1j)), [10**400, 10**700], id="late-then-early-refusal"
+            ),
+            pytest.param(
+                (0.9 * cmath.exp(0.5j), 0j, cmath.exp(2j), cmath.exp(3j)),
+                [10**6, 7 * 10**307, 10**308],
+                id="closed-form-zero-late-and-early-refusal",
+            ),
+        ],
+    )
+    def test_a_batched_read_refuses_as_its_first_refused_cut_alone(self, terms, cuts):
+        # each ket term is a constant tail c|up>, or |down> where c is 0, so
+        # its pair's bracket is c.  The last pair's phase leaves the float
+        # range at the middle cut, an earlier pair's only at the last; a
+        # first pair with |c| < 1 takes the closed form at every cut.
+        bra = q.ProductState((), q.ConstantTail(E0))
+        kets = [
+            q.ProductState((), q.ConstantTail(q.FactorVector((c, 0j)) if c else E1)) for c in terms
+        ]
+        ket = q.CompositeState(tuple((1.0 + 0j, k) for k in kets))
+
+        def refusal(cuts):
+            with pytest.raises(q.DimensionBudgetExceeded) as info:
+                q.overlap_sweep(bra, ket, cuts)
+            return info.value.message, info.value.context
+
+        alone = refusal(cuts[-2:-1])
+        assert alone[1]["bracket"] == terms[-1]
+        assert refusal(cuts) == alone
 
 
 # -- the block walk's bits, frozen ---------------------------------------------
