@@ -32,6 +32,7 @@ from .states import (
     ProductState,
     _integer,
     _log_loss_bound,
+    _prefix_norms,
     basis_vector,
     ensure_same_shape,
 )
@@ -93,7 +94,7 @@ class MeasurementModel:
         for b in branches[1:]:
             ensure_same_shape(branches[0], b)
         for idx, b in enumerate(branches):
-            bad = [f.norm for f in b.prefix if abs(f.norm - 1.0) > ALIGN_GRAY]
+            bad = [n for n in _prefix_norms(b) if abs(n - 1.0) > ALIGN_GRAY]
             if bad or abs(b.tail.limit.norm - 1.0) > ALIGN_GRAY:
                 raise PreconditionViolated(
                     f"branch {idx} has non-unit factors", norms=bad
@@ -128,9 +129,10 @@ def premeasurement_state(model: MeasurementModel) -> CompositeState:
     m = model.n_outcomes
     terms = []
     for i, (coeff, branch) in enumerate(zip(model.coefficients, model.branches)):
-        prefix = (basis_vector(m, i),) + branch.prefix
+        system = np.array([basis_vector(m, i).amplitudes])
         tail = branch.tail.shifted(1)
-        terms.append((coeff, ProductState(prefix, tail, label=branch.label)))
+        state = ProductState._of_rows((system, *branch.prefix_rows), tail, branch.label)
+        terms.append((coeff, state))
     return CompositeState(tuple(terms))
 
 
@@ -322,7 +324,10 @@ def decoherence_horizon(
         raise PreconditionViolated(f"eps must be positive and finite, got {eps!r}")
     m = model.n_outcomes
     if pair is not None:
-        outcomes = [_integer(k, "outcome") for k in pair]
+        try:
+            outcomes = [_integer(k, "outcome") for k in pair]
+        except TypeError:  # not iterable; _integer raises no TypeError
+            outcomes = []
         if len(outcomes) != 2:
             raise PreconditionViolated(f"pair {pair!r} must name two outcomes")
         i, j = outcomes

@@ -32,9 +32,12 @@ from .states import (
     CompositeState,
     FactorVector,
     ProductState,
+    _check_finite,
     _dim_runs,
     _first_dim_mismatch,
+    _prefix_norms,
     _run_at,
+    _spans,
     factor_overlap,
 )
 
@@ -169,7 +172,7 @@ class OperatorTerm:
         life of the term, at 16 bytes per matrix entry; not pickled."""
         runs, start = [], 0
         for end, _ in self.dim_runs:
-            matrices = np.stack([u.matrix for u in self.prefix_ops[start:end]])
+            matrices = np.array([u.matrix for u in self.prefix_ops[start:end]])
             matrices.setflags(write=False)
             runs.append(matrices)
             start = end
@@ -279,19 +282,32 @@ def _check_op_state_dims(op: FactoredOperator, state: ProductState) -> None:
     )
 
 
+def _image_prefix(t: OperatorTerm, state: ProductState) -> list[np.ndarray]:
+    """The images under ``t`` of the state's factors at the sites below the
+    longer of the two prefixes, one array per stretch of one dim
+    (``_spans``), each row bit for bit ``image_at``, not yet checked."""
+    out = []
+    for lo, hi in _spans(state, max(len(t.prefix_ops), state.prefix_len)):
+        f = state.rows(lo, hi)
+        out.append(np.empty(f.shape, dtype=complex))
+        t.image_rows(lo, f, out[-1])
+    return out
+
+
 def apply_operator(op: FactoredOperator, state: ProductState) -> CompositeState:
     """Act factor-wise; each term yields one product-state component."""
     _check_op_state_dims(op, state)
     tail, out_terms = state.tail, []
     for t in op.terms:
-        span = max(len(t.prefix_ops), state.prefix_len)
-        prefix = tuple(t.image_at(site, state.factor_at(site)) for site in range(span))
+        prefix = _image_prefix(t, state)
+        for rows in prefix:
+            _check_finite(rows)
         image_tail = tail
         if isinstance(t.tail, ConstantOperatorTail):
             u = t.tail.operator
             # a bounded map stretches distances by at most its norm bound
             image_tail = tail.mapped(u.apply_to, tail.decay.scale * u.norm_bound)
-        out_terms.append((t.coefficient, ProductState(prefix, image_tail, label=state.label)))
+        out_terms.append((t.coefficient, ProductState._of_rows(prefix, image_tail, state.label)))
     return CompositeState(tuple(out_terms))
 
 
@@ -317,7 +333,7 @@ def sector_action(op: FactoredOperator, state: ProductState) -> SectorActionVerd
             f"state is {kind}; sector action needs NonTrivialConvergentSequence"
         )
     limit = state.tail.limit
-    off_unit = [f.norm for f in state.prefix if abs(f.norm - 1.0) > ALIGN_GRAY]
+    off_unit = [n for n in _prefix_norms(state) if abs(n - 1.0) > ALIGN_GRAY]
     if off_unit or abs(limit.norm - 1.0) > ALIGN_GRAY:
         raise PreconditionViolated(
             "sector action is defined for unit-norm factors", norms=off_unit
@@ -426,10 +442,10 @@ class _Images:
         factor = state.sources[0]
         self.sources = [lambda site, t=t: t.image_at(site, factor(site)) for t in terms]
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
+    def rows(self, lo: int, hi: int, reach: float = math.inf) -> np.ndarray:
         """(terms, sites, dim) image rows of the sites [lo, hi), from the
         state side's rows of them (``_Terms.rows``)."""
-        f = self.state.rows(lo, hi)[0]
+        f = self.state.rows(lo, hi, reach)[0]
         out = np.empty((len(self.terms),) + f.shape, dtype=complex)
         for img, t in zip(out, self.terms):
             t.image_rows(lo, f, img)

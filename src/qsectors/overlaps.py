@@ -114,34 +114,36 @@ class _Terms:
         k, _ = _run_at(runs, start)
         return min(stop, runs[k][0]) if k < len(runs) else stop
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
+    def rows(self, lo: int, hi: int, reach: float = math.inf) -> np.ndarray:
         """(terms, sites, dim) amplitudes of the sites [lo, hi), which share
-        one dim (``ProductState.rows``).
+        one dim (``ProductState.rows``); the walk reads no site past
+        ``reach``.
 
         Inside the explicit prefix they are a view of the side's stack of
         that dim run, built on first use and kept for the life of the side,
-        one walk: a one-term side reads its state's ``stacked`` through a
-        leading axis, a wider side holds a copy of its terms' ``stacked``
-        arrays up to ``explicit``, no more memory than those.  Rows that
-        reach into a tail are stacked per block; the last block is kept, so
-        a side that serves as both bra and ket is stacked once."""
+        one walk: a one-term side reads its state's ``prefix_rows`` through
+        a leading axis, a wider side holds a copy of its terms' arrays up to
+        ``explicit`` or ``reach``, whichever comes first.  Rows that reach
+        into a tail are stacked per block; the last block is kept, so a side
+        that serves as both bra and ket is stacked once."""
         if hi <= self.explicit:
             k, start = _run_at(self.states[0].dim_runs, lo)
-            return self._stack(k, start)[:, lo - start : hi - start]
+            stack = self._stacks.get(k)
+            if stack is None or start + stack.shape[1] < hi:
+                stack = self._stacks[k] = self._stack(k, start, max(hi, reach))
+            return stack[:, lo - start : hi - start]
         if self._rows[0] != (lo, hi):
             self._rows = ((lo, hi), np.stack([s.rows(lo, hi) for s in self.states]))
         return self._rows[1]
 
-    def _stack(self, k: int, start: int) -> np.ndarray:
+    def _stack(self, k: int, start: int, stop: float) -> np.ndarray:
         """(terms, sites, dim) stack of dim run ``k`` of the explicit prefix,
-        which starts at ``start``; every term has the same dim runs there."""
-        if k not in self._stacks:
-            if len(self.states) == 1:
-                self._stacks[k] = self.states[0].stacked[k][None]
-            else:
-                sites = min(self.states[0].dim_runs[k][0], self.explicit) - start
-                self._stacks[k] = np.stack([s.stacked[k][:sites] for s in self.states])
-        return self._stacks[k]
+        which starts at ``start``, up to ``stop`` at most; every term has the
+        same dim runs there."""
+        if len(self.states) == 1:
+            return self.states[0].prefix_rows[k][None]
+        end = min(self.states[0].dim_runs[k][0], self.explicit, stop)
+        return np.stack([s.prefix_rows[k][: end - start] for s in self.states])
 
 
 # One readout of a walk: (c_k, bra term index, ket term index) per product.
@@ -239,7 +241,7 @@ def _bracket_blocks(
             max(start, explicit) + TAIL_BLOCK_SITES,
         )
         stop = bra.run_end(start, stop)
-        rows = bra.rows(start, stop), ket.rows(start, stop)
+        rows = bra.rows(start, stop, hi), ket.rows(start, stop, hi)
         if every_pair:
             g = _stacked_brackets(*rows).reshape(n_bra * n_ket, -1)
         else:

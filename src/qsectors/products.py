@@ -238,10 +238,13 @@ class _Accumulator:
         self, z: complex, steps: tuple[float, float] | None, counts: Sequence[int]
     ) -> list[tuple[float, float, bool]]:
         """``[self.jump(z, steps, count) for count in counts]``, bit for bit
-        and refusals included, for increasing counts.  Where the first count
-        is >= 1, the product is not zero and the forms at both ends lie in
-        the float range, which then bounds every form, each count takes one
-        multiply and add per part; else each goes through ``jump``."""
+        and refusals included, for increasing counts.  A leading count 0 goes
+        through ``jump``.  Where the other counts start at >= 1, the product
+        is not zero and the forms at both ends lie in the float range, which
+        then bounds every form, each count takes one multiply and add per
+        part; else each goes through ``jump``."""
+        if counts[0] == 0 and len(counts) > 1:
+            return [self.jump(z, steps, 0)] + self.jumps(z, steps, counts[1:])
         if steps is not None and not self.zero and counts[0] >= 1:
             (log_step, arg_step), log_mod, arg = steps, self.log_mod, self.arg
             try:

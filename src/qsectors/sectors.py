@@ -27,9 +27,12 @@ from .states import (
     TailRule,
     _bracket_bound,
     _bracket_series_bound,
+    _check_finite,
     _integer,
     _prefix_brackets,
+    _prefix_norms,
     _row_norms,
+    _spans,
     ensure_same_shape,
     factor_overlap,
 )
@@ -73,7 +76,7 @@ class SectorVerdict:
 
 def classify_sequence(state: ProductState) -> SequenceClass:
     """Norm-product behavior of a single product state."""
-    prefix_norms = [f.norm for f in state.prefix]
+    prefix_norms = _prefix_norms(state)
     limit, decay = state.tail.limit, state.tail.decay
     evidence: dict = {
         "limit_norm": limit.norm,
@@ -219,13 +222,30 @@ def _witness_site(
 
 def normed_representative(state: ProductState) -> ProductState:
     """Scale every factor to unit modulus, keeping its phase."""
-    prefix = tuple(f.normalized() for f in state.prefix)
+    prefix = []
+    for rows in state.prefix_rows:
+        norms = _row_norms(rows)
+        if not norms.all():
+            raise ZeroNormFactor("cannot normalize a zero vector")
+        # FactorVector.normalized row by row: any row not of norm 1 is
+        # multiplied by 1 / norm as CPython multiplies a float into a
+        # complex, (1 / norm + 0j) * c, in real parts, so even the signs of
+        # zeros agree; a row of norm 1 stays as it is
+        scaled = np.empty(rows.shape, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # Python floats do not warn
+            scale = (1.0 / norms)[:, None]
+            scaled.real = scale * rows.real - 0.0 * rows.imag
+            scaled.imag = scale * rows.imag + 0.0 * rows.real
+        unit = norms == 1.0
+        scaled[unit] = rows[unit]
+        _check_finite(scaled)
+        prefix.append(scaled)
     tail = state.tail
     if tail.limit.norm == 0.0:
         raise ZeroNormFactor("tail limit has zero norm")
     # normalizing both sides at worst doubles the distance bound
     new_tail = tail.mapped(FactorVector.normalized, 2.0 * tail.decay.scale / tail.limit.norm)
-    return ProductState(prefix=prefix, tail=new_tail, label=state.label)
+    return ProductState._of_rows(prefix, new_tail, label=state.label)
 
 
 def apply_finite_change(
@@ -258,7 +278,11 @@ def apply_finite_change(
             sites=new_len - state.prefix_len,
             budget=WALK_BUDGET,
         )
-    prefix = [state.factor_at(k) for k in range(new_len)]
-    for site, v in coerced.items():
-        prefix[site] = v
-    return ProductState(prefix=tuple(prefix), tail=state.tail, label=state.label)
+    prefix = []
+    for lo, hi in _spans(state, new_len):
+        rows = np.array(state.rows(lo, hi))
+        for site, v in coerced.items():
+            if lo <= site < hi:
+                rows[site - lo] = v.amplitudes
+        prefix.append(rows)
+    return ProductState._of_rows(prefix, state.tail, label=state.label)

@@ -51,6 +51,8 @@ from .states import (
     ParametricTail,
     ProductState,
     _CanonicalFamily,
+    _as_complex_tuple,
+    _factor_rows,
 )
 
 __all__ = [
@@ -139,10 +141,25 @@ def _encode_vector(v: FactorVector) -> list:
     return [encode_complex(c) for c in v.amplitudes]
 
 
-def _decode_vector(obj: Any, where: str) -> FactorVector:
+def _decode_amplitudes(obj: Any, where: str) -> tuple[complex, ...]:
+    """The amplitudes of a vector document, refused where they are not a
+    non-empty list of finite complex entries."""
     if not isinstance(obj, list) or not obj:
         raise UsageError(f"{where} must be a non-empty list of complex entries")
-    return FactorVector(tuple(decode_complex(c, where) for c in obj))
+    amplitudes = tuple(decode_complex(c, where) for c in obj)
+    if not all(map(cmath.isfinite, amplitudes)):
+        _as_complex_tuple(amplitudes)  # names the first non-finite amplitude
+    return amplitudes
+
+
+def _decode_vector(obj: Any, where: str) -> FactorVector:
+    return FactorVector(_decode_amplitudes(obj, where))
+
+
+def _decode_prefix(vectors: list) -> list[np.ndarray]:
+    """The prefix vectors of a state document as one (sites, dim) complex
+    array per run of equal dims, each refused in document order."""
+    return _factor_rows([_decode_amplitudes(v, f"prefix[{i}]") for i, v in enumerate(vectors)])
 
 
 def _encode_tail(tail) -> dict:
@@ -234,7 +251,11 @@ def encode_state(state: Union[ProductState, CompositeState]) -> dict:
         return {
             "type": "product-state",
             "label": state.label,
-            "prefix": [_encode_vector(f) for f in state.prefix],
+            "prefix": [
+                [encode_complex(c) for c in row]
+                for rows in state.prefix_rows
+                for row in rows.tolist()
+            ],
             "tail": _encode_tail(state.tail),
         }
     return {
@@ -254,16 +275,14 @@ def decode_state(obj: Any) -> Union[ProductState, CompositeState]:
         prefix_json = obj.get("prefix", [])
         if not isinstance(prefix_json, list):
             raise UsageError("prefix must be a list of vectors")
-        prefix = tuple(
-            _decode_vector(v, f"prefix[{i}]") for i, v in enumerate(prefix_json)
-        )
+        prefix = _decode_prefix(prefix_json)
         if "tail" not in obj:
             raise UsageError("product-state document needs a 'tail' field")
         tail = _decode_tail(obj["tail"], "tail")
         label = obj.get("label")
         if label is not None and not isinstance(label, str):
             raise UsageError("label must be a string or null")
-        return ProductState(prefix, tail, label=label)
+        return ProductState._of_rows(prefix, tail, label)
     if kind == "composite-state":
         terms_json = obj.get("terms")
         if not isinstance(terms_json, list) or not terms_json:

@@ -18,7 +18,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from numbers import Real
 from operator import add, index, itemgetter, mul
 from typing import Callable, ClassVar, Iterable, Sequence, Union
@@ -68,10 +68,11 @@ ALIGN_GRAY = 1e-9
 # count), tail sites a finite change materializes, cuts a sweep is asked for.
 WALK_BUDGET = 2**21
 
-# Prefix spans up to this many sites are bracketed one site at a time, so
-# short prefixes build and keep no arrays: for a state bracketed once,
-# stacking its prefix pays off only from a few dozen sites on.
-STACK_MIN = 64
+# Prefix spans up to this many sites are bracketed one site at a time: each
+# site builds its two vectors from the states' arrays, about 2.2 us a site,
+# while one bracket of the arrays costs about 4 us however short the span
+# (dims 2 and 4; CPython 3.11, numpy 2.4, one core of a 2-vCPU VM).
+STACK_MIN = 2
 
 
 def _integer(value: int, name: str) -> int:
@@ -178,12 +179,22 @@ def factor_overlap(bra: FactorVector, ket: FactorVector) -> complex:
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """``FactorVector.norm`` of each row of a (sites, dim) complex array, bit
     for bit: the squared moduli are added one column at a time, left to
-    right, as ``norm_sq`` adds them, and numpy's sqrt rounds as math.sqrt."""
-    squares = rows.real * rows.real + rows.imag * rows.imag
-    norm_sq = squares[:, 0]
-    for column in squares.T[1:]:
-        norm_sq = norm_sq + column
+    right, as ``norm_sq`` adds them, and numpy's sqrt rounds as math.sqrt.
+    A square past the float range is inf without a warning, as in Python."""
+    with np.errstate(over="ignore"):
+        squares = rows.real * rows.real + rows.imag * rows.imag
+        norm_sq = squares[:, 0]
+        for column in squares.T[1:]:
+            norm_sq = norm_sq + column
     return np.sqrt(norm_sq)
+
+
+def _check_finite(rows: np.ndarray) -> None:
+    """Refuse a complex array with a non-finite amplitude, naming the first
+    in row order as ``FactorVector`` names it."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        raise InvalidAmplitude(f"non-finite amplitude {complex(rows[~finite][0])!r}")
 
 
 def _stacked_brackets(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -513,9 +524,7 @@ class _CanonicalFamily:
             out.imag = limit.imag + (w * dev.imag + 0.0 * dev.real)
         if past_rank is not None:
             out[past_rank] = limit
-        finite = np.isfinite(out)
-        if not finite.all():
-            raise InvalidAmplitude(f"non-finite amplitude {complex(out[~finite][0])!r}")
+        _check_finite(out)
         return out
 
 
@@ -550,73 +559,128 @@ def _log_loss_bound(bra: TailRule, ket: TailRule, start: int) -> float:
     return 2.0 * remaining if remaining <= 0.25 else math.inf
 
 
+def _vector(amplitudes: tuple[complex, ...]) -> FactorVector:
+    """A ``FactorVector`` of amplitudes read off a state's arrays, which hold
+    only amplitudes already checked, so they are not gone through again."""
+    v = object.__new__(FactorVector)
+    v.__dict__["amplitudes"] = amplitudes
+    return v
+
+
+def _factor_rows(vectors: Sequence[Sequence[complex]]) -> list[np.ndarray]:
+    """Factors given by their amplitudes as one (sites, dim) complex array
+    per run of equal dims."""
+    out, start = [], 0
+    for end, dim in _dim_runs(map(len, vectors)):
+        amplitudes = chain.from_iterable(vectors[start:end])
+        out.append(np.fromiter(amplitudes, complex, (end - start) * dim).reshape(-1, dim))
+        start = end
+    return out
+
+
+def _keep_rows(state: "ProductState", rows: Iterable[np.ndarray]) -> None:
+    """Keep ``rows``, C-contiguous (sites, dim) complex arrays in site
+    order, as the explicit prefix of ``state``: adjacent arrays of one dim
+    joined, empty ones dropped, each made read-only."""
+    runs: list[np.ndarray] = []
+    for r in rows:
+        if not len(r):
+            continue
+        if runs and runs[-1].shape[1] == r.shape[1]:
+            runs[-1] = np.concatenate([runs[-1], r])
+        else:
+            runs.append(r)
+    ends = list(accumulate(map(len, runs)))
+    for run in runs:
+        run.setflags(write=False)
+    state.__dict__.update(
+        prefix_rows=tuple(runs),
+        dim_runs=tuple(zip(ends, [run.shape[1] for run in runs])),
+        prefix_len=ends[-1] if ends else 0,
+    )
+
+
+class _Prefix:
+    """``ProductState.prefix``: given as ``FactorVector``s, kept as the
+    state's arrays (``prefix_rows``), and read back as vectors built on each
+    read, with the same bits (a complex128 holds a Python complex exactly)."""
+
+    def __get__(self, state: "ProductState | None", owner: type | None = None):
+        if state is None:  # the field has no default value
+            raise AttributeError("prefix")
+        rows = chain.from_iterable(run.tolist() for run in state.prefix_rows)
+        return tuple(_vector(tuple(row)) for row in rows)
+
+    def __set__(self, state: "ProductState", factors: Iterable[FactorVector]) -> None:
+        factors = tuple(factors)
+        if not all(isinstance(f, FactorVector) for f in factors):
+            raise InvalidAmplitude("prefix entries must be FactorVector")
+        _keep_rows(state, _factor_rows([f.amplitudes for f in factors]))
+
+
 @dataclass(frozen=True)
 class ProductState:
-    """A single elementary product over all factor spaces."""
+    """A single elementary product over all factor spaces.
 
-    prefix: tuple[FactorVector, ...]
+    The explicit prefix is given as ``FactorVector``s and kept as
+    ``prefix_rows``, one read-only (sites, dim) complex array per run of
+    ``dim_runs``, 16 bytes per amplitude; ``prefix`` and ``factor_at`` build
+    vectors from them on demand.  Equality, hashes, repr and pickles are
+    those of the ``prefix`` tuple.
+    """
+
+    prefix: tuple[FactorVector, ...] = _Prefix()
     tail: TailRule
     label: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        for f in self.prefix:
-            if not isinstance(f, FactorVector):
-                raise InvalidAmplitude("prefix entries must be FactorVector")
         if not isinstance(self.tail, (ConstantTail, ParametricTail)):
             raise UndeclaredTailClass(
                 "state tail must be ConstantTail or ParametricTail"
             )
 
-    @property
-    def prefix_len(self) -> int:
-        return len(self.prefix)
+    @classmethod
+    def _of_rows(
+        cls, rows: Iterable[np.ndarray], tail: TailRule, label: str | None = None
+    ) -> "ProductState":
+        """A state whose explicit prefix is ``rows``, new C-contiguous
+        (sites, dim) complex arrays in site order (``_keep_rows``) of finite
+        amplitudes: values read off a state or a ``FactorVector``, or
+        checked by ``_check_finite``, once per array."""
+        state = object.__new__(cls)
+        _keep_rows(state, rows)
+        state.__dict__.update(tail=tail, label=label)
+        state.__post_init__()
+        return state
 
     @property
     def tail_dim(self) -> int:
         return self.tail.dim
 
     def dim_at(self, site: int) -> int:
-        if site < len(self.prefix):
-            return self.factor_at(site).dim  # refuses a negative site
+        if site < self.prefix_len:
+            if site < 0:
+                raise IndexOutOfRange(f"negative site {site}")
+            return self.dim_runs[_run_at(self.dim_runs, site)[0]][1]
         return self.tail.dim
 
     def factor_at(self, site: int) -> FactorVector:
         if site < 0:
             raise IndexOutOfRange(f"negative site {site}")
-        if site < len(self.prefix):
-            return self.prefix[site]
+        if site < self.prefix_len:
+            k, start = _run_at(self.dim_runs, site)
+            return _vector(tuple(self.prefix_rows[k][site - start].tolist()))
         return self.tail.factor_at(site)
-
-    @cached_property
-    def dim_runs(self) -> tuple[tuple[int, int], ...]:
-        """(end, dim) of each maximal run of prefix sites sharing one dim, in
-        site order: a run starts at site 0 or where the one before it ends."""
-        return _dim_runs(f.dim for f in self.prefix)
-
-    @cached_property
-    def stacked(self) -> tuple[np.ndarray, ...]:
-        """The explicit prefix as one read-only (sites, dim) complex array
-        per run of ``dim_runs``.  Built on first use and kept for the life of
-        the state, at 16 bytes per amplitude; not pickled."""
-        runs, start = [], 0
-        for end, dim in self.dim_runs:
-            amplitudes = chain.from_iterable(f.amplitudes for f in self.prefix[start:end])
-            flat = np.fromiter(amplitudes, complex, (end - start) * dim)
-            flat.setflags(write=False)
-            runs.append(flat.reshape(-1, dim))
-            start = end
-        return tuple(runs)
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The factors of sites [lo, hi), which share one dim, as one (hi -
-        lo, dim) complex array, bit for bit: a read-only view of the stacked
-        prefix, then the tail's rows."""
-        p = len(self.prefix)
+        lo, dim) complex array, bit for bit: a read-only view of the
+        prefix's arrays, then the tail's rows."""
+        p = self.prefix_len
         if lo >= p:
             return self.tail.rows(lo, hi)
         k, start = _run_at(self.dim_runs, lo)
-        view = self.stacked[k][lo - start : hi - start]
+        view = self.prefix_rows[k][lo - start : hi - start]
         return view if hi <= p else np.concatenate([view, self.tail.rows(p, hi)])
 
     @property
@@ -630,7 +694,7 @@ class ProductState:
         so it also answers for the stretch between the prefix and its rank,
         moved with its tail; a family of rank 0 is the limit from the prefix
         on."""
-        p, tail = len(self.prefix), self.tail
+        p, tail = self.prefix_len, self.tail
         family = getattr(tail, "factor_fn", None)
         if isinstance(family, _CanonicalFamily) and family.decay.kind == "eventually-constant":
             rank = family.decay.rank + tail.shift if family.decay.rank else 0
@@ -640,9 +704,13 @@ class ProductState:
         return ()
 
     def __getstate__(self) -> dict:
-        # the cached views are rebuilt on demand, so pickles stay the same
-        cached = ("dim_runs", "stacked", "sequence_class")
-        return {k: v for k, v in self.__dict__.items() if k not in cached}
+        # the fields alone, the prefix as vectors: pickles stay as they were
+        return {"prefix": self.prefix, "tail": self.tail, "label": self.label}
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        object.__setattr__(self, "prefix", state.pop("prefix"))
+        self.__dict__.update(state)
 
     def as_composite(self, coefficient: complex = 1.0 + 0j) -> "CompositeState":
         return CompositeState(((complex(coefficient), self),))
@@ -654,6 +722,19 @@ class ProductState:
         from . import sectors
 
         return sectors.classify_sequence(self)
+
+
+def _prefix_norms(state: ProductState) -> list[float]:
+    """``FactorVector.norm`` of each explicit factor of ``state`` in site
+    order, bit for bit (``_row_norms``)."""
+    return [n for rows in state.prefix_rows for n in _row_norms(rows).tolist()]
+
+
+def _spans(state: ProductState, stop: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each stretch of the sites below ``stop`` that share one
+    dim, as ``rows`` reads them: the state's dim runs, then its tail."""
+    ends = [end for end, _ in state.dim_runs if end < stop] + [stop]
+    return [(lo, hi) for lo, hi in zip([0] + ends, ends) if lo < hi]
 
 
 @dataclass(frozen=True)
@@ -758,16 +839,14 @@ def _first_dim_mismatch(
 def _prefix_brackets(a: ProductState, b: ProductState, span: int) -> list[complex]:
     """``factor_overlap`` of two same-shaped states' factors at each site
     below ``span``, bit for bit.  A span longer than STACK_MIN sites is read
-    off both states' rows, one dim run of ``a`` at a time; a shorter one goes
-    one site at a time."""
+    off both states' rows, one stretch of one dim at a time (``_spans``); a
+    shorter one goes one site at a time."""
     if span <= STACK_MIN:
         return [factor_overlap(a.factor_at(k), b.factor_at(k)) for k in range(span)]
     out: list[complex] = []
-    start = 0
-    for end in [end for end, _ in a.dim_runs if end < span] + [span]:
-        rows = (s.rows(start, end)[None] for s in (a, b))
+    for lo, hi in _spans(a, span):
+        rows = (s.rows(lo, hi)[None] for s in (a, b))
         out += _stacked_brackets(*rows)[0, 0].tolist()
-        start = end
     return out
 
 

@@ -981,7 +981,8 @@ def test_negative_counts_and_non_square_matrices_are_refused(case):
 
 # Integer arguments are read as truncations are: ints and numpy integers
 # pass, bools and floats are refused by name, before anything is drawn or
-# looked up.  A pair must name two outcomes.
+# looked up.  A pair must name two outcomes, and a pair that is not iterable
+# names none.
 INTEGER_REFUSALS = {
     "horizon-pair-float": (
         lambda m: q.decoherence_horizon(m, 0.1, pair=(0.5, 1)), "outcome 0.5 is not an integer"
@@ -991,6 +992,18 @@ INTEGER_REFUSALS = {
     ),
     "horizon-pair-three": (
         lambda m: q.decoherence_horizon(m, 0.1, pair=(0, 1, 2)), r"pair \(0, 1, 2\) must name two"
+    ),
+    "horizon-pair-int": (
+        lambda m: q.decoherence_horizon(m, 0.1, pair=5), "pair 5 must name two outcomes"
+    ),
+    "horizon-pair-float-alone": (
+        lambda m: q.decoherence_horizon(m, 0.1, pair=1.5), "pair 1.5 must name two outcomes"
+    ),
+    "horizon-pair-object": (
+        lambda m: q.decoherence_horizon(m, 0.1, pair=object()), "pair <object .*> must name two"
+    ),
+    "horizon-pair-ellipsis": (
+        lambda m: q.decoherence_horizon(m, 0.1, pair=...), "pair Ellipsis must name two outcomes"
     ),
     "coherence-float": (
         lambda m: q.truncated_density(m, 3).coherence(0.5, 1), "outcome 0.5 is not an integer"

@@ -779,6 +779,29 @@ def test_sector_action_skips_a_term_whose_prefix_operator_annihilates_a_factor()
     assert q.sector_action(alone, constant_state()).kind == "LeavesSector"
 
 
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_sector_action_reads_term_images_in_site_order(zero_first):
+    # image_at reads the sites in order: a zero image skips the term before a
+    # later image past the float range is reached, and an image past the
+    # float range before any zero one is refused
+    u = q.FactorVector((0.6, 0.8))
+    state = q.ProductState((u, u, u), q.ConstantTail(u))
+    zero = q.FactorOperator(np.zeros((2, 2)))
+    huge = q.FactorOperator(np.full((2, 2), 1.5e308))
+    ops = (q.FactorOperator(np.eye(2)),) + ((zero, huge) if zero_first else (huge, zero))
+    flip = q.ConstantOperatorTail(q.FactorOperator(PAULI_X))
+    op = q.FactoredOperator((q.OperatorTerm(1.0, ops, flip), q.OperatorTerm(1.0, (), q.IdentityTail(2))))
+    if zero_first:
+        v = q.sector_action(op, state)
+        assert v.kind == "PreservesSector"
+        assert [r["term"] for r in v.witness["terms"]] == [1]
+    else:
+        # FactorOperator.apply_to's matmul warns of the overflow that is then refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(q.InvalidAmplitude, match="non-finite amplitude"):
+                q.sector_action(op, state)
+
+
 def _site_readers():
     """name -> (reader of one site, its answer at site 0): the state and
     operator lookups that take a site."""

@@ -1885,11 +1885,13 @@ class TestManyCutsInOneRead:
             st.one_of(st.sampled_from([0, 1, 10**20, 10**300, 10**400]), st.integers(0, 10**6)),
             min_size=1, max_size=8, unique=True,
         ),
+        st.booleans(),
     )
-    def test_jumps_are_the_per_count_jumps(self, g, given_steps, acc, counts):
+    def test_jumps_are_the_per_count_jumps(self, g, given_steps, acc, counts, from_zero):
         # the closed form a run's cuts take at once, against ``jump`` at each
-        # count: the same bits, or the same refusal
-        counts = sorted(counts)
+        # count: the same bits, or the same refusal; a batch read at a run's
+        # start leads with count 0
+        counts = sorted(set(counts) | {0} if from_zero else counts)
         steps = products._log_steps(g) if given_steps else None
 
         def outcome(fn):
@@ -1901,6 +1903,25 @@ class TestManyCutsInOneRead:
         assert outcome(lambda: products._Accumulator(*acc).jumps(g, steps, counts)) == outcome(
             lambda: [products._Accumulator(*acc).jump(g, steps, c) for c in counts]
         )
+
+    def test_a_sweep_from_a_run_start_jumps_in_closed_form(self, monkeypatch):
+        # the sweep's first cut is the run start itself, count 0 of the run;
+        # the cuts after it are read in closed form, not count by count
+        rng = np.random.default_rng(29)
+        bra, ket = (
+            q.ProductState(tuple(random_factor(rng, 2) for _ in range(100)), q.ConstantTail(w))
+            for w in (random_factor(rng, 2), random_factor(rng, 2))
+        )
+        cuts = range(100, 2100, 10)
+        want = q.overlap_sweep(bra, ket, cuts)
+        calls = []
+        real = products._Accumulator.jump
+        monkeypatch.setattr(
+            products._Accumulator, "jump", lambda acc, *args: calls.append(args) or real(acc, *args)
+        )
+        got = q.overlap_sweep(bra, ket, cuts)
+        assert len(calls) <= 1
+        assert repr(got) == repr(want)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -2340,3 +2361,51 @@ class TestDirectRecord:
         q.composite_overlap(bra, ket, 65)
         assert folded
         assert got == [_direct_read(bra, ket, n) for n in cuts]
+
+
+# -- a wide side's stacks ------------------------------------------------------
+#
+# A side of more than one term copies its terms' prefix arrays into one stack
+# per dim run on first use, and only as far as the walk reads: its last cut,
+# or the block stretch's end, whichever comes first.  The stack is kept for
+# every later block of the walk.
+
+
+def _wide(rng, terms, length):
+    return q.CompositeState(tuple(
+        (complex(rng.normal(), rng.normal()),
+         q.ProductState(tuple(random_factor(rng, 2) for _ in range(length)),
+                        q.ConstantTail(q.FactorVector((0.6, 0.8)))))
+        for _ in range(terms)
+    ))
+
+
+class TestSideStacks:
+    @pytest.mark.parametrize("cuts", [[40], [1, 40], [40, 64, 65, 500], [999, 1000, 1200]])
+    def test_a_stack_reaches_the_walk_s_reach_alone(self, cuts, monkeypatch):
+        rng = np.random.default_rng(len(cuts))
+        bra, ket = _wide(rng, 16, 1000), _wide(rng, 16, 1000)
+        stacked = []
+        real = overlaps._Terms._stack
+        monkeypatch.setattr(
+            overlaps._Terms, "_stack",
+            lambda side, k, start, stop: stacked.append(real(side, k, start, stop)) or stacked[-1],
+        )
+        bra_side, ket_side, readouts = overlaps._sides(bra, ket)
+        got = overlaps._walk(bra_side, ket_side, readouts, cuts)
+        # one stack per side, built once for all the walk's blocks
+        assert [s.shape for s in stacked] == [(16, min(cuts[-1], 1000), 2)] * 2
+        monkeypatch.setattr(
+            overlaps._Terms, "_stack", lambda side, k, start, stop: real(side, k, start, math.inf)
+        )
+        want = overlaps._walk(*overlaps._sides(bra, ket), cuts)
+        assert repr(got) == repr(want)
+
+    def test_a_side_read_past_its_stack_stacks_further(self):
+        rng = np.random.default_rng(7)
+        side = overlaps._Terms([s for _, s in _wide(rng, 3, 300).terms])
+        first = side.rows(0, 10, 50)
+        assert side._stacks[0].shape == (3, 50, 2)
+        assert side.rows(60, 70).shape == (3, 10, 2) and side._stacks[0].shape == (3, 300, 2)
+        want = np.stack([s.prefix_rows[0][:10] for s in side.states])
+        assert first.tobytes() == want.tobytes() == side.rows(0, 10).tobytes()

@@ -4,6 +4,7 @@ Tools that instrument the package (the benchmark's tracer among them) walk
 each module's ``__all__``, so a stale entry would silently drop a layer.
 """
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -62,3 +63,23 @@ def test_direct_limit_is_named_in_the_walk_only():
     source = Path(qsectors.__file__).parent
     naming = sorted(p.name for p in source.glob("*.py") if "DIRECT_LIMIT" in p.read_text("utf-8"))
     assert naming == ["overlaps.py"]
+
+
+def test_prefix_is_read_as_arrays_outside_states():
+    # a state keeps its explicit prefix as arrays, and ``prefix`` builds one
+    # FactorVector per site on every read, so outside states.py the package
+    # reads the arrays (``prefix_rows``, ``rows``) or one site at a time
+    # (``factor_at``).  products.py reads the prefix of a ComplexSequenceSpec,
+    # a tuple of complex terms, and knows no ProductState.
+    source = Path(qsectors.__file__).parent
+    reading = sorted(
+        p.name
+        for p in source.glob("*.py")
+        if p.name != "states.py"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "prefix"
+            for node in ast.walk(ast.parse(p.read_text("utf-8")))
+        )
+    )
+    assert reading == ["products.py"]
+    assert "ProductState" not in (source / "products.py").read_text("utf-8")

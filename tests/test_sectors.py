@@ -341,7 +341,8 @@ class TestApplyFiniteChange:
         s = unit_state(prefix=(E1,))
         t = q.apply_finite_change(s, {4: rotated(0.9)})
         assert t.prefix_len == 5
-        assert t.factor_at(0) is s.factor_at(0)
+        # vectors are built from the state's arrays on each read: equal, with the same bits
+        assert repr(t.factor_at(0)) == repr(s.factor_at(0)) and t.factor_at(0) == E1
         assert t.factor_at(2).amplitudes == E0.amplitudes
         assert t.factor_at(4).amplitudes == rotated(0.9).amplitudes
         assert t.factor_at(11).amplitudes == E0.amplitudes

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 import re
@@ -12,7 +13,16 @@ from hypothesis import strategies as st
 
 import qsectors as q
 from qsectors.states import _CanonicalFamily
-from support import MALFORMED_VALUES, complex_bits, random_factor, random_product_state
+from support import (
+    MALFORMED_VALUES,
+    TAIL_FAMILIES,
+    assert_walks_agree,
+    complex_bits,
+    decoded_family,
+    random_factor,
+    random_product_state,
+    site_by_site,
+)
 
 import numpy as np
 
@@ -641,12 +651,13 @@ class TestDistance:
         assert q.distance(a, b, 6) >= -1e-9
 
 
-# -- the stacked prefix --------------------------------------------------------
+# -- the prefix arrays ---------------------------------------------------------
 #
 # Each ProductState keeps its explicit prefix as read-only (sites, dim) arrays,
-# one per run of equal dims, built on first use.  Walks, sector certificates
-# and asymptotic overlaps read brackets off these arrays, and keep the bits of
-# the scalar factor_overlap only while einsum adds in the same order.
+# one per run of equal dims (``prefix_rows``), and no vector per site.  Walks,
+# sector certificates and asymptotic overlaps read brackets off these arrays,
+# and keep the bits of the scalar factor_overlap only while einsum adds in the
+# same order.
 
 
 def test_stacked_brackets_match_factor_overlap_bits():
@@ -724,9 +735,9 @@ class TestStackedPrefix:
         rng = np.random.default_rng(length)
         s = _runs_state(rng, _random_runs(rng, length))
         assert s.dim_runs == _dim_runs_by_site(s)
-        assert len(s.stacked) == len(s.dim_runs)
+        assert len(s.prefix_rows) == len(s.dim_runs)
         start = 0
-        for (end, dim), rows in zip(s.dim_runs, s.stacked):
+        for (end, dim), rows in zip(s.dim_runs, s.prefix_rows):
             assert rows.shape == (end - start, dim) and rows.dtype == complex
             want = np.array([f.amplitudes for f in s.prefix[start:end]])
             assert rows.tobytes() == want.tobytes()
@@ -757,31 +768,24 @@ class TestStackedPrefix:
 
     def test_arrays_are_read_only(self):
         s = _runs_state(np.random.default_rng(1), [(70, 2), (5, 3)])
-        for rows in s.stacked + (s.rows(3, 60),):
+        for rows in s.prefix_rows + (s.rows(3, 60),):
             with pytest.raises(ValueError):
                 rows[0, 0] = 1.0
 
-    def test_built_once_across_walks(self, monkeypatch):
-        from functools import cached_property
-
-        real = q.ProductState.__dict__["stacked"].func
-        built = []
-
-        def spy(state):
-            built.append(state)
-            return real(state)
-
-        prop = cached_property(spy)
-        prop.__set_name__(q.ProductState, "stacked")
-        monkeypatch.setattr(q.ProductState, "stacked", prop)
+    def test_walks_keep_the_arrays_the_state_holds(self):
+        # the arrays are built with the state, so walks neither build nor
+        # keep anything on it
         rng = np.random.default_rng(3)
         runs = [(40, 2), (60, 3), (30, 2)]
         a, b = _runs_state(rng, runs), _runs_state(rng, runs)
+        held = {name: dict(vars(s)) for name, s in (("a", a), ("b", b))}
         for _ in range(10):
             q.composite_overlap(a, b, 120)
             q.overlap_sweep(a, b, [10, 64, 100, 130])
             q.distance(a, b, 130)
-        assert sorted(map(id, built)) == sorted([id(a), id(b)])
+        for name, s in (("a", a), ("b", b)):
+            assert vars(s).keys() == held[name].keys()
+            assert all(x is y for x, y in zip(s.prefix_rows, held[name]["prefix_rows"]))
 
     def test_terms_rows_across_run_edges(self):
         from qsectors.overlaps import _Terms
@@ -809,13 +813,257 @@ class TestStackedPrefix:
         copy = q.ProductState(a.prefix, a.tail, a.label)
         before = (hash(a), pickle.dumps(a), serialize.dumps(serialize.encode_state(a)))
         q.overlap_sweep(a, b, [5, 64, 100, 120])
-        assert a.stacked and "stacked" not in vars(copy)
+        assert vars(a).keys() == vars(copy).keys()
         assert a == copy and hash(a) == hash(copy)
         after = (hash(a), pickle.dumps(a), serialize.dumps(serialize.encode_state(a)))
         assert after == before
         back = pickle.loads(after[1])
-        assert back == a and "stacked" not in vars(back)
-        assert back.stacked[1].tobytes() == a.stacked[1].tobytes()
+        assert back == a and vars(back).keys() == vars(a).keys()
+        assert back.prefix_rows[1].tobytes() == a.prefix_rows[1].tobytes()
+
+
+# -- the prefix as arrays, read back as vectors ---------------------------------
+#
+# A state keeps no FactorVector per prefix site: ``prefix`` and ``factor_at``
+# build vectors from its arrays on each read.  Every read, comparison, hash,
+# repr, pickle and document must be what the vectors passed in give, bit for
+# bit, and walks over the arrays must agree with the site-by-site walk.
+
+_ARRAY_TAILS = ["constant"] + sorted(TAIL_FAMILIES)
+
+
+def _array_tail(rng, name, dim, shift):
+    limit = random_factor(rng, dim)
+    if name == "constant":
+        return q.ConstantTail(limit)
+    return decoded_family(rng, name, 0, limit, shift).tail
+
+
+@st.composite
+def _array_cases(draw):
+    """(factors, tail, label, twin): a prefix of 0-150 sites whose dims run
+    among 1-5, a constant tail or a decoded family, moved 7 sites or not, and
+    a same-shaped twin state of other factors and another limit."""
+    length = draw(st.integers(0, 150))
+    runs = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 5)), min_size=1, max_size=6))
+    dims = list(itertools.islice(itertools.cycle([d for n, d in runs for _ in range(n)]), length))
+    name = draw(st.sampled_from(_ARRAY_TAILS))
+    shift = draw(st.sampled_from([0, 7]))
+    tail_dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = tuple(random_factor(rng, d) for d in dims)
+    label = draw(st.sampled_from([None, "", "a label"]))
+    tail = _array_tail(rng, name, tail_dim, shift)
+    twin = q.ProductState(
+        tuple(random_factor(rng, d) for d in dims), _array_tail(rng, name, tail_dim, shift)
+    )
+    return factors, tail, label, twin
+
+
+def _frozen_case(seed):
+    """A state of fresh objects, as a caller builds one from numpy rows or
+    a decoder builds one from a document: mixed dims, then a constant tail
+    or a decoded family, shifted or not, and a label or none."""
+    rng = np.random.default_rng([30, seed])
+    dims = []
+    while len(dims) < int(rng.integers(0, 151)):
+        dims += [int(rng.integers(1, 6))] * int(rng.integers(1, 40))
+    prefix = tuple(random_factor(rng, d) for d in dims)
+    tail_dim = int(rng.integers(1, 6))
+    name = _ARRAY_TAILS[seed % len(_ARRAY_TAILS)]
+    if name == "constant":
+        tail = q.ConstantTail(random_factor(rng, tail_dim))
+    else:
+        limit = random_factor(rng, tail_dim)
+        tail = decoded_family(rng, name, 0, limit, shift=int(rng.integers(0, 2)) * 7).tail
+    return q.ProductState(prefix, tail, label=None if seed % 2 else f"case {seed}")
+
+
+# sha256 of pickle.dumps(_frozen_case(seed), protocol=4), frozen from the
+# implementation that kept one FactorVector per prefix site
+FROZEN_PICKLES = {
+    0: "4e8e26c1f1e638d13138e6070e99ec235651118ba734a0da4c50f59da1160b23",
+    1: "129981de8a6d78f3b84dde113e8d1738acf3e5d0bbf96e65dfb0013b4bbd2fa1",
+    2: "a6c43cdec1a90b7810c69477e45219377ef8510c8037fa18c84a961469507cc6",
+    3: "89c2444d35a88ca6d0c875af04a6872db4a21eb9804f6ae06c36e3f6f96445e6",
+    4: "86985dabbed286a5ca8d0e3495bb2251af5d36b69e47d1c052199aec2aac73ec",
+    5: "a33b3aac4b1e78e8c692e8aa007f74175eb2af150b60c5dc06b6cb824c1d335a",
+    6: "07df2d5d61d0882c146d61a6c669569c80ae900590689b1f31df380b54b3d8f0",
+    7: "2ac7d756d4e3f018d37277672c77cdc6ac77d2e8ca6af265cfce251709848ca6",
+    8: "ca5e188abfb406900a0e2b1dcadf95d4d06cec74b2bb9ceb130a1c77cb1ccb2c",
+    9: "fd6212128854b787e86aa940170835a79d8fd91249ae73a82f0f7f806f757f1c",
+}
+
+# pickle.dumps(_TINY, protocol=4) of the same implementation, in full
+_C = complex
+_TINY = q.ProductState(
+    (q.FactorVector((_C(0.6, 0.0), _C(0.0, 0.8))), q.FactorVector((_C(0.6, -0.0), _C(-0.0, -0.8))),
+     q.FactorVector((_C(1.0, 0.0), _C(0.0, 0.0), _C(0.0, -0.0)))),
+    q.ConstantTail(q.FactorVector((_C(-1.0, 0.0),))),
+    label="frozen",
+)
+TINY_PICKLE = bytes.fromhex(
+    "80049597010000000000008c0f71736563746f72732e737461746573948c0c50726f6475"
+    "637453746174659493942981947d94288c067072656669789468008c0c466163746f7256"
+    "6563746f729493942981947d948c0a616d706c697475646573948c086275696c74696e73"
+    "948c07636f6d706c6578949394473fe33333333333334700000000000000008694529468"
+    "0d470000000000000000473fe999999999999a869452948694736268072981947d94680a"
+    "680d473fe333333333333347800000000000000086945294680d47800000000000000047"
+    "bfe999999999999a869452948694736268072981947d94680a680d473ff0000000000000"
+    "47000000000000000086945294680d470000000000000000470000000000000000869452"
+    "94680d470000000000000000478000000000000000869452948794736287948c04746169"
+    "6c9468008c0c436f6e7374616e745461696c9493942981947d948c06766563746f729468"
+    "072981947d94680a680d47bff00000000000004700000000000000008694529485947362"
+    "73628c056c6162656c948c0666726f7a656e9475622e"
+)
+
+
+# the earlier pickle of ``shared`` in test_one_vector_at_two_sites_pickles_as_two
+SHARED_PICKLE = bytes.fromhex(
+    "80049517010000000000008c0f71736563746f72732e737461746573948c0c50726f6475"
+    "637453746174659493942981947d94288c067072656669789468008c0c466163746f7256"
+    "6563746f729493942981947d948c0a616d706c697475646573948c086275696c74696e73"
+    "948c07636f6d706c6578949394473fe33333333333334700000000000000008694529468"
+    "0d470000000000000000473fe999999999999a8694529486947362680886948c04746169"
+    "6c9468008c0c436f6e7374616e745461696c9493942981947d948c06766563746f729468"
+    "072981947d94680a680d473ff000000000000047000000000000000086945294680d4700"
+    "00000000000000470000000000000000869452948694736273628c056c6162656c944e75"
+    "622e"
+)
+
+
+def _bits(factors):
+    return complex_bits(itertools.chain.from_iterable(f.amplitudes for f in factors))
+
+
+class TestArrayPrefix:
+    @settings(max_examples=40, deadline=None)
+    @given(_array_cases())
+    def test_reads_are_the_vectors_passed_in(self, case):
+        factors, tail, label, _ = case
+        s = q.ProductState(factors, tail, label)
+        p = len(factors)
+        assert repr(s.prefix) == repr(factors) and _bits(s.prefix) == _bits(factors)
+        assert s.prefix_len == p and s.dim_runs == _dim_runs_by_site(s)
+        assert [d for end, d in s.dim_runs] == [len(r[0]) for r in s.prefix_rows]
+        for k in range(p + 3):
+            want = factors[k] if k < p else tail.factor_at(k)
+            assert _bits([s.factor_at(k)]) == _bits([want]) and s.dim_at(k) == want.dim
+        start = 0
+        for end, dim in s.dim_runs:
+            for lo, hi in ((start, end), (start, (start + end + 1) // 2), (end - 1, end)):
+                want = np.array([f.amplitudes for f in factors[lo:hi]], dtype=complex)
+                assert s.rows(lo, hi).tobytes() == want.tobytes()
+            start = end
+        # what the dataclass made of the vectors: equality, hash and repr
+        copy = q.ProductState(tuple(q.FactorVector(f.amplitudes) for f in factors), tail, label)
+        assert s == copy and hash(s) == hash(copy) == hash((factors, tail, label))
+        assert repr(s) == f"ProductState(prefix={factors!r}, tail={tail!r}, label={label!r})"
+        assert s != q.ProductState(factors, tail, "other")
+        if p:
+            assert s != q.ProductState(factors[1:], tail, label)
+            moved = tuple(q.FactorVector(f.amplitudes[::-1]) for f in factors)
+            assert (s == q.ProductState(moved, tail, label)) == (moved == factors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_array_cases())
+    def test_documents_round_trip_byte_for_byte(self, case):
+        from qsectors import serialize
+
+        factors, tail, label, _ = case
+        s = q.ProductState(factors, tail, label)
+        if getattr(tail, "shift", 0) and tail.decay.kind == "p-series":
+            with pytest.raises(q.UndeclaredTailClass):
+                serialize.encode_state(s)
+            return
+        text = serialize.dumps(serialize.encode_state(s))
+        back = serialize.decode_state(serialize.loads(text))
+        assert serialize.dumps(serialize.encode_state(back)) == text
+        assert _bits(back.prefix) == _bits(factors) and back.dim_runs == s.dim_runs
+
+    @settings(max_examples=30, deadline=None)
+    @given(_array_cases())
+    def test_walks_agree_with_the_site_by_site_walk(self, case):
+        factors, tail, label, twin = case
+        s = q.ProductState(factors, tail, label)
+        p = len(factors)
+        cuts = sorted({1, 10, 64, 65, p + 1, p + 50} | ({p} if p else set()))
+        got = q.overlap_sweep(s, twin, cuts)
+        want = site_by_site(pytest.MonkeyPatch(), q.overlap_sweep, s, twin, cuts)
+        pairs = [list(zip(w.values, w.log_modulus)) for w in (got, want)]
+        assert_walks_agree(s, twin, *pairs, cuts)
+
+    def test_norms_past_the_float_range_read_as_the_vectors_read_them(self):
+        # the norm reads square amplitudes as arrays; a square past the float
+        # range is inf, as the vectors' own Python arithmetic makes it, and
+        # no warning is raised (the test settings make warnings errors)
+        from qsectors.states import _prefix_norms
+
+        factors = (q.FactorVector((1e200, 1.0)), q.FactorVector((0.6, 0.8j)), q.FactorVector((1e-200j, 0.0)))
+        s = q.ProductState(factors, q.ConstantTail(q.FactorVector((1.0, 0.0))))
+        assert _prefix_norms(s) == [f.norm for f in factors] == [math.inf, 1.0, 0.0]
+        assert q.classify_sequence(s).kind == q.classify_sequence(
+            q.ProductState(tuple(q.FactorVector(f.amplitudes) for f in factors), s.tail)
+        ).kind
+
+    def test_reads_check_no_amplitude_again(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        s = _runs_state(rng, [(70, 2), (5, 3)])
+        checked = []
+        real = q.FactorVector.__post_init__
+        monkeypatch.setattr(q.FactorVector, "__post_init__", lambda v: checked.append(v) or real(v))
+        assert len(s.prefix) == 75 and [s.factor_at(k).dim for k in (0, 69, 70, 74)] == [2, 2, 3, 3]
+        assert checked == []
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN_PICKLES))
+    def test_pickles_keep_their_bytes(self, seed):
+        import hashlib
+
+        s = _frozen_case(seed)
+        data = pickle.dumps(s, protocol=4)
+        assert hashlib.sha256(data).hexdigest() == FROZEN_PICKLES[seed]
+        back = pickle.loads(data)
+        assert back == s and _bits(back.prefix) == _bits(s.prefix)
+        assert vars(back).keys() == vars(s).keys()
+
+    def test_an_earlier_pickle_loads_to_an_equal_state(self):
+        assert pickle.dumps(_TINY, protocol=4) == TINY_PICKLE
+        back = pickle.loads(TINY_PICKLE)
+        assert back == _TINY and repr(back) == repr(_TINY) and _bits(back.prefix) == _bits(_TINY.prefix)
+        assert [r.shape for r in back.prefix_rows] == [(2, 2), (1, 3)]
+        assert all(not r.flags.writeable for r in back.prefix_rows)
+
+    def test_one_vector_at_two_sites_pickles_as_two(self):
+        # an earlier pickle wrote a reference to a vector object passed at
+        # two sites; a state holds no vector objects, so every site is
+        # written out, as for equal vectors that are distinct objects
+        v = q.FactorVector((_C(0.6, 0.0), _C(0.0, 0.8)))
+        tail = q.ConstantTail(q.FactorVector((_C(1.0, 0.0), _C(0.0, 0.0))))
+        shared = q.ProductState((v, v), tail)
+        fresh = q.ProductState(tuple(q.FactorVector(tuple(np.array(v.amplitudes).tolist())) for _ in "ab"), tail)
+        assert pickle.dumps(shared, protocol=4) == pickle.dumps(fresh, protocol=4)
+        assert pickle.loads(SHARED_PICKLE) == shared
+        assert pickle.dumps(shared, protocol=4) != SHARED_PICKLE
+
+    def test_a_state_keeps_no_vector_per_site(self):
+        import gc
+        import tracemalloc
+
+        sites = 20_000
+        rows = np.random.default_rng(12).normal(size=(sites, 2, 2)).view(complex)[..., 0]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            factors = [q.FactorVector(tuple(row.tolist())) for row in rows]
+            s = q.ProductState(factors, q.ConstantTail(q.FactorVector((0.6, 0.8))))
+            del factors
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert s.prefix_len == sites
+        assert kept <= 64 * sites, f"{kept / sites:.0f} bytes per site"
 
 
 class TestPrefixBrackets:
