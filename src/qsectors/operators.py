@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import Sequence, Union
 
 import numpy as np
@@ -30,11 +31,13 @@ from .states import (
     ALIGN_EXACT,
     ALIGN_GRAY,
     CompositeState,
+    ConstantTail,
     FactorVector,
     ProductState,
     _check_finite,
-    _dim_runs,
     _first_dim_mismatch,
+    _FieldState,
+    _Prefix,
     _prefix_norms,
     _run_at,
     _spans,
@@ -60,21 +63,40 @@ EVOLVE_DIM_LIMIT = 16
 
 
 @dataclass(frozen=True, eq=False)
-class FactorOperator:
-    """A square matrix on one factor space with a cached norm bound."""
+class FactorOperator(_FieldState):
+    """A square matrix on one factor space.  Two operators are equal when
+    their matrices are.
+
+    ``norm_bound``, the matrix's 2-norm, is computed on first read and kept
+    for the life of the operator; it is not pickled."""
 
     matrix: np.ndarray
-    norm_bound: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ShapeMismatch(f"operator matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise InvalidAmplitude("operator matrix has non-finite entries")
+        _check_entries(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "norm_bound", float(np.linalg.norm(m, 2)))
+
+    def __setstate__(self, state: dict) -> None:
+        # an unpickled matrix is writeable: copy, check and freeze it again
+        super().__setstate__(state)
+        self.__post_init__()
+
+    @cached_property
+    def norm_bound(self) -> float:
+        return float(np.linalg.norm(self.matrix, 2))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FactorOperator):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 entries into the 0.0 they equal
+        return hash((self.matrix + 0.0).tobytes())
 
     @property
     def dim(self) -> int:
@@ -97,6 +119,19 @@ class FactorOperator:
             raise ShapeMismatch(f"operator dim {self.dim} vs factor dim {vec.dim}")
         out = self.matrix @ np.asarray(vec.amplitudes, dtype=complex)
         return FactorVector(tuple(out.tolist()))
+
+
+def _check_entries(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise InvalidAmplitude("operator matrix has non-finite entries")
+
+
+def _operator(matrix: np.ndarray) -> FactorOperator:
+    """A ``FactorOperator`` of a read-only matrix read off a term's arrays,
+    which hold only checked entries, so they are not gone through again."""
+    u = object.__new__(FactorOperator)
+    u.__dict__["matrix"] = matrix
+    return u
 
 
 def identity_operator(dim: int) -> FactorOperator:
@@ -125,9 +160,22 @@ OperatorTail = Union[IdentityTail, ConstantOperatorTail]
 
 
 @dataclass(frozen=True)
-class OperatorTerm:
+class OperatorTerm(_FieldState):
+    """A coefficient, the operators of an explicit prefix, and a tail.
+
+    The prefix operators are given as ``FactorOperator``s and kept as
+    ``prefix_matrices``, one read-only (sites, dim, dim) complex array per
+    run of ``dim_runs``, 16 bytes per entry; ``prefix_ops`` and ``op_at``
+    build operators from them on demand.  Equality, hashes, repr and pickles
+    are those of the ``prefix_ops`` tuple."""
+
     coefficient: complex
-    prefix_ops: tuple[FactorOperator, ...]
+    prefix_ops: tuple[FactorOperator, ...] = _Prefix(
+        FactorOperator,
+        "prefix_matrices",
+        lambda ops: [np.array([u.matrix for u in r]) for _, r in groupby(ops, lambda u: u.dim)],
+        lambda matrices: map(_operator, matrices),
+    )
     tail: OperatorTail
 
     def __post_init__(self) -> None:
@@ -135,22 +183,22 @@ class OperatorTerm:
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise InvalidAmplitude(f"non-finite term coefficient {c!r}")
         object.__setattr__(self, "coefficient", c)
-        object.__setattr__(self, "prefix_ops", tuple(self.prefix_ops))
         if not isinstance(self.tail, (IdentityTail, ConstantOperatorTail)):
             raise ShapeMismatch("term tail must be IdentityTail or ConstantOperatorTail")
 
     def op_at(self, site: int) -> FactorOperator | None:
         """Operator at a site; None means identity (no-op)."""
-        if site < len(self.prefix_ops):
+        if site < self.prefix_len:
             if site < 0:
                 raise IndexOutOfRange(f"negative site {site}")
-            return self.prefix_ops[site]
+            k, start = _run_at(self.dim_runs, site)
+            return _operator(self.prefix_matrices[k][site - start])
         if isinstance(self.tail, ConstantOperatorTail):
             return self.tail.operator
         return None
 
     def dim_at(self, site: int) -> int:
-        if site < len(self.prefix_ops):
+        if site < self.prefix_len:
             return self.op_at(site).dim  # refuses a negative site
         return self.tail.dim
 
@@ -160,34 +208,16 @@ class OperatorTerm:
         u = self.op_at(site)
         return f if u is None else u.apply_to(f)
 
-    @cached_property
-    def dim_runs(self) -> tuple[tuple[int, int], ...]:
-        """(end, dim) of each maximal run of prefix operators sharing one dim."""
-        return _dim_runs(u.dim for u in self.prefix_ops)
-
-    @cached_property
-    def stacked(self) -> tuple[np.ndarray, ...]:
-        """The prefix operators as one read-only (sites, dim, dim) complex
-        array per run of ``dim_runs``.  Built on first use and kept for the
-        life of the term, at 16 bytes per matrix entry; not pickled."""
-        runs, start = [], 0
-        for end, _ in self.dim_runs:
-            matrices = np.array([u.matrix for u in self.prefix_ops[start:end]])
-            matrices.setflags(write=False)
-            runs.append(matrices)
-            start = end
-        return tuple(runs)
-
     def image_rows(self, lo: int, f: np.ndarray, out: np.ndarray) -> None:
         """Write the images of the factor rows ``f`` of the sites [lo, lo +
-        len(f)), which share one dim, into ``out``: the stacked prefix
-        operators over their rows, then the tail over the rest.  Both are
+        len(f)), which share one dim, into ``out``: the prefix operators'
+        arrays over their rows, then the tail over the rest.  Both are
         batched matrix-vector products, so each row has the bits of
         ``image_at``."""
-        k = min(len(f), max(0, len(self.prefix_ops) - lo))
+        k = min(len(f), max(0, self.prefix_len - lo))
         if k:
             run, start = _run_at(self.dim_runs, lo)
-            ops = self.stacked[run][lo - start : lo - start + k]
+            ops = self.prefix_matrices[run][lo - start : lo - start + k]
             np.matmul(ops, f[:k, :, None], out=out[:k, :, None])
         if k == len(f):
             return  # the tail may have another dim
@@ -195,10 +225,6 @@ class OperatorTerm:
             np.matmul(self.tail.operator.matrix, f[k:, :, None], out=out[k:, :, None])
         else:
             out[k:] = f[k:]
-
-    def __getstate__(self) -> dict:
-        # the cached stacks are rebuilt on demand, so pickles stay the same
-        return {k: v for k, v in self.__dict__.items() if k not in ("dim_runs", "stacked")}
 
 
 @dataclass(frozen=True)
@@ -213,15 +239,12 @@ class FactoredOperator:
             raise PreconditionViolated("factored operator needs at least one term")
         object.__setattr__(self, "terms", terms)
         first = terms[0]
-        span = max(len(t.prefix_ops) for t in terms)
+        span = max(t.prefix_len for t in terms)
         for t in terms[1:]:
-            for site in range(span):
-                if t.dim_at(site) != first.dim_at(site):
-                    raise ShapeMismatch(
-                        f"terms disagree on dim at site {site}: "
-                        f"{t.dim_at(site)} vs {first.dim_at(site)}"
-                    )
-            if t.tail.dim != first.tail.dim:
+            mismatch = _first_dim_mismatch(t.dim_runs, t.tail.dim, first.dim_runs, first.tail.dim)
+            if mismatch and mismatch[0] < span:
+                raise ShapeMismatch("terms disagree on dim at site {}: {} vs {}".format(*mismatch))
+            if mismatch:  # past every prefix: the tails differ
                 raise ShapeMismatch("terms disagree on tail dim")
 
     @property
@@ -248,13 +271,17 @@ class FactoredOperator:
     def norm_bound(self, truncation: int) -> float:
         """Triangle-inequality bound on the truncated operator norm: per term,
         the norms of the prefix operators within ``truncation``, times the
-        tail operator's norm to the power of the sites left."""
+        tail operator's norm to the power of the sites left.  A run's norms
+        are one batched SVD, each with the bits of ``norm_bound``."""
         total = 0.0
         for t in self.terms:
-            cut = max(min(truncation, len(t.prefix_ops)), 0)
+            cut = max(min(truncation, t.prefix_len), 0)
             prod = 1.0
-            for op in t.prefix_ops[:cut]:
-                prod *= op.norm_bound
+            for (end, _), m in zip(t.dim_runs, t.prefix_matrices):
+                start = end - len(m)
+                if start < cut:
+                    for norm in np.linalg.norm(m[: cut - start], 2, axis=(1, 2)).tolist():
+                        prod *= norm
             rest, tail = truncation - cut, t.tail
             # a product already at 0 or inf stays there, as in a site-by-site loop
             if rest > 0 and isinstance(tail, ConstantOperatorTail) and 0.0 < prod < math.inf:
@@ -273,7 +300,7 @@ def _check_op_state_dims(op: FactoredOperator, state: ProductState) -> None:
     if mismatch is None:
         return
     site, op_dim, state_dim = mismatch
-    if site < max(max(len(t.prefix_ops) for t in op.terms), state.prefix_len):
+    if site < max(max(t.prefix_len for t in op.terms), state.prefix_len):
         raise ShapeMismatch(
             f"operator dim {op_dim} vs state dim {state_dim} at site {site}"
         )
@@ -287,7 +314,7 @@ def _image_prefix(t: OperatorTerm, state: ProductState) -> list[np.ndarray]:
     longer of the two prefixes, one array per stretch of one dim
     (``_spans``), each row bit for bit ``image_at``, not yet checked."""
     out = []
-    for lo, hi in _spans(state, max(len(t.prefix_ops), state.prefix_len)):
+    for lo, hi in _spans(state, max(t.prefix_len, state.prefix_len)):
         f = state.rows(lo, hi)
         out.append(np.empty(f.shape, dtype=complex))
         t.image_rows(lo, f, out[-1])
@@ -305,8 +332,10 @@ def apply_operator(op: FactoredOperator, state: ProductState) -> CompositeState:
         image_tail = tail
         if isinstance(t.tail, ConstantOperatorTail):
             u = t.tail.operator
-            # a bounded map stretches distances by at most its norm bound
-            image_tail = tail.mapped(u.apply_to, tail.decay.scale * u.norm_bound)
+            # a bounded map stretches distances by at most its norm bound; a
+            # constant tail ignores the scale, so its operator's SVD is not taken
+            scale = 0.0 if isinstance(tail, ConstantTail) else tail.decay.scale * u.norm_bound
+            image_tail = tail.mapped(u.apply_to, scale)
         out_terms.append((t.coefficient, ProductState._of_rows(prefix, image_tail, state.label)))
     return CompositeState(tuple(out_terms))
 
@@ -353,7 +382,7 @@ def sector_action(op: FactoredOperator, state: ProductState) -> SectorActionVerd
         if t.coefficient == 0:
             continue
         # every prefix factor is a unit vector, so only an operator can zero one
-        span = max(len(t.prefix_ops), state.prefix_len)
+        span = max(t.prefix_len, state.prefix_len)
         if any(t.image_at(site, state.factor_at(site)).norm_sq == 0.0 for site in range(span)):
             continue
         if isinstance(t.tail, IdentityTail):
@@ -429,7 +458,7 @@ class _Images:
     term per operator term.  Every term's tail operator is constant, so an
     image stays one vector wherever the factor does past the prefix
     operators: its runs are the factor's, each start moved to at least
-    ``len(prefix_ops)``.  Image rows reach as far as the factor rows do
+    ``prefix_len``.  Image rows reach as far as the factor rows do
     (``stackable``): the explicit prefix, and past it a tail with closed
     rows, so a decoded family's images are bracketed in blocks too."""
 
@@ -438,7 +467,7 @@ class _Images:
         self.state = state
         self.explicit, self.stackable = state.explicit, state.stackable
         (runs,) = state.runs
-        self.runs = [tuple(sorted({max(s, len(t.prefix_ops)) for s in runs})) for t in terms]
+        self.runs = [tuple(sorted({max(s, t.prefix_len) for s in runs})) for t in terms]
         factor = state.sources[0]
         self.sources = [lambda site, t=t: t.image_at(site, factor(site)) for t in terms]
 
@@ -459,22 +488,31 @@ class EvolutionResult:
     truncation: int
 
 
-def _require_hermitian(op: FactorOperator, where: str) -> None:
-    dev = float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
-    if dev > ALIGN_EXACT:
-        raise NonHermitianGenerator(
-            f"{where} deviates from Hermiticity by {dev:.3e}"
-        )
-    if op.dim > EVOLVE_DIM_LIMIT:
-        raise DimensionBudgetExceeded(
-            f"evolve handles factor dims up to {EVOLVE_DIM_LIMIT}, got {op.dim}"
-        )
+def _require_hermitian(h: np.ndarray, start: int | None = None) -> None:
+    """Refuse the first generator of the (sites, dim, dim) stack ``h``, in
+    site order, that is not Hermitian within ALIGN_EXACT or, Hermitian, has
+    a dim past EVOLVE_DIM_LIMIT: prefix generators from site ``start``, or
+    the tail generator where ``start`` is None."""
+    devs = np.max(np.abs(h - h.conj().transpose(0, 2, 1)), axis=(1, 2))
+    for k, dev in enumerate(devs.tolist()):
+        if dev > ALIGN_EXACT:
+            where = "tail generator" if start is None else f"prefix generator at site {start + k}"
+            raise NonHermitianGenerator(f"{where} deviates from Hermiticity by {dev:.3e}")
+        if h.shape[1] > EVOLVE_DIM_LIMIT:
+            raise DimensionBudgetExceeded(
+                f"evolve handles factor dims up to {EVOLVE_DIM_LIMIT}, got {h.shape[1]}"
+            )
 
 
-def _propagator(h: FactorOperator, angle: float) -> FactorOperator:
-    """exp(i * angle * h) for Hermitian h, as V diag(e^{i angle lambda}) V^dagger."""
-    lam, v = np.linalg.eigh(h.matrix)
-    return FactorOperator((v * np.exp(1j * angle * lam)) @ v.conj().T)
+def _propagators(h: np.ndarray, angle: float) -> np.ndarray:
+    """exp(i * angle * h) of each Hermitian matrix of the (sites, dim, dim)
+    stack ``h``, as V diag(e^{i angle lambda}) V^dagger: one batched eigh and
+    matmul, each matrix with the bits of the same steps on it alone."""
+    lam, v = np.linalg.eigh(h)
+    u = (v * np.exp(1j * angle * lam)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    _check_entries(u)
+    u.setflags(write=False)
+    return u
 
 
 def evolve(
@@ -487,7 +525,9 @@ def evolve(
 
     Only single-term generators factorize site-by-site, so multi-term input
     is rejected rather than silently approximated; no global matrix
-    exponential is ever assembled.
+    exponential is ever assembled.  The prefix propagators are built per dim
+    run of the generator's prefix: one Hermiticity check, one batched eigh
+    and one array of propagators a run.
     """
     if len(generator.terms) != 1:
         raise NonFactorizableGenerator(
@@ -501,19 +541,15 @@ def evolve(
             f"generator coefficient {coeff!r} must be real"
         )
     scale = coeff.real
-    for site, h in enumerate(term.prefix_ops):
-        _require_hermitian(h, f"prefix generator at site {site}")
-    exp_prefix = tuple(_propagator(h, t * scale) for h in term.prefix_ops)
-    if isinstance(term.tail, ConstantOperatorTail):
-        _require_hermitian(term.tail.operator, "tail generator")
-        tail: OperatorTail = ConstantOperatorTail(
-            _propagator(term.tail.operator, t * scale)
-        )
-    else:
-        tail = term.tail
-    propagator = FactoredOperator(
-        (OperatorTerm(1.0 + 0j, exp_prefix, tail),)
-    )
+    for (end, _), h in zip(term.dim_runs, term.prefix_matrices):
+        _require_hermitian(h, end - len(h))
+    exp_prefix = [_operator(u) for h in term.prefix_matrices for u in _propagators(h, t * scale)]
+    tail = term.tail
+    if isinstance(tail, ConstantOperatorTail):
+        h = tail.operator.matrix[None]
+        _require_hermitian(h)
+        tail = ConstantOperatorTail(_operator(_propagators(h, t * scale)[0]))
+    propagator = FactoredOperator((OperatorTerm(1.0 + 0j, exp_prefix, tail),))
     evolved = apply_operator(propagator, state)
     survival = composite_overlap(state, evolved, truncation)
     return EvolutionResult(state=evolved, survival=survival, truncation=truncation)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import products
 from .errors import DimensionBudgetExceeded, InconclusiveSector, PreconditionViolated
-from .sectors import same_sector
+from .sectors import _same_sector
 from .states import (
     WALK_BUDGET,
     CompositeState,
@@ -40,7 +40,6 @@ from .states import (
     ProductState,
     _integer,
     _paired_brackets,
-    _prefix_brackets,
     _run_at,
     _stacked_brackets,
     ensure_same_shape,
@@ -700,7 +699,7 @@ def asymptotic_overlap(bra: ProductState, ket: ProductState) -> complex:
     Exactly 0 across sectors; inside one sector the per-factor overlap
     product is classified and its (quasi-)convergence value returned.
     """
-    verdict = same_sector(bra, ket)
+    verdict, brackets = _same_sector(bra, ket)
     if verdict.kind == "DifferentSector":
         return 0j
     if verdict.kind == "Inconclusive":
@@ -709,8 +708,7 @@ def asymptotic_overlap(bra: ProductState, ket: ProductState) -> complex:
             certificate=verdict.certificate,
         )
 
-    span = max(bra.prefix_len, ket.prefix_len)
-    prefix = tuple(_prefix_brackets(bra, ket, span))
+    prefix = tuple(brackets)  # of the sites below the longer prefix
     if isinstance(bra.tail, ConstantTail) and isinstance(ket.tail, ConstantTail):
         # SameSector already certified the tail bracket is 1 within tolerance
         tail: products.ConstantValue | products.ClosedFormTail = products.ConstantValue(

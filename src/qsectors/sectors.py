@@ -148,6 +148,12 @@ def _norm_deviations(state: ProductState, lo: int, hi: int) -> list[float]:
 
 def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
     """Decide whether two non-trivial states carry the sector relation."""
+    return _same_sector(a, b)[0]
+
+
+def _same_sector(a: ProductState, b: ProductState) -> tuple[SectorVerdict, list[complex]]:
+    """``same_sector``, and the brackets of the two states' factors below
+    the longer prefix that it read (``_prefix_brackets``)."""
     ensure_same_shape(a, b)
     for name, s in (("first", a), ("second", b)):
         kind = s.sequence_class.kind
@@ -158,7 +164,8 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
                 classification=kind,
             )
     span = max(a.prefix_len, b.prefix_len)
-    prefix_deficits = [abs(z - 1.0) for z in _prefix_brackets(a, b, span)]
+    brackets = _prefix_brackets(a, b, span)
+    prefix_deficits = [abs(z - 1.0) for z in brackets]
     differing = tuple(
         k for k, d in enumerate(prefix_deficits) if d > ALIGN_EXACT
     )
@@ -178,7 +185,7 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
                 "tail limits align but a declared class does not certify a "
                 "summable approach"
             )
-            return SectorVerdict("Inconclusive", certificate)
+            return SectorVerdict("Inconclusive", certificate), brackets
         certificate["deficit_series_bound"] = certificate["prefix_deficit_sum"] + (
             _bracket_series_bound(a.tail, b.tail, span)
         )
@@ -187,7 +194,7 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
             if isinstance(a.tail, ConstantTail) and isinstance(b.tail, ConstantTail)
             else "declared-decay"
         )
-        return SectorVerdict("SameSector", certificate)
+        return SectorVerdict("SameSector", certificate), brackets
 
     if deficit_inf > ALIGN_GRAY:
         witness_site = _witness_site(a.tail, b.tail, deficit_inf, span)
@@ -200,10 +207,10 @@ def same_sector(a: ProductState, b: ProductState) -> SectorVerdict:
                 "the deficit series still diverges by comparison with the "
                 "summable approach bounds"
             )
-        return SectorVerdict("DifferentSector", certificate)
+        return SectorVerdict("DifferentSector", certificate), brackets
 
     certificate["reason"] = "limit overlap deficit falls in the tolerance gray zone"
-    return SectorVerdict("Inconclusive", certificate)
+    return SectorVerdict("Inconclusive", certificate), brackets
 
 
 def _witness_site(

@@ -300,8 +300,8 @@ def decode_state(obj: Any) -> Union[ProductState, CompositeState]:
     raise UsageError(f"unknown state type {kind!r}")
 
 
-def _encode_matrix(op: FactorOperator) -> list:
-    return [encode_complex(c) for c in op.matrix.reshape(-1)]
+def _encode_matrix(m: np.ndarray) -> list:
+    return [encode_complex(c) for c in m.reshape(-1).tolist()]
 
 
 def _decode_matrix(obj: Any, where: str) -> FactorOperator:
@@ -320,11 +320,11 @@ def encode_operator(op: FactoredOperator) -> dict:
         if isinstance(t.tail, IdentityTail):
             tail = {"kind": "identity", "dim": t.tail.dim}
         else:
-            tail = {"kind": "constant", "entries": _encode_matrix(t.tail.operator)}
+            tail = {"kind": "constant", "entries": _encode_matrix(t.tail.operator.matrix)}
         terms.append(
             {
                 "coefficient": encode_complex(t.coefficient),
-                "prefix_ops": [_encode_matrix(u) for u in t.prefix_ops],
+                "prefix_ops": [_encode_matrix(m) for run in t.prefix_matrices for m in run],
                 "tail": tail,
             }
         )

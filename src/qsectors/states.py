@@ -16,9 +16,9 @@ import cmath
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import accumulate, chain, groupby
+from itertools import chain, groupby
 from numbers import Real
 from operator import add, index, itemgetter, mul
 from typing import Callable, ClassVar, Iterable, Sequence, Union
@@ -68,11 +68,13 @@ ALIGN_GRAY = 1e-9
 # count), tail sites a finite change materializes, cuts a sweep is asked for.
 WALK_BUDGET = 2**21
 
-# Prefix spans up to this many sites are bracketed one site at a time: each
-# site builds its two vectors from the states' arrays, about 2.2 us a site,
-# while one bracket of the arrays costs about 4 us however short the span
-# (dims 2 and 4; CPython 3.11, numpy 2.4, one core of a 2-vCPU VM).
-STACK_MIN = 2
+# Stretches of up to this many amplitudes of one state (sites x dim) are read
+# in Python from ``tolist()``, as the vectors read them, where numpy's
+# per-call cost is larger than the loop: their norms take 2-7 us against
+# 6-12 us of numpy calls, and their brackets 3-11 us against 9-12 us for one
+# einsum, which wins from about 16 amplitudes at dim 1 and 24-64 at dims
+# 2-16 (timeit min; CPython 3.11, numpy 2.4, one core of a 2-vCPU VM).
+ROW_LOOP_MAX = 24
 
 
 def _integer(value: int, name: str) -> int:
@@ -97,8 +99,20 @@ def _as_complex_tuple(values: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(out)
 
 
+class _FieldState:
+    """Pickles a dataclass's fields alone: a value cached beside them is
+    recomputed on demand, and a ``_Prefix`` field travels as its objects."""
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class FactorVector:
+class FactorVector(_FieldState):
     """One factor-space vector: a finite tuple of complex amplitudes.
 
     ``norm_sq`` is computed on first read and kept for the life of the
@@ -124,16 +138,7 @@ class FactorVector:
 
     @cached_property
     def norm_sq(self) -> float:
-        # added left to right on every Python version (3.12's float sum
-        # compensates); _row_norms adds the columns of a block in this order
-        norm_sq = 0.0
-        for c in self.amplitudes:
-            norm_sq += c.real * c.real + c.imag * c.imag
-        return norm_sq
-
-    def __getstate__(self) -> dict:
-        # the cached norm is recomputed on demand, so pickles stay the same
-        return {k: v for k, v in self.__dict__.items() if k != "norm_sq"}
+        return _norm_sq(self.amplitudes)
 
     @property
     def dim(self) -> int:
@@ -161,6 +166,15 @@ class FactorVector:
         return math.sqrt(
             sum(abs(a - b) ** 2 for a, b in zip(self.amplitudes, other.amplitudes))
         )
+
+
+def _norm_sq(amplitudes: Iterable[complex]) -> float:
+    # added left to right on every Python version (3.12's float sum
+    # compensates); _row_norms adds the columns of a block in this order
+    norm_sq = 0.0
+    for c in amplitudes:
+        norm_sq += c.real * c.real + c.imag * c.imag
+    return norm_sq
 
 
 def basis_vector(dim: int, index: int) -> FactorVector:
@@ -578,10 +592,11 @@ def _factor_rows(vectors: Sequence[Sequence[complex]]) -> list[np.ndarray]:
     return out
 
 
-def _keep_rows(state: "ProductState", rows: Iterable[np.ndarray]) -> None:
-    """Keep ``rows``, C-contiguous (sites, dim) complex arrays in site
-    order, as the explicit prefix of ``state``: adjacent arrays of one dim
-    joined, empty ones dropped, each made read-only."""
+def _keep_rows(owner: object, rows: Iterable[np.ndarray], name: str = "prefix_rows") -> None:
+    """Keep ``rows``, C-contiguous (sites, dim, ...) complex arrays in site
+    order, as the explicit prefix of ``owner``, a state or an operator term,
+    in its attribute ``name``: adjacent arrays of one dim joined, empty ones
+    dropped, each made read-only; ``dim_runs`` and ``prefix_len`` with them."""
     runs: list[np.ndarray] = []
     for r in rows:
         if not len(r):
@@ -590,36 +605,40 @@ def _keep_rows(state: "ProductState", rows: Iterable[np.ndarray]) -> None:
             runs[-1] = np.concatenate([runs[-1], r])
         else:
             runs.append(r)
-    ends = list(accumulate(map(len, runs)))
+    end, dim_runs = 0, []
     for run in runs:
         run.setflags(write=False)
-    state.__dict__.update(
-        prefix_rows=tuple(runs),
-        dim_runs=tuple(zip(ends, [run.shape[1] for run in runs])),
-        prefix_len=ends[-1] if ends else 0,
-    )
+        end += len(run)
+        dim_runs.append((end, run.shape[1]))
+    owner.__dict__.update({name: tuple(runs), "dim_runs": tuple(dim_runs), "prefix_len": end})
 
 
 class _Prefix:
-    """``ProductState.prefix``: given as ``FactorVector``s, kept as the
-    state's arrays (``prefix_rows``), and read back as vectors built on each
-    read, with the same bits (a complex128 holds a Python complex exactly)."""
+    """A dataclass field given as a tuple of ``kind`` objects and kept as its
+    owner's arrays ``name`` (``_keep_rows``), which ``pack`` builds from the
+    objects; each read builds the objects again, ``unpack`` of each array,
+    with the same bits."""
 
-    def __get__(self, state: "ProductState | None", owner: type | None = None):
-        if state is None:  # the field has no default value
-            raise AttributeError("prefix")
-        rows = chain.from_iterable(run.tolist() for run in state.prefix_rows)
-        return tuple(_vector(tuple(row)) for row in rows)
+    def __init__(self, kind: type, name: str, pack: Callable, unpack: Callable) -> None:
+        self.kind, self.name, self.pack, self.unpack = kind, name, pack, unpack
 
-    def __set__(self, state: "ProductState", factors: Iterable[FactorVector]) -> None:
-        factors = tuple(factors)
-        if not all(isinstance(f, FactorVector) for f in factors):
-            raise InvalidAmplitude("prefix entries must be FactorVector")
-        _keep_rows(state, _factor_rows([f.amplitudes for f in factors]))
+    def __set_name__(self, owner: type, attr: str) -> None:
+        self.attr = attr
+
+    def __get__(self, obj: object | None, owner: type | None = None) -> tuple:
+        if obj is None:  # the field has no default value
+            raise AttributeError(self.attr)
+        return tuple(chain.from_iterable(map(self.unpack, getattr(obj, self.name))))
+
+    def __set__(self, obj: object, items: Iterable) -> None:
+        items = tuple(items)
+        if not all(isinstance(x, self.kind) for x in items):
+            raise InvalidAmplitude(f"{self.attr} entries must be {self.kind.__name__}")
+        _keep_rows(obj, self.pack(items), self.name)
 
 
 @dataclass(frozen=True)
-class ProductState:
+class ProductState(_FieldState):
     """A single elementary product over all factor spaces.
 
     The explicit prefix is given as ``FactorVector``s and kept as
@@ -629,7 +648,13 @@ class ProductState:
     those of the ``prefix`` tuple.
     """
 
-    prefix: tuple[FactorVector, ...] = _Prefix()
+    # vectors built on each read: a complex128 holds a Python complex exactly
+    prefix: tuple[FactorVector, ...] = _Prefix(
+        FactorVector,
+        "prefix_rows",
+        lambda factors: _factor_rows([f.amplitudes for f in factors]),
+        lambda rows: map(_vector, map(tuple, rows.tolist())),
+    )
     tail: TailRule
     label: str | None = None
 
@@ -703,15 +728,6 @@ class ProductState:
             return (max(p, tail.decay.rank),)
         return ()
 
-    def __getstate__(self) -> dict:
-        # the fields alone, the prefix as vectors: pickles stay as they were
-        return {"prefix": self.prefix, "tail": self.tail, "label": self.label}
-
-    def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        object.__setattr__(self, "prefix", state.pop("prefix"))
-        self.__dict__.update(state)
-
     def as_composite(self, coefficient: complex = 1.0 + 0j) -> "CompositeState":
         return CompositeState(((complex(coefficient), self),))
 
@@ -726,8 +742,15 @@ class ProductState:
 
 def _prefix_norms(state: ProductState) -> list[float]:
     """``FactorVector.norm`` of each explicit factor of ``state`` in site
-    order, bit for bit (``_row_norms``)."""
-    return [n for rows in state.prefix_rows for n in _row_norms(rows).tolist()]
+    order, bit for bit: ``_row_norms`` of a run, or the vectors' own loop
+    over a run of at most ROW_LOOP_MAX amplitudes."""
+    norms: list[float] = []
+    for rows in state.prefix_rows:
+        if rows.size <= ROW_LOOP_MAX:
+            norms += [math.sqrt(_norm_sq(row)) for row in rows.tolist()]
+        else:
+            norms += _row_norms(rows).tolist()
+    return norms
 
 
 def _spans(state: ProductState, stop: int) -> list[tuple[int, int]]:
@@ -805,7 +828,7 @@ def _dim_runs(dims: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """(end, dim) of each maximal run of equal dims, ends counted from 0."""
     runs, end = [], 0
     for dim, run in groupby(dims):
-        end += sum(1 for _ in run)
+        end += len(list(run))
         runs.append((end, dim))
     return tuple(runs)
 
@@ -836,18 +859,38 @@ def _first_dim_mismatch(
     return None
 
 
+def _row_lists(state: ProductState, lo: int, hi: int) -> list:
+    """The amplitudes of the factors at sites [lo, hi) as Python complex, read
+    as the vectors hold them: the prefix's rows by ``tolist()``, tail factors
+    one ``factor_at`` at a time."""
+    out, start = [], 0
+    for (end, _), run in zip(state.dim_runs, state.prefix_rows):
+        if lo < end and start < hi:
+            out += run[max(lo - start, 0) : hi - start].tolist()
+        start = end
+    return out + [state.tail.factor_at(k).amplitudes for k in range(max(lo, start), hi)]
+
+
+def _listed_brackets(a: ProductState, b: ProductState, lo: int, hi: int) -> list[complex]:
+    """``factor_overlap`` of the factors at sites [lo, hi), bracketed from
+    ``_row_lists`` as it brackets vectors."""
+    pairs = zip(_row_lists(a, lo, hi), _row_lists(b, lo, hi))
+    return [sum(map(mul, map(complex.conjugate, x), y)) for x, y in pairs]
+
+
 def _prefix_brackets(a: ProductState, b: ProductState, span: int) -> list[complex]:
     """``factor_overlap`` of two same-shaped states' factors at each site
-    below ``span``, bit for bit.  A span longer than STACK_MIN sites is read
-    off both states' rows, one stretch of one dim at a time (``_spans``); a
-    shorter one goes one site at a time."""
-    if span <= STACK_MIN:
-        return [factor_overlap(a.factor_at(k), b.factor_at(k)) for k in range(span)]
-    out: list[complex] = []
+    below ``span``, bit for bit.  A stretch of one dim (``_spans``) of more
+    than ROW_LOOP_MAX amplitudes is read off both states' rows in one
+    einsum; every other site is bracketed from Python lists
+    (``_listed_brackets``)."""
+    out: list[complex] = []  # one bracket a site from site 0
     for lo, hi in _spans(a, span):
-        rows = (s.rows(lo, hi)[None] for s in (a, b))
-        out += _stacked_brackets(*rows)[0, 0].tolist()
-    return out
+        if (hi - lo) * a.dim_at(lo) > ROW_LOOP_MAX:
+            out += _listed_brackets(a, b, len(out), lo)
+            rows = (s.rows(lo, hi)[None] for s in (a, b))
+            out += _stacked_brackets(*rows)[0, 0].tolist()
+    return out + _listed_brackets(a, b, len(out), span)
 
 
 def distance(

@@ -1,8 +1,9 @@
+import base64
 import cmath
+import hashlib
 import math
 import pickle
 import re
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsectors as q
-from qsectors import operators, overlaps
+from qsectors import operators, overlaps, serialize
 from qsectors.oracle import (
     dense_expectation,
     dense_overlap,
@@ -179,6 +180,58 @@ class TestFactoredOperator:
         # 10**12 sites would take days one at a time
         far = op.norm_bound(10**12)
         assert far == (3.0 if tail_norm < 1.0 else math.inf)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_norm_bound_keeps_the_per_matrix_bits(self, d):
+        # each run's norms are one batched SVD; the loop reads one per site
+        rng = np.random.default_rng(40 + d)
+        e = d % 16 + 1
+        ops = tuple(q.FactorOperator(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                    for n in [d] * 3 + [e] * 2 + [d])
+        op = q.FactoredOperator((
+            q.OperatorTerm(0.3 + 0.4j, ops, q.ConstantOperatorTail(ops[0])),
+            q.OperatorTerm(-2.0, ops[:5], q.ConstantOperatorTail(ops[1])),
+        ))
+        # up to one tail site past each prefix, where the closed form is the loop
+        for truncation in range(-1, 7):
+            assert op.norm_bound(truncation) == self._site_by_site(op, truncation)
+
+    # prefix dims of two terms and their tail dims: the terms differ at the
+    # first site, inside a run, where one prefix ends, only past the longer
+    # prefix of the two but inside a third's, in the tails alone, or nowhere
+    TERM_DIMS = [
+        (([3, 2, 2], 2), ([2, 2, 2], 2)),
+        (([2, 2, 3, 3], 2), ([2, 2, 3, 2], 2)),
+        (([2, 2], 3), ([2, 2, 2, 2], 3)),
+        (([2], 3), ([2, 2], 4)),
+        (([2, 2], 2), ([2, 2], 3)),
+        (([2, 4, 2], 2), ([2, 4], 2)),
+    ]
+
+    @pytest.mark.parametrize("dims", TERM_DIMS)
+    def test_terms_disagreeing_on_dims_are_named_as_site_by_site(self, dims):
+        terms = [
+            q.OperatorTerm(1.0, tuple(map(q.identity_operator, prefix)),
+                           q.ConstantOperatorTail(q.identity_operator(tail)))
+            for prefix, tail in dims
+        ]
+        terms.append(q.OperatorTerm(1.0, tuple(map(q.identity_operator, [2] * 8)), terms[0].tail))
+        first, span = terms[0], 8
+        want = None
+        for t in terms[1:]:  # the site-by-site check the run-wise one replaced
+            bad = [s for s in range(span) if t.dim_at(s) != first.dim_at(s)]
+            if bad:
+                site = bad[0]
+                want = f"terms disagree on dim at site {site}: {t.dim_at(site)} vs {first.dim_at(site)}"
+            elif t.tail.dim != first.tail.dim:
+                want = "terms disagree on tail dim"
+            if want:
+                break
+        if want is None:
+            q.FactoredOperator(tuple(terms))
+            return
+        with pytest.raises(q.ShapeMismatch, match=f"^{re.escape(want)}$"):
+            q.FactoredOperator(tuple(terms))
 
     def test_state_dim_mismatch(self):
         three = q.make_product_state((), q.ConstantTail(q.basis_vector(3, 0)))
@@ -349,17 +402,7 @@ class TestTermImages:
                 for n in [d] * 4 + [e] * 5 + [d] * 3]
 
     @pytest.mark.parametrize("d", range(1, 17))
-    def test_image_rows_keep_the_bits_of_image_at(self, d, monkeypatch):
-        real = q.OperatorTerm.__dict__["stacked"].func
-        built = []
-
-        def spy(term):
-            built.append(term)
-            return real(term)
-
-        prop = cached_property(spy)
-        prop.__set_name__(q.OperatorTerm, "stacked")
-        monkeypatch.setattr(q.OperatorTerm, "stacked", prop)
+    def test_image_rows_keep_the_bits_of_image_at(self, d):
         rng = np.random.default_rng(d)
         ops = [q.FactorOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
                for _ in range(11)]
@@ -368,8 +411,8 @@ class TestTermImages:
                                (ops[:10], self.BLOCKS), (mixed, self.MIXED_BLOCKS)):
             for tail in (q.IdentityTail(d), q.ConstantOperatorTail(ops[10])):
                 t = q.OperatorTerm(1.0, prefix, tail)
-                built.clear()
-                for _ in range(2):  # the second pass reads the operators the first stacked
+                kept = dict(vars(t))
+                for _ in range(2):  # the second pass reads the arrays the first read
                     for lo, sites in blocks:
                         dim = t.dim_at(lo)
                         f = rng.normal(size=(sites, dim)) + 1j * rng.normal(size=(sites, dim))
@@ -378,9 +421,11 @@ class TestTermImages:
                         for k, row in enumerate(f):
                             want = t.image_at(lo + k, q.FactorVector(tuple(row.tolist())))
                             assert out[k].tobytes() == np.array(want.amplitudes).tobytes()
-                assert built == ([t] if prefix else [])
+                # images read the term's own arrays and cache nothing beside them
+                assert vars(t).keys() == kept.keys()
+                assert all(vars(t)[k] is v for k, v in kept.items())
 
-    def test_stacked_operators_leave_the_term_as_it_is(self):
+    def test_images_leave_the_term_as_it_is(self):
         rng = np.random.default_rng(3)
         tail = q.ConstantOperatorTail(q.FactorOperator(rng.normal(size=(2, 2))))
         t = q.OperatorTerm(0.5 - 1j, self.mixed_prefix(rng, 2), tail)
@@ -389,14 +434,169 @@ class TestTermImages:
         f = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         out = np.empty_like(f)
         t.image_rows(4, f, out)
-        assert "stacked" in vars(t) and "stacked" not in vars(twin)
-        assert all(not m.flags.writeable for m in t.stacked)
+        assert [m.shape for m in t.prefix_matrices] == [(4, 2, 2), (5, 3, 3), (3, 2, 2)]
+        assert all(not m.flags.writeable for m in t.prefix_matrices)
         assert t == twin and (hash(t), repr(t), pickle.dumps(t)) == before
         back = pickle.loads(before[2])
-        assert repr(back) == repr(t) and "stacked" not in vars(back)
+        assert back == t and repr(back) == repr(t)
         again = np.empty_like(f)
         back.image_rows(4, f, again)
         assert again.tobytes() == out.tobytes()
+
+
+# Pickles frozen from the release that built each prefix operator when its
+# term was built and took every operator's SVD norm there, with the norm in
+# its pickled state: a term with prefix dims 2, 2, 1 and a constant tail,
+# and the second of its prefix operators alone.
+_M1 = np.array([[0.5, 1 - 2j], [0.25j, -0.0]])
+_M2 = np.array([[2.0]])
+_M3 = np.array([[1e-300, 3.5], [-1.5, 1e300j]])
+_EARLIER_TERM_PICKLE = (
+    "gASV6QIAAAAAAACMEnFzZWN0b3JzLm9wZXJhdG9yc5SMDE9wZXJhdG9yVGVybZSTlCmBlH2UKIwL"
+    "Y29lZmZpY2llbnSUjAhidWlsdGluc5SMB2NvbXBsZXiUk5RHP+AAAAAAAABHv/AAAAAAAACGlFKU"
+    "jApwcmVmaXhfb3BzlGgAjA5GYWN0b3JPcGVyYXRvcpSTlCmBlH2UKIwGbWF0cml4lIwWbnVtcHku"
+    "X2NvcmUubXVsdGlhcnJheZSMDF9yZWNvbnN0cnVjdJSTlIwFbnVtcHmUjAduZGFycmF5lJOUSwCF"
+    "lEMBYpSHlFKUKEsBSwJLAoaUaBSMBWR0eXBllJOUjANjMTaUiYiHlFKUKEsDjAE8lE5OTkr/////"
+    "Sv////9LAHSUYolDQAAAAAAAAOA/AAAAAAAAAAAAAAAAAADwPwAAAAAAAADAAAAAAAAAAAAAAAAA"
+    "AADQPwAAAAAAAACAAAAAAAAAAACUdJRijApub3JtX2JvdW5klEdAAlXnFEm/WXViaA0pgZR9lCho"
+    "EGgTaBZLAIWUaBiHlFKUKEsBSwJLAoaUaCCJQ0BZ8/jCH26lAQAAAAAAAAAAAAAAAAAADEAAAAAA"
+    "AAAAAAAAAAAAAPi/AAAAAAAAAAAAAAAAAAAAAJx1AIg85Dd+lHSUYmglR3435DyIAHWcdWJoDSmB"
+    "lH2UKGgQaBNoFksAhZRoGIeUUpQoSwFLAUsBhpRoIIlDEAAAAAAAAABAAAAAAAAAAACUdJRiaCVH"
+    "QAAAAAAAAAB1YoeUjAR0YWlslGgAjBRDb25zdGFudE9wZXJhdG9yVGFpbJSTlCmBlH2UjAhvcGVy"
+    "YXRvcpRoDSmBlH2UKGgQaBNoFksAhZRoGIeUUpQoSwFLAksChpRoIIlDQAAAAAAAAOA/AAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAANA/AAAAAAAA8D8AAAAAAAAAwAAAAAAAAACAAAAAAAAAAACUdJRiaCVH"
+    "QAJV5xRJv1p1YnNidWIu"
+)
+_EARLIER_OPERATOR_PICKLE = (
+    "gASVGwEAAAAAAACMEnFzZWN0b3JzLm9wZXJhdG9yc5SMDkZhY3Rvck9wZXJhdG9ylJOUKYGUfZQo"
+    "jAZtYXRyaXiUjBZudW1weS5fY29yZS5tdWx0aWFycmF5lIwMX3JlY29uc3RydWN0lJOUjAVudW1w"
+    "eZSMB25kYXJyYXmUk5RLAIWUQwFilIeUUpQoSwFLAksChpRoCYwFZHR5cGWUk5SMA2MxNpSJiIeU"
+    "UpQoSwOMATyUTk5OSv////9K/////0sAdJRiiUNAWfP4wh9upQEAAAAAAAAAAAAAAAAAAAxAAAAA"
+    "AAAAAAAAAAAAAAD4vwAAAAAAAAAAAAAAAAAAAACcdQCIPOQ3fpR0lGKMCm5vcm1fYm91bmSUR343"
+    "5DyIAHWcdWIu"
+)
+# sha256 of the pickle of a term with no operator, which keeps its bytes
+_BARE_TERM_PICKLE_SHA256 = "c14eaa1a663562750fb5cf4e9619aaf9fdc3381922eed163bbf76958795e96fb"
+
+
+def _count_norms(monkeypatch):
+    """The shapes passed to every 2-norm (an SVD) taken from now on."""
+    calls, real = [], np.linalg.norm
+
+    def spy(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return real(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return calls
+
+
+def _hermitian(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (m + m.conj().T) / 2
+
+
+class TestOperatorsOnDemand:
+    """A term keeps its prefix operators as arrays and builds FactorOperators
+    on demand; an operator takes its SVD norm on the first read of it."""
+
+    @staticmethod
+    def term():
+        return q.OperatorTerm(
+            0.5 - 1j,
+            tuple(map(q.FactorOperator, (_M1, _M3, _M2))),
+            q.ConstantOperatorTail(q.FactorOperator(_M1.T.copy())),
+        )
+
+    def test_earlier_pickles_load_to_equal_objects(self):
+        back = pickle.loads(base64.b64decode(_EARLIER_TERM_PICKLE))
+        want = self.term()
+        assert back == want and hash(back) == hash(want) and repr(back) == repr(want)
+        assert back.dim_runs == ((2, 2), (3, 1)) and back.prefix_len == 3
+        assert [m.shape for m in back.prefix_matrices] == [(2, 2, 2), (1, 1, 1)]
+        assert all(not m.flags.writeable for m in back.prefix_matrices)
+        u = pickle.loads(base64.b64decode(_EARLIER_OPERATOR_PICKLE))
+        assert u == q.FactorOperator(_M3) and vars(u)["norm_bound"] == 1e300
+        # pickled again, each leaves its norm out
+        assert b"norm_bound" not in pickle.dumps(u) + pickle.dumps(back)
+        assert pickle.loads(pickle.dumps(back)) == want
+
+    def test_norm_bound_is_read_once_and_left_out_of_pickles(self, monkeypatch):
+        calls = _count_norms(monkeypatch)
+        u = q.FactorOperator(_M3)
+        assert calls == [] and "norm_bound" not in vars(u)
+        assert u.norm_bound == 1e300 and u.norm_bound == 1e300
+        assert calls == [(2, 2)]
+        data = pickle.dumps(u)
+        assert b"norm_bound" not in data
+        back = pickle.loads(data)
+        assert back == u and "norm_bound" not in vars(back) and back.norm_bound == 1e300
+        # the matrix its hash reads stays read-only through a pickle
+        assert not back.matrix.flags.writeable
+        assert not pickle.loads(base64.b64decode(_EARLIER_OPERATOR_PICKLE)).matrix.flags.writeable
+        term = pickle.loads(pickle.dumps(self.term()))
+        assert not term.tail.operator.matrix.flags.writeable
+        bare = q.OperatorTerm(1.0, (), q.IdentityTail(3))
+        assert hashlib.sha256(pickle.dumps(bare)).hexdigest() == _BARE_TERM_PICKLE_SHA256
+
+    def test_operators_compare_by_their_matrices(self):
+        a, b = q.FactorOperator(_M1), q.FactorOperator(_M1.copy())
+        assert a == b and hash(a) == hash(b) and a is not b
+        zero, negative_zero = (q.FactorOperator(z * np.zeros((2, 2))) for z in (1.0, -1.0))
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        assert a != q.FactorOperator(_M1.T.copy()) and a != q.identity_operator(3)
+        assert a.__eq__(_M1) is NotImplemented
+
+    def test_a_transposed_matrix_is_kept_row_major(self):
+        u = q.FactorOperator(_M1.T)
+        assert u.matrix.flags.c_contiguous and u == q.FactorOperator(_M1.T.copy())
+
+    def test_prefix_operators_are_built_on_each_read(self):
+        t = self.term()
+        first, second = t.prefix_ops, t.prefix_ops
+        assert first == second and all(a is not b for a, b in zip(first, second))
+        given = [m.astype(complex).tobytes() for m in (_M1, _M3, _M2)]
+        assert [u.matrix.tobytes() for u in first] == given
+        assert all(not u.matrix.flags.writeable for u in first)
+        assert t.op_at(1) == first[1] and t.op_at(2).dim == 1 and t.op_at(3) is t.tail.operator
+        with pytest.raises(q.InvalidAmplitude, match="prefix_ops entries must be FactorOperator"):
+            q.OperatorTerm(1.0, (_M1,), q.IdentityTail(2))
+
+    def test_decode_and_evolve_on_a_constant_tail_take_no_norm(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        hs = [q.FactorOperator(_hermitian(rng, 2)) for _ in range(3)]
+        term = q.OperatorTerm(1.0, tuple(hs[:2]), q.ConstantOperatorTail(hs[2]))
+        gen = q.FactoredOperator((term,))
+        doc = serialize.dumps(serialize.encode_operator(gen))
+        state = random_product_state(rng, dim=2, max_prefix=3)
+        calls = _count_norms(monkeypatch)
+        decoded = serialize.decode_operator(serialize.loads(doc))
+        q.evolve(decoded, state, 0.3, 300)
+        q.apply_operator(decoded, state)
+        assert calls == []
+        # a declared tail stretches its scale by the tail operator's norm, read once
+        declared = declared_state(DECLARATIONS[0])
+        for _ in range(2):
+            q.apply_operator(decoded, declared)
+        assert calls == [(2, 2)]
+
+    def test_norms_past_the_float_range(self):
+        big = q.FactorOperator(np.array([[1.7e308, 1.7e308], [0.0, 0.0]]))
+        assert big.norm_bound == math.inf
+        op = global_op(big.matrix)
+        # a constant tail takes no scale, so 0 * inf is never formed
+        out = q.apply_operator(op, constant_state())
+        assert out.terms[0][1].tail.vector.amplitudes == (1.7e308 + 0j, 0j)
+        for scale in (0.0, 0.5):  # 0 * inf is NaN, 0.5 * inf is inf: both refused
+            decay = q.DecaySpec("geometric", ratio=0.5, scale=scale)
+            state = q.make_product_state((), q.ParametricTail(2, lambda n: E0, E0, decay))
+            with pytest.raises(q.UndeclaredTailClass, match="decay scale must be finite"):
+                q.apply_operator(op, state)
+        prefixed = q.FactoredOperator((q.OperatorTerm(1.0, (big,), q.IdentityTail(2)),))
+        assert prefixed.norm_bound(3) == math.inf
+        zero = q.FactoredOperator((q.OperatorTerm(0.0, (big,), q.ConstantOperatorTail(big)),))
+        assert math.isnan(zero.norm_bound(3))
 
 
 class TestSectorAction:
@@ -739,6 +939,65 @@ class TestEvolve:
         )
         with pytest.raises(q.DimensionBudgetExceeded):
             q.evolve(h, big, 1.0, truncation=2)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_batched_propagators_keep_the_bits_of_one_matrix(self, d):
+        rng = np.random.default_rng(70 + d)
+        hs = np.array([_hermitian(rng, d) for _ in range(5)])
+        for angle in (0.37, -2.5, 1e3):
+            got = operators._propagators(hs, angle)
+            for h, u in zip(hs, got):
+                lam, v = np.linalg.eigh(h)
+                assert u.tobytes() == ((v * np.exp(1j * angle * lam)) @ v.conj().T).tobytes()
+
+    # generator dims of a prefix and its tail, with the sites (the tail as -1)
+    # whose generator is not Hermitian: each run is checked at once, so the
+    # first refusal in site order must still win, a Hermiticity one before a
+    # dim one at the same site
+    REFUSALS = [
+        ([2, 2, 3, 3], 2, [3]),
+        ([2, 2, 3, 3], 2, [1, 3]),
+        ([2, 2, 3, 3], 3, [-1]),
+        ([2, 17, 17, 2], 2, [2]),
+        ([2, 17, 17, 2], 2, [1]),
+        ([2, 2, 3], 17, []),
+        ([2, 2, 3], 17, [-1]),
+        ([3, 2, 2], 2, []),
+    ]
+
+    @pytest.mark.parametrize("dims, tail_dim, off", REFUSALS)
+    def test_generators_are_refused_in_site_order(self, dims, tail_dim, off):
+        rng = np.random.default_rng(len(dims) + tail_dim)
+        ms = [_hermitian(rng, d) for d in dims + [tail_dim]]
+        for site in off:
+            ms[site][0, -1] += 1e-9 if len(ms[site]) > 1 else 1e-9j
+        term = q.OperatorTerm(
+            1.0, tuple(map(q.FactorOperator, ms[:-1])), q.ConstantOperatorTail(q.FactorOperator(ms[-1]))
+        )
+        want = None  # the site-by-site checks the run-wise ones replaced
+        for site, m in enumerate(ms):
+            where = "tail generator" if site == len(dims) else f"prefix generator at site {site}"
+            dev = float(np.max(np.abs(m - m.conj().T)))
+            if dev > 1e-12:
+                want = (q.NonHermitianGenerator, f"{where} deviates from Hermiticity by {dev:.3e}")
+            elif len(m) > operators.EVOLVE_DIM_LIMIT:
+                want = (q.DimensionBudgetExceeded, f"evolve handles factor dims up to 16, got {len(m)}")
+            if want:
+                break
+        state = q.make_product_state((), q.ConstantTail(q.basis_vector(dims[0], 0)))
+        if want is None:
+            assert dims[0] != 2  # the state's dims do not fit the generator's
+            with pytest.raises(q.ShapeMismatch):
+                q.evolve(q.FactoredOperator((term,)), state, 0.5, 4)
+            return
+        with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
+            q.evolve(q.FactoredOperator((term,)), state, 0.5, 4)
+
+    def test_non_finite_propagators_are_refused(self):
+        # an angle past the float range turns e^{i angle lambda} into NaN
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(q.InvalidAmplitude, match="operator matrix has non-finite entries"):
+                q.evolve(single_site(PAULI_X), constant_state(), math.inf, 3)
 
 
 # -- refusals and skipped terms -------------------------------------------------

@@ -83,3 +83,20 @@ def test_prefix_is_read_as_arrays_outside_states():
     )
     assert reading == ["products.py"]
     assert "ProductState" not in (source / "products.py").read_text("utf-8")
+
+
+def test_prefix_ops_are_read_as_arrays_outside_operators():
+    # a term keeps its prefix operators as arrays, and ``prefix_ops`` builds
+    # one FactorOperator per site on every read, so outside operators.py the
+    # package reads the arrays (``prefix_matrices``) or one site at a time
+    # (``op_at``)
+    source = Path(qsectors.__file__).parent
+    reading = sorted(
+        p.name
+        for p in source.glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "prefix_ops"
+            for node in ast.walk(ast.parse(p.read_text("utf-8")))
+        )
+    )
+    assert reading == ["operators.py"]

@@ -1006,6 +1006,23 @@ class TestArrayPrefix:
             q.ProductState(tuple(q.FactorVector(f.amplitudes) for f in factors), s.tail)
         ).kind
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16])
+    def test_norms_of_short_and_long_runs_keep_the_bits(self, dim):
+        # runs of at most ROW_LOOP_MAX amplitudes go through the vectors' own
+        # loop, longer ones through _row_norms; both give FactorVector.norm
+        from qsectors.states import ROW_LOOP_MAX, _prefix_norms
+
+        rng = np.random.default_rng(dim)
+        for sites in {1, ROW_LOOP_MAX // dim, ROW_LOOP_MAX // dim + 1, 40}:
+            if not sites:
+                continue
+            scale = rng.choice([1e-200, 1.0, 1e200], size=(sites, dim))
+            rows = (rng.normal(size=(sites, dim)) + 1j * rng.normal(size=(sites, dim))) * scale
+            factors = tuple(q.FactorVector(tuple(r.tolist())) for r in rows)
+            other = q.FactorVector((1.0,) * (dim % 3 + 1))
+            s = q.ProductState(factors + (other,), q.ConstantTail(q.FactorVector((1.0, 0.0))))
+            assert _prefix_norms(s) == [f.norm for f in s.prefix]
+
     def test_reads_check_no_amplitude_again(self, monkeypatch):
         rng = np.random.default_rng(11)
         s = _runs_state(rng, [(70, 2), (5, 3)])
@@ -1099,6 +1116,28 @@ class TestPrefixBrackets:
             for x, y in ((long, short), (short, long), (short, short)):
                 for n in (64, 65, long.prefix_len + 9):
                     assert repr(_prefix_brackets(x, y, n)) == repr(_scalar_brackets(x, y, n))
+
+    @pytest.mark.parametrize("prefix", [0, 3, 14])
+    def test_short_stretches_go_one_site_at_a_time(self, prefix, monkeypatch):
+        # a stretch of one dim is read as rows past ROW_LOOP_MAX amplitudes,
+        # over explicit prefixes, closed rows and plain callbacks alike
+        from qsectors import states
+        from qsectors.states import ROW_LOOP_MAX, _prefix_brackets
+
+        rng = np.random.default_rng(50 + prefix)
+        tails = _row_tails(rng, 2)
+        stacks = []
+        real_stack = states._stacked_brackets
+        monkeypatch.setattr(states, "_stacked_brackets", lambda *a: stacks.append(a) or real_stack(*a))
+        explicit = tuple(random_factor(rng, 2) for _ in range(prefix))
+        for tail in tails:
+            x, y = q.ProductState(explicit, tail), q.ProductState(explicit[::-1], tails[0])
+            for n in sorted({prefix, prefix + 1, ROW_LOOP_MAX // 2, ROW_LOOP_MAX // 2 + 1, prefix + 20}):
+                for a, b in ((x, y), (y, x)):
+                    stacks.clear()
+                    assert repr(_prefix_brackets(a, b, n)) == repr(_scalar_brackets(a, b, n))
+                    long = [lo for lo, hi in states._spans(a, n) if 2 * (hi - lo) > ROW_LOOP_MAX]
+                    assert len(stacks) == len(long)
 
 
 # -- a state's rows ------------------------------------------------------------
