@@ -472,6 +472,11 @@ class _CanonicalFamily:
     1 before rank and the limit itself from rank on (any other class), for
     n >= 0.  ``decay`` is the family's own declaration, before any shift.
 
+    Geometric and p-series weights come from one ``np.power`` call
+    (``_powers``) per block of sites, or per one-element list for a single
+    factor, so ``rows`` and ``__call__`` agree bit for bit; numpy's power
+    need not round as Python's ``**`` does, and its bits depend on the CPU.
+
     Before its rank an eventually-constant family returns one vector, built
     once, so a walk may bracket that stretch once; no other callback is
     trusted with a run before its declared rank.
@@ -491,53 +496,46 @@ class _CanonicalFamily:
         w = complex(weight)
         return FactorVector(tuple(map(add, self.limit.amplitudes, map(w.__mul__, self.deviation))))
 
-    def _weight(self, n: int) -> float | None:
-        """w of site n >= 0, or None where the factor is the limit itself."""
-        kind = self.decay.kind
-        if kind == "geometric":
-            return self.decay.ratio**n
-        if kind == "p-series":
-            return (n + 1) ** (-self.decay.p)
-        return 1.0 if n < (self.decay.rank or 0) else None
+    def _powers(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
+        """ratio**x (geometric) or x**-p (p-series) at each float x, a site n
+        or, for a p-series, n + 1.  A 0-d call rounds otherwise than an
+        array call, so a single factor passes a one-element list."""
+        if self.decay.kind == "geometric":
+            return np.power(self.decay.ratio, x)
+        return np.power(x, -self.decay.p)
 
     def __call__(self, n: int) -> FactorVector:
-        weight = self._weight(n)
-        if weight is None:
-            return self.limit
-        if self.decay.kind == "eventually-constant":
-            return self._moved
-        return self._weighted(weight)
+        kind = self.decay.kind
+        if kind in ("geometric", "p-series"):
+            return self._weighted(self._powers([n + 1.0 if kind == "p-series" else float(n)])[0])
+        return self._moved if n < (self.decay.rank or 0) else self.limit
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The factors of sites [lo, hi) as one (hi - lo, dim) complex array,
-        row k equal to ``self(max(lo + k, 0)).amplitudes`` bit for bit.
-        Weights are built in one Python list per decay kind with ``_weight``'s
-        own float operations (``ratio**n``, ``(n + 1) ** -p``), so they keep
-        its bits; w * deviation is formed as ``_weighted`` forms it, the
-        complex product (w + 0j) * d, so even the signs of underflowed zeros
-        agree.  A non-finite amplitude raises as ``FactorVector`` does, at the
-        first one in site order."""
-        sites = range(lo, hi) if lo >= 0 else [max(n, 0) for n in range(lo, hi)]
-        kind, past_rank = self.decay.kind, None
-        if kind == "geometric":
-            ratio = self.decay.ratio
-            weights = [ratio**n for n in sites]
-        elif kind == "p-series":
-            p = self.decay.p
-            weights = [(n + 1) ** -p for n in sites]
-        else:
-            rank = self.decay.rank or 0
-            past_rank = [n >= rank for n in sites]
-            weights = [0.0 if past else 1.0 for past in past_rank]
-        w = np.array(weights)[:, None]
+        row k bit for bit ``self(max(lo + k, 0)).amplitudes``: the weights
+        from one ``_powers`` call, w * deviation formed in place as the
+        complex product (w + 0j) * d of ``_weighted``, so even the signs of
+        underflowed zeros agree.  A non-finite amplitude raises as
+        ``FactorVector`` does, at the first one in site order."""
+        sites = np.maximum(np.arange(lo, hi), 0)
         limit = np.array(self.limit.amplitudes, dtype=complex)
-        dev = np.array(self.deviation, dtype=complex)
         out = np.empty((hi - lo, len(limit)), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # Python floats do not warn
-            out.real = limit.real + (w * dev.real - 0.0 * dev.imag)
-            out.imag = limit.imag + (w * dev.imag + 0.0 * dev.real)
-        if past_rank is not None:
-            out[past_rank] = limit
+        kind = self.decay.kind
+        if kind in ("geometric", "p-series"):
+            w = self._powers(sites + 1.0 if kind == "p-series" else sites.astype(float))[:, None]
+            dev, re, im = np.array(self.deviation, dtype=complex), out.real, out.imag
+            with np.errstate(over="ignore", invalid="ignore"):  # Python floats do not warn
+                np.multiply(w, dev.real, out=re)
+                re -= 0.0 * dev.imag
+                re += limit.real
+                np.multiply(w, dev.imag, out=im)
+                im += 0.0 * dev.real
+                im += limit.imag
+        else:
+            out[:] = limit
+            before = sites < (self.decay.rank or 0)
+            if before.any():
+                out[before] = self._moved.amplitudes
         _check_finite(out)
         return out
 
@@ -754,10 +752,11 @@ def _prefix_norms(state: ProductState) -> list[float]:
 
 
 def _spans(state: ProductState, stop: int) -> list[tuple[int, int]]:
-    """(lo, hi) of each stretch of the sites below ``stop`` that share one
-    dim, as ``rows`` reads them: the state's dim runs, then its tail."""
-    ends = [end for end, _ in state.dim_runs if end < stop] + [stop]
-    return [(lo, hi) for lo, hi in zip([0] + ends, ends) if lo < hi]
+    """(lo, hi) of each maximal stretch of the sites below ``stop`` that
+    share one dim, as ``rows`` reads them, across the prefix end too."""
+    tail_run = (state.prefix_len, state.tail.dim)  # a last run that the tail continues
+    ends = [end for end, dim in state.dim_runs if end < stop and (end, dim) != tail_run]
+    return [(lo, hi) for lo, hi in zip([0] + ends, ends + [stop]) if lo < hi]
 
 
 @dataclass(frozen=True)

@@ -258,15 +258,26 @@ def site_by_site(monkeypatch, fn, *args):
 def rounding_room(bra, ket, n):
     """(1e-12 of the largest pair's log mass at n, log of sum_k |c_k| |g_k(n)|):
     a sum of n logs or angles rounds at about 1e-16 of its mass."""
+    return rounding_rooms(bra, ket, [n])[0]
+
+
+def rounding_rooms(bra, ket, cuts):
+    """``rounding_room`` at each of the sorted cuts >= 1, from one pass of
+    site brackets up to the last."""
     bra_c = bra if isinstance(bra, q.CompositeState) else bra.as_composite()
     ket_c = ket if isinstance(ket, q.CompositeState) else ket.as_composite()
-    g = site_brackets(bra_c, ket_c, n)
+    g = site_brackets(bra_c, ket_c, cuts[-1])
     with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(g)).sum(axis=-1)
-    coeffs = np.outer([abs(c) for c, _ in bra_c.terms], [abs(c) for c, _ in ket_c.terms])
-    return 1e-12 * max(1.0, log_mass(g)[..., -1].max()), np.logaddexp.reduce(
-        (np.log(coeffs) + logs).ravel()
-    )
+        logs = np.cumsum(np.log(np.abs(g)), axis=-1)
+    mass = log_mass(g)
+    coeffs = np.log(np.outer([abs(c) for c, _ in bra_c.terms], [abs(c) for c, _ in ket_c.terms]))
+    return [
+        (
+            1e-12 * max(1.0, mass[..., n - 1].max()),
+            np.logaddexp.reduce((coeffs + logs[..., n - 1]).ravel()),
+        )
+        for n in cuts
+    ]
 
 
 def assert_walks_agree(bra, ket, got, want, cuts):

@@ -419,10 +419,28 @@ class TestShiftedDeclarations:
         "decay", [q.DecaySpec("geometric", ratio=0.5), q.DecaySpec("p-series", p=1.5)],
         ids=["geometric", "p-series"],
     )
-    def test_family_rows_build_their_weights_without_weight(self, decay, monkeypatch):
+    def test_family_rows_build_their_weights_in_one_kernel_call(self, decay, monkeypatch):
         family = _CanonicalFamily(q.FactorVector((0.6, 0.8)), (0.1 + 0.2j, -0.3), decay)
-        monkeypatch.setattr(_CanonicalFamily, "_weight", mock.Mock(side_effect=AssertionError))
+        calls = []
+        powers = _CanonicalFamily._powers
+        monkeypatch.setattr(
+            _CanonicalFamily, "_powers", lambda self, x: calls.append(list(x)) or powers(self, x)
+        )
+        for name in ("__call__", "_weighted"):
+            monkeypatch.setattr(_CanonicalFamily, name, mock.Mock(side_effect=AssertionError))
         assert family.rows(-3, 200).shape == (203, 2)
+        # the sites clamped at 0, as floats; a p-series counts them from 1
+        first = 1.0 if decay.kind == "p-series" else 0.0
+        assert calls == [[first] * 4 + [first + n for n in range(1, 200)]]
+
+        # and no call a site: 20,000 sites take a few dozen Python and C calls
+        count = itertools.count()
+        sys.setprofile(lambda frame, event, arg: next(count))
+        try:
+            family.rows(-3, 20_000)
+        finally:
+            sys.setprofile(None)
+        assert next(count) < 200
 
     @pytest.mark.parametrize(
         "decay, lo, hi",
@@ -1138,6 +1156,21 @@ class TestPrefixBrackets:
                     assert repr(_prefix_brackets(a, b, n)) == repr(_scalar_brackets(a, b, n))
                     long = [lo for lo, hi in states._spans(a, n) if 2 * (hi - lo) > ROW_LOOP_MAX]
                     assert len(stacks) == len(long)
+                # the tail has the prefix's dim, so one span runs across the prefix end
+                assert states._spans(x, prefix + 20) == [(0, prefix + 20)]
+
+    def test_spans_break_only_where_the_dim_changes(self):
+        from qsectors.states import _spans
+
+        def state(dims, tail_dim):
+            prefix = tuple(q.basis_vector(d, 0) for d in dims)
+            return q.ProductState(prefix, q.ConstantTail(q.basis_vector(tail_dim, 0)))
+
+        assert _spans(state([2, 2, 3, 3, 3], 3), 9) == [(0, 2), (2, 9)]
+        assert _spans(state([2, 2, 3, 3, 3], 2), 9) == [(0, 2), (2, 5), (5, 9)]
+        assert _spans(state([2, 2, 3], 3), 2) == [(0, 2)]
+        assert _spans(state([], 2), 4) == [(0, 4)]
+        assert _spans(state([2, 2], 2), 0) == []
 
 
 # -- a state's rows ------------------------------------------------------------
